@@ -41,6 +41,10 @@
 #                           # stage monotonicity, anomaly_watch in /healthz)
 #                           # and the dump + exemplar trace-ids are joined
 #                           # offline against the access log and Chrome trace
+#   scripts/ci.sh perfbench # repository benchmark (perfbench/README.md):
+#                           # standalone perfbench/ build + perfbench_tests,
+#                           # then a 1 s train run whose result line must
+#                           # read correct with no failed operations
 #
 # No arguments runs every stage in the order above. A numeric first argument
 # is accepted as a job count for backward compatibility; JOBS=<n> works too.
@@ -716,18 +720,43 @@ PY
 }
 
 # ---------------------------------------------------------------------------
+stage_perfbench() {
+  echo "=== [perfbench] standalone configure + perfbench_tests ==="
+  cmake -B build-perfbench -S perfbench "${CMAKE_EXTRA[@]}" \
+    -DCMAKE_BUILD_TYPE=Release
+  cmake --build build-perfbench -j "${JOBS}" --target perfbench_tests
+  ./build-perfbench/perfbench_tests
+
+  echo "=== [perfbench] train workload, 1 s, untraced ==="
+  python3 perfbench/run.py --workload train --seed 0 --seconds 1 --trace 0 \
+    > ci_artifacts/perfbench-train.out
+  python3 - ci_artifacts/perfbench-train.out <<'PY'
+import json, sys
+
+with open(sys.argv[1]) as f:
+    lines = [line for line in f if line.strip()]
+assert lines, "perfbench printed no result line"
+result = json.loads(lines[-1])
+assert result["correct"] is True, f"perfbench result not correct: {result}"
+assert result["failed"] == 0, f"perfbench reported failures: {result}"
+print(f"perfbench train ok: {result['attempted']} operations, "
+      f"train_s {result['metrics']['train_s']['value']:.2f} s")
+PY
+}
+
+# ---------------------------------------------------------------------------
 STAGES=()
 for arg in "$@"; do
   case "${arg}" in
-    release|asan|tsan|faults|overload|bench|kernels|kernels-dispatch|scale|forensics) STAGES+=("${arg}") ;;
+    release|asan|tsan|faults|overload|bench|kernels|kernels-dispatch|scale|forensics|perfbench) STAGES+=("${arg}") ;;
     ''|*[!0-9]*)
-      echo "unknown stage '${arg}' (expected release|asan|tsan|faults|overload|bench|kernels|kernels-dispatch|scale|forensics)" >&2
+      echo "unknown stage '${arg}' (expected release|asan|tsan|faults|overload|bench|kernels|kernels-dispatch|scale|forensics|perfbench)" >&2
       exit 2 ;;
     *) JOBS="${arg}" ;;  # back-compat: scripts/ci.sh [JOBS]
   esac
 done
 [[ ${#STAGES[@]} -gt 0 ]] || \
-  STAGES=(release asan tsan faults overload bench kernels kernels-dispatch scale forensics)
+  STAGES=(release asan tsan faults overload bench kernels kernels-dispatch scale forensics perfbench)
 
 for stage in "${STAGES[@]}"; do
   "stage_${stage//-/_}"  # dashes in stage names map to underscores

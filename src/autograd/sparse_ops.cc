@@ -142,6 +142,69 @@ Variable SpMMBiasAct(const EdgeListPtr& edges, const Variable& edge_weight,
   return Variable(node);
 }
 
+Variable PairDot(const Variable& h, const EdgeListPtr& pairs) {
+  SES_TRACE_SPAN("fwd:PairDot");
+  SES_CHECK(pairs != nullptr);
+  SES_CHECK(pairs->dst.size() == pairs->src.size());
+  NodePtr ph = h.node();
+  const t::Tensor& hv = ph->value;
+  const int64_t e_count = pairs->size();
+  const int64_t n = hv.rows(), d = hv.cols();
+  const int64_t* src = pairs->src.data();
+  const int64_t* dst = pairs->dst.data();
+  bool in_range = true;
+  for (int64_t e = 0; e < e_count; ++e)
+    in_range &= src[e] >= 0 && src[e] < n && dst[e] >= 0 && dst[e] < n;
+  SES_CHECK(in_range);
+
+  t::Tensor out(e_count, 1);
+  {
+    // One multiply-add per pair element; per pair two indices, both
+    // endpoint rows read and one output written.
+    obs::KernelScope kscope(
+        "pair_dot", "fused", 2.0 * static_cast<double>(e_count) * d,
+        static_cast<double>(e_count) * (20.0 + 8.0 * d));
+#pragma omp parallel for schedule(static)
+    for (int64_t e = 0; e < e_count; ++e) {
+      const float* a = hv.RowPtr(src[e]);
+      const float* b = hv.RowPtr(dst[e]);
+      // Float product, double accumulation in column order: t::SumRows over
+      // t::Mul, element for element.
+      double acc = 0.0;
+      for (int64_t c = 0; c < d; ++c) acc += a[c] * b[c];
+      out[e] = static_cast<float>(acc);
+    }
+  }
+  auto node = MakeOpNode(
+      std::move(out), {ph},
+      [pairs, ph, d](const t::Tensor& g) {
+        if (!ph->requires_grad) return;
+        const t::Tensor& hv = ph->value;
+        t::Tensor& dh = ph->EnsureGrad();
+        const int64_t e_count = pairs->size();
+        obs::KernelScope kscope(
+            "pair_dot", "fused_grad", 4.0 * static_cast<double>(e_count) * d,
+            static_cast<double>(e_count) * (36.0 + 24.0 * d));
+        // The accumulation order of the GatherRows/Mul/SumRows chain under
+        // Backward's reverse creation order: GatherRows(h, dst) scatters
+        // before GatherRows(h, src), each in pair order. `0.0f + ...`
+        // reproduces the signed zeros of that chain's zero-initialised
+        // E x d intermediate gradients.
+        const auto scatter = [&](const int64_t* to, const int64_t* from) {
+          for (int64_t e = 0; e < e_count; ++e) {
+            const float ge = g[e];
+            const float* hrow = hv.RowPtr(from[e]);
+            float* drow = dh.RowPtr(to[e]);
+            for (int64_t c = 0; c < d; ++c) drow[c] += 0.0f + ge * hrow[c];
+          }
+        };
+        scatter(pairs->dst.data(), pairs->src.data());
+        scatter(pairs->src.data(), pairs->dst.data());
+      },
+      "bwd:PairDot");
+  return Variable(node);
+}
+
 Variable EdgeSoftmax(const EdgeListPtr& edges, const Variable& scores) {
   SES_TRACE_SPAN("fwd:EdgeSoftmax");
   SES_CHECK(edges != nullptr);

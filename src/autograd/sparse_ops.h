@@ -57,6 +57,17 @@ Variable SpMM(const EdgeListPtr& edges, const Variable& edge_weight,
 Variable SpMMBiasAct(const EdgeListPtr& edges, const Variable& edge_weight,
                      const Variable& x, const Variable& bias, bool relu);
 
+/// Per-pair row dot product (SDDMM over an explicit pair list):
+///   out[e] = sum_c h[src[e], c] * h[dst[e], c]          (E x 1)
+/// Reads the N x d `h` directly and never materialises an E x d tensor; the
+/// backward scatters g[e] * h[other endpoint] straight into h's gradient.
+/// Forward and gradient are bitwise-identical to
+/// SumRows(Mul(GatherRows(h, src), GatherRows(h, dst))): float products
+/// summed per row in double in column order, and the gradient scattered
+/// dst side first, then src side, each in pair order (DESIGN.md §14.3). Pair
+/// indices are validated once per call; `pairs->num_nodes` is not consulted.
+Variable PairDot(const Variable& h, const EdgeListPtr& pairs);
+
 /// Numerically-stable softmax over incoming edges grouped by destination:
 ///   y_e = exp(s_e) / sum_{e': dst[e'] == dst[e]} exp(s_{e'})
 /// Scores and output are E x 1. Used by GAT attention.

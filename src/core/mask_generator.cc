@@ -38,9 +38,7 @@ ag::Variable MaskGenerator::StructureMask(
   ag::Variable hp = ag::MatMul(h, struct_proj_);  // N x hidden
   ag::Variable norms =
       ag::Sqrt(ag::AddScalar(ag::SumRows(ag::Mul(hp, hp)), 1e-9f));  // N x 1
-  ag::Variable hi = ag::GatherRows(hp, pairs->src);
-  ag::Variable hj = ag::GatherRows(hp, pairs->dst);
-  ag::Variable dots = ag::SumRows(ag::Mul(hi, hj));  // E x 1
+  ag::Variable dots = ag::PairDot(hp, pairs);  // E x 1
   ag::Variable denom = ag::Mul(ag::GatherRows(norms, pairs->src),
                                ag::GatherRows(norms, pairs->dst));
   ag::Variable cosine = ag::Mul(dots, ag::Pow(denom, -1.0f));

@@ -35,21 +35,6 @@ ag::Variable WeightedGcnNorm(const ag::EdgeListPtr& edges,
                                ag::GatherRows(inv_sqrt, edges->dst)));
 }
 
-/// Renormalizes masked attention so coefficients still sum to 1 per
-/// destination.
-ag::Variable RenormalizeAttention(const ag::EdgeListPtr& edges,
-                                  const ag::Variable& masked_alpha) {
-  const double e = static_cast<double>(edges->size());
-  const double n = static_cast<double>(edges->num_nodes);
-  obs::KernelScope kscope("aggregate_norm", "attention_renorm",
-                          3.0 * e + 2.0 * n, 32.0 * e + 16.0 * n);
-  ag::Variable ones = ag::Variable::Constant(
-      t::Tensor::Ones(edges->num_nodes, 1));
-  ag::Variable sums = ag::SpMM(edges, masked_alpha, ones);
-  ag::Variable inv = ag::Pow(ag::AddScalar(sums, 1e-9f), -1.0f);
-  return ag::Mul(masked_alpha, ag::GatherRows(inv, edges->dst));
-}
-
 }  // namespace
 
 GcnEncoder::GcnEncoder(int64_t in, int64_t hidden, int64_t out, util::Rng* rng)

@@ -223,7 +223,9 @@ struct KernelEntry {
   std::mutex mutex;
   KernelStats stats;
   // Metric series resolved once on first record (registry lookups are the
-  // cold path), then updated with relaxed stores on every close.
+  // cold path), then updated with relaxed stores on every close. The counter
+  // rates register on the first valid hardware sample: where perf is
+  // unavailable they are unknown, so the series stay absent rather than 0.
   Counter* calls_metric = nullptr;
   Gauge* time_ms = nullptr;
   Gauge* gflops = nullptr;
@@ -264,8 +266,6 @@ KernelEntry* EntryFor(const char* kernel, const char* variant) {
     slot->time_ms = &reg.GetGauge("ses.kernel.time_ms", labels);
     slot->gflops = &reg.GetGauge("ses.kernel.gflops", labels);
     slot->intensity = &reg.GetGauge("ses.kernel.intensity", labels);
-    slot->ipc = &reg.GetGauge("ses.kernel.ipc", labels);
-    slot->llc_miss_rate = &reg.GetGauge("ses.kernel.llc_miss_rate", labels);
     slot->roofline_efficiency =
         &reg.GetGauge("ses.kernel.roofline_efficiency", labels);
   }
@@ -364,6 +364,13 @@ void KernelScope::End() {
     entry->gflops->Set(s.Gflops());
     entry->intensity->Set(s.Intensity());
     if (s.counters.valid) {
+      if (entry->ipc == nullptr) {
+        const MetricsRegistry::LabelSet labels{{"kernel", s.kernel},
+                                               {"variant", s.variant}};
+        auto& reg = MetricsRegistry::Get();
+        entry->ipc = &reg.GetGauge("ses.kernel.ipc", labels);
+        entry->llc_miss_rate = &reg.GetGauge("ses.kernel.llc_miss_rate", labels);
+      }
       entry->ipc->Set(s.counters.Ipc());
       entry->llc_miss_rate->Set(s.counters.LlcMissRate());
     }

@@ -77,8 +77,10 @@ void PerfResetForTest();
 ///   ses.kernel.gflops           declared GFLOP / inclusive second
 ///   ses.kernel.intensity        declared FLOPs / declared byte (arithmetic
 ///                               intensity, the roofline x-axis)
-///   ses.kernel.ipc              instructions / cycle (exclusive; perf only)
-///   ses.kernel.llc_miss_rate    cache misses / references (exclusive; perf)
+///   ses.kernel.ipc              instructions / cycle (exclusive; registered
+///                               on the first valid counter sample, absent
+///                               under the clock-only fallback)
+///   ses.kernel.llc_miss_rate    cache misses / references (likewise)
 ///   ses.kernel.roofline_efficiency  achieved / attainable GFLOP/s, after
 ///                               CalibrateRoofline() has run (roofline.h)
 ///

@@ -3,6 +3,7 @@
 // exclusive attribution across nested and cross-thread scopes, the
 // clock-only perf fallback (SES_PERF_DISABLE), roofline placement math, and
 // the folded-stack flamegraph export.
+#include <algorithm>
 #include <cstdlib>
 #include <sstream>
 #include <string>
@@ -194,6 +195,36 @@ TEST(PerfFallbackTest, SesPerfDisableForcesCleanFallback) {
   EXPECT_FALSE(available);
   EXPECT_FALSE(valid);
   EXPECT_NE(reason.find("SES_PERF_DISABLE"), std::string::npos) << reason;
+}
+
+TEST(PerfFallbackTest, DisabledCountersPublishNoRateSeries) {
+  // Under the clock-only fallback IPC and LLC miss rate are unknown, so a
+  // scope must not publish them (a 0 would read as a measurement). Its
+  // other series still appear.
+  ::setenv("SES_PERF_DISABLE", "1", 1);
+  obs::PerfResetForTest();
+  obs::EnableKernelProfiling(true);
+  std::thread worker(
+      [] { obs::KernelScope scope("perf_disabled_probe", "clock", 1.0, 4.0); });
+  worker.join();
+  obs::EnableKernelProfiling(false);
+  ::unsetenv("SES_PERF_DISABLE");
+  obs::PerfResetForTest();
+
+  std::ostringstream prom;
+  obs::MetricsRegistry::Get().WritePrometheus(prom);
+  std::vector<std::string> series;
+  std::istringstream lines(prom.str());
+  for (std::string line; std::getline(lines, line);)
+    if (line.find("kernel=\"perf_disabled_probe\"") != std::string::npos)
+      series.push_back(line.substr(0, line.find('{')));
+  EXPECT_NE(std::find(series.begin(), series.end(), "ses_kernel_calls"),
+            series.end());
+  EXPECT_EQ(std::find(series.begin(), series.end(), "ses_kernel_ipc"),
+            series.end());
+  EXPECT_EQ(
+      std::find(series.begin(), series.end(), "ses_kernel_llc_miss_rate"),
+      series.end());
 }
 
 TEST(PerfCountsTest, SubtractionSaturatesInsteadOfWrapping) {
