@@ -510,9 +510,10 @@ stage_kernels_dispatch() {
     | tee "ci_artifacts/kernels-dispatch-autotune-2.log"
 
   # The parity sweeps double as sanitizer fodder: masked AVX-512 tails and
-  # the blocked-CSR cursor walk are exactly where an out-of-bounds lane read
-  # or a signed overflow would hide. ASan covers them via the tier1 suite in
-  # stage_asan; UBSan gets a dedicated build here (kernels_test only).
+  # the CSR row-pointer walk over empty rows are exactly where an
+  # out-of-bounds lane read or a signed overflow would hide. ASan covers
+  # them via the tier1 suite in stage_asan; UBSan gets a dedicated build
+  # here (kernels_test only).
   ensure_ubsan
   echo "=== [kernels-dispatch] parity suite under UBSan ==="
   ./build-ubsan/tests/kernels_test \
@@ -727,10 +728,14 @@ stage_perfbench() {
   cmake --build build-perfbench -j "${JOBS}" --target perfbench_tests
   ./build-perfbench/perfbench_tests
 
-  echo "=== [perfbench] train workload, 1 s, untraced ==="
-  python3 perfbench/run.py --workload train --seed 0 --seconds 1 --trace 0 \
-    > ci_artifacts/perfbench-train.out
-  python3 - ci_artifacts/perfbench-train.out <<'PY'
+  # serve-write checks every sharded answer exactly against a whole-graph
+  # session, so it gates bitwise shard parity end to end.
+  local workload
+  for workload in train serve-write; do
+    echo "=== [perfbench] ${workload} workload, 1 s, untraced ==="
+    python3 perfbench/run.py --workload "${workload}" --seed 0 --seconds 1 \
+      --trace 0 > "ci_artifacts/perfbench-${workload}.out"
+    python3 - "ci_artifacts/perfbench-${workload}.out" "${workload}" <<'PY'
 import json, sys
 
 with open(sys.argv[1]) as f:
@@ -739,9 +744,10 @@ assert lines, "perfbench printed no result line"
 result = json.loads(lines[-1])
 assert result["correct"] is True, f"perfbench result not correct: {result}"
 assert result["failed"] == 0, f"perfbench reported failures: {result}"
-print(f"perfbench train ok: {result['attempted']} operations, "
+print(f"perfbench {sys.argv[2]} ok: {result['attempted']} operations, "
       f"train_s {result['metrics']['train_s']['value']:.2f} s")
 PY
+  done
 }
 
 # ---------------------------------------------------------------------------

@@ -57,13 +57,12 @@ Variable SpMM(const EdgeListPtr& edges, const Variable& edge_weight,
   const int64_t f = px->value.cols();
   t::Tensor out(edges->num_nodes, f);
   const auto plan = edges->plan();
-  const kernels::SpmmChoice choice =
-      plan->Choose(f, pw->value.data(), px->value.data());
+  const kernels::SpmmChoice choice = plan->Choose(f);
   {
     // One multiply-add per edge element; per edge — weight + two indices,
     // the source row read and the destination row read-modify-written. The
-    // plan-selected variant (edge-order / CSR / blocked CSR at the active
-    // SIMD tier) is the KernelScope variant label.
+    // plan-selected variant (edge-order or CSR at the active SIMD tier) is
+    // the KernelScope variant label.
     obs::KernelScope kscope(
         "spmm", kernels::SpmmVariantName(choice),
         2.0 * static_cast<double>(e_count) * f,
@@ -94,8 +93,7 @@ Variable SpMMBiasAct(const EdgeListPtr& edges, const Variable& edge_weight,
   const double n_out = static_cast<double>(edges->num_nodes);
   t::Tensor out(edges->num_nodes, f);
   const auto plan = edges->plan();
-  const kernels::SpmmChoice choice =
-      plan->Choose(f, pw->value.data(), px->value.data());
+  const kernels::SpmmChoice choice = plan->Choose(f);
   {
     // Aggregation plus the fused epilogue (bias add + activation applied
     // per CSR row while it is cache-hot): epilogue adds ~2 ops/element but

@@ -16,7 +16,7 @@ namespace ses::autograd {
 ///
 /// Fill `src`/`dst`/`num_nodes` once after construction and treat the list
 /// as frozen: `plan()` memoizes per-graph kernel state (CSR-by-destination
-/// view, graph statistics, the autotuned SpMM variant decision) against the
+/// view, graph statistics, the SpMM variant decision) against the
 /// current arrays, and every SpMM over this list replays that plan — which
 /// is what keeps taped and InferenceGuard forwards on identical kernels.
 struct EdgeList {
@@ -41,9 +41,8 @@ using EdgeListPtr = std::shared_ptr<const EdgeList>;
 /// Gradients flow to both `w` (E x 1) and `x` (N x F). This is the op that
 /// lets SES co-train the structure mask with the encoder (Eq. 8): the mask
 /// enters the aggregation as `w` and receives d(loss)/d(w_e) directly.
-/// The forward runs the plan-selected kernel variant (edge-order, CSR, or
-/// blocked CSR at the active SIMD tier); see kernels/spmm.h for the
-/// equivalence contract.
+/// The forward runs the plan-selected kernel variant (edge-order or CSR at
+/// the active SIMD tier); see kernels/spmm.h for the equivalence contract.
 Variable SpMM(const EdgeListPtr& edges, const Variable& edge_weight,
               const Variable& x);
 

@@ -61,11 +61,6 @@ void InferenceSession::EnsureArtifactsLocked() {
   SES_TRACE_SPAN("infer/build_artifacts");
   ag::InferenceGuard no_grad;
   adj_edges_ = ds_->graph.DirectedEdges(/*add_self_loops=*/true);
-  // Shard sessions pin the whole-graph statistics into their plan BEFORE the
-  // Choose below memoizes a decision, so the shard replays the unsharded
-  // session's variant (the bitwise shard-parity contract, DESIGN.md §16).
-  if (overrides_.pin_spmm_stats)
-    adj_edges_->plan()->PinChoiceStats(overrides_.spmm_stats);
   const bool use_feature_mask =
       model_ != nullptr && model_->options().use_feature_mask;
   if (use_feature_mask && overrides_.feature_mask_nnz.size() > 0) {
@@ -95,8 +90,7 @@ void InferenceSession::EnsureArtifactsLocked() {
   // variant. Exported as a labeled gauge so /metrics shows which kernel is
   // serving; the previous version's label is zeroed on change.
   const auto plan = adj_edges_->plan();
-  const kernels::SpmmChoice choice =
-      plan->Choose(encoder_->hidden_dim(), /*w=*/nullptr, /*x=*/nullptr);
+  const kernels::SpmmChoice choice = plan->Choose(encoder_->hidden_dim());
   const char* variant = kernels::SpmmVariantName(choice);
   if (spmm_variant_ != nullptr && spmm_variant_ != variant) {
     obs::MetricsRegistry::Get()

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "core/ses_model.h"
-#include "kernels/spmm.h"
 
 namespace ses::obs {
 class RequestScope;
@@ -18,12 +17,6 @@ namespace ses::core {
 /// Optional per-shard overrides a ShardedSession installs on its member
 /// sessions (DESIGN.md §16). Default-constructed overrides change nothing.
 struct SessionOverrides {
-  /// When true, the shard's SpMM plan decides from `spmm_stats` (the WHOLE
-  /// graph's statistics) instead of its own — every shard then lands in the
-  /// same accumulation-order class as the single whole-graph session, which
-  /// is what makes sharded logits bitwise-equal to unsharded ones.
-  bool pin_spmm_stats = false;
-  kernels::GraphStats spmm_stats;
   /// Shard-sliced feature mask M_f (one value per nonzero of the shard's
   /// feature rows, in GatherRows order). Empty = use the model's own mask.
   tensor::Tensor feature_mask_nnz;
@@ -132,7 +125,8 @@ class InferenceSession {
   /// and exported as `ses.kernel.autotune{op="spmm",variant=...}`. Empty
   /// until the first query builds the artifacts. Deterministic given
   /// identical graph statistics (the decision is a pure function of the
-  /// graph stats, the encoder's hidden width, and the active SIMD tier).
+  /// graph stats, the encoder's hidden width, and the active SIMD tier);
+  /// variants at one tier are bitwise-equal, so it never changes outputs.
   std::string spmm_variant() const {
     std::lock_guard<std::mutex> lock(mutex_);
     return spmm_variant_ == nullptr ? std::string() : spmm_variant_;

@@ -2,41 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <utility>
 
 #include "obs/metrics.h"
 #include "util/logging.h"
 
 namespace ses::core {
-
-/// In-degree over the support is Degree(v) + 1 and the variance loop runs in
-/// the same node order as ComputeGraphStats, so every field (including the
-/// FP-accumulated degree_cv) matches bitwise; WholeGraphStatsMatchComputed in
-/// tests/scale_test.cc holds the two equal.
-kernels::GraphStats WholeGraphSpmmStats(const graph::Graph& g) {
-  kernels::GraphStats s;
-  const int64_t n = g.num_nodes();
-  s.nodes = n;
-  s.nnz = 2 * g.num_edges() + n;
-  if (n == 0) return s;
-  int64_t max_degree = 0;
-  for (int64_t v = 0; v < n; ++v)
-    max_degree = std::max(max_degree, g.Degree(v) + 1);
-  s.max_degree = max_degree;
-  s.avg_degree = static_cast<double>(s.nnz) / static_cast<double>(n);
-  s.density = static_cast<double>(s.nnz) /
-              (static_cast<double>(n) * static_cast<double>(n));
-  double var = 0.0;
-  for (int64_t v = 0; v < n; ++v) {
-    const double delta =
-        static_cast<double>(g.Degree(v) + 1) - s.avg_degree;
-    var += delta * delta;
-  }
-  var /= static_cast<double>(n);
-  s.degree_cv = s.avg_degree > 0.0 ? std::sqrt(var) / s.avg_degree : 0.0;
-  return s;
-}
 
 namespace {
 
@@ -118,7 +89,6 @@ ShardedSession::ShardedSession(const models::Encoder* encoder,
 
 void ShardedSession::Build() {
   partition_ = graph::Partitioner(options_.partition).Run(ds_->graph);
-  const kernels::GraphStats whole_stats = WholeGraphSpmmStats(ds_->graph);
   const int64_t num_shards = partition_.num_shards();
   shard_data_.resize(static_cast<size_t>(num_shards));
   for (int64_t s = 0; s < num_shards; ++s) {
@@ -139,8 +109,6 @@ void ShardedSession::Build() {
   for (int64_t s = 0; s < num_shards; ++s) {
     const graph::Shard& shard = partition_.shards[static_cast<size_t>(s)];
     SessionOverrides overrides;
-    overrides.pin_spmm_stats = options_.pin_spmm_stats;
-    overrides.spmm_stats = whole_stats;
     if (model_ != nullptr) {
       if (model_->options().use_feature_mask &&
           model_->feature_mask_nnz().size() > 0)

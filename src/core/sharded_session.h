@@ -10,22 +10,11 @@
 
 namespace ses::core {
 
-/// GraphStats of the full graph's message-passing support (both edge
-/// orientations + self-loops) computed straight from the adjacency —
-/// bitwise-equal to kernels::ComputeGraphStats over the materialized
-/// DirectedEdges(true) list, without building that list. This is what a
-/// ShardedSession pins into every shard's SpMM plan.
-kernels::GraphStats WholeGraphSpmmStats(const graph::Graph& g);
-
 struct ShardedSessionOptions {
   /// Partition shape. The default halo_hops (3) is the two-layer encoders'
   /// k-hop dependency depth plus one ring of degree padding — see
   /// graph::PartitionOptions and DESIGN.md §16.
   graph::PartitionOptions partition;
-  /// Pin every shard plan's SpMM variant decision to the whole graph's
-  /// statistics (required for the bitwise parity contract; off only for
-  /// experiments that want per-shard autotuning).
-  bool pin_spmm_stats = true;
 };
 
 /// Data-parallel serving across graph shards (DESIGN.md §16).
@@ -42,10 +31,11 @@ struct ShardedSessionOptions {
 /// to the whole-graph InferenceSession's, because (a) the halo closure makes
 /// every degree an owned logit's GCN normalization reads exact, (b) shard
 /// node lists are ascending so the global→local relabeling is monotone and
-/// per-row accumulation order is preserved, and (c) each shard's SpMM plan
-/// is pinned to the whole-graph statistics so all shards run the same
-/// variant order class. The scale tests assert this equality on every graph
-/// they touch.
+/// per-row accumulation order is preserved, and (c) every SpMM variant at
+/// one SIMD tier accumulates a row in edge order, so a shard whose plan
+/// picks a different variant from the whole-graph session (a small shard
+/// can fall under the edge-order cutoff) still produces the same bits. The
+/// scale tests assert this equality on every graph they touch.
 class ShardedSession {
  public:
   /// Shards a trained SesModel: the global feature / structure masks are

@@ -15,8 +15,8 @@ namespace ses::data {
 ///
 ///  - Power-law degree distribution with a configurable exponent: out-stub
 ///    counts follow a Pareto tail and targets are drawn by inverse-CDF from
-///    power-law node weights, so hubs exist at every size (the skew the SpMM
-///    autotuner and partitioner balance heuristics care about).
+///    power-law node weights, so hubs exist at every size (the skew the
+///    partitioner's balance heuristics care about).
 ///  - Deterministic under `seed`: every node and motif forks its own counted
 ///    RNG stream, so two runs with equal options produce bitwise-identical
 ///    datasets (see DatasetDigest) regardless of generation order.

@@ -122,15 +122,6 @@ struct Dispatch {
   void (*spmm_csr)(int64_t rows, const int64_t* row_ptr, const int64_t* col,
                    const int64_t* perm, const float* w, const float* x,
                    int64_t f, float* out, const float* bias, bool relu);
-  /// Source-blocked CSR SpMM for skewed-degree graphs: per-row cursors sweep
-  /// column blocks sized to keep the gathered x working set L2-resident.
-  /// Requires `col` ascending within each row, which reorders additions —
-  /// tolerance-gated against spmm_csr even at scalar tier.
-  void (*spmm_csr_blocked)(int64_t rows, int64_t cols, const int64_t* row_ptr,
-                           const int64_t* col, const int64_t* perm,
-                           const float* w, const float* x, int64_t f,
-                           float* out, const float* bias, bool relu,
-                           int64_t block_cols);
 };
 
 /// Table for one specific tier (bench sweeps, parity tests). Asking for an

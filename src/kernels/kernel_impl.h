@@ -12,7 +12,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <vector>
 
 #include "kernels/dispatch.h"
 
@@ -123,46 +122,6 @@ void SpmmCsrImpl(int64_t rows, const int64_t* row_ptr, const int64_t* col,
       Ops::Axpy(dst, x + col[e] * f, f, v);
     }
     if (epilogue) Ops::BiasAct(dst, bias, f, relu);
-  }
-}
-
-template <class Ops>
-void SpmmCsrBlockedImpl(int64_t rows, int64_t cols, const int64_t* row_ptr,
-                        const int64_t* col, const int64_t* perm,
-                        const float* w, const float* x, int64_t f, float* out,
-                        const float* bias, bool relu, int64_t block_cols) {
-  const double nnz = static_cast<double>(row_ptr[rows]);
-  const bool par = ShouldParallelize(2.0 * nnz * static_cast<double>(f));
-  const bool epilogue = bias != nullptr || relu;
-  constexpr int64_t kRowChunk = 512;
-  const int64_t nchunks = (rows + kRowChunk - 1) / kRowChunk;
-#pragma omp parallel for schedule(dynamic, 1) if (par)
-  for (int64_t ch = 0; ch < nchunks; ++ch) {
-    const int64_t r_lo = ch * kRowChunk;
-    const int64_t r_hi = std::min(rows, r_lo + kRowChunk);
-    // Per-row cursors sweep source blocks: all rows in the chunk consume
-    // their entries for source block [b0, b1) before any row moves on, so
-    // the gathered x rows stay cache-resident across the whole chunk.
-    std::vector<int64_t> cur(static_cast<size_t>(r_hi - r_lo));
-    for (int64_t r = r_lo; r < r_hi; ++r)
-      cur[static_cast<size_t>(r - r_lo)] = row_ptr[r];
-    for (int64_t b0 = 0; b0 < cols; b0 += block_cols) {
-      const int64_t b1 = b0 + block_cols;
-      for (int64_t r = r_lo; r < r_hi; ++r) {
-        int64_t e = cur[static_cast<size_t>(r - r_lo)];
-        const int64_t end = row_ptr[r + 1];
-        float* dst = out + r * f;
-        while (e < end && col[e] < b1) {
-          const float v = w[perm != nullptr ? perm[e] : e];
-          if (v != 0.0f) Ops::Axpy(dst, x + col[e] * f, f, v);
-          ++e;
-        }
-        cur[static_cast<size_t>(r - r_lo)] = e;
-      }
-    }
-    if (epilogue)
-      for (int64_t r = r_lo; r < r_hi; ++r)
-        Ops::BiasAct(out + r * f, bias, f, relu);
   }
 }
 

@@ -199,13 +199,6 @@ void SpmmCsr(int64_t rows, const int64_t* row_ptr, const int64_t* col,
              float* out, const float* bias, bool relu) {
   SpmmCsrImpl<Ops>(rows, row_ptr, col, perm, w, x, f, out, bias, relu);
 }
-void SpmmCsrBlocked(int64_t rows, int64_t cols, const int64_t* row_ptr,
-                    const int64_t* col, const int64_t* perm, const float* w,
-                    const float* x, int64_t f, float* out, const float* bias,
-                    bool relu, int64_t block_cols) {
-  SpmmCsrBlockedImpl<Ops>(rows, cols, row_ptr, col, perm, w, x, f, out, bias,
-                          relu, block_cols);
-}
 
 }  // namespace
 
@@ -228,7 +221,6 @@ const Dispatch kDispatchAvx512 = {
     &GatherRows,
     &SpmmEdges,
     &SpmmCsr,
-    &SpmmCsrBlocked,
 };
 
 }  // namespace ses::kernels::detail

@@ -1,12 +1,6 @@
 #include "kernels/spmm.h"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <cmath>
-#include <cstdlib>
-#include <cstring>
-#include <numeric>
 
 #include "util/logging.h"
 
@@ -14,55 +8,16 @@ namespace ses::kernels {
 
 namespace {
 
-/// L2 budget the blocked variant targets for its gathered-x working set.
-/// Fixed (not probed) so the heuristic stays a pure function of its inputs
-/// across machines of the same class.
-constexpr int64_t kL2BudgetBytes = 1 << 20;
-
 /// Below this nnz the CSR build costs more than it saves; explain-path motif
 /// subgraphs are a few dozen edges.
 constexpr int64_t kTinyNnz = 2048;
 
-std::atomic<int> g_autotune_mode{-1};
-
-AutotuneMode ResolveAutotuneMode() {
-  const char* mode = std::getenv("SES_KERNEL_AUTOTUNE");
-  if (mode == nullptr || mode[0] == '\0' ||
-      std::strcmp(mode, "heuristic") == 0)
-    return AutotuneMode::kHeuristic;
-  if (std::strcmp(mode, "timed") == 0) return AutotuneMode::kTimed;
-  SES_LOG_WARN << "SES_KERNEL_AUTOTUNE='" << mode
-               << "' is not heuristic|timed; using heuristic";
-  return AutotuneMode::kHeuristic;
-}
-
-double NowNs() {
-  return static_cast<double>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
 }  // namespace
-
-AutotuneMode ActiveAutotuneMode() {
-  int mode = g_autotune_mode.load(std::memory_order_acquire);
-  if (mode < 0) {
-    mode = static_cast<int>(ResolveAutotuneMode());
-    g_autotune_mode.store(mode, std::memory_order_release);
-  }
-  return static_cast<AutotuneMode>(mode);
-}
-
-void ResetAutotuneModeForTest() {
-  g_autotune_mode.store(-1, std::memory_order_release);
-}
 
 CsrAdj BuildCsrByDst(const int64_t* src, const int64_t* dst, int64_t e,
                      int64_t n) {
   CsrAdj csr;
   csr.rows = n;
-  csr.cols = n;
   csr.row_ptr.assign(static_cast<size_t>(n) + 1, 0);
   for (int64_t i = 0; i < e; ++i) {
     SES_CHECK(dst[i] >= 0 && dst[i] < n);
@@ -93,16 +48,6 @@ GraphStats ComputeGraphStats(const int64_t* dst, int64_t e, int64_t n) {
   std::vector<int64_t> deg(static_cast<size_t>(n), 0);
   for (int64_t i = 0; i < e; ++i) ++deg[static_cast<size_t>(dst[i])];
   s.max_degree = *std::max_element(deg.begin(), deg.end());
-  s.avg_degree = static_cast<double>(e) / static_cast<double>(n);
-  s.density = static_cast<double>(e) /
-              (static_cast<double>(n) * static_cast<double>(n));
-  double var = 0.0;
-  for (int64_t d : deg) {
-    const double delta = static_cast<double>(d) - s.avg_degree;
-    var += delta * delta;
-  }
-  var /= static_cast<double>(n);
-  s.degree_cv = s.avg_degree > 0.0 ? std::sqrt(var) / s.avg_degree : 0.0;
   return s;
 }
 
@@ -110,35 +55,15 @@ const char* SpmmVariantName(SpmmChoice choice) {
   static const char* kNames[kNumSpmmAlgos][kNumSimdTiers] = {
       {"edges_scalar", "edges_avx2", "edges_avx512"},
       {"csr_scalar", "csr_avx2", "csr_avx512"},
-      {"csr_blocked_scalar", "csr_blocked_avx2", "csr_blocked_avx512"},
   };
   return kNames[static_cast<int>(choice.algo)][static_cast<int>(choice.tier)];
 }
 
-SpmmChoice HeuristicSpmmChoice(const GraphStats& stats, int64_t feat,
+SpmmChoice HeuristicSpmmChoice(const GraphStats& stats, int64_t /*feat*/,
                                SimdTier tier) {
-  SpmmChoice c{SpmmAlgo::kCsr, tier};
   // Tiny graphs (explain-path motifs): the CSR build is pure overhead and
   // the whole working set is cache-resident anyway.
-  if (stats.nnz < kTinyNnz) {
-    c.algo = SpmmAlgo::kEdgeOrder;
-    return c;
-  }
-  // Skewed in-degree AND a gathered working set past L2: hot rows thrash the
-  // cache under plain CSR order, so sweep source blocks instead. The reorder
-  // costs bitwise parity, so the bar is deliberately high.
-  const double x_bytes =
-      4.0 * static_cast<double>(stats.nodes) * static_cast<double>(feat);
-  if (stats.degree_cv > 1.5 && stats.avg_degree >= 4.0 &&
-      x_bytes > static_cast<double>(kL2BudgetBytes))
-    c.algo = SpmmAlgo::kCsrBlocked;
-  return c;
-}
-
-int64_t BlockColsFor(int64_t feat) {
-  // Half the L2 budget for the gathered x rows, the rest for out/CSR stream.
-  const int64_t rows_in_budget = (kL2BudgetBytes / 2) / (4 * std::max<int64_t>(feat, 1));
-  return std::max<int64_t>(256, rows_in_budget);
+  return {stats.nnz < kTinyNnz ? SpmmAlgo::kEdgeOrder : SpmmAlgo::kCsr, tier};
 }
 
 SpmmPlan::SpmmPlan(const int64_t* src, const int64_t* dst, int64_t e,
@@ -154,93 +79,11 @@ const CsrAdj& SpmmPlan::EnsureCsr() const {
   return csr_;
 }
 
-const CsrAdj& SpmmPlan::EnsureSortedCsr() const {
-  EnsureCsr();
+SpmmChoice SpmmPlan::Choose(int64_t feat) const {
   std::lock_guard<std::mutex> lock(mu_);
-  if (!sorted_built_) {
-    csr_.sorted_col = csr_.col;
-    csr_.sorted_perm = csr_.perm;
-    std::vector<std::pair<int64_t, int64_t>> row(0);
-    for (int64_t r = 0; r < csr_.rows; ++r) {
-      const int64_t lo = csr_.row_ptr[static_cast<size_t>(r)];
-      const int64_t hi = csr_.row_ptr[static_cast<size_t>(r) + 1];
-      row.clear();
-      for (int64_t i = lo; i < hi; ++i)
-        row.emplace_back(csr_.col[static_cast<size_t>(i)],
-                         csr_.perm[static_cast<size_t>(i)]);
-      std::sort(row.begin(), row.end());
-      for (int64_t i = lo; i < hi; ++i) {
-        csr_.sorted_col[static_cast<size_t>(i)] =
-            row[static_cast<size_t>(i - lo)].first;
-        csr_.sorted_perm[static_cast<size_t>(i)] =
-            row[static_cast<size_t>(i - lo)].second;
-      }
-    }
-    sorted_built_ = true;
-  }
-  return csr_;
-}
-
-SpmmChoice SpmmPlan::TimedChoice(int64_t feat, const float* w,
-                                 const float* x) const {
-  const SimdTier tier = ActiveTier();
-  const SpmmChoice candidates[2] = {{SpmmAlgo::kCsr, tier},
-                                    {SpmmAlgo::kCsrBlocked, tier}};
-  std::vector<float> scratch(
-      static_cast<size_t>(stats_.nodes) * static_cast<size_t>(feat));
-  SpmmChoice best = candidates[0];
-  double best_ns = 0.0;
-  for (const SpmmChoice& cand : candidates) {
-    std::fill(scratch.begin(), scratch.end(), 0.0f);
-    const double t0 = NowNs();
-    Run(cand, w, x, feat, scratch.data(), nullptr, false);
-    const double elapsed = NowNs() - t0;
-    if (cand.algo == candidates[0].algo || elapsed < best_ns) {
-      best = cand;
-      best_ns = elapsed;
-    }
-  }
-  return best;
-}
-
-void SpmmPlan::PinChoiceStats(const GraphStats& stats) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (stats_pinned_ && pinned_stats_.nodes == stats.nodes &&
-      pinned_stats_.nnz == stats.nnz &&
-      pinned_stats_.max_degree == stats.max_degree &&
-      pinned_stats_.avg_degree == stats.avg_degree &&
-      pinned_stats_.degree_cv == stats.degree_cv)
-    return;  // idempotent re-pin (session artifact rebuild): keep the memo
-  stats_pinned_ = true;
-  pinned_stats_ = stats;
-  choice_memo_.clear();
-}
-
-SpmmChoice SpmmPlan::Choose(int64_t feat, const float* w,
-                            const float* x) const {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& [f, c] : choice_memo_)
-      if (f == feat) return c;
-    if (stats_pinned_) {
-      // Pinned plans decide from the caller-supplied stats, heuristically —
-      // see PinChoiceStats. Memoize under the same lock; no timed path.
-      const SpmmChoice choice =
-          HeuristicSpmmChoice(pinned_stats_, feat, ActiveTier());
-      choice_memo_.emplace_back(feat, choice);
-      return choice;
-    }
-  }
-  SpmmChoice choice;
-  if (ActiveAutotuneMode() == AutotuneMode::kTimed && w != nullptr &&
-      x != nullptr && stats_.nnz >= kTinyNnz) {
-    choice = TimedChoice(feat, w, x);
-  } else {
-    choice = HeuristicSpmmChoice(stats_, feat, ActiveTier());
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& [f, c] : choice_memo_)  // lost the race: first call wins
+  for (const auto& [f, c] : choice_memo_)
     if (f == feat) return c;
+  const SpmmChoice choice = HeuristicSpmmChoice(stats_, feat, ActiveTier());
   choice_memo_.emplace_back(feat, choice);
   return choice;
 }
@@ -261,13 +104,6 @@ void SpmmPlan::Run(SpmmChoice choice, const float* w, const float* x,
       const CsrAdj& csr = EnsureCsr();
       d.spmm_csr(csr.rows, csr.row_ptr.data(), csr.col.data(),
                  csr.perm.data(), w, x, f, out, bias, relu);
-      break;
-    }
-    case SpmmAlgo::kCsrBlocked: {
-      const CsrAdj& csr = EnsureSortedCsr();
-      d.spmm_csr_blocked(csr.rows, csr.cols, csr.row_ptr.data(),
-                         csr.sorted_col.data(), csr.sorted_perm.data(), w, x,
-                         f, out, bias, relu, BlockColsFor(f));
       break;
     }
   }

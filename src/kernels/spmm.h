@@ -18,14 +18,12 @@ namespace ses::kernels {
 /// epoch in training, per request in serving), so the per-graph work — a
 /// CSR-by-destination view of the edge list, cheap graph statistics, and the
 /// variant decision derived from them — is computed once and memoized in an
-/// `SpmmPlan` that lives on the owning EdgeList. The decision is a PURE
-/// function of (graph statistics, feature width, active SIMD tier) so that
-/// every path over the same graph — taped training, taped eval, the
-/// InferenceGuard serving fast path — provably picks the same kernel and
-/// stays bitwise reproducible. One-shot timed calibration on the real
-/// operands is available behind SES_KERNEL_AUTOTUNE=timed; it can pick a
-/// differently-ordered variant (csr_blocked), so it is opt-in and documented
-/// as tolerance-level, not bitwise, reproducible.
+/// `SpmmPlan` that lives on the owning EdgeList. Every variant at one SIMD
+/// tier accumulates each output row in edge order (see CsrAdj), so they are
+/// bitwise-equal to each other: the choice is purely a performance decision
+/// and can never change numerics. It is still a deterministic function of
+/// (graph statistics, feature width, active SIMD tier), so the kernel that
+/// serves a graph is predictable and reported in metrics.
 
 /// Structure-only CSR view of an edge list, grouped by destination. Entries
 /// keep their original edge order within each row (stable counting sort), so
@@ -35,14 +33,9 @@ namespace ses::kernels {
 /// structure does not).
 struct CsrAdj {
   int64_t rows = 0;  ///< destination nodes
-  int64_t cols = 0;  ///< source nodes
   std::vector<int64_t> row_ptr;  ///< size rows + 1
   std::vector<int64_t> col;      ///< source node per entry (edge order)
   std::vector<int64_t> perm;     ///< entry -> original edge index
-  /// Column-ascending reorder of (col, perm) per row, built on demand for
-  /// the blocked variant (which sweeps source blocks).
-  std::vector<int64_t> sorted_col;
-  std::vector<int64_t> sorted_perm;
 
   int64_t nnz() const { return static_cast<int64_t>(col.size()); }
 };
@@ -52,25 +45,21 @@ struct CsrAdj {
 CsrAdj BuildCsrByDst(const int64_t* src, const int64_t* dst, int64_t e,
                      int64_t n);
 
-/// Cheap statistics the autotuner decides from. Degree means in-degree (by
+/// Cheap statistics the plan decides from. Degree means in-degree (by
 /// destination — the scatter side that determines SpMM locality).
 struct GraphStats {
   int64_t nodes = 0;
   int64_t nnz = 0;
   int64_t max_degree = 0;
-  double density = 0.0;     ///< nnz / nodes^2
-  double avg_degree = 0.0;  ///< nnz / nodes
-  double degree_cv = 0.0;   ///< stddev(in-degree) / mean — skew proxy
 };
 
 GraphStats ComputeGraphStats(const int64_t* dst, int64_t e, int64_t n);
 
 enum class SpmmAlgo : int {
-  kEdgeOrder = 0,   ///< edge-stream scatter; no per-graph setup
-  kCsr = 1,         ///< CSR-by-dst rows, edge order preserved
-  kCsrBlocked = 2,  ///< CSR + source-blocked sweep (skewed-degree graphs)
+  kEdgeOrder = 0,  ///< edge-stream scatter; no per-graph setup
+  kCsr = 1,        ///< CSR-by-dst rows, edge order preserved
 };
-inline constexpr int kNumSpmmAlgos = 3;
+inline constexpr int kNumSpmmAlgos = 2;
 
 struct SpmmChoice {
   SpmmAlgo algo = SpmmAlgo::kCsr;
@@ -81,19 +70,10 @@ struct SpmmChoice {
 /// KernelScope / metrics / bench entries.
 const char* SpmmVariantName(SpmmChoice choice);
 
-/// Autotune modes (SES_KERNEL_AUTOTUNE env: "heuristic" default, "timed").
-enum class AutotuneMode { kHeuristic = 0, kTimed = 1 };
-AutotuneMode ActiveAutotuneMode();
-void ResetAutotuneModeForTest();
-
 /// The deterministic decision rule: a pure function of (stats, feature
 /// width, tier). Exposed directly for the CI determinism check.
 SpmmChoice HeuristicSpmmChoice(const GraphStats& stats, int64_t feat,
                                SimdTier tier);
-
-/// Deterministic source-block width for the blocked variant: sized so the
-/// gathered x block (block_cols rows of f floats) fits the L2 budget.
-int64_t BlockColsFor(int64_t feat);
 
 /// Memoized per-graph plan: stats eagerly, CSR views lazily (an edge-order
 /// decision never pays for the CSR build), choice per feature width. All
@@ -110,20 +90,7 @@ class SpmmPlan {
   const GraphStats& stats() const { return stats_; }
 
   /// The variant decision for feature width `feat`, memoized per width.
-  /// Heuristic mode ignores `w`/`x`; timed mode (when they are non-null)
-  /// runs a one-shot calibration over the real operands the first time a
-  /// width is seen. The first call for a width wins — later calls replay
-  /// the memo, so a session's pre-warm decision and its forwards agree.
-  SpmmChoice Choose(int64_t feat, const float* w, const float* x) const;
-
-  /// Pins the statistics Choose decides from to `stats` instead of this
-  /// plan's own, clearing any memoized decisions. Sharded serving pins every
-  /// shard plan to the WHOLE-graph statistics so all shards land in the same
-  /// accumulation-order class as the single-session plan (csr/edges vs
-  /// csr_blocked) — the property the bitwise shard-parity contract rests on.
-  /// Pinned plans always decide heuristically; timed calibration could pick
-  /// a differently-ordered variant on one shard only, so it is bypassed.
-  void PinChoiceStats(const GraphStats& stats) const;
+  SpmmChoice Choose(int64_t feat) const;
 
   /// Runs the chosen SpMM: out(nodes x f, zero-initialized) accumulates the
   /// weighted aggregation, then the optional fused epilogue (bias/ReLU).
@@ -132,8 +99,6 @@ class SpmmPlan {
 
  private:
   const CsrAdj& EnsureCsr() const;
-  const CsrAdj& EnsureSortedCsr() const;
-  SpmmChoice TimedChoice(int64_t feat, const float* w, const float* x) const;
 
   const int64_t* src_ = nullptr;
   const int64_t* dst_ = nullptr;
@@ -142,10 +107,7 @@ class SpmmPlan {
   mutable std::mutex mu_;
   mutable CsrAdj csr_;          ///< rows empty until built
   mutable bool csr_built_ = false;
-  mutable bool sorted_built_ = false;
   mutable std::vector<std::pair<int64_t, SpmmChoice>> choice_memo_;
-  mutable bool stats_pinned_ = false;
-  mutable GraphStats pinned_stats_;  ///< decision stats when pinned
 };
 
 /// Holder for the plan an EdgeList memoizes. Copy/move produce an EMPTY cell

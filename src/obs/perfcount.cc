@@ -224,8 +224,9 @@ struct KernelEntry {
   KernelStats stats;
   // Metric series resolved once on first record (registry lookups are the
   // cold path), then updated with relaxed stores on every close. The counter
-  // rates register on the first valid hardware sample: where perf is
-  // unavailable they are unknown, so the series stay absent rather than 0.
+  // rates register on the first valid hardware sample and the roofline
+  // efficiency on the first placement against a calibrated model: until
+  // then they are unknown, so the series stay absent rather than 0.
   Counter* calls_metric = nullptr;
   Gauge* time_ms = nullptr;
   Gauge* gflops = nullptr;
@@ -266,8 +267,6 @@ KernelEntry* EntryFor(const char* kernel, const char* variant) {
     slot->time_ms = &reg.GetGauge("ses.kernel.time_ms", labels);
     slot->gflops = &reg.GetGauge("ses.kernel.gflops", labels);
     slot->intensity = &reg.GetGauge("ses.kernel.intensity", labels);
-    slot->roofline_efficiency =
-        &reg.GetGauge("ses.kernel.roofline_efficiency", labels);
   }
   return slot.get();
 }
@@ -363,19 +362,24 @@ void KernelScope::End() {
     entry->time_ms->Set(s.inclusive_ns / 1e6);
     entry->gflops->Set(s.Gflops());
     entry->intensity->Set(s.Intensity());
+    // Lazily registered series resolve once, off the steady-state path.
+    const auto lazy_gauge = [&s](const char* name) {
+      return &MetricsRegistry::Get().GetGauge(
+          name, {{"kernel", s.kernel}, {"variant", s.variant}});
+    };
     if (s.counters.valid) {
       if (entry->ipc == nullptr) {
-        const MetricsRegistry::LabelSet labels{{"kernel", s.kernel},
-                                               {"variant", s.variant}};
-        auto& reg = MetricsRegistry::Get();
-        entry->ipc = &reg.GetGauge("ses.kernel.ipc", labels);
-        entry->llc_miss_rate = &reg.GetGauge("ses.kernel.llc_miss_rate", labels);
+        entry->ipc = lazy_gauge("ses.kernel.ipc");
+        entry->llc_miss_rate = lazy_gauge("ses.kernel.llc_miss_rate");
       }
       entry->ipc->Set(s.counters.Ipc());
       entry->llc_miss_rate->Set(s.counters.LlcMissRate());
     }
     const RooflineModel roof = CurrentRoofline();
     if (roof.calibrated) {
+      if (entry->roofline_efficiency == nullptr)
+        entry->roofline_efficiency =
+            lazy_gauge("ses.kernel.roofline_efficiency");
       const RooflinePoint p = PlaceOnRoofline(s.flops, s.bytes,
                                               s.inclusive_ns / 1e9, roof);
       entry->roofline_efficiency->Set(p.efficiency);

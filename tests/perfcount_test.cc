@@ -197,6 +197,24 @@ TEST(PerfFallbackTest, SesPerfDisableForcesCleanFallback) {
   EXPECT_NE(reason.find("SES_PERF_DISABLE"), std::string::npos) << reason;
 }
 
+/// Names of the Prometheus series exported for `kernel`'s KernelScopes.
+std::vector<std::string> KernelSeries(const std::string& kernel) {
+  std::ostringstream prom;
+  obs::MetricsRegistry::Get().WritePrometheus(prom);
+  std::vector<std::string> series;
+  std::istringstream lines(prom.str());
+  const std::string label = "kernel=\"" + kernel + "\"";
+  for (std::string line; std::getline(lines, line);)
+    if (line.find(label) != std::string::npos)
+      series.push_back(line.substr(0, line.find('{')));
+  return series;
+}
+
+bool HasSeries(const std::vector<std::string>& series,
+               const std::string& name) {
+  return std::find(series.begin(), series.end(), name) != series.end();
+}
+
 TEST(PerfFallbackTest, DisabledCountersPublishNoRateSeries) {
   // Under the clock-only fallback IPC and LLC miss rate are unknown, so a
   // scope must not publish them (a 0 would read as a measurement). Its
@@ -211,20 +229,34 @@ TEST(PerfFallbackTest, DisabledCountersPublishNoRateSeries) {
   ::unsetenv("SES_PERF_DISABLE");
   obs::PerfResetForTest();
 
-  std::ostringstream prom;
-  obs::MetricsRegistry::Get().WritePrometheus(prom);
-  std::vector<std::string> series;
-  std::istringstream lines(prom.str());
-  for (std::string line; std::getline(lines, line);)
-    if (line.find("kernel=\"perf_disabled_probe\"") != std::string::npos)
-      series.push_back(line.substr(0, line.find('{')));
-  EXPECT_NE(std::find(series.begin(), series.end(), "ses_kernel_calls"),
-            series.end());
-  EXPECT_EQ(std::find(series.begin(), series.end(), "ses_kernel_ipc"),
-            series.end());
-  EXPECT_EQ(
-      std::find(series.begin(), series.end(), "ses_kernel_llc_miss_rate"),
-      series.end());
+  const std::vector<std::string> series = KernelSeries("perf_disabled_probe");
+  EXPECT_TRUE(HasSeries(series, "ses_kernel_calls"));
+  EXPECT_FALSE(HasSeries(series, "ses_kernel_ipc"));
+  EXPECT_FALSE(HasSeries(series, "ses_kernel_llc_miss_rate"));
+}
+
+TEST(PerfFallbackTest, UncalibratedRooflinePublishesNoEfficiencySeries) {
+  // Before CalibrateRoofline() a kernel's roofline efficiency is unknown, so
+  // the series must stay absent (not read 0) until the first placement
+  // against a calibrated model.
+  const obs::RooflineModel saved = obs::CurrentRoofline();
+  obs::SetRooflineForTest(obs::RooflineModel{});
+  obs::EnableKernelProfiling(true);
+  { obs::KernelScope scope("roofline_probe", "clock", 1.0, 4.0); }
+  std::vector<std::string> series = KernelSeries("roofline_probe");
+  EXPECT_TRUE(HasSeries(series, "ses_kernel_calls"));
+  EXPECT_FALSE(HasSeries(series, "ses_kernel_roofline_efficiency"));
+
+  obs::RooflineModel calibrated;
+  calibrated.peak_gflops = 100.0;
+  calibrated.peak_bw_gbs = 10.0;
+  calibrated.calibrated = true;
+  obs::SetRooflineForTest(calibrated);
+  { obs::KernelScope scope("roofline_probe", "clock", 1.0, 4.0); }
+  obs::EnableKernelProfiling(false);
+  obs::SetRooflineForTest(saved);
+  series = KernelSeries("roofline_probe");
+  EXPECT_TRUE(HasSeries(series, "ses_kernel_roofline_efficiency"));
 }
 
 TEST(PerfCountsTest, SubtractionSaturatesInsteadOfWrapping) {
