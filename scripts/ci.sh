@@ -41,6 +41,7 @@
 #                           # stage monotonicity, anomaly_watch in /healthz)
 #                           # and the dump + exemplar trace-ids are joined
 #                           # offline against the access log and Chrome trace
+#                           # (dumped e2e == logged submit->resolve offset)
 #   scripts/ci.sh perfbench # repository benchmark (perfbench/README.md):
 #                           # standalone perfbench/ build + perfbench_tests,
 #                           # then a 1 s train run whose result line must
@@ -700,6 +701,28 @@ orphans = sorted(dump_ids - span_ids)
 assert not orphans, f"{len(orphans)} dumped requests have no trace spans, " \
                     f"e.g. trace_id {orphans[0]}"
 
+# Cross-sink join: the dump and the access log print the same request
+# record. A dumped request's e2e_us must equal, to print precision, the
+# submit -> resolve offset its access-log line reports: stages_us.resolve
+# for a scheduled request, latency_us for a direct one (whose forward ends
+# at resolve).
+lines_by_id = {}
+for e in entries:
+    lines_by_id.setdefault(e["trace_id"], []).append(e)
+for rec in records:
+    logged = [e["stages_us"]["resolve"] if "stages_us" in e
+              else e["latency_us"] for e in lines_by_id[rec["trace_id"]]]
+    assert rec["e2e_us"] in logged, \
+        f"dumped e2e_us {rec['e2e_us']} of trace_id {rec['trace_id']} " \
+        f"matches no access-log line ({logged})"
+STAGED = ["admit", "seal", "forward_start", "forward_end", "resolve"]
+staged = [e for e in entries if "stages_us" in e]
+assert staged, "no access-log line carries stages_us"
+for e in staged:
+    offsets = [e["stages_us"][k] for k in STAGED]
+    assert offsets == sorted(offsets) and offsets[0] >= 0, \
+        f"access-log stage offsets not monotonic: {e}"
+
 with open(exemplar_path) as f:
     exemplar_ids = set(json.load(f))
 assert exemplar_ids <= access_ids, \
@@ -716,7 +739,8 @@ for stage in ("admit", "seal", "queue", "forward", "resolve"):
     assert stages[stage]["p99_us"] >= stages[stage]["p50_us"] >= 0.0, stages
 print(f"{len(records)} dumped records and {len(exemplar_ids)} exemplars "
       f"joined against {len(entries)} access-log lines and "
-      f"{len(span_ids)} span trace-ids; stages block present")
+      f"{len(span_ids)} span trace-ids; e2e matches the access log; "
+      f"{len(staged)} staged lines monotonic; stages block present")
 PY
 }
 

@@ -60,36 +60,38 @@ void InferenceSession::EnsureArtifactsLocked() {
   if (artifact_version_ == version) return;
   SES_TRACE_SPAN("infer/build_artifacts");
   ag::InferenceGuard no_grad;
-  adj_edges_ = ds_->graph.DirectedEdges(/*add_self_loops=*/true);
+  Artifacts& a = artifacts_;
+  a.edges = ds_->graph.DirectedEdges(/*add_self_loops=*/true);
   const bool use_feature_mask =
       model_ != nullptr && model_->options().use_feature_mask;
   if (use_feature_mask && overrides_.feature_mask_nnz.size() > 0) {
-    input_ = nn::FeatureInput::Sparse(
+    a.input = nn::FeatureInput::Sparse(
         ds_->features, ag::Variable::Constant(overrides_.feature_mask_nnz));
   } else if (use_feature_mask && model_->feature_mask_nnz().size() > 0) {
-    input_ = nn::FeatureInput::Sparse(
+    a.input = nn::FeatureInput::Sparse(
         ds_->features, ag::Variable::Constant(model_->feature_mask_nnz()));
   } else {
-    input_ = models::MakeInput(*ds_);
+    a.input = models::MakeInput(*ds_);
   }
-  adj_mask_ = {};
+  a.adj_mask = {};
   const bool use_structure_mask =
       model_ != nullptr && model_->options().use_structure_mask;
   if (use_structure_mask && overrides_.structure_mask_adj.size() > 0)
-    adj_mask_ = ag::Variable::Constant(overrides_.structure_mask_adj);
+    a.adj_mask = ag::Variable::Constant(overrides_.structure_mask_adj);
   else if (use_structure_mask && model_->structure_mask_adj().size() > 0)
-    adj_mask_ = ag::Variable::Constant(model_->structure_mask_adj());
-  cached_aggregation_ =
-      encoder_->PrecomputeAggregation(adj_edges_, adj_mask_,
+    a.adj_mask = ag::Variable::Constant(model_->structure_mask_adj());
+  a.cached_aggregation =
+      encoder_->PrecomputeAggregation(a.edges, a.adj_mask,
                                       /*renormalize_mask=*/true);
-  // Autotune the SpMM variant for this graph version. Choose() is a pure
-  // function of the graph statistics, the hidden feature width, and the
-  // active SIMD tier, memoized on the edge list — so every forward over
-  // adj_edges_ (warm query or benchmark) replays exactly this decision, and
-  // a fresh-but-identical edge list (the taped eval path) lands on the same
-  // variant. Exported as a labeled gauge so /metrics shows which kernel is
-  // serving; the previous version's label is zeroed on change.
-  const auto plan = adj_edges_->plan();
+  // Pick the SpMM variant for this graph version with the nnz heuristic.
+  // Choose() is a pure function of the graph statistics, the hidden feature
+  // width, and the active SIMD tier, memoized on the edge list — so every
+  // forward over these edges (warm query or benchmark) replays exactly this
+  // decision, and a fresh-but-identical edge list (the taped eval path)
+  // lands on the same variant. Exported as a labeled gauge so /metrics shows
+  // which kernel is serving; the previous version's label is zeroed on
+  // change.
+  const auto plan = a.edges->plan();
   const kernels::SpmmChoice choice = plan->Choose(encoder_->hidden_dim());
   const char* variant = kernels::SpmmVariantName(choice);
   if (spmm_variant_ != nullptr && spmm_variant_ != variant) {
@@ -106,12 +108,14 @@ void InferenceSession::EnsureArtifactsLocked() {
   logits_version_ = -1;  // stale memo belongs to the previous graph
 }
 
-tensor::Tensor InferenceSession::RunForward() const {
+tensor::Tensor InferenceSession::RunForward(const Artifacts& artifacts) const {
   ag::InferenceGuard no_grad;
   util::Rng rng(0);
-  auto out = encoder_->Forward(input_, adj_edges_, adj_mask_, 0.0f,
+  auto out = encoder_->Forward(artifacts.input, artifacts.edges,
+                               artifacts.adj_mask, 0.0f,
                                /*training=*/false, &rng,
-                               /*renormalize_mask=*/true, &cached_aggregation_);
+                               /*renormalize_mask=*/true,
+                               &artifacts.cached_aggregation);
   return out.logits.value();
 }
 
@@ -132,7 +136,7 @@ const tensor::Tensor& InferenceSession::EnsureLogitsLocked(
   // the calling request's trace-id as the bucket exemplar, so the slow
   // bucket of this histogram names the request that ate the forward.
   const auto forward_start = std::chrono::steady_clock::now();
-  logits_ = RunForward();
+  logits_ = RunForward(artifacts_);
   static obs::Histogram& forward_hist =
       obs::MetricsRegistry::Get().GetHistogram(
           "ses.infer.forward_us", obs::Histogram::DefaultLatencyEdgesUs());
@@ -272,15 +276,17 @@ std::vector<InferenceSession::Explanation> InferenceSession::ExplainMany(
 
 tensor::Tensor InferenceSession::ForwardLogits() {
   obs::RequestScope request("infer.forward");
+  Artifacts artifacts;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     EnsureArtifactsLocked();
+    artifacts = artifacts_;
   }
-  // Artifacts are immutable until the next InvalidateGraph(); the forward
-  // itself only reads them, so it runs outside the lock and scales across
-  // worker threads.
+  // The forward only reads its own copy of the artifact handles, so it runs
+  // outside the lock and scales across worker threads, even while another
+  // query rebuilds the artifacts after an InvalidateGraph().
   SES_TRACE_SPAN("infer/forward");
-  tensor::Tensor logits = RunForward();
+  tensor::Tensor logits = RunForward(artifacts);
   request.SetDigest(LogitsDigest(logits));
   return logits;
 }

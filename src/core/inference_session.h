@@ -120,13 +120,14 @@ class InferenceSession {
     return {cache_hits_.load(), cache_misses_.load()};
   }
 
-  /// The autotuned SpMM kernel variant serving the current graph version
-  /// (e.g. "csr_avx2"), decided once per version inside the artifact rebuild
-  /// and exported as `ses.kernel.autotune{op="spmm",variant=...}`. Empty
-  /// until the first query builds the artifacts. Deterministic given
-  /// identical graph statistics (the decision is a pure function of the
-  /// graph stats, the encoder's hidden width, and the active SIMD tier);
-  /// variants at one tier are bitwise-equal, so it never changes outputs.
+  /// The SpMM kernel variant serving the current graph version (e.g.
+  /// "csr_avx2"), chosen once per version inside the artifact rebuild by the
+  /// nnz heuristic and exported as `ses.kernel.autotune{op="spmm",
+  /// variant=...}`. Empty until the first query builds the artifacts.
+  /// Deterministic given identical graph statistics (the choice is a pure
+  /// function of the graph stats, the encoder's hidden width, and the active
+  /// SIMD tier); variants at one tier are bitwise-equal, so it never changes
+  /// outputs.
   std::string spmm_variant() const {
     std::lock_guard<std::mutex> lock(mutex_);
     return spmm_variant_ == nullptr ? std::string() : spmm_variant_;
@@ -143,9 +144,17 @@ class InferenceSession {
   /// ExplainNode body with caller-owned top-k scratch (batch reuse).
   void ExplainInto(int64_t node, int64_t top_k, std::vector<int64_t>* scratch,
                    std::vector<int64_t>* selected, Explanation* out) const;
-  /// Tape-free forward over the cached artifacts. Caller holds `mutex_` or
-  /// otherwise guarantees the artifacts are built and stable.
-  tensor::Tensor RunForward() const;
+  /// The per-graph forward inputs. Each member is a shared handle, so a
+  /// copy taken under `mutex_` stays valid for a forward that runs outside
+  /// it while a rebuild replaces `artifacts_`.
+  struct Artifacts {
+    autograd::EdgeListPtr edges;
+    nn::FeatureInput input;
+    autograd::Variable adj_mask;
+    autograd::Variable cached_aggregation;
+  };
+  /// Tape-free forward over `artifacts`.
+  tensor::Tensor RunForward(const Artifacts& artifacts) const;
 
   const models::Encoder* encoder_ = nullptr;
   const SesModel* model_ = nullptr;  ///< null for bare-encoder sessions
@@ -158,10 +167,7 @@ class InferenceSession {
 
   mutable std::mutex mutex_;
   int64_t artifact_version_ = -1;  ///< version the artifacts were built at
-  autograd::EdgeListPtr adj_edges_;
-  nn::FeatureInput input_;
-  autograd::Variable adj_mask_;
-  autograd::Variable cached_aggregation_;
+  Artifacts artifacts_;
   int64_t logits_version_ = -1;  ///< version the memoized logits match
   tensor::Tensor logits_;
   /// Static-storage variant name from kernels::SpmmVariantName (null before

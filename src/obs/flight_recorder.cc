@@ -5,27 +5,34 @@
 #include <sstream>
 
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "util/logging.h"
 
 namespace ses::obs {
 
 namespace {
 
-/// Heap ordering: a min-heap on e2e_us keeps the K-th slowest (= the heap
+/// Heap ordering: a min-heap on e2e keeps the K-th slowest (= the heap
 /// minimum) at the front for O(1) floor updates.
-bool SlowerThan(const FlightRecord& a, const FlightRecord& b) {
-  return a.e2e_us > b.e2e_us;
+bool SlowerThan(const RequestRecord& a, const RequestRecord& b) {
+  return a.e2e_us() > b.e2e_us();
 }
 
-void AppendRecordJson(std::ostringstream* out, const FlightRecord& r) {
+double TraceUs(RequestRecord::Clock::time_point t) {
+  return static_cast<double>(internal::TraceNsFromSteady(t)) / 1e3;
+}
+
+void AppendRecordJson(std::ostringstream* out, const RequestRecord& r) {
   *out << "{\"trace_id\":" << r.trace_id << ",\"op\":\"" << r.op
-       << "\",\"reason\":\"" << r.reason << "\",\"error\":"
-       << (r.error ? "true" : "false") << ",\"e2e_us\":" << r.e2e_us
-       << ",\"stages_us\":{\"submit\":" << r.submit_us
-       << ",\"admit\":" << r.admit_us << ",\"seal\":" << r.seal_us
-       << ",\"forward_start\":" << r.forward_start_us
-       << ",\"forward_end\":" << r.forward_end_us
-       << ",\"resolve\":" << r.resolve_us << "}}";
+       << "\",\"reason\":\"" << r.outcome() << "\",\"error\":"
+       << (r.error ? "true" : "false") << ",\"e2e_us\":" << r.e2e_us();
+  const char* sep = ",\"stages_us\":{";
+  for (int s = 0; s < RequestRecord::kNumStages; ++s) {
+    *out << sep << '"' << RequestRecord::kStageNames[s]
+         << "\":" << TraceUs(r.stamps[s]);
+    sep = ",";
+  }
+  *out << "}}";
 }
 
 }  // namespace
@@ -55,30 +62,31 @@ void FlightRecorder::RollWindowIfDue(double now_us) {
   window_start_us_.store(now_us, std::memory_order_relaxed);
 }
 
-void FlightRecorder::Record(const FlightRecord& record) {
-  RollWindowIfDue(record.resolve_us);
+void FlightRecorder::Record(const RequestRecord& record) {
+  RollWindowIfDue(TraceUs(record.stamps[RequestRecord::kResolve]));
+  const double e2e_us = record.e2e_us();
   // Fast path: a full heap whose minimum beats this record means the record
   // can't place. The floor may be stale (another thread mid-insert); that
   // only lets a loser take the lock and get rejected below.
   const double floor = floor_.load(std::memory_order_relaxed);
-  if (floor >= 0.0 && record.e2e_us <= floor) return;
+  if (floor >= 0.0 && e2e_us <= floor) return;
   std::lock_guard<std::mutex> lock(mutex_);
   if (static_cast<int64_t>(current_.size()) < top_k_) {
     current_.push_back(record);
     std::push_heap(current_.begin(), current_.end(), SlowerThan);
     if (static_cast<int64_t>(current_.size()) == top_k_)
-      floor_.store(current_.front().e2e_us, std::memory_order_relaxed);
+      floor_.store(current_.front().e2e_us(), std::memory_order_relaxed);
     return;
   }
-  if (record.e2e_us <= current_.front().e2e_us) return;
+  if (e2e_us <= current_.front().e2e_us()) return;
   std::pop_heap(current_.begin(), current_.end(), SlowerThan);
   current_.back() = record;
   std::push_heap(current_.begin(), current_.end(), SlowerThan);
-  floor_.store(current_.front().e2e_us, std::memory_order_relaxed);
+  floor_.store(current_.front().e2e_us(), std::memory_order_relaxed);
 }
 
-std::vector<FlightRecord> FlightRecorder::Snapshot() const {
-  std::vector<FlightRecord> merged;
+std::vector<RequestRecord> FlightRecorder::Snapshot() const {
+  std::vector<RequestRecord> merged;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     merged.reserve(current_.size() + previous_.size());
@@ -97,7 +105,7 @@ std::string FlightRecorder::SnapshotJson() const {
     top_k = top_k_;
     window_us = window_us_;
   }
-  const std::vector<FlightRecord> records = Snapshot();
+  const std::vector<RequestRecord> records = Snapshot();
   std::ostringstream out;
   out << "{\"top_k\":" << top_k << ",\"window_us\":" << window_us
       << ",\"dumps\":" << dumps() << ",\"records\":[";

@@ -7,34 +7,15 @@
 #include <string>
 #include <vector>
 
-namespace ses::obs {
+#include "obs/request.h"
 
-/// One fully-attributed slow request: the six critical-path timestamps the
-/// batch scheduler stamps (submit → admit → seal → forward-start →
-/// forward-end → resolve), all in microseconds on the trace-epoch clock
-/// (internal::TraceNowNs / 1000) so they line up with Chrome-trace `ts`
-/// values. Direct-path requests (no scheduler) collapse the inner stages onto
-/// submit; the six timestamps are always monotonically non-decreasing.
-struct FlightRecord {
-  uint64_t trace_id = 0;
-  const char* op = "";       ///< static-storage op name
-  const char* reason = "ok"; ///< static-storage completion reason
-  bool error = false;
-  double submit_us = 0.0;
-  double admit_us = 0.0;
-  double seal_us = 0.0;
-  double forward_start_us = 0.0;
-  double forward_end_us = 0.0;
-  double resolve_us = 0.0;
-  /// End-to-end latency (resolve − submit), denormalized for sorting.
-  double e2e_us = 0.0;
-};
+namespace ses::obs {
 
 /// Process-wide recorder of the top-K slowest requests per rolling window.
 ///
-/// Every completed request is offered via Record(); the fast path is two
-/// relaxed atomic loads and a compare (window check + admission floor), so
-/// feeding it from the scheduler's completion loop costs nanoseconds. Records
+/// PublishRequests offers every timed RequestRecord via Record(); the fast
+/// path is two relaxed atomic loads and a compare (window check + admission
+/// floor), so feeding it every completed request costs nanoseconds. Records
 /// that beat the floor enter a mutex-protected min-heap of size K; when the
 /// window rolls, the heap is retired to a "previous" slot so `/debug/slowest`
 /// always serves up to two windows of context instead of going blank at the
@@ -54,15 +35,16 @@ class FlightRecorder {
   /// positive. Existing records are kept.
   void Configure(int64_t top_k, double window_us);
 
-  /// Offers one completed request. Thread-safe; cheap when the record is
-  /// faster than the current window's K-th slowest.
-  void Record(const FlightRecord& record);
+  /// Offers one timed request. Thread-safe; cheap when the record is faster
+  /// than the current window's K-th slowest.
+  void Record(const RequestRecord& record);
 
   /// Merged current + previous window records, slowest first.
-  std::vector<FlightRecord> Snapshot() const;
+  std::vector<RequestRecord> Snapshot() const;
 
   /// JSON document served at /debug/slowest: config, dump state, and the
-  /// Snapshot() records with all six stage timestamps.
+  /// Snapshot() records with all six stage stamps in microseconds on the
+  /// trace-epoch clock, so they line up with Chrome-trace `ts` values.
   std::string SnapshotJson() const;
 
   /// Arms the burn-triggered auto-dump. An empty path disarms.
@@ -86,8 +68,8 @@ class FlightRecorder {
   void RollWindowIfDue(double now_us);
 
   mutable std::mutex mutex_;
-  std::vector<FlightRecord> current_;   ///< min-heap by e2e_us, size <= top_k_
-  std::vector<FlightRecord> previous_;  ///< last completed window, retired
+  std::vector<RequestRecord> current_;   ///< min-heap by e2e, size <= top_k_
+  std::vector<RequestRecord> previous_;  ///< last completed window, retired
   int64_t top_k_ = 32;
   double window_us_ = 10e6;  ///< 10 s rolling window
 

@@ -3,8 +3,10 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <vector>
 
 #include "obs/flight_recorder.h"
+#include "obs/metrics.h"
 #include "obs/slo.h"
 #include "util/logging.h"
 
@@ -50,7 +52,6 @@ bool AccessLog::Open(const std::string& path) {
   }
   std::lock_guard<std::mutex> lock(mutex_);
   sink_ = std::move(out);
-  lines_.store(0, std::memory_order_relaxed);
   active_.store(true, std::memory_order_relaxed);
   return true;
 }
@@ -67,41 +68,104 @@ void AccessLog::Flush() {
   if (sink_) sink_->flush();
 }
 
-void AccessLog::RecordSlow(const AccessEntry& entry) {
-  const std::string line = EntryToJson(entry);
+void AccessLog::RecordSlow(const RequestRecord& record) {
+  const std::string line = ToJson(record);
   std::lock_guard<std::mutex> lock(mutex_);
   if (!sink_) return;
   *sink_ << line << '\n';
-  lines_.fetch_add(1, std::memory_order_relaxed);
 }
 
-std::string AccessLog::EntryToJson(const AccessEntry& entry) {
+std::string AccessLog::ToJson(const RequestRecord& record) {
   std::ostringstream out;
-  out << "{\"trace_id\":" << entry.trace_id << ",\"op\":\"" << entry.op
-      << "\",\"latency_us\":" << entry.latency_us
-      << ",\"cache_hit\":" << (entry.cache_hit ? "true" : "false")
-      << ",\"error\":" << (entry.error ? "true" : "false");
-  // Reason is always present so downstream jq joins never hit a missing key;
-  // an unset reason defaults by outcome.
-  const char* reason = entry.reason != nullptr && entry.reason[0] != '\0'
-                           ? entry.reason
-                           : (entry.error ? "error" : "ok");
-  out << ",\"reason\":\"" << reason << "\"";
-  if (entry.has_stages) {
-    // Stage offsets from submit in microseconds, in critical-path order.
-    out << ",\"stages_us\":{\"admit\":" << entry.admit_us
-        << ",\"seal\":" << entry.seal_us
-        << ",\"forward_start\":" << entry.forward_start_us
-        << ",\"forward_end\":" << entry.forward_end_us
-        << ",\"resolve\":" << entry.resolve_us << "}";
+  out << "{\"trace_id\":" << record.trace_id << ",\"op\":\"" << record.op
+      << "\",\"latency_us\":"
+      << record.OffsetUs(RequestRecord::kForwardEnd)
+      << ",\"cache_hit\":" << (record.cache_hit ? "true" : "false")
+      << ",\"error\":" << (record.error ? "true" : "false")
+      << ",\"reason\":\"" << record.outcome() << "\"";
+  if (record.has_stages) {
+    const char* sep = ",\"stages_us\":{";
+    for (int s = RequestRecord::kAdmit; s < RequestRecord::kNumStages; ++s) {
+      out << sep << '"' << RequestRecord::kStageNames[s] << "\":"
+          << record.OffsetUs(s);
+      sep = ",";
+    }
+    out << "}";
   }
   out << ",\"digest\":\"";
   // Digest as fixed-width hex: JSON numbers lose precision past 2^53.
   char hex[17];
   std::snprintf(hex, sizeof(hex), "%016llx",
-                static_cast<unsigned long long>(entry.digest));
+                static_cast<unsigned long long>(record.digest));
   out << hex << "\"}";
   return out.str();
+}
+
+namespace {
+
+/// The gaps between consecutive stamps, as span labels and histogram names:
+/// gap g runs from stage g to stage g + 1.
+constexpr int kNumGaps = RequestRecord::kNumStages - 1;
+constexpr const char* kGapSpans[kNumGaps] = {
+    "sched/stage/admit", "sched/stage/seal", "sched/stage/queue",
+    "sched/stage/forward", "sched/stage/resolve"};
+constexpr const char* kGapHistograms[kNumGaps] = {
+    "ses.sched.stage.admit_us", "ses.sched.stage.seal_us",
+    "ses.sched.stage.queue_us", "ses.sched.stage.forward_us",
+    "ses.sched.stage.resolve_us"};
+
+/// One batched ObserveMany per gap histogram over the staged records, each
+/// observation tagged with its trace id so a slow bucket names a request.
+void ObserveStageGaps(const RequestRecord* records, int64_t n) {
+  thread_local std::vector<uint64_t> ids;
+  thread_local std::vector<double> gaps;
+  ids.clear();
+  for (int64_t i = 0; i < n; ++i)
+    if (records[i].has_stages) ids.push_back(records[i].trace_id);
+  if (ids.empty()) return;
+  gaps.resize(ids.size());
+  MetricsRegistry& registry = MetricsRegistry::Get();
+  for (int g = 0; g < kNumGaps; ++g) {
+    size_t k = 0;
+    for (int64_t i = 0; i < n; ++i) {
+      const RequestRecord& r = records[i];
+      if (!r.has_stages) continue;
+      gaps[k++] = std::chrono::duration<double, std::micro>(r.stamps[g + 1] -
+                                                            r.stamps[g])
+                      .count();
+    }
+    registry
+        .GetHistogram(kGapHistograms[g], Histogram::DefaultLatencyEdgesUs())
+        .ObserveMany(gaps.data(), ids.data(), static_cast<int64_t>(k));
+  }
+}
+
+/// Retroactive critical-path spans under the request's own trace id, so the
+/// Chrome trace shows its submit -> resolve pipeline as five adjacent spans
+/// joined to the producer's spans.
+void RecordStageSpans(const RequestRecord& r) {
+  ScopedTraceId adopt(r.trace_id);
+  SES_TRACE_SPAN("sched/complete");
+  uint64_t ns[RequestRecord::kNumStages];
+  for (int s = 0; s < RequestRecord::kNumStages; ++s)
+    ns[s] = internal::TraceNsFromSteady(r.stamps[s]);
+  for (int g = 0; g < kNumGaps; ++g)
+    RecordManualSpan(kGapSpans[g], ns[g], ns[g + 1] - ns[g], r.trace_id);
+}
+
+}  // namespace
+
+void PublishRequests(const RequestRecord* records, int64_t n) {
+  ObserveStageGaps(records, n);
+  FlightRecorder& recorder = FlightRecorder::Get();
+  AccessLog& log = AccessLog::Get();
+  const bool tracing = TracingEnabled();
+  for (int64_t i = 0; i < n; ++i) {
+    const RequestRecord& r = records[i];
+    if (r.timed()) recorder.Record(r);
+    if (tracing && r.has_stages) RecordStageSpans(r);
+    log.Record(r);
+  }
 }
 
 uint64_t RequestScope::Acquire(uint64_t* prev, bool* owner) {
@@ -129,43 +193,19 @@ RequestScope::~RequestScope() {
   if (!owner_) return;
   internal::t_current_trace_id = prev_id_;
   if (!measured_) return;
+  RequestRecord record;
+  record.trace_id = trace_id_;
+  record.op = op_;
+  record.error = error_;
+  record.cache_hit = cache_hit_;
+  record.digest = digest_;
+  // Direct path: the whole request is one forward, so the inner stages
+  // collapse onto its two clock readings.
   const auto end = std::chrono::steady_clock::now();
-  const double latency_us =
-      std::chrono::duration_cast<std::chrono::nanoseconds>(end - start_)
-          .count() /
-      1e3;
-  SloTracker::Get().Record(op_, latency_us, error_);
-  {
-    // Direct-path requests get flight records too, with the inner stages
-    // collapsed: submit = admit = seal = forward-start and forward-end =
-    // resolve (the whole request is one forward). Scheduler-completed
-    // requests are recorded by the scheduler with real stage timestamps.
-    // The resolve timestamp reuses the latency clock reading converted to
-    // the trace epoch — no second clock read on this hot path.
-    FlightRecord rec;
-    rec.trace_id = trace_id_;
-    rec.op = op_;
-    rec.reason = error_ ? "error" : "ok";
-    rec.error = error_;
-    rec.resolve_us = static_cast<double>(internal::TraceNsFromSteady(end)) / 1e3;
-    rec.submit_us = rec.resolve_us - latency_us;
-    rec.admit_us = rec.submit_us;
-    rec.seal_us = rec.submit_us;
-    rec.forward_start_us = rec.submit_us;
-    rec.forward_end_us = rec.resolve_us;
-    rec.e2e_us = latency_us;
-    FlightRecorder::Get().Record(rec);
-  }
-  if (AccessLog::Get().active()) {
-    AccessEntry entry;
-    entry.trace_id = trace_id_;
-    entry.op = op_;
-    entry.latency_us = latency_us;
-    entry.cache_hit = cache_hit_;
-    entry.error = error_;
-    entry.digest = digest_;
-    AccessLog::Get().Record(entry);
-  }
+  for (int s = 0; s < RequestRecord::kNumStages; ++s)
+    record.stamps[s] = s < RequestRecord::kForwardEnd ? start_ : end;
+  SloTracker::Get().Record(op_, record.e2e_us(), error_);
+  PublishRequests(&record, 1);
 }
 
 }  // namespace ses::obs

@@ -1,6 +1,7 @@
 #ifndef SES_OBS_REQUEST_H_
 #define SES_OBS_REQUEST_H_
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -21,31 +22,67 @@ extern thread_local uint64_t t_current_trace_id;
 /// inside a RequestScope carries the request's id into the Chrome trace.
 inline uint64_t CurrentTraceId() { return internal::t_current_trace_id; }
 
-/// One completed request, as the access log records it. `reason` is always
-/// serialized: an empty reason becomes "ok" on success and "error" on error,
-/// so downstream joins (jq, the CI forensics stage) never hit a missing key.
-struct AccessEntry {
-  uint64_t trace_id = 0;
-  const char* op = "";       ///< static-storage op name ("infer.predict", ...)
-  double latency_us = 0.0;
-  bool cache_hit = false;
-  bool error = false;
-  const char* reason = "";   ///< static-storage error/shed reason ("" = none)
-  uint64_t digest = 0;       ///< FNV-1a digest of the result (0 = unset)
+/// One request's outcome, built once where the request resolves and read by
+/// every per-request sink through PublishRequests (DESIGN.md §15.2).
+///
+/// The six stamps follow the critical path and never decrease. A scheduled
+/// request stamps each stage (`has_stages`). A direct-path request is one
+/// forward: submit = admit = seal = forward-start, forward-end = resolve. A
+/// request answered at submit without running (shed, shutdown, degraded-mode
+/// cache) leaves every stamp unset (`timed()` false).
+struct RequestRecord {
+  using Clock = std::chrono::steady_clock;
+  enum Stage {
+    kSubmit,
+    kAdmit,
+    kSeal,
+    kForwardStart,
+    kForwardEnd,
+    kResolve,
+    kNumStages
+  };
+  /// JSON key of each stage, in critical-path order.
+  static constexpr const char* kStageNames[kNumStages] = {
+      "submit", "admit", "seal", "forward_start", "forward_end", "resolve"};
 
-  /// Critical-path stage offsets from submit, microseconds, monotonically
-  /// non-decreasing (see DESIGN.md §15). Only scheduler-completed requests
-  /// carry them; `has_stages` gates serialization.
-  bool has_stages = false;
-  double admit_us = 0.0;
-  double seal_us = 0.0;
-  double forward_start_us = 0.0;
-  double forward_end_us = 0.0;
-  double resolve_us = 0.0;
+  uint64_t trace_id = 0;
+  const char* op = "";      ///< static-storage op name ("infer.predict", ...)
+  const char* reason = "";  ///< static-storage error/shed reason ("" = none)
+  bool error = false;
+  bool cache_hit = false;   ///< answered from memoized logits or the cache
+  bool has_stages = false;  ///< scheduler-completed: all six stamps are real
+  uint64_t digest = 0;      ///< FNV-1a digest of the result (0 = unset)
+  std::array<Clock::time_point, kNumStages> stamps{};
+
+  /// Microseconds from submit to `stage`.
+  double OffsetUs(int stage) const {
+    return std::chrono::duration<double, std::micro>(stamps[stage] -
+                                                     stamps[kSubmit])
+        .count();
+  }
+  double e2e_us() const { return OffsetUs(kResolve); }
+  bool timed() const { return stamps[kResolve] != Clock::time_point{}; }
+  /// `reason`, or "ok" / "error" by outcome when unset, so downstream joins
+  /// (jq, the CI forensics stage) never hit a missing key.
+  const char* outcome() const {
+    return reason != nullptr && reason[0] != '\0' ? reason
+                                                   : (error ? "error" : "ok");
+  }
 };
 
-/// Process-wide JSONL access log: one line per completed request. Disabled
-/// by default — Record is a relaxed atomic load until Open installs a sink.
+/// Feeds every per-request sink from `n` records (DESIGN.md §15.2):
+/// - the flight recorder sees every timed record;
+/// - the access log, when open, writes one line per record;
+/// - records with stages also feed the five `ses.sched.stage.*_us`
+///   histograms (one observation each, tagged with the trace id) and, while
+///   tracing, five `sched/stage/*` spans inside a `sched/complete` span.
+/// With the access log closed and tracing off, a record costs the flight
+/// recorder's floor check plus its share of the histogram passes, and
+/// nothing allocates per record.
+void PublishRequests(const RequestRecord* records, int64_t n);
+
+/// Process-wide JSONL access log: one line per published request. Disabled
+/// by default: Record is a relaxed atomic load until Open installs a sink.
 class AccessLog {
  public:
   static AccessLog& Get();
@@ -59,24 +96,20 @@ class AccessLog {
   void Flush();
   bool active() const { return active_.load(std::memory_order_relaxed); }
 
-  void Record(const AccessEntry& entry) {
-    if (active()) RecordSlow(entry);
+  void Record(const RequestRecord& record) {
+    if (active()) RecordSlow(record);
   }
 
-  /// Lines written since Open (test support).
-  int64_t lines_written() const {
-    return lines_.load(std::memory_order_relaxed);
-  }
-
-  /// Serializes one entry as a single-line JSON object (exposed for tests).
-  static std::string EntryToJson(const AccessEntry& entry);
+  /// Serializes one record as a single-line JSON object (exposed for
+  /// tests). `latency_us` is submit to forward-end; scheduled records add
+  /// `stages_us`, the offsets of the five later stamps from submit.
+  static std::string ToJson(const RequestRecord& record);
 
  private:
   AccessLog() = default;
-  void RecordSlow(const AccessEntry& entry);
+  void RecordSlow(const RequestRecord& record);
 
   std::atomic<bool> active_{false};
-  std::atomic<int64_t> lines_{0};
   std::mutex mutex_;  ///< guards sink_
   std::shared_ptr<std::ostream> sink_;
 };
@@ -95,8 +128,9 @@ inline uint64_t Fnv1aBegin() { return 0xcbf29ce484222325ull; }
 /// RAII request context. The outermost scope on a thread allocates a fresh
 /// monotonic trace-id, publishes it thread-locally (so spans and nested
 /// scopes inherit it), opens one span named after the op, and on destruction
-/// emits one access-log entry plus one SloTracker observation. Nested scopes
-/// reuse the enclosing id and stay silent — one request, one log line.
+/// records one SloTracker observation and publishes one direct-path
+/// RequestRecord. Nested scopes reuse the enclosing id and stay silent: one
+/// request, one record.
 ///
 /// Latency is only measured (two clock reads) while something consumes it —
 /// an SLO budget or an open access log; with both off a scope costs a TLS

@@ -66,19 +66,33 @@ void BusyWaitUs(int64_t us) {
   }
 }
 
-obs::Counter& ShedCounter(const char* reason) {
-  return obs::MetricsRegistry::Get().GetCounter("ses.sched.shed",
-                                                {{"reason", reason}});
+/// The caller's trace id, so the request joins the caller's spans, else a
+/// fresh one.
+uint64_t RequestTraceId() {
+  const uint64_t caller_id = obs::CurrentTraceId();
+  return caller_id != 0 ? caller_id : obs::AllocateTraceId();
 }
 
-void LogRejection(OpKind op, uint64_t trace_id, const char* reason) {
-  if (!obs::AccessLog::Get().active()) return;
-  obs::AccessEntry entry;
-  entry.trace_id = trace_id;
-  entry.op = SchedOpName(op);
-  entry.error = true;
-  entry.reason = reason;
-  obs::AccessLog::Get().Record(entry);
+uint64_t PredictDigest(int64_t node, int64_t cls) {
+  const int64_t fingerprint[2] = {node, cls};
+  return obs::Fnv1a(obs::Fnv1aBegin(), fingerprint, sizeof(fingerprint));
+}
+
+/// FNV-1a fingerprint of a completed request's result, for the access log.
+uint64_t ResultDigest(const internal::Request& r) {
+  switch (r.op) {
+    case OpKind::kPredict:
+      return PredictDigest(r.node, r.predicted);
+    case OpKind::kLogitsRow:
+      return obs::Fnv1a(obs::Fnv1aBegin(), r.logits_row.data(),
+                        r.logits_row.size() * sizeof(float));
+    case OpKind::kExplain: {
+      const uint64_t h = obs::Fnv1a(obs::Fnv1aBegin(), &r.node, sizeof(r.node));
+      return obs::Fnv1a(h, r.explanation.neighbors.data(),
+                        r.explanation.neighbors.size() * sizeof(int64_t));
+    }
+  }
+  return 0;
 }
 
 }  // namespace
@@ -119,23 +133,6 @@ BatchScheduler::BatchScheduler(core::InferenceSession* session,
           "ses.sched.queue_wait_us", obs::Histogram::DefaultLatencyEdgesUs())),
       e2e_hist_(obs::MetricsRegistry::Get().GetHistogram(
           "ses.sched.e2e_us", obs::Histogram::DefaultLatencyEdgesUs())),
-      stage_admit_hist_(obs::MetricsRegistry::Get().GetHistogram(
-          "ses.sched.stage.admit_us",
-          obs::Histogram::DefaultLatencyEdgesUs())),
-      stage_seal_hist_(obs::MetricsRegistry::Get().GetHistogram(
-          "ses.sched.stage.seal_us",
-          obs::Histogram::DefaultLatencyEdgesUs())),
-      stage_queue_hist_(obs::MetricsRegistry::Get().GetHistogram(
-          "ses.sched.stage.queue_us",
-          obs::Histogram::DefaultLatencyEdgesUs())),
-      stage_forward_hist_(obs::MetricsRegistry::Get().GetHistogram(
-          "ses.sched.stage.forward_us",
-          obs::Histogram::DefaultLatencyEdgesUs())),
-      stage_resolve_hist_(obs::MetricsRegistry::Get().GetHistogram(
-          "ses.sched.stage.resolve_us",
-          obs::Histogram::DefaultLatencyEdgesUs())),
-      rejected_shutdown_counter_(obs::MetricsRegistry::Get().GetCounter(
-          "ses.sched.rejected", {{"reason", "shutting_down"}})),
       expired_queue_counter_(obs::MetricsRegistry::Get().GetCounter(
           "ses.sched.expired", {{"stage", "queue"}})),
       expired_inflight_counter_(obs::MetricsRegistry::Get().GetCounter(
@@ -174,12 +171,11 @@ BatchScheduler::BatchScheduler(core::InferenceSession* session,
 
 BatchScheduler::~BatchScheduler() { Stop(); }
 
-std::shared_ptr<internal::BatchState> BatchScheduler::Append(
-    internal::Request req, double deadline_us, size_t* index,
-    Status* rejection, uint64_t* trace_id) {
-  const uint64_t caller_id = obs::CurrentTraceId();
-  req.trace_id = caller_id != 0 ? caller_id : obs::AllocateTraceId();
-  *trace_id = req.trace_id;
+internal::Request BatchScheduler::NewRequest(OpKind op,
+                                            double deadline_us) const {
+  internal::Request req;
+  req.op = op;
+  req.trace_id = RequestTraceId();
   req.enqueue_time = std::chrono::steady_clock::now();
   const double effective_deadline =
       deadline_us != 0.0 ? deadline_us : options_.default_deadline_us;
@@ -190,63 +186,93 @@ std::shared_ptr<internal::BatchState> BatchScheduler::Append(
         std::chrono::duration_cast<std::chrono::steady_clock::duration>(
             std::chrono::duration<double, std::micro>(effective_deadline));
   }
+  return req;
+}
 
-  const char* shed_reason = nullptr;
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
+template <typename Future>
+Future BatchScheduler::AdmitLocked(std::unique_lock<std::mutex>& lock,
+                                   internal::Request req,
+                                   std::chrono::steady_clock::time_point*
+                                       admit_time) {
+  if (!stopping_ &&
+      static_cast<int64_t>(ready_.size()) >= options_.max_queue_batches) {
     space_cv_.wait(lock, [&] {
       return stopping_ ||
              static_cast<int64_t>(ready_.size()) < options_.max_queue_batches;
     });
-    if (stopping_) {
-      ++stats_.rejected;
-      lock.unlock();
-      rejected_shutdown_counter_.Add(1);
-      LogRejection(req.op, req.trace_id, "shutting_down");
-      *rejection = Status::ShuttingDown();
-      return nullptr;
-    }
-    if (options_.admission != nullptr) {
-      const AdmissionDecision decision =
-          options_.admission->Admit(req.op, queued_requests_);
-      if (!decision.admit) {
-        ++stats_.shed;
-        shed_reason = decision.reason;
-        *rejection = Status::Overloaded(decision.retry_after_us);
-        lock.unlock();
-        ShedCounter(shed_reason).Add(1);
-        LogRejection(req.op, req.trace_id, shed_reason);
-        return nullptr;
-      }
-    }
-    // Stage stamp 2 (admit): backpressure wait and admission control are
-    // behind us; submit -> admit is the time the producer spent getting in.
-    req.admit_time = std::chrono::steady_clock::now();
-    if (!forming_) {
-      forming_ = std::make_shared<internal::BatchState>();
-      forming_->requests.reserve(static_cast<size_t>(options_.max_batch_size));
-    }
-    internal::BatchState& batch = *forming_;
-    if (batch.requests.empty()) {
-      batch.opened_at = req.enqueue_time;
-      // First request of a fresh batch: wake a worker so one arms the
-      // flush-deadline timer for it.
-      work_cv_.notify_one();
-    }
-    batch.ops_mask |=
-        static_cast<uint8_t>(1u << static_cast<unsigned>(req.op));
-    batch.has_deadlines |= req.has_deadline;
-    req.seq = stats_.requests;
-    batch.requests.push_back(std::move(req));
-    *index = batch.requests.size() - 1;
-    ++stats_.requests;
-    ++queued_requests_;
-    queue_depth_gauge_.Set(static_cast<double>(queued_requests_));
-    std::shared_ptr<internal::BatchState> state = forming_;
-    if (static_cast<int64_t>(batch.requests.size()) >= options_.max_batch_size)
-      SealFormingLocked(&stats_.full_flushes);
-    return state;
+    *admit_time = std::chrono::steady_clock::now();
   }
+  if (stopping_) {
+    return Future(Reject(req.op, req.trace_id, Status::ShuttingDown(),
+                         "shutting_down"),
+                  req.trace_id);
+  }
+  if (options_.admission != nullptr) {
+    const AdmissionDecision decision =
+        options_.admission->Admit(req.op, queued_requests_);
+    if (!decision.admit) {
+      return Future(Reject(req.op, req.trace_id,
+                           Status::Overloaded(decision.retry_after_us),
+                           decision.reason),
+                    req.trace_id);
+    }
+  }
+  // Stage stamp 2 (admit): submit -> admit is the time the producer spent
+  // getting the queue lock and room in the queue. Requests admitted
+  // back-to-back under one lock acquisition share the stamp, so the stream
+  // path pays no per-request clock read.
+  req.admit_time = *admit_time;
+  if (!forming_) {
+    forming_ = std::make_shared<internal::BatchState>();
+    forming_->requests.reserve(static_cast<size_t>(options_.max_batch_size));
+  }
+  internal::BatchState& batch = *forming_;
+  if (batch.requests.empty()) {
+    batch.opened_at = req.enqueue_time;
+    // First request of a fresh batch: wake a worker so one arms the
+    // flush-deadline timer for it.
+    work_cv_.notify_one();
+  }
+  batch.ops_mask |= static_cast<uint8_t>(1u << static_cast<unsigned>(req.op));
+  batch.has_deadlines |= req.has_deadline;
+  req.seq = stats_.requests;
+  batch.requests.push_back(std::move(req));
+  Future future(forming_, batch.requests.size() - 1);
+  ++stats_.requests;
+  ++queued_requests_;
+  queue_depth_gauge_.Set(static_cast<double>(queued_requests_));
+  if (static_cast<int64_t>(batch.requests.size()) >= options_.max_batch_size)
+    SealFormingLocked(&stats_.full_flushes);
+  return future;
+}
+
+template <typename Future>
+Future BatchScheduler::Submit(OpKind op, int64_t node, int64_t top_k,
+                              SubmitOptions submit) {
+  internal::Request req = NewRequest(op, submit.deadline_us);
+  req.node = node;
+  req.top_k = top_k;
+  std::unique_lock<std::mutex> lock(mutex_);
+  auto admit_time = std::chrono::steady_clock::now();
+  return AdmitLocked<Future>(lock, std::move(req), &admit_time);
+}
+
+Status BatchScheduler::Reject(OpKind op, uint64_t trace_id, Status status,
+                              const char* reason) {
+  const bool shutdown = status.code == StatusCode::kShuttingDown;
+  (shutdown ? rejected_total_ : shed_total_)
+      .fetch_add(1, std::memory_order_relaxed);
+  obs::MetricsRegistry::Get()
+      .GetCounter(shutdown ? "ses.sched.rejected" : "ses.sched.shed",
+                  {{"reason", reason}})
+      .Add(1);
+  obs::RequestRecord record;
+  record.trace_id = trace_id;
+  record.op = SchedOpName(op);
+  record.error = true;
+  record.reason = reason;
+  obs::PublishRequests(&record, 1);
+  return status;
 }
 
 PredictFuture BatchScheduler::SubmitPredict(int64_t node,
@@ -255,30 +281,12 @@ PredictFuture BatchScheduler::SubmitPredict(int64_t node,
     PredictFuture fut;
     if (TryDegradedPredict(node, &fut)) return fut;
   }
-  internal::Request req;
-  req.op = OpKind::kPredict;
-  req.node = node;
-  size_t index = 0;
-  Status rejection;
-  uint64_t trace_id = 0;
-  auto state = Append(std::move(req), submit.deadline_us, &index, &rejection,
-                      &trace_id);
-  return state == nullptr ? PredictFuture(rejection, trace_id)
-                          : PredictFuture(std::move(state), index);
+  return Submit<PredictFuture>(OpKind::kPredict, node, 0, submit);
 }
 
 LogitsRowFuture BatchScheduler::SubmitLogitsRow(int64_t node,
                                                 SubmitOptions submit) {
-  internal::Request req;
-  req.op = OpKind::kLogitsRow;
-  req.node = node;
-  size_t index = 0;
-  Status rejection;
-  uint64_t trace_id = 0;
-  auto state = Append(std::move(req), submit.deadline_us, &index, &rejection,
-                      &trace_id);
-  return state == nullptr ? LogitsRowFuture(rejection, trace_id)
-                          : LogitsRowFuture(std::move(state), index);
+  return Submit<LogitsRowFuture>(OpKind::kLogitsRow, node, 0, submit);
 }
 
 ExplainFuture BatchScheduler::SubmitExplain(int64_t node, int64_t top_k,
@@ -286,128 +294,47 @@ ExplainFuture BatchScheduler::SubmitExplain(int64_t node, int64_t top_k,
   if (degraded_mode_.load(std::memory_order_relaxed)) {
     // Degraded mode sheds Explain outright: it is the recomputable,
     // lowest-priority op, and the cache cannot answer it.
-    const uint64_t caller_id = obs::CurrentTraceId();
-    const uint64_t trace_id =
-        caller_id != 0 ? caller_id : obs::AllocateTraceId();
-    if (stopping_flag_.load(std::memory_order_relaxed))
-      return ExplainFuture(RejectShutdown(OpKind::kExplain, trace_id),
-                           trace_id);
-    return ExplainFuture(
-        ShedRequest(OpKind::kExplain, trace_id, "degraded",
-                    options_.degraded.retry_after_us),
-        trace_id);
+    const uint64_t trace_id = RequestTraceId();
+    const Status status =
+        stopping_flag_.load(std::memory_order_relaxed)
+            ? Reject(OpKind::kExplain, trace_id, Status::ShuttingDown(),
+                     "shutting_down")
+            : Reject(OpKind::kExplain, trace_id,
+                     Status::Overloaded(options_.degraded.retry_after_us),
+                     "degraded");
+    return ExplainFuture(status, trace_id);
   }
-  internal::Request req;
-  req.op = OpKind::kExplain;
-  req.node = node;
-  req.top_k = top_k;
-  size_t index = 0;
-  Status rejection;
-  uint64_t trace_id = 0;
-  auto state = Append(std::move(req), submit.deadline_us, &index, &rejection,
-                      &trace_id);
-  return state == nullptr ? ExplainFuture(rejection, trace_id)
-                          : ExplainFuture(std::move(state), index);
+  return Submit<ExplainFuture>(OpKind::kExplain, node, top_k, submit);
 }
 
 int64_t BatchScheduler::SubmitPredictStream(const int64_t* nodes, int64_t n,
                                             PredictFuture* out,
                                             SubmitOptions submit) {
   if (n <= 0) return 0;
-  const uint64_t caller_id = obs::CurrentTraceId();
-  const auto arrival = std::chrono::steady_clock::now();
-  const double effective_deadline =
-      submit.deadline_us != 0.0 ? submit.deadline_us
-                                : options_.default_deadline_us;
-  std::chrono::steady_clock::time_point deadline;
-  const bool has_deadline = effective_deadline != 0.0;
-  if (has_deadline)
-    deadline = arrival +
-               std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                   std::chrono::duration<double, std::micro>(
-                       effective_deadline));
-
+  // The stream arrived together: one submit stamp and deadline for all.
+  const internal::Request arrival =
+      NewRequest(OpKind::kPredict, submit.deadline_us);
   int64_t enqueued = 0;
   std::unique_lock<std::mutex> lock(mutex_);
-  // Stage stamp 2 (admit) for the stream path: requests admitted back-to-back
-  // under the one lock acquisition share one admit timestamp — re-taken only
-  // after a backpressure wait actually blocked — so the stamp stays truthful
-  // without paying a per-request clock read on the hot path.
-  auto admit_now = std::chrono::steady_clock::now();
+  auto admit_time = std::chrono::steady_clock::now();
   for (int64_t i = 0; i < n; ++i) {
-    if (!stopping_ &&
-        static_cast<int64_t>(ready_.size()) >= options_.max_queue_batches) {
-      space_cv_.wait(lock, [&] {
-        return stopping_ || static_cast<int64_t>(ready_.size()) <
-                                options_.max_queue_batches;
-      });
-      admit_now = std::chrono::steady_clock::now();
-    }
-    if (stopping_) {
-      // Typed rejection for the whole tail; nothing in it was enqueued.
-      stats_.rejected += n - i;
-      lock.unlock();
-      rejected_shutdown_counter_.Add(n - i);
-      for (; i < n; ++i)
-        out[i] = PredictFuture(Status::ShuttingDown(),
-                               caller_id != 0 ? caller_id
-                                              : obs::AllocateTraceId());
-      return enqueued;
-    }
-    const uint64_t trace_id =
-        caller_id != 0 ? caller_id : obs::AllocateTraceId();
-    if (options_.admission != nullptr) {
-      const AdmissionDecision decision =
-          options_.admission->Admit(OpKind::kPredict, queued_requests_);
-      if (!decision.admit) {
-        ++stats_.shed;
-        out[i] = PredictFuture(Status::Overloaded(decision.retry_after_us),
-                               trace_id);
-        ShedCounter(decision.reason).Add(1);
-        continue;
-      }
-    }
-    if (!forming_) {
-      forming_ = std::make_shared<internal::BatchState>();
-      forming_->requests.reserve(static_cast<size_t>(options_.max_batch_size));
-    }
-    internal::BatchState& batch = *forming_;
-    if (batch.requests.empty()) {
-      batch.opened_at = arrival;
-      work_cv_.notify_one();
-    }
-    internal::Request req;
-    req.op = OpKind::kPredict;
+    internal::Request req = arrival;
     req.node = nodes[i];
-    req.trace_id = trace_id;
-    req.enqueue_time = arrival;
-    req.admit_time = admit_now;
-    req.has_deadline = has_deadline;
-    req.deadline = deadline;
-    req.seq = stats_.requests;
-    batch.ops_mask |=
-        static_cast<uint8_t>(1u << static_cast<unsigned>(req.op));
-    batch.has_deadlines |= has_deadline;
-    batch.requests.push_back(std::move(req));
-    out[i] = PredictFuture(forming_, batch.requests.size() - 1);
-    ++stats_.requests;
-    ++queued_requests_;
-    ++enqueued;
-    if (static_cast<int64_t>(batch.requests.size()) >= options_.max_batch_size)
-      SealFormingLocked(&stats_.full_flushes);
+    if (i > 0) req.trace_id = RequestTraceId();
+    out[i] = AdmitLocked<PredictFuture>(lock, std::move(req), &admit_time);
+    enqueued += out[i].state_ != nullptr;
   }
-  queue_depth_gauge_.Set(static_cast<double>(queued_requests_));
   return enqueued;
 }
 
 bool BatchScheduler::TryDegradedPredict(int64_t node, PredictFuture* out) {
-  const uint64_t caller_id = obs::CurrentTraceId();
   if (stopping_flag_.load(std::memory_order_relaxed)) {
     // Shutdown outranks degraded serving: a post-Stop Submit must never be
     // answered from the cache.
-    const uint64_t trace_id =
-        caller_id != 0 ? caller_id : obs::AllocateTraceId();
-    *out = PredictFuture(RejectShutdown(OpKind::kPredict, trace_id), trace_id);
+    const uint64_t trace_id = RequestTraceId();
+    *out = PredictFuture(Reject(OpKind::kPredict, trace_id,
+                                Status::ShuttingDown(), "shutting_down"),
+                         trace_id);
     return true;
   }
   // Every probe_every-th degraded predict goes through the queue as a canary
@@ -418,47 +345,17 @@ bool BatchScheduler::TryDegradedPredict(int64_t node, PredictFuture* out) {
   if (probe_every > 0 && seq % probe_every == 0) return false;
   int64_t cls = 0;
   if (!session_->TryPredictCached(node, &cls)) return false;  // cold: queue it
-  const uint64_t trace_id = caller_id != 0 ? caller_id : obs::AllocateTraceId();
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.degraded_served;
-  }
+  degraded_served_total_.fetch_add(1, std::memory_order_relaxed);
   degraded_served_counter_.Add(1);
-  if (obs::AccessLog::Get().active()) {
-    obs::AccessEntry entry;
-    entry.trace_id = trace_id;
-    entry.op = SchedOpName(OpKind::kPredict);
-    entry.cache_hit = true;
-    entry.reason = "degraded_cache";
-    const int64_t fingerprint[2] = {node, cls};
-    entry.digest =
-        obs::Fnv1a(obs::Fnv1aBegin(), fingerprint, sizeof(fingerprint));
-    obs::AccessLog::Get().Record(entry);
-  }
-  *out = PredictFuture(cls, trace_id);
+  obs::RequestRecord record;
+  record.trace_id = RequestTraceId();
+  record.op = SchedOpName(OpKind::kPredict);
+  record.reason = "degraded_cache";
+  record.cache_hit = true;
+  record.digest = PredictDigest(node, cls);
+  obs::PublishRequests(&record, 1);
+  *out = PredictFuture(cls, record.trace_id);
   return true;
-}
-
-Status BatchScheduler::ShedRequest(OpKind op, uint64_t trace_id,
-                                   const char* reason,
-                                   int64_t retry_after_us) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.shed;
-  }
-  ShedCounter(reason).Add(1);
-  LogRejection(op, trace_id, reason);
-  return Status::Overloaded(retry_after_us);
-}
-
-Status BatchScheduler::RejectShutdown(OpKind op, uint64_t trace_id) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.rejected;
-  }
-  rejected_shutdown_counter_.Add(1);
-  LogRejection(op, trace_id, "shutting_down");
-  return Status::ShuttingDown();
 }
 
 void BatchScheduler::SealFormingLocked(int64_t* reason_counter) {
@@ -522,10 +419,11 @@ void BatchScheduler::WorkerLoop() {
       }
       // Shed fraction of the submissions seen since the previous batch, for
       // the anomaly watch (counters are mutex_-guarded, so read them here).
-      const int64_t d_shed = stats_.shed - anomaly_prev_shed_;
+      const int64_t shed = shed_total_.load(std::memory_order_relaxed);
+      const int64_t d_shed = shed - anomaly_prev_shed_;
       const int64_t d_seen =
           d_shed + (stats_.requests - anomaly_prev_requests_);
-      anomaly_prev_shed_ = stats_.shed;
+      anomaly_prev_shed_ = shed;
       anomaly_prev_requests_ = stats_.requests;
       const double shed_rate =
           d_seen > 0 ? static_cast<double>(d_shed) / d_seen : 0.0;
@@ -579,7 +477,6 @@ double BatchScheduler::ExecuteBatch(internal::BatchState* batch) {
   thread_local std::vector<double> latencies_us;
   thread_local std::vector<int64_t> node_scratch;
   thread_local std::vector<uint64_t> trace_ids;
-  thread_local std::vector<double> stage_scratch;
   latencies_us.resize(reqs.size());
   trace_ids.resize(reqs.size());
   for (size_t i = 0; i < reqs.size(); ++i) {
@@ -774,138 +671,26 @@ double BatchScheduler::ExecuteBatch(internal::BatchState* batch) {
 
   // ---- Request forensics (DESIGN.md §15) ----
   // Stage stamp 6 (resolve): results are written back and aggregate
-  // accounting is done; the per-request log/span emission below is resolve
-  // overhead charged to the NEXT batch, not to these requests.
+  // accounting is done; publishing the records is resolve overhead charged
+  // to the NEXT batch, not to these requests.
   const auto resolve_time = std::chrono::steady_clock::now();
-  const int64_t n_reqs = static_cast<int64_t>(reqs.size());
-  // Stage gap histograms, one batched pass per stage, each observation
-  // carrying its request's trace-id so slow buckets expose an exemplar.
-  stage_scratch.resize(reqs.size());
-  for (size_t i = 0; i < reqs.size(); ++i)
-    stage_scratch[i] = MicrosBetween(reqs[i].enqueue_time, reqs[i].admit_time);
-  stage_admit_hist_.ObserveMany(stage_scratch.data(), trace_ids.data(),
-                                n_reqs);
-  for (size_t i = 0; i < reqs.size(); ++i)
-    stage_scratch[i] = MicrosBetween(reqs[i].admit_time, batch->seal_time);
-  stage_seal_hist_.ObserveMany(stage_scratch.data(), trace_ids.data(), n_reqs);
-  // The last three gaps are batch-wide: every request shares the seal, the
-  // forward, and the resolve of its batch.
-  const double queue_gap_us = MicrosBetween(batch->seal_time, exec_start);
-  const double resolve_gap_us = MicrosBetween(exec_end, resolve_time);
-  for (double& s : stage_scratch) s = queue_gap_us;
-  stage_queue_hist_.ObserveMany(stage_scratch.data(), trace_ids.data(),
-                                n_reqs);
-  for (double& s : stage_scratch) s = exec_us;
-  stage_forward_hist_.ObserveMany(stage_scratch.data(), trace_ids.data(),
-                                  n_reqs);
-  for (double& s : stage_scratch) s = resolve_gap_us;
-  stage_resolve_hist_.ObserveMany(stage_scratch.data(), trace_ids.data(),
-                                  n_reqs);
-
-  // Map the steady-clock stamps onto the trace-epoch clock once per batch:
-  // take trace-now at resolve and back-compute every earlier stage from its
-  // steady-clock gap to resolve. Flight records and manual stage spans then
-  // share the Chrome trace's timebase exactly.
-  const uint64_t resolve_tr_ns = obs::internal::TraceNowNs();
-  const double resolve_tr_us = static_cast<double>(resolve_tr_ns) * 1e-3;
-  auto ns_before_resolve = [resolve_time](
-                               std::chrono::steady_clock::time_point t) {
-    return static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(resolve_time - t)
-            .count());
-  };
-  const uint64_t seal_tr_ns = resolve_tr_ns - ns_before_resolve(batch->seal_time);
-  const uint64_t fwd_start_tr_ns = resolve_tr_ns - ns_before_resolve(exec_start);
-  const uint64_t fwd_end_tr_ns = resolve_tr_ns - ns_before_resolve(exec_end);
-  // Every completed request is offered to the flight recorder; its lock-free
-  // floor check keeps the common (fast-request) case to a few loads.
+  // Only the access log reads digests: skip hashing results while it is
+  // closed.
+  const bool digest = obs::AccessLog::Get().active();
+  thread_local std::vector<obs::RequestRecord> records;
+  records.resize(reqs.size());
   for (size_t i = 0; i < reqs.size(); ++i) {
     const internal::Request& r = reqs[i];
-    obs::FlightRecord rec;
-    rec.trace_id = r.trace_id;
-    rec.op = SchedOpName(r.op);
-    rec.error = !r.status.ok();
-    rec.reason = r.reason[0] != '\0' ? r.reason : (rec.error ? "error" : "ok");
-    rec.resolve_us = resolve_tr_us;
-    rec.submit_us =
-        resolve_tr_us -
-        static_cast<double>(ns_before_resolve(r.enqueue_time)) * 1e-3;
-    rec.admit_us =
-        resolve_tr_us -
-        static_cast<double>(ns_before_resolve(r.admit_time)) * 1e-3;
-    rec.seal_us = static_cast<double>(seal_tr_ns) * 1e-3;
-    rec.forward_start_us = static_cast<double>(fwd_start_tr_ns) * 1e-3;
-    rec.forward_end_us = static_cast<double>(fwd_end_tr_ns) * 1e-3;
-    rec.e2e_us = rec.resolve_us - rec.submit_us;
-    obs::FlightRecorder::Get().Record(rec);
+    records[i] = {.trace_id = r.trace_id,
+                  .op = SchedOpName(r.op),
+                  .reason = r.reason,
+                  .error = !r.status.ok(),
+                  .has_stages = true,
+                  .digest = digest && r.status.ok() ? ResultDigest(r) : 0,
+                  .stamps = {r.enqueue_time, r.admit_time, batch->seal_time,
+                             exec_start, exec_end, resolve_time}};
   }
-
-  // Per-request completion records under the request's own trace-id, so the
-  // worker-side span and access-log line join the id the producer got at
-  // enqueue time. Skipped entirely when neither sink is live — the batched
-  // histograms above already carry the aggregate story.
-  const bool log_active = obs::AccessLog::Get().active();
-  const bool tracing = obs::TracingEnabled();
-  if (log_active || tracing) {
-    for (size_t i = 0; i < reqs.size(); ++i) {
-      internal::Request& r = reqs[i];
-      obs::ScopedTraceId adopt(r.trace_id);
-      SES_TRACE_SPAN("sched/complete");
-      if (tracing) {
-        // Retroactive critical-path spans on the trace-epoch timebase: the
-        // Chrome trace shows each request's submit->resolve pipeline as five
-        // adjacent spans joined to everything else by args.trace_id.
-        const uint64_t submit_ns =
-            resolve_tr_ns - ns_before_resolve(r.enqueue_time);
-        const uint64_t admit_ns =
-            resolve_tr_ns - ns_before_resolve(r.admit_time);
-        obs::RecordManualSpan("sched/stage/admit", submit_ns,
-                              admit_ns - submit_ns, r.trace_id);
-        obs::RecordManualSpan("sched/stage/seal", admit_ns,
-                              seal_tr_ns - admit_ns, r.trace_id);
-        obs::RecordManualSpan("sched/stage/queue", seal_tr_ns,
-                              fwd_start_tr_ns - seal_tr_ns, r.trace_id);
-        obs::RecordManualSpan("sched/stage/forward", fwd_start_tr_ns,
-                              fwd_end_tr_ns - fwd_start_tr_ns, r.trace_id);
-        obs::RecordManualSpan("sched/stage/resolve", fwd_end_tr_ns,
-                              resolve_tr_ns - fwd_end_tr_ns, r.trace_id);
-      }
-      if (!log_active) continue;
-      obs::AccessEntry entry;
-      entry.trace_id = r.trace_id;
-      entry.op = SchedOpName(r.op);
-      entry.latency_us = latencies_us[i];
-      entry.error = !r.status.ok();
-      entry.reason = r.reason;
-      entry.has_stages = true;
-      entry.admit_us = MicrosBetween(r.enqueue_time, r.admit_time);
-      entry.seal_us = MicrosBetween(r.enqueue_time, batch->seal_time);
-      entry.forward_start_us = MicrosBetween(r.enqueue_time, exec_start);
-      entry.forward_end_us = MicrosBetween(r.enqueue_time, exec_end);
-      entry.resolve_us = MicrosBetween(r.enqueue_time, resolve_time);
-      if (r.status.ok()) {
-        uint64_t h = obs::Fnv1aBegin();
-        switch (r.op) {
-          case OpKind::kPredict: {
-            const int64_t fingerprint[2] = {r.node, r.predicted};
-            h = obs::Fnv1a(h, fingerprint, sizeof(fingerprint));
-            break;
-          }
-          case OpKind::kLogitsRow:
-            h = obs::Fnv1a(h, r.logits_row.data(),
-                           r.logits_row.size() * sizeof(float));
-            break;
-          case OpKind::kExplain:
-            h = obs::Fnv1a(h, &r.node, sizeof(r.node));
-            h = obs::Fnv1a(h, r.explanation.neighbors.data(),
-                           r.explanation.neighbors.size() * sizeof(int64_t));
-            break;
-        }
-        entry.digest = h;
-      }
-      obs::AccessLog::Get().Record(entry);
-    }
-  }
+  obs::PublishRequests(records.data(), static_cast<int64_t>(records.size()));
   // Completion (`done` + notify) is published by WorkerLoop after it has
   // folded this batch into the aggregate stats under the scheduler mutex.
 
@@ -947,6 +732,9 @@ void BatchScheduler::Stop() {
 BatchScheduler::Stats BatchScheduler::stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
   Stats s = stats_;
+  s.shed = shed_total_.load(std::memory_order_relaxed);
+  s.rejected = rejected_total_.load(std::memory_order_relaxed);
+  s.degraded_served = degraded_served_total_.load(std::memory_order_relaxed);
   s.expired = expired_queue_total_.load(std::memory_order_relaxed);
   s.expired_inflight =
       expired_inflight_total_.load(std::memory_order_relaxed);

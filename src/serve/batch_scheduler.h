@@ -261,14 +261,15 @@ struct SubmitOptions {
 ///
 /// Request forensics (DESIGN.md §15): every request is stamped at six
 /// critical-path stages — submit (enqueue_time, before the queue lock),
-/// admit (admission passed), seal (batch moved to the ready queue),
-/// forward-start / forward-end (around batch execution), resolve (results
-/// written back). The gaps feed `ses.sched.stage.*` histograms carrying the
-/// request's trace-id as an OpenMetrics exemplar, appear as `stages_us` in
-/// access-log entries and as per-stage Chrome-trace spans, and every
-/// completed request is offered to the FlightRecorder (top-K slowest,
-/// /debug/slowest). After each batch the worker feeds the queue-wait burn
-/// rate to the FlightRecorder's auto-dump trigger and samples the
+/// admit (queue lock held with room in the queue), seal (batch moved to the
+/// ready queue), forward-start / forward-end (around batch execution),
+/// resolve (results written back). At resolve the worker builds one
+/// obs::RequestRecord per request and hands the batch to
+/// obs::PublishRequests, which feeds the `ses.sched.stage.*` histograms,
+/// the access log's `stages_us`, the per-stage Chrome-trace spans and the
+/// FlightRecorder. Rejections and degraded-cache answers publish a record
+/// too (access log only). After each batch the worker feeds the queue-wait
+/// burn rate to the FlightRecorder's auto-dump trigger and samples the
 /// AnomalyWatch series (queue depth, e2e p99, shed rate) plus its probes.
 ///
 /// Shutdown: Stop() (or the destructor) stops admission, seals the forming
@@ -332,14 +333,23 @@ class BatchScheduler {
   Stats stats() const;
 
  private:
-  /// Appends one request to the forming batch, or rejects it: returns the
-  /// owning batch on admission, else null with *rejection set to the typed
-  /// status (kShuttingDown / kOverloaded). `*trace_id` always receives the
-  /// request's id so rejection futures stay traceable.
-  std::shared_ptr<internal::BatchState> Append(internal::Request req,
-                                               double deadline_us,
-                                               size_t* index, Status* rejection,
-                                               uint64_t* trace_id);
+  /// A request of kind `op` stamped at submit: trace id (the caller's, else
+  /// a fresh one), enqueue time and absolute deadline.
+  internal::Request NewRequest(OpKind op, double deadline_us) const;
+  /// Admits `req` into the forming batch and returns its future, or a typed
+  /// rejection future from Reject (kShuttingDown / kOverloaded). Caller
+  /// holds `lock` on mutex_; it is released only while waiting for queue
+  /// room, after which `*admit_time` (stage stamp 2) is re-taken.
+  template <typename Future>
+  Future AdmitLocked(std::unique_lock<std::mutex>& lock, internal::Request req,
+                     std::chrono::steady_clock::time_point* admit_time);
+  /// NewRequest + AdmitLocked under one lock acquisition.
+  template <typename Future>
+  Future Submit(OpKind op, int64_t node, int64_t top_k, SubmitOptions submit);
+  /// Resolves a request that never runs (shutdown or shed): counts it, and
+  /// publishes its access-log record. Lock-free; returns `status`.
+  Status Reject(OpKind op, uint64_t trace_id, Status status,
+                const char* reason);
   /// Moves the forming batch onto the ready queue. Caller holds mutex_;
   /// `reason_counter` is one of the flush counters below.
   void SealFormingLocked(int64_t* reason_counter);
@@ -352,12 +362,6 @@ class BatchScheduler {
   /// future (cache answer or shutdown rejection); false to fall through to
   /// the normal queue (cold cache or canary probe).
   bool TryDegradedPredict(int64_t node, PredictFuture* out);
-  /// Immediate kOverloaded rejection bookkeeping: stats, labeled shed
-  /// counter, access-log line. Takes mutex_ internally.
-  Status ShedRequest(OpKind op, uint64_t trace_id, const char* reason,
-                     int64_t retry_after_us);
-  /// Immediate kShuttingDown rejection bookkeeping. Takes mutex_ internally.
-  Status RejectShutdown(OpKind op, uint64_t trace_id);
   std::string HealthJson() const;
 
   core::InferenceSession* session_;
@@ -389,7 +393,11 @@ class BatchScheduler {
   std::atomic<bool> degraded_mode_{false};
   std::atomic<bool> forced_degraded_{false};
   std::atomic<int64_t> degraded_seq_{0};  ///< canary-probe cadence
-  // Worker-side failure tallies (no scheduler lock held during execution).
+  // Tallies bumped without the scheduler lock: rejections resolve wherever
+  // they happen, failures on the workers.
+  std::atomic<int64_t> shed_total_{0};
+  std::atomic<int64_t> rejected_total_{0};
+  std::atomic<int64_t> degraded_served_total_{0};
   std::atomic<int64_t> expired_queue_total_{0};
   std::atomic<int64_t> expired_inflight_total_{0};
   std::atomic<int64_t> internal_errors_total_{0};
@@ -403,15 +411,6 @@ class BatchScheduler {
   obs::Histogram& batch_size_hist_;
   obs::Histogram& queue_wait_hist_;
   obs::Histogram& e2e_hist_;
-  // Critical-path stage histograms (`ses.sched.stage.*`), one per gap between
-  // consecutive stage stamps. Observed with per-request trace-id exemplars so
-  // a slow bucket on any stage links back to a concrete request.
-  obs::Histogram& stage_admit_hist_;    ///< submit -> admit
-  obs::Histogram& stage_seal_hist_;     ///< admit -> seal
-  obs::Histogram& stage_queue_hist_;    ///< seal -> forward-start
-  obs::Histogram& stage_forward_hist_;  ///< forward-start -> forward-end
-  obs::Histogram& stage_resolve_hist_;  ///< forward-end -> resolve
-  obs::Counter& rejected_shutdown_counter_;
   obs::Counter& expired_queue_counter_;
   obs::Counter& expired_inflight_counter_;
   obs::Counter& internal_error_counter_;

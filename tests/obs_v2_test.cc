@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -32,6 +33,27 @@ namespace {
 
 using namespace ses;
 using obs::MetricsRegistry;
+
+/// A steady-clock time `us` microseconds after the trace epoch, so the
+/// flight recorder's trace-epoch rendering of it reads exactly `us`.
+obs::RequestRecord::Clock::time_point AtTraceUs(double us) {
+  const auto now = std::chrono::steady_clock::now();
+  const auto epoch = now - std::chrono::nanoseconds(
+                               obs::internal::TraceNsFromSteady(now));
+  return epoch + std::chrono::nanoseconds(std::llround(us * 1e3));
+}
+
+/// A record whose six stage stamps sit at `stage_us` on the trace epoch.
+obs::RequestRecord RecordAt(
+    uint64_t trace_id, const char* op,
+    const double (&stage_us)[obs::RequestRecord::kNumStages]) {
+  obs::RequestRecord rec;
+  rec.trace_id = trace_id;
+  rec.op = op;
+  for (int s = 0; s < obs::RequestRecord::kNumStages; ++s)
+    rec.stamps[s] = AtTraceUs(stage_us[s]);
+  return rec;
+}
 
 /// Drops all singleton observability state. SloTracker and AnomalyWatch
 /// cache registry pointers, so they must be reset before the registry that
@@ -327,15 +349,14 @@ TEST(RequestScopeTest, SpansOpenedInsideARequestCarryItsTraceId) {
 }
 
 TEST(AccessLogTest, EntrySerializationMatchesTheDocumentedSchema) {
-  obs::AccessEntry entry;
-  entry.trace_id = 42;
-  entry.op = "infer.predict";
-  entry.latency_us = 12.5;
+  // A direct-path record: one 12.5 us forward.
+  obs::RequestRecord entry =
+      RecordAt(42, "infer.predict", {100, 100, 100, 100, 112.5, 112.5});
   entry.cache_hit = true;
   entry.digest = 0xdeadbeefull;
   // Reason is always present: empty defaults to "ok" on success so the CI
   // forensics joins (jq .reason) never hit a missing key.
-  EXPECT_EQ(obs::AccessLog::EntryToJson(entry),
+  EXPECT_EQ(obs::AccessLog::ToJson(entry),
             "{\"trace_id\":42,\"op\":\"infer.predict\",\"latency_us\":12.5,"
             "\"cache_hit\":true,\"error\":false,\"reason\":\"ok\","
             "\"digest\":\"00000000deadbeef\"}");
@@ -343,25 +364,18 @@ TEST(AccessLogTest, EntrySerializationMatchesTheDocumentedSchema) {
   // An error with no explicit reason defaults to "error"; an explicit reason
   // wins over both defaults.
   entry.error = true;
-  EXPECT_NE(obs::AccessLog::EntryToJson(entry).find("\"reason\":\"error\""),
+  EXPECT_NE(obs::AccessLog::ToJson(entry).find("\"reason\":\"error\""),
             std::string::npos);
   entry.reason = "deadline";
-  EXPECT_NE(obs::AccessLog::EntryToJson(entry).find("\"reason\":\"deadline\""),
+  EXPECT_NE(obs::AccessLog::ToJson(entry).find("\"reason\":\"deadline\""),
             std::string::npos);
 }
 
 TEST(AccessLogTest, StageOffsetsSerializeInCriticalPathOrder) {
-  obs::AccessEntry entry;
-  entry.trace_id = 7;
-  entry.op = "sched.predict";
-  entry.latency_us = 60.0;
+  obs::RequestRecord entry =
+      RecordAt(7, "sched.predict", {100, 101.5, 110, 112, 150, 160});
   entry.has_stages = true;
-  entry.admit_us = 1.5;
-  entry.seal_us = 10.0;
-  entry.forward_start_us = 12.0;
-  entry.forward_end_us = 50.0;
-  entry.resolve_us = 60.0;
-  const std::string line = obs::AccessLog::EntryToJson(entry);
+  const std::string line = obs::AccessLog::ToJson(entry);
   EXPECT_NE(line.find("\"stages_us\":{\"admit\":1.5,\"seal\":10,"
                       "\"forward_start\":12,\"forward_end\":50,"
                       "\"resolve\":60}"),
@@ -369,7 +383,7 @@ TEST(AccessLogTest, StageOffsetsSerializeInCriticalPathOrder) {
       << line;
   // Direct-path entries (has_stages unset) must not emit the block at all.
   entry.has_stages = false;
-  EXPECT_EQ(obs::AccessLog::EntryToJson(entry).find("stages_us"),
+  EXPECT_EQ(obs::AccessLog::ToJson(entry).find("stages_us"),
             std::string::npos);
 }
 
@@ -738,24 +752,30 @@ TEST(MetricsRegistryTest, ExemplarWritesRaceScrapesSafely) {
 // ---------------------------------------------------------------------------
 // Flight recorder: top-K retention, window roll, burn-triggered auto-dump.
 
+/// A direct-path record resolving at `resolve_us` on the trace epoch after
+/// an end-to-end latency of `e2e_us`.
+obs::RequestRecord DirectRecordAt(uint64_t trace_id, double resolve_us,
+                                  double e2e_us) {
+  const double submit_us = resolve_us - e2e_us;
+  return RecordAt(trace_id, "t.op", {submit_us, submit_us, submit_us,
+                                     submit_us, resolve_us, resolve_us});
+}
+
 TEST(FlightRecorderTest, KeepsTheTopKSlowestSlowestFirst) {
   auto& recorder = obs::FlightRecorder::Get();
   recorder.ResetForTest();
   recorder.Configure(/*top_k=*/4, /*window_us=*/1e12);
   for (int i = 1; i <= 10; ++i) {
-    obs::FlightRecord rec;
-    rec.trace_id = static_cast<uint64_t>(i);
-    rec.op = "t.op";
-    rec.resolve_us = 1000.0;  // one window for everything
-    rec.e2e_us = static_cast<double>((i * 7) % 11);  // 7,3,10,6,2,9,5,1,8,4
-    recorder.Record(rec);
+    // One window for everything; e2e 7,3,10,6,2,9,5,1,8,4.
+    recorder.Record(DirectRecordAt(static_cast<uint64_t>(i), 1000.0,
+                                   static_cast<double>((i * 7) % 11)));
   }
   const auto snap = recorder.Snapshot();
   ASSERT_EQ(snap.size(), 4u);
-  EXPECT_DOUBLE_EQ(snap[0].e2e_us, 10.0);
-  EXPECT_DOUBLE_EQ(snap[1].e2e_us, 9.0);
-  EXPECT_DOUBLE_EQ(snap[2].e2e_us, 8.0);
-  EXPECT_DOUBLE_EQ(snap[3].e2e_us, 7.0);
+  EXPECT_DOUBLE_EQ(snap[0].e2e_us(), 10.0);
+  EXPECT_DOUBLE_EQ(snap[1].e2e_us(), 9.0);
+  EXPECT_DOUBLE_EQ(snap[2].e2e_us(), 8.0);
+  EXPECT_DOUBLE_EQ(snap[3].e2e_us(), 7.0);
   recorder.ResetForTest();
 }
 
@@ -764,12 +784,7 @@ TEST(FlightRecorderTest, WindowRollRetiresCurrentAndServesTwoWindows) {
   recorder.ResetForTest();
   recorder.Configure(/*top_k=*/8, /*window_us=*/1000.0);
   auto record_at = [&](uint64_t id, double resolve_us, double e2e_us) {
-    obs::FlightRecord rec;
-    rec.trace_id = id;
-    rec.op = "t.op";
-    rec.resolve_us = resolve_us;
-    rec.e2e_us = e2e_us;
-    recorder.Record(rec);
+    recorder.Record(DirectRecordAt(id, resolve_us, e2e_us));
   };
   record_at(1, 100.0, 5.0);   // window A opens at 100
   record_at(2, 1500.0, 3.0);  // 1400us elapsed: A retires to previous
@@ -786,12 +801,7 @@ TEST(FlightRecorderTest, WindowRollRetiresCurrentAndServesTwoWindows) {
 TEST(FlightRecorderTest, BurnTriggeredDumpFiresOncePerExcursion) {
   ResetObsState();
   auto& recorder = obs::FlightRecorder::Get();
-  obs::FlightRecord rec;
-  rec.trace_id = 5;
-  rec.op = "t.op";
-  rec.e2e_us = 9.0;
-  rec.resolve_us = 50.0;
-  recorder.Record(rec);
+  recorder.Record(DirectRecordAt(5, /*resolve_us=*/50.0, /*e2e_us=*/9.0));
 
   const std::string path = ::testing::TempDir() + "/flight_dump_test.json";
   std::remove(path.c_str());
@@ -820,18 +830,10 @@ TEST(FlightRecorderTest, BurnTriggeredDumpFiresOncePerExcursion) {
 
 TEST(MetricsServerTest, DebugSlowestServesStageTimestamps) {
   ResetObsState();
-  obs::FlightRecord rec;
-  rec.trace_id = 9001;
-  rec.op = "sched.predict";
-  rec.reason = "ok";
-  rec.submit_us = 100.0;
-  rec.admit_us = 101.0;
-  rec.seal_us = 110.0;
-  rec.forward_start_us = 112.0;
-  rec.forward_end_us = 150.0;
-  rec.resolve_us = 160.0;
-  rec.e2e_us = 60.0;
-  obs::FlightRecorder::Get().Record(rec);
+  obs::RequestRecord rec =
+      RecordAt(9001, "sched.predict", {100, 101, 110, 112, 150, 160});
+  rec.has_stages = true;
+  obs::PublishRequests(&rec, 1);
 
   std::string body, content_type;
   ASSERT_TRUE(
