@@ -247,6 +247,13 @@ stage_tsan() {
   echo "=== [tsan] tier1 ctest ==="
   ctest --test-dir build-tsan --output-on-failure -j "${JOBS}" -L tier1
 
+  # Races are probabilistic: one clean pass proves little. Repeat the graph-
+  # version snapshot and halo-exchange race tests, each up to 20 times.
+  echo "=== [tsan] snapshot and halo race tests, repeated ==="
+  ctest --test-dir build-tsan --output-on-failure -j "${JOBS}" \
+    --repeat until-fail:20 -R \
+    'ServeTest\.(Snapshot|ForwardLogitsIsSafeAgainstConcurrentArtifactRebuilds|AccessLogVersionsOneClientSeesNeverDecrease|DegradedPredictAnswersFromThePublishedSnapshotAfterABump)|ShardedSessionTest\.HaloExchange'
+
   # Scheduler smoke under TSan: concurrent producers, micro-batch formation,
   # worker-pool execution, lock-free future completion, and the batched
   # metrics/SLO recording all race-checked in one run. --smoke keeps the

@@ -45,6 +45,7 @@ InferenceSession::InferenceSession(const SesModel* model,
       overrides_(std::move(overrides)) {
   SES_CHECK(encoder_ != nullptr && "SesModel must be Fit before serving");
   SES_CHECK(ds_ != nullptr);
+  features_ = ds_->features;
 }
 
 InferenceSession::InferenceSession(const models::Encoder* encoder,
@@ -53,59 +54,183 @@ InferenceSession::InferenceSession(const models::Encoder* encoder,
     : encoder_(encoder), ds_(ds), overrides_(std::move(overrides)) {
   SES_CHECK(encoder_ != nullptr);
   SES_CHECK(ds_ != nullptr);
+  features_ = ds_->features;
 }
 
-void InferenceSession::EnsureArtifactsLocked() {
+InferenceSession::~InferenceSession() {
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    stopping_ = true;
+  }
+  build_cv_.notify_all();
+  if (builder_.joinable()) builder_.join();
+}
+
+void InferenceSession::InvalidateGraph() {
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    features_ = ds_->features;
+    graph_version_.fetch_add(1);
+    if (!builder_.joinable()) builder_ = std::thread([this] { BuilderLoop(); });
+  }
+  build_cv_.notify_one();
+}
+
+void InferenceSession::BuilderLoop() {
+  std::unique_lock<std::mutex> lock(mutex_);
+  for (;;) {
+    build_cv_.wait(lock, [&] {
+      const int64_t done = std::max(
+          current_ != nullptr ? current_->version : -1, failed_version_);
+      return stopping_ || (!building_ && done < graph_version_.load());
+    });
+    if (stopping_) return;
+    BuildLocked(lock);
+  }
+}
+
+void InferenceSession::BuildLocked(std::unique_lock<std::mutex>& lock) {
+  building_ = true;
   const int64_t version = graph_version_.load();
-  if (artifact_version_ == version) return;
-  SES_TRACE_SPAN("infer/build_artifacts");
-  ag::InferenceGuard no_grad;
-  Artifacts& a = artifacts_;
-  a.edges = ds_->graph.DirectedEdges(/*add_self_loops=*/true);
-  const bool use_feature_mask =
-      model_ != nullptr && model_->options().use_feature_mask;
-  if (use_feature_mask && overrides_.feature_mask_nnz.size() > 0) {
-    a.input = nn::FeatureInput::Sparse(
-        ds_->features, ag::Variable::Constant(overrides_.feature_mask_nnz));
-  } else if (use_feature_mask && model_->feature_mask_nnz().size() > 0) {
-    a.input = nn::FeatureInput::Sparse(
-        ds_->features, ag::Variable::Constant(model_->feature_mask_nnz()));
-  } else {
-    a.input = models::MakeInput(*ds_);
+  std::shared_ptr<const tensor::SparseMatrix> features = features_;
+  lock.unlock();
+  SnapshotPtr snapshot;
+  std::exception_ptr failure;
+  try {
+    snapshot = Build(version, std::move(features));
+  } catch (...) {
+    failure = std::current_exception();
   }
-  a.adj_mask = {};
-  const bool use_structure_mask =
-      model_ != nullptr && model_->options().use_structure_mask;
-  if (use_structure_mask && overrides_.structure_mask_adj.size() > 0)
-    a.adj_mask = ag::Variable::Constant(overrides_.structure_mask_adj);
-  else if (use_structure_mask && model_->structure_mask_adj().size() > 0)
-    a.adj_mask = ag::Variable::Constant(model_->structure_mask_adj());
-  a.cached_aggregation =
-      encoder_->PrecomputeAggregation(a.edges, a.adj_mask,
-                                      /*renormalize_mask=*/true);
-  // Pick the SpMM variant for this graph version with the nnz heuristic.
-  // Choose() is a pure function of the graph statistics, the hidden feature
-  // width, and the active SIMD tier, memoized on the edge list — so every
-  // forward over these edges (warm query or benchmark) replays exactly this
-  // decision, and a fresh-but-identical edge list (the taped eval path)
-  // lands on the same variant. Exported as a labeled gauge so /metrics shows
-  // which kernel is serving; the previous version's label is zeroed on
-  // change.
-  const auto plan = a.edges->plan();
-  const kernels::SpmmChoice choice = plan->Choose(encoder_->hidden_dim());
-  const char* variant = kernels::SpmmVariantName(choice);
-  if (spmm_variant_ != nullptr && spmm_variant_ != variant) {
-    obs::MetricsRegistry::Get()
+  lock.lock();
+  building_ = false;
+  if (snapshot == nullptr) {
+    failed_version_ = version;
+    failure_ = failure;
+  } else if (current_ == nullptr || current_->version < version) {
+    // Exported as a labeled gauge so /metrics shows which kernel is serving;
+    // the previous version's label is zeroed on change.
+    auto& registry = obs::MetricsRegistry::Get();
+    if (current_ != nullptr && current_->spmm_variant != snapshot->spmm_variant)
+      registry
+          .GetGauge("ses.kernel.autotune",
+                    {{"op", "spmm"}, {"variant", current_->spmm_variant}})
+          .Set(0);
+    registry
         .GetGauge("ses.kernel.autotune",
-                  {{"op", "spmm"}, {"variant", spmm_variant_}})
-        .Set(0);
+                  {{"op", "spmm"}, {"variant", snapshot->spmm_variant}})
+        .Set(1);
+    current_ = std::move(snapshot);
   }
-  spmm_variant_ = variant;
+  published_cv_.notify_all();
+  build_cv_.notify_one();  // a bump may have arrived during an inline build
+}
+
+InferenceSession::SnapshotPtr InferenceSession::Build(
+    int64_t version,
+    std::shared_ptr<const tensor::SparseMatrix> features) const {
+  SES_CHECK(features != nullptr);
+  ag::InferenceGuard no_grad;
+  auto snapshot = std::make_shared<Snapshot>();
+  snapshot->version = version;
+  {
+    SES_TRACE_SPAN("infer/build_artifacts");
+    Artifacts& a = snapshot->artifacts;
+    a.edges = ds_->graph.DirectedEdges(/*add_self_loops=*/true);
+    const bool use_feature_mask =
+        model_ != nullptr && model_->options().use_feature_mask;
+    if (use_feature_mask && overrides_.feature_mask_nnz.size() > 0) {
+      a.input = nn::FeatureInput::Sparse(
+          std::move(features),
+          ag::Variable::Constant(overrides_.feature_mask_nnz));
+    } else if (use_feature_mask && model_->feature_mask_nnz().size() > 0) {
+      a.input = nn::FeatureInput::Sparse(
+          std::move(features),
+          ag::Variable::Constant(model_->feature_mask_nnz()));
+    } else {
+      a.input = nn::FeatureInput::Sparse(std::move(features));
+    }
+    const bool use_structure_mask =
+        model_ != nullptr && model_->options().use_structure_mask;
+    if (use_structure_mask && overrides_.structure_mask_adj.size() > 0)
+      a.adj_mask = ag::Variable::Constant(overrides_.structure_mask_adj);
+    else if (use_structure_mask && model_->structure_mask_adj().size() > 0)
+      a.adj_mask = ag::Variable::Constant(model_->structure_mask_adj());
+    a.cached_aggregation =
+        encoder_->PrecomputeAggregation(a.edges, a.adj_mask,
+                                        /*renormalize_mask=*/true);
+    // Pick the SpMM variant for this graph version with the nnz heuristic.
+    // Choose() is a pure function of the graph statistics, the hidden
+    // feature width, and the active SIMD tier, memoized on the edge list —
+    // so every forward over these edges (warm query or benchmark) replays
+    // exactly this decision, and a fresh-but-identical edge list (the taped
+    // eval path) lands on the same variant.
+    snapshot->spmm_variant = kernels::SpmmVariantName(
+        a.edges->plan()->Choose(encoder_->hidden_dim()));
+  }
+  SES_TRACE_SPAN("infer/build_forward");
+  // Builds run on the builder thread, off every request's path, so the
+  // histogram records them without an exemplar; only a cold session's first
+  // read builds inline and tags its bucket with that read's trace-id.
+  const auto forward_start = std::chrono::steady_clock::now();
+  snapshot->logits = RunForward(snapshot->artifacts);
+  static obs::Histogram& forward_hist =
+      obs::MetricsRegistry::Get().GetHistogram(
+          "ses.infer.forward_us", obs::Histogram::DefaultLatencyEdgesUs());
+  forward_hist.Observe(
+      static_cast<double>(std::chrono::duration_cast<std::chrono::nanoseconds>(
+                              std::chrono::steady_clock::now() - forward_start)
+                              .count()) *
+      1e-3);
+  return snapshot;
+}
+
+InferenceSession::SnapshotPtr InferenceSession::Await(bool* waited) {
+  std::unique_lock<std::mutex> lock(mutex_);
+  const int64_t target = graph_version_.load();
+  *waited = current_ == nullptr || current_->version < target;
+  for (;;) {
+    if (current_ != nullptr && current_->version >= target) return current_;
+    if (failed_version_ >= target) std::rethrow_exception(failure_);
+    // Cold: nothing was ever bumped, so no builder runs; build inline.
+    if (!building_ && !builder_.joinable()) {
+      BuildLocked(lock);
+      continue;
+    }
+    published_cv_.wait(lock);
+  }
+}
+
+InferenceSession::SnapshotPtr InferenceSession::Current() {
+  SnapshotPtr snapshot;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    snapshot = current_;
+  }
+  if (snapshot != nullptr) {
+    cache_hits_.fetch_add(1, std::memory_order_relaxed);
+    obs::MetricsRegistry::Get().GetCounter("ses.infer.cache_hits").Add(1);
+  }
+  return snapshot;
+}
+
+InferenceSession::SnapshotPtr InferenceSession::Latest(
+    obs::RequestScope* request) {
+  bool waited = false;
+  SnapshotPtr snapshot = Await(&waited);
+  (waited ? cache_misses_ : cache_hits_).fetch_add(1, std::memory_order_relaxed);
   obs::MetricsRegistry::Get()
-      .GetGauge("ses.kernel.autotune", {{"op", "spmm"}, {"variant", variant}})
-      .Set(1);
-  artifact_version_ = version;
-  logits_version_ = -1;  // stale memo belongs to the previous graph
+      .GetCounter(waited ? "ses.infer.cache_misses" : "ses.infer.cache_hits")
+      .Add(1);
+  if (request != nullptr) {
+    request->NoteCacheHit(!waited);
+    request->SetVersion(snapshot->version);
+  }
+  return snapshot;
+}
+
+std::string InferenceSession::spmm_variant() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return current_ == nullptr ? std::string() : current_->spmm_variant;
 }
 
 tensor::Tensor InferenceSession::RunForward(const Artifacts& artifacts) const {
@@ -119,48 +244,29 @@ tensor::Tensor InferenceSession::RunForward(const Artifacts& artifacts) const {
   return out.logits.value();
 }
 
-const tensor::Tensor& InferenceSession::EnsureLogitsLocked(
-    obs::RequestScope* request) {
-  EnsureArtifactsLocked();
-  if (logits_version_ == artifact_version_) {
-    cache_hits_.fetch_add(1, std::memory_order_relaxed);
-    obs::MetricsRegistry::Get().GetCounter("ses.infer.cache_hits").Add(1);
-    if (request != nullptr) request->NoteCacheHit(true);
-    return logits_;
-  }
-  SES_TRACE_SPAN("infer/logits_miss");
-  cache_misses_.fetch_add(1, std::memory_order_relaxed);
-  obs::MetricsRegistry::Get().GetCounter("ses.infer.cache_misses").Add(1);
-  // The miss forward is the classic p99 outlier: whichever request arrives
-  // first after an invalidation pays the whole rebuild. Observe() records
-  // the calling request's trace-id as the bucket exemplar, so the slow
-  // bucket of this histogram names the request that ate the forward.
-  const auto forward_start = std::chrono::steady_clock::now();
-  logits_ = RunForward(artifacts_);
-  static obs::Histogram& forward_hist =
-      obs::MetricsRegistry::Get().GetHistogram(
-          "ses.infer.forward_us", obs::Histogram::DefaultLatencyEdgesUs());
-  forward_hist.Observe(
-      static_cast<double>(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                              std::chrono::steady_clock::now() - forward_start)
-                              .count()) *
-      1e-3);
-  logits_version_ = artifact_version_;
-  return logits_;
+std::vector<int64_t> InferenceSession::Snapshot::PredictMany(
+    const std::vector<int64_t>& nodes) const {
+  return tensor::ArgmaxGatherRows(logits, nodes.data(),
+                                  static_cast<int64_t>(nodes.size()));
+}
+
+tensor::Tensor InferenceSession::Snapshot::GatherLogits(
+    const std::vector<int64_t>& nodes) const {
+  return tensor::GatherRows(logits, nodes.data(),
+                            static_cast<int64_t>(nodes.size()));
 }
 
 tensor::Tensor InferenceSession::Logits() {
   obs::RequestScope request("infer.logits");
-  std::lock_guard<std::mutex> lock(mutex_);
-  const tensor::Tensor& logits = EnsureLogitsLocked(&request);
-  request.SetDigest(LogitsDigest(logits));
-  return logits;
+  const SnapshotPtr snapshot = Latest(&request);
+  request.SetDigest(LogitsDigest(snapshot->logits));
+  return snapshot->logits;
 }
 
 int64_t InferenceSession::PredictNode(int64_t node) {
   obs::RequestScope request("infer.predict");
-  std::lock_guard<std::mutex> lock(mutex_);
-  const tensor::Tensor& logits = EnsureLogitsLocked(&request);
+  const SnapshotPtr snapshot = Latest(&request);
+  const tensor::Tensor& logits = snapshot->logits;
   SES_CHECK(node >= 0 && node < logits.rows());
   const float* row = logits.RowPtr(node);
   int64_t best = 0;
@@ -172,32 +278,11 @@ int64_t InferenceSession::PredictNode(int64_t node) {
   return best;
 }
 
-bool InferenceSession::TryPredictCached(int64_t node, int64_t* cls) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (logits_version_ < 0 || logits_version_ != graph_version_.load()) {
-    return false;  // cold or stale: the caller decides whether to queue
-  }
-  SES_CHECK(node >= 0 && node < logits_.rows());
-  // Same first-max-wins argmax as PredictNode over the same memoized rows,
-  // so degraded-mode answers are bitwise-equal to the full path.
-  const float* row = logits_.RowPtr(node);
-  int64_t best = 0;
-  for (int64_t c = 1; c < logits_.cols(); ++c)
-    if (row[c] > row[best]) best = c;
-  cache_hits_.fetch_add(1, std::memory_order_relaxed);
-  obs::MetricsRegistry::Get().GetCounter("ses.infer.cache_hits").Add(1);
-  *cls = best;
-  return true;
-}
-
 std::vector<int64_t> InferenceSession::PredictMany(
     const std::vector<int64_t>& nodes) {
   obs::RequestScope request("infer.predict_many");
-  std::lock_guard<std::mutex> lock(mutex_);
-  const tensor::Tensor& logits = EnsureLogitsLocked(&request);
   // Same argmax kernel as PredictNode (first max wins), batched over rows.
-  std::vector<int64_t> classes = tensor::ArgmaxGatherRows(
-      logits, nodes.data(), static_cast<int64_t>(nodes.size()));
+  std::vector<int64_t> classes = Latest(&request)->PredictMany(nodes);
   // The batch digest walks every node and class byte; only pay for it when
   // an access-log sink is actually attached.
   if (obs::AccessLog::Get().active()) {
@@ -212,10 +297,7 @@ std::vector<int64_t> InferenceSession::PredictMany(
 tensor::Tensor InferenceSession::GatherLogits(
     const std::vector<int64_t>& nodes) {
   obs::RequestScope request("infer.gather_logits");
-  std::lock_guard<std::mutex> lock(mutex_);
-  const tensor::Tensor& logits = EnsureLogitsLocked(&request);
-  tensor::Tensor rows = tensor::GatherRows(
-      logits, nodes.data(), static_cast<int64_t>(nodes.size()));
+  tensor::Tensor rows = Latest(&request)->GatherLogits(nodes);
   if (obs::AccessLog::Get().active()) request.SetDigest(LogitsDigest(rows));
   return rows;
 }
@@ -276,17 +358,13 @@ std::vector<InferenceSession::Explanation> InferenceSession::ExplainMany(
 
 tensor::Tensor InferenceSession::ForwardLogits() {
   obs::RequestScope request("infer.forward");
-  Artifacts artifacts;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    EnsureArtifactsLocked();
-    artifacts = artifacts_;
-  }
-  // The forward only reads its own copy of the artifact handles, so it runs
-  // outside the lock and scales across worker threads, even while another
-  // query rebuilds the artifacts after an InvalidateGraph().
+  bool waited = false;
+  const SnapshotPtr snapshot = Await(&waited);
+  // The forward only reads the snapshot's immutable artifacts, so it runs
+  // outside the lock and scales across worker threads, even while the
+  // builder prepares a newer version.
   SES_TRACE_SPAN("infer/forward");
-  tensor::Tensor logits = RunForward(artifacts);
+  tensor::Tensor logits = RunForward(snapshot->artifacts);
   request.SetDigest(LogitsDigest(logits));
   return logits;
 }

@@ -2,8 +2,13 @@
 #define SES_CORE_INFERENCE_SESSION_H_
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
+#include <exception>
+#include <memory>
 #include <mutex>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "core/ses_model.h"
@@ -31,8 +36,8 @@ struct SessionOverrides {
 /// Training rebuilds every per-graph artifact on each forward (edge lists,
 /// GCN-normalized aggregation weights, mask constants) because the mask and
 /// parameters move between steps. At serving time all of that is frozen, so
-/// the session computes each artifact once per *graph version* and replays
-/// warm queries against the cache:
+/// the session computes each artifact once per *graph version* and publishes
+/// it, together with the full-graph logits, as an immutable Snapshot:
 ///
 ///  - the message-passing edge list (A + self-loops),
 ///  - the FeatureInput with the frozen feature mask M_f,
@@ -40,17 +45,62 @@ struct SessionOverrides {
 ///  - the encoder's precomputed aggregation weights (symmetric GCN
 ///    normalization / GIN-SAGE weights; undefined for GAT whose attention is
 ///    input-dependent),
-///  - the full-graph logits themselves (memoized; PredictNode serves argmax
-///    rows out of them).
+///  - the full-graph logits themselves (PredictNode serves argmax rows out of
+///    them).
+///
+/// Versions (DESIGN.md §8.3). InvalidateGraph() bumps the version, captures
+/// the dataset's `features` handle under the session lock, wakes the
+/// session's builder thread and returns. The builder always builds the
+/// newest version, outside the lock, and publishes it by pointer swap; a
+/// publish never replaces a newer snapshot, so published versions only grow.
+/// A build reads only the captured features handle plus the graph topology
+/// and the model's masks — the topology and the masks must stay unchanged
+/// for the session's lifetime; to serve new features, install a new
+/// `features` pointer on the dataset and then call InvalidateGraph().
+///
+/// Reads. Current() is the published snapshot as is: the batch scheduler
+/// answers a whole batch from it and never waits for a pending build, so it
+/// may answer from version v while v+1 builds. The direct reads (Logits,
+/// PredictNode, PredictMany, GatherLogits, ForwardLogits) read their own
+/// writes: each waits until the published version reaches the version at
+/// call entry. A cold session (nothing published, no bump yet) builds
+/// inline on the first read. A build that throws leaves the previous
+/// snapshot published; readers waiting for that version get the exception,
+/// and so do later reads of it until the next InvalidateGraph().
 ///
 /// All forwards run under autograd::InferenceGuard (tape-free) and are
 /// bitwise identical to the taped eval path — the same tensor kernels run in
-/// the same order. Queries are thread-safe: artifact (re)builds and the
-/// logits memo are mutex-guarded, warm reads copy out under the lock.
-/// Explanation queries read the frozen structure mask directly and never
-/// touch the encoder.
+/// the same order. Explanation queries read the frozen structure mask
+/// directly and never touch the encoder.
 class InferenceSession {
  public:
+  /// The per-graph forward inputs. Each member is a shared handle.
+  struct Artifacts {
+    autograd::EdgeListPtr edges;
+    nn::FeatureInput input;
+    autograd::Variable adj_mask;
+    autograd::Variable cached_aggregation;
+  };
+
+  /// One published graph version: its artifacts and the full-graph logits
+  /// computed from them. Immutable; a reader holding the pointer keeps the
+  /// version alive while newer ones publish.
+  struct Snapshot {
+    int64_t version = 0;
+    Artifacts artifacts;
+    tensor::Tensor logits;
+    /// Static-storage SpMM variant name (kernels::SpmmVariantName) chosen
+    /// for this version's edges.
+    const char* spmm_variant = "";
+
+    /// Argmax class of each of `nodes` (first max wins). Element i is
+    /// bitwise-equal to PredictNode(nodes[i]) at this version.
+    std::vector<int64_t> PredictMany(const std::vector<int64_t>& nodes) const;
+    /// Rows `nodes` of the logits as a B x C tensor.
+    tensor::Tensor GatherLogits(const std::vector<int64_t>& nodes) const;
+  };
+  using SnapshotPtr = std::shared_ptr<const Snapshot>;
+
   /// Serves a trained SesModel: masked forward + mask-based explanations.
   /// Both the model and the dataset must outlive the session. `overrides`
   /// customizes the artifacts for shard-local serving (see SessionOverrides).
@@ -61,34 +111,42 @@ class InferenceSession {
   InferenceSession(const models::Encoder* encoder, const data::Dataset* ds,
                    SessionOverrides overrides = {});
 
-  /// Marks every cached artifact stale. Call after mutating the graph,
-  /// features, or masks; the next query rebuilds under the new version.
-  void InvalidateGraph() { graph_version_.fetch_add(1); }
+  /// Joins the builder thread (an in-flight build finishes first).
+  ~InferenceSession();
+  InferenceSession(const InferenceSession&) = delete;
+  InferenceSession& operator=(const InferenceSession&) = delete;
+
+  /// Requests a new graph version built from the dataset's current
+  /// `features` handle, and returns without waiting for the build. Starts
+  /// the builder thread on first use.
+  void InvalidateGraph();
   int64_t graph_version() const { return graph_version_.load(); }
 
-  /// Full-graph class logits, memoized per graph version.
+  /// The published snapshot, or null before the first build. Never waits.
+  /// A non-null return counts one `ses.infer.cache_hits`: the caller answers
+  /// from memoized logits.
+  SnapshotPtr Current();
+
+  /// The snapshot at the version of call entry or newer: returns at once
+  /// when it is published (a cache hit), else builds it (cold session) or
+  /// waits for the builder (a cache miss); the outcome and the version are
+  /// noted on `request` (null ok). Rethrows a failed build.
+  SnapshotPtr Latest(obs::RequestScope* request = nullptr);
+
+  /// Full-graph class logits at the latest version.
   tensor::Tensor Logits();
 
   /// Argmax class of `node`, served from the memoized logits.
   int64_t PredictNode(int64_t node);
 
-  /// Cache-only PredictNode: answers from the memoized logits when they are
-  /// warm for the CURRENT graph version, and returns false (without running
-  /// any forward) otherwise. This is the degraded-mode serving path — under
-  /// overload the scheduler answers warm predicts from here instead of
-  /// queueing them. When it returns true, `*cls` is bitwise-equal to
-  /// PredictNode(node).
-  bool TryPredictCached(int64_t node, int64_t* cls);
-
-  /// Argmax classes for a batch of target nodes: one lock acquisition and one
-  /// (memoized) forward for the whole batch, then a single gathered argmax
-  /// pass — the readout the batch scheduler amortizes B requests onto.
-  /// Element i is bitwise-equal to PredictNode(nodes[i]).
+  /// Argmax classes for a batch of target nodes: one snapshot for the whole
+  /// batch, then a single gathered argmax pass. Element i is bitwise-equal
+  /// to PredictNode(nodes[i]).
   std::vector<int64_t> PredictMany(const std::vector<int64_t>& nodes);
 
   /// Logit-slice API: rows `nodes` of the memoized full-graph logits as a
   /// B x C tensor (row i = logits of nodes[i], bitwise-equal to the same row
-  /// of Logits()). Like PredictMany, costs one lock + one forward per batch.
+  /// of Logits()).
   tensor::Tensor GatherLogits(const std::vector<int64_t>& nodes);
 
   /// Top-k most important k-hop neighbors of `node` under the frozen
@@ -106,12 +164,14 @@ class InferenceSession {
   std::vector<Explanation> ExplainMany(const std::vector<int64_t>& nodes,
                                        int64_t top_k) const;
 
-  /// Un-memoized tape-free forward through the cached per-graph artifacts —
-  /// what a serving benchmark times as the steady-state fast path.
+  /// Un-memoized tape-free forward through the latest snapshot's artifacts —
+  /// what a serving benchmark times as the steady-state fast path. Runs
+  /// outside the session lock.
   tensor::Tensor ForwardLogits();
 
-  /// Per-session memo outcomes (also mirrored into the metrics registry as
-  /// `ses.infer.cache_hits` / `ses.infer.cache_misses`).
+  /// Per-session read outcomes (also mirrored into the metrics registry as
+  /// `ses.infer.cache_hits` / `ses.infer.cache_misses`): a hit answered
+  /// from published logits, a miss built or waited for its version.
   struct Stats {
     int64_t cache_hits = 0;
     int64_t cache_misses = 0;
@@ -120,59 +180,52 @@ class InferenceSession {
     return {cache_hits_.load(), cache_misses_.load()};
   }
 
-  /// The SpMM kernel variant serving the current graph version (e.g.
-  /// "csr_avx2"), chosen once per version inside the artifact rebuild by the
-  /// nnz heuristic and exported as `ses.kernel.autotune{op="spmm",
-  /// variant=...}`. Empty until the first query builds the artifacts.
-  /// Deterministic given identical graph statistics (the choice is a pure
-  /// function of the graph stats, the encoder's hidden width, and the active
-  /// SIMD tier); variants at one tier are bitwise-equal, so it never changes
-  /// outputs.
-  std::string spmm_variant() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return spmm_variant_ == nullptr ? std::string() : spmm_variant_;
-  }
+  /// The SpMM kernel variant serving the published version (e.g.
+  /// "csr_avx2"), chosen once per version inside the build by the nnz
+  /// heuristic and exported as `ses.kernel.autotune{op="spmm",
+  /// variant=...}`. Empty until the first build publishes. Deterministic
+  /// given identical graph statistics (the choice is a pure function of the
+  /// graph stats, the encoder's hidden width, and the active SIMD tier);
+  /// variants at one tier are bitwise-equal, so it never changes outputs.
+  std::string spmm_variant() const;
 
  private:
-  /// Rebuilds the per-graph artifacts if the version moved. Caller holds
-  /// `mutex_`.
-  void EnsureArtifactsLocked();
-  /// Ensures the memoized logits match the current artifacts, recording one
-  /// cache hit or miss against `request` (null ok). Caller holds `mutex_`.
-  /// Returns the memoized logits.
-  const tensor::Tensor& EnsureLogitsLocked(obs::RequestScope* request);
+  /// Waits for (or, cold, builds) the version at call entry; `*waited` says
+  /// whether it was not already published.
+  SnapshotPtr Await(bool* waited);
+  /// Builds the newest requested version outside the lock and publishes it
+  /// (or its failure). Caller holds `lock` on `mutex_` and no build runs.
+  void BuildLocked(std::unique_lock<std::mutex>& lock);
+  /// Artifacts + forward of one version from the captured `features`.
+  SnapshotPtr Build(int64_t version,
+                    std::shared_ptr<const tensor::SparseMatrix> features) const;
+  void BuilderLoop();
+  /// Tape-free forward over `artifacts`.
+  tensor::Tensor RunForward(const Artifacts& artifacts) const;
   /// ExplainNode body with caller-owned top-k scratch (batch reuse).
   void ExplainInto(int64_t node, int64_t top_k, std::vector<int64_t>* scratch,
                    std::vector<int64_t>* selected, Explanation* out) const;
-  /// The per-graph forward inputs. Each member is a shared handle, so a
-  /// copy taken under `mutex_` stays valid for a forward that runs outside
-  /// it while a rebuild replaces `artifacts_`.
-  struct Artifacts {
-    autograd::EdgeListPtr edges;
-    nn::FeatureInput input;
-    autograd::Variable adj_mask;
-    autograd::Variable cached_aggregation;
-  };
-  /// Tape-free forward over `artifacts`.
-  tensor::Tensor RunForward(const Artifacts& artifacts) const;
 
   const models::Encoder* encoder_ = nullptr;
   const SesModel* model_ = nullptr;  ///< null for bare-encoder sessions
   const data::Dataset* ds_ = nullptr;
   const SessionOverrides overrides_;
 
-  std::atomic<int64_t> graph_version_{0};
+  std::atomic<int64_t> graph_version_{0};  ///< written under mutex_
   std::atomic<int64_t> cache_hits_{0};
   std::atomic<int64_t> cache_misses_{0};
 
   mutable std::mutex mutex_;
-  int64_t artifact_version_ = -1;  ///< version the artifacts were built at
-  Artifacts artifacts_;
-  int64_t logits_version_ = -1;  ///< version the memoized logits match
-  tensor::Tensor logits_;
-  /// Static-storage variant name from kernels::SpmmVariantName (null before
-  /// the first artifact build).
-  const char* spmm_variant_ = nullptr;
+  std::condition_variable published_cv_;  ///< a build published or failed
+  std::condition_variable build_cv_;      ///< builder: work or stop
+  /// `ds_->features` as captured at construction or the last bump.
+  std::shared_ptr<const tensor::SparseMatrix> features_;
+  SnapshotPtr current_;
+  bool building_ = false;  ///< one build at a time, inline or builder
+  int64_t failed_version_ = -1;  ///< newest version whose build threw
+  std::exception_ptr failure_;   ///< that build's exception
+  bool stopping_ = false;
+  std::thread builder_;  ///< started by the first InvalidateGraph()
 };
 
 }  // namespace ses::core

@@ -64,8 +64,8 @@ class ShardedSession {
 
   /// Argmax class of a GLOBAL node id, served by its owning shard only.
   int64_t PredictNode(int64_t node);
-  /// Batched predict: requests are grouped per shard (one session lock + one
-  /// memoized forward per shard touched), results in input order.
+  /// Batched predict: requests are grouped per shard (one snapshot read per
+  /// shard touched), results in input order.
   std::vector<int64_t> PredictMany(const std::vector<int64_t>& nodes);
   /// Logit rows of GLOBAL node ids as a B x C tensor, grouped per shard.
   tensor::Tensor GatherLogits(const std::vector<int64_t>& nodes);
@@ -73,8 +73,10 @@ class ShardedSession {
   /// (the structure mask is global, so no id translation is needed).
   InferenceSession::Explanation ExplainNode(int64_t node, int64_t top_k) const;
 
-  /// Re-runs the halo feature exchange from the global dataset and marks
-  /// every shard session stale. Call after mutating global features.
+  /// Re-runs the halo feature exchange from the global dataset and bumps
+  /// every shard session's version; each shard builds off the request path
+  /// from the features it captures at the bump (DESIGN.md §16.3). Call after
+  /// installing new global features, from one thread at a time.
   void InvalidateGraph();
 
   struct Stats {

@@ -83,6 +83,7 @@ std::string AccessLog::ToJson(const RequestRecord& record) {
       << ",\"cache_hit\":" << (record.cache_hit ? "true" : "false")
       << ",\"error\":" << (record.error ? "true" : "false")
       << ",\"reason\":\"" << record.outcome() << "\"";
+  if (record.version >= 0) out << ",\"version\":" << record.version;
   if (record.has_stages) {
     const char* sep = ",\"stages_us\":{";
     for (int s = RequestRecord::kAdmit; s < RequestRecord::kNumStages; ++s) {
@@ -199,6 +200,7 @@ RequestScope::~RequestScope() {
   record.error = error_;
   record.cache_hit = cache_hit_;
   record.digest = digest_;
+  record.version = version_;
   // Direct path: the whole request is one forward, so the inner stages
   // collapse onto its two clock readings.
   const auto end = std::chrono::steady_clock::now();

@@ -52,6 +52,8 @@ struct RequestRecord {
   bool cache_hit = false;   ///< answered from memoized logits or the cache
   bool has_stages = false;  ///< scheduler-completed: all six stamps are real
   uint64_t digest = 0;      ///< FNV-1a digest of the result (0 = unset)
+  /// Graph version of the snapshot that answered (-1 = unknown).
+  int64_t version = -1;
   std::array<Clock::time_point, kNumStages> stamps{};
 
   /// Microseconds from submit to `stage`.
@@ -101,8 +103,9 @@ class AccessLog {
   }
 
   /// Serializes one record as a single-line JSON object (exposed for
-  /// tests). `latency_us` is submit to forward-end; scheduled records add
-  /// `stages_us`, the offsets of the five later stamps from submit.
+  /// tests). `latency_us` is submit to forward-end; `version` appears only
+  /// when known; scheduled records add `stages_us`, the offsets of the five
+  /// later stamps from submit.
   static std::string ToJson(const RequestRecord& record);
 
  private:
@@ -149,6 +152,7 @@ class RequestScope {
   void NoteCacheHit(bool hit) { cache_hit_ = hit; }
   void NoteError() { error_ = true; }
   void SetDigest(uint64_t digest) { digest_ = digest; }
+  void SetVersion(int64_t version) { version_ = version; }
 
  private:
   static uint64_t Acquire(uint64_t* prev, bool* owner);
@@ -163,6 +167,7 @@ class RequestScope {
   bool cache_hit_ = false;
   bool error_ = false;
   uint64_t digest_ = 0;
+  int64_t version_ = -1;
 };
 
 /// Total requests started (test support; also the source of trace-ids).

@@ -343,8 +343,11 @@ bool BatchScheduler::TryDegradedPredict(int64_t node, PredictFuture* out) {
   const int64_t probe_every = options_.degraded.probe_every;
   const int64_t seq = degraded_seq_.fetch_add(1, std::memory_order_relaxed);
   if (probe_every > 0 && seq % probe_every == 0) return false;
-  int64_t cls = 0;
-  if (!session_->TryPredictCached(node, &cls)) return false;  // cold: queue it
+  // Answer from the published snapshot, even while a newer version builds;
+  // only a session with nothing published queues.
+  const core::InferenceSession::SnapshotPtr snapshot = session_->Current();
+  if (snapshot == nullptr) return false;
+  const int64_t cls = snapshot->PredictMany({node})[0];
   degraded_served_total_.fetch_add(1, std::memory_order_relaxed);
   degraded_served_counter_.Add(1);
   obs::RequestRecord record;
@@ -353,6 +356,7 @@ bool BatchScheduler::TryDegradedPredict(int64_t node, PredictFuture* out) {
   record.reason = "degraded_cache";
   record.cache_hit = true;
   record.digest = PredictDigest(node, cls);
+  record.version = snapshot->version;
   obs::PublishRequests(&record, 1);
   *out = PredictFuture(cls, record.trace_id);
   return true;
@@ -536,21 +540,31 @@ double BatchScheduler::ExecuteBatch(internal::BatchState* batch) {
 
   constexpr uint8_t kPredictBit =
       1u << static_cast<unsigned>(OpKind::kPredict);
+  constexpr uint8_t kLogitsOps =
+      kPredictBit | (1u << static_cast<unsigned>(OpKind::kLogitsRow));
+  // One snapshot answers every predict and logit slice of the batch. A
+  // pending build never blocks it: the batch reads the published version,
+  // and only a session with nothing published builds or waits.
+  core::InferenceSession::SnapshotPtr snapshot;
   try {
     if (throw_fault)
       throw std::runtime_error("injected serve_throw fault");
+    if (live > 0 && (batch->ops_mask & kLogitsOps) != 0) {
+      snapshot = session_->Current();
+      if (snapshot == nullptr) snapshot = session_->Latest();
+    }
     if (batch->ops_mask == kPredictBit && dead == 0) {
       // Homogeneous predict batch (the steady-state serving shape): no
       // partitioning, identity scatter.
       node_scratch.resize(reqs.size());
       for (size_t i = 0; i < reqs.size(); ++i) node_scratch[i] = reqs[i].node;
-      const std::vector<int64_t> classes = session_->PredictMany(node_scratch);
+      const std::vector<int64_t> classes = snapshot->PredictMany(node_scratch);
       for (size_t i = 0; i < reqs.size(); ++i) reqs[i].predicted = classes[i];
     } else if (live > 0) {
       // Partition the live requests by op. Predicts and logit slices each
-      // become ONE batched session call (one lock, one memoized forward, one
-      // gathered readout); explains group by top_k so each group shares a
-      // selection scratch. Dead slots (expired / poisoned) are skipped.
+      // become ONE gathered readout of the snapshot; explains group by top_k
+      // so each group shares a selection scratch. Dead slots (expired /
+      // poisoned) are skipped.
       std::vector<int64_t> predict_nodes, predict_idx;
       std::vector<int64_t> slice_nodes, slice_idx;
       std::vector<std::pair<int64_t, std::vector<int64_t>>> explain_groups;
@@ -581,12 +595,12 @@ double BatchScheduler::ExecuteBatch(internal::BatchState* batch) {
 
       if (!predict_nodes.empty()) {
         const std::vector<int64_t> classes =
-            session_->PredictMany(predict_nodes);
+            snapshot->PredictMany(predict_nodes);
         for (size_t i = 0; i < predict_idx.size(); ++i)
           reqs[static_cast<size_t>(predict_idx[i])].predicted = classes[i];
       }
       if (!slice_nodes.empty()) {
-        const tensor::Tensor rows = session_->GatherLogits(slice_nodes);
+        const tensor::Tensor rows = snapshot->GatherLogits(slice_nodes);
         for (size_t i = 0; i < slice_idx.size(); ++i) {
           internal::Request& r = reqs[static_cast<size_t>(slice_idx[i])];
           const float* row = rows.RowPtr(static_cast<int64_t>(i));
@@ -687,6 +701,10 @@ double BatchScheduler::ExecuteBatch(internal::BatchState* batch) {
                   .error = !r.status.ok(),
                   .has_stages = true,
                   .digest = digest && r.status.ok() ? ResultDigest(r) : 0,
+                  .version = snapshot != nullptr && r.status.ok() &&
+                                     r.op != OpKind::kExplain
+                                 ? snapshot->version
+                                 : -1,
                   .stamps = {r.enqueue_time, r.admit_time, batch->seal_time,
                              exec_start, exec_end, resolve_time}};
   }

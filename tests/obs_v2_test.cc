@@ -387,6 +387,21 @@ TEST(AccessLogTest, StageOffsetsSerializeInCriticalPathOrder) {
             std::string::npos);
 }
 
+TEST(AccessLogTest, VersionSerializesOnlyWhenKnown) {
+  obs::RequestRecord entry =
+      RecordAt(9, "sched.predict", {100, 100, 100, 100, 110, 110});
+  // Unknown (-1) is absent, never a fake 0.
+  EXPECT_EQ(obs::AccessLog::ToJson(entry).find("\"version\""),
+            std::string::npos);
+  entry.version = 0;
+  EXPECT_NE(obs::AccessLog::ToJson(entry).find(
+                "\"reason\":\"ok\",\"version\":0,"),
+            std::string::npos);
+  entry.version = 12;
+  EXPECT_NE(obs::AccessLog::ToJson(entry).find("\"version\":12,"),
+            std::string::npos);
+}
+
 TEST(AccessLogTest, RequestScopesWriteOneLineEach) {
   ResetObsState();
   const std::string path = ::testing::TempDir() + "/access_log_test.jsonl";

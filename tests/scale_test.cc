@@ -6,12 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <memory>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -275,6 +277,56 @@ TEST(ShardedSessionTest, HaloExchangeTracksFeatureUpdates) {
   sharded.InvalidateGraph();
   ExpectBitwiseEqual(single.GatherLogits(nodes), sharded.GatherLogits(nodes));
   EXPECT_EQ(sharded.stats().exchanges, 2);
+}
+
+TEST(ShardedSessionTest, HaloExchangeIsSafeAgainstConcurrentRouterReads) {
+  // One thread swaps the global features and re-runs the halo exchange
+  // while routed reads run on the shard workers. Each shard build reads only
+  // the features handle its session captured at the bump, so no exchange
+  // can change rows under a build (run under TSan), and every answer is the
+  // whole-graph answer for one of the two feature sets.
+  d::Dataset ds = SmallScaleGraph(1500);
+  ses::util::Rng rng(9);
+  auto encoder = ses::models::MakeEncoder("GCN", ds.num_features(), 16,
+                                          ds.num_classes, &rng);
+  const auto features_a = ds.features;
+  auto negated = std::make_shared<ses::tensor::SparseMatrix>(*features_a);
+  for (float& v : negated->values) v *= -1.5f;
+  const std::shared_ptr<const ses::tensor::SparseMatrix> features_b =
+      std::move(negated);
+  const std::vector<int64_t> nodes = AllNodes(ds);
+  std::vector<int64_t> reference_a, reference_b;
+  {
+    c::InferenceSession single(encoder.get(), &ds);
+    reference_a = single.PredictMany(nodes);
+    d::Dataset ds_b = ds;
+    ds_b.features = features_b;
+    c::InferenceSession single_b(encoder.get(), &ds_b);
+    reference_b = single_b.PredictMany(nodes);
+  }
+
+  c::ShardedSessionOptions opt;
+  opt.partition.num_shards = 3;
+  c::ShardedSession sharded(encoder.get(), &ds, opt);
+  ses::serve::ShardRouter router(&sharded);
+  std::thread writer([&] {
+    for (int i = 0; i < 24; ++i) {
+      ds.features = i % 2 == 0 ? features_b : features_a;
+      sharded.InvalidateGraph();
+      std::this_thread::sleep_for(std::chrono::microseconds(300));
+    }
+  });
+  int mismatches = 0;
+  for (int i = 0; i < 600; ++i) {
+    const int64_t node = (i * 37) % ds.num_nodes();
+    const int64_t cls = router.SubmitPredict(node).Get();
+    const size_t n = static_cast<size_t>(node);
+    mismatches += cls != reference_a[n] && cls != reference_b[n];
+  }
+  writer.join();
+  router.Stop();
+  EXPECT_EQ(mismatches, 0);
+  EXPECT_EQ(sharded.stats().exchanges, 25);
 }
 
 TEST(ShardedSessionTest, SesModelParityIncludingExplanations) {

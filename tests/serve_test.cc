@@ -316,8 +316,7 @@ TEST_F(ServeTest, AccessLogCarriesMonotonicStageOffsets) {
   std::ifstream in(path);
   int staged = 0;
   for (std::string line; std::getline(in, line);) {
-    // The worker's inner session scopes (infer.predict_many) log too; only
-    // scheduler-completed lines carry the stage block.
+    // Only scheduler-completed lines carry the stage block.
     if (line.find("\"op\":\"sched.predict\"") == std::string::npos) continue;
     EXPECT_NE(line.find("\"reason\":\"ok\""), std::string::npos) << line;
     ASSERT_NE(line.find("\"stages_us\":{"), std::string::npos) << line;
@@ -832,6 +831,36 @@ TEST_F(ServeTest, ColdCacheDegradedPredictFallsThroughToTheQueue) {
   EXPECT_EQ(scheduler.stats().degraded_served, 1);
 }
 
+TEST_F(ServeTest, DegradedPredictAnswersFromThePublishedSnapshotAfterABump) {
+  // A version bump with unchanged data must not push degraded predicts into
+  // the queue: they answer from the published snapshot while the next
+  // version builds.
+  c::InferenceSession session(model_, ds_);
+  const int64_t reference = session.PredictNode(5);
+  serve::SchedulerOptions opt;
+  opt.degraded.probe_every = 0;
+  serve::BatchScheduler scheduler(&session, opt);
+  scheduler.ForceDegradedForTest(true);
+  const std::string path = ::testing::TempDir() + "/degraded_after_bump.jsonl";
+  ASSERT_TRUE(obs::AccessLog::Get().Open(path));
+  session.InvalidateGraph();
+  serve::PredictFuture fut = scheduler.SubmitPredict(5);
+  const bool ready = fut.Ready();
+  obs::AccessLog::Get().Close();
+  ASSERT_TRUE(ready) << "a bump must not queue degraded predicts";
+  EXPECT_EQ(fut.Get(), reference);
+  EXPECT_EQ(scheduler.stats().degraded_served, 1);
+
+  std::ifstream in(path);
+  int degraded_lines = 0;
+  for (std::string line; std::getline(in, line);)
+    degraded_lines +=
+        line.find("\"op\":\"sched.predict\"") != std::string::npos &&
+        line.find("\"reason\":\"degraded_cache\"") != std::string::npos &&
+        line.find("\"version\":") != std::string::npos;
+  EXPECT_EQ(degraded_lines, 1);
+}
+
 TEST_F(ServeTest, CanaryProbesKeepFlowingThroughTheQueueWhileDegraded) {
   c::InferenceSession session(model_, ds_);
   session.Logits();
@@ -1097,6 +1126,122 @@ TEST_F(ServeTest, ForwardLogitsIsSafeAgainstConcurrentArtifactRebuilds) {
   for (auto& th : forwards) th.join();
   stop.store(true);
   invalidator.join();
+  EXPECT_EQ(mismatches.load(), 0);
+}
+
+TEST_F(ServeTest, AccessLogVersionsOneClientSeesNeverDecrease) {
+  // Scheduled answers carry the version of the snapshot that answered them.
+  // Published versions only grow, so a client's sequential reads across
+  // several bumps see non-decreasing versions, and a read after the last
+  // build sees the last version.
+  c::InferenceSession session(model_, ds_);
+  session.Logits();
+  const std::string path = ::testing::TempDir() + "/versions_access_log.jsonl";
+  ASSERT_TRUE(obs::AccessLog::Get().Open(path));
+  constexpr int kBumps = 4;
+  {
+    serve::SchedulerOptions opt;
+    opt.flush_deadline_us = 100;
+    serve::BatchScheduler scheduler(&session, opt);
+    for (int bump = 0; bump < kBumps; ++bump) {
+      session.InvalidateGraph();
+      for (int64_t n = 0; n < 16; ++n)
+        scheduler.SubmitPredict(n % num_nodes()).Get();
+    }
+    session.Logits();  // waits for the last bump's build
+    scheduler.SubmitPredict(0).Get();
+    scheduler.Stop();
+  }
+  obs::AccessLog::Get().Close();
+
+  std::ifstream in(path);
+  std::vector<double> versions;
+  for (std::string line; std::getline(in, line);)
+    if (line.find("\"op\":\"sched.predict\"") != std::string::npos)
+      versions.push_back(JsonNumberAfter(line, "\"version\":"));
+  ASSERT_EQ(versions.size(), static_cast<size_t>(kBumps * 16 + 1));
+  EXPECT_GE(versions.front(), 0.0);
+  for (size_t i = 1; i < versions.size(); ++i)
+    EXPECT_GE(versions[i], versions[i - 1]) << "read " << i;
+  EXPECT_EQ(versions.back(), static_cast<double>(kBumps));
+}
+
+TEST_F(ServeTest, SnapshotFailedBuildKeepsThePreviousVersionPublished) {
+  ses::data::Dataset ds = *ds_;
+  c::InferenceSession session(model_, &ds);
+  const t::Tensor reference = session.Logits();
+  const auto features = ds.features;
+  ds.features = nullptr;  // the next build has no features and throws
+  session.InvalidateGraph();
+  EXPECT_THROW(session.Logits(), std::logic_error);
+  EXPECT_THROW(session.PredictNode(3), std::logic_error)
+      << "a failed version stays failed until the next bump";
+  const c::InferenceSession::SnapshotPtr current = session.Current();
+  ASSERT_NE(current, nullptr);
+  EXPECT_EQ(current->version, 0);
+  {
+    // Scheduled reads keep answering from the published version.
+    serve::BatchScheduler scheduler(&session);
+    int64_t cls = -1;
+    ASSERT_TRUE(scheduler.SubmitPredict(3).Get(&cls).ok());
+    EXPECT_EQ(cls, current->PredictMany({3})[0]);
+  }
+  ds.features = features;
+  session.InvalidateGraph();
+  EXPECT_EQ(session.Logits().MaxAbsDiff(reference), 0.0f);
+  EXPECT_EQ(session.Current()->version, 2);
+}
+
+TEST_F(ServeTest, SnapshotReadsDuringFeatureSwapsMatchOneFeatureSet) {
+  // A writer swaps the dataset's features and bumps the version while
+  // scheduled and direct reads run. Builds read only the handle captured at
+  // the bump (run under TSan), so every answer is the reference answer of
+  // one of the two feature sets, and direct reads see their own writes.
+  ses::data::Dataset ds = *ds_;
+  const auto features_a = ds.features;
+  auto negated = std::make_shared<t::SparseMatrix>(*features_a);
+  for (float& v : negated->values) v *= -1.5f;
+  const std::shared_ptr<const t::SparseMatrix> features_b = std::move(negated);
+  t::Tensor reference_a, reference_b;
+  {
+    c::InferenceSession a(model_, &ds);
+    reference_a = a.Logits();
+    ses::data::Dataset ds_b = ds;
+    ds_b.features = features_b;
+    c::InferenceSession b(model_, &ds_b);
+    reference_b = b.Logits();
+  }
+  auto same_row = [](const t::Tensor& ref, int64_t node, const float* row) {
+    return std::memcmp(ref.RowPtr(node), row,
+                       sizeof(float) * static_cast<size_t>(ref.cols())) == 0;
+  };
+
+  c::InferenceSession session(model_, &ds);
+  session.Logits();
+  serve::SchedulerOptions opt;
+  opt.flush_deadline_us = 100;
+  serve::BatchScheduler scheduler(&session, opt);
+  std::atomic<int> mismatches{0};
+  std::thread writer([&] {
+    for (int i = 0; i < 40; ++i) {
+      const bool use_b = i % 2 == 0;
+      ds.features = use_b ? features_b : features_a;
+      session.InvalidateGraph();
+      // Read-your-writes: this direct read waits for the version just made.
+      const t::Tensor logits = session.Logits();
+      if (logits.MaxAbsDiff(use_b ? reference_b : reference_a) != 0.0f)
+        mismatches.fetch_add(1);
+    }
+  });
+  for (int i = 0; i < 400; ++i) {
+    const int64_t node = (i * 7) % num_nodes();
+    const std::vector<float> row = scheduler.SubmitLogitsRow(node).Get();
+    if (!same_row(reference_a, node, row.data()) &&
+        !same_row(reference_b, node, row.data()))
+      mismatches.fetch_add(1);
+  }
+  writer.join();
+  scheduler.Stop();
   EXPECT_EQ(mismatches.load(), 0);
 }
 
