@@ -5,9 +5,9 @@
 // reports how much goodput survives the overload. The per-request service
 // cost is pinned with a persistent `serve_delay` fault so a handful of client
 // threads can push offered load far past what one worker can serve — the
-// sweep exercises admission control (burn-rate shedding, Explain first),
-// request deadlines (doomed-work elimination in queue, mid-flight expiry),
-// and degraded mode (cache-served Predicts under sustained burn).
+// sweep exercises the scheduler's queue bound (Explain shed first, at half
+// the bound) and request deadlines (doomed-work elimination in queue,
+// mid-flight expiry). Every ok answer is computed by a scheduled batch.
 //
 // Protocol per sweep point (fresh scheduler, fresh SLO window each time):
 //   - N paced clients submit on an absolute schedule (open loop: arrivals do
@@ -223,7 +223,7 @@ int main(int argc, char** argv) {
   core::SesModel model(opt);
   model.Fit(ds, profile.MakeTrainConfig(1));
   core::InferenceSession session(&model, &ds);
-  session.Logits();  // warm the memoized cache (degraded mode serves from it)
+  session.Logits();  // publish the first snapshot before the sweep
   const int64_t num_nodes = ds.graph.num_nodes();
   std::printf("model trained (%lld nodes)\n",
               static_cast<long long>(num_nodes));
@@ -279,23 +279,19 @@ int main(int argc, char** argv) {
 
   // --- Overload sweep -------------------------------------------------------
   const double deadline_us = deadline_ms * 1e3;
-  // Queue bound sized so an admitted request can still make its deadline:
-  // anything deeper than ~70% of (capacity x deadline) is doomed on arrival.
+  // Queue bound sized so an admitted request can still make its deadline.
+  // The deadline must also cover two batches besides the queue: the one in
+  // flight when the request is admitted, and its own. With the full sweep's
+  // defaults a 64-request batch at 100 us per request runs 6.4 ms of the
+  // 15 ms deadline, which is why a bound at 0.7 x (capacity x deadline)
+  // expired 8,368 requests at 1x; 0.3 leaves room for both batches.
   const int64_t max_queued = std::max<int64_t>(
-      64, static_cast<int64_t>(capacity_qps * deadline_us * 1e-6 * 0.7));
+      1, static_cast<int64_t>(capacity_qps * deadline_us * 1e-6 * 0.3));
   const double explain_fraction = 0.1;
   serve::RetryPolicy retry_policy;  // defaults: 4 attempts, jittered exp
 
   std::vector<SweepPoint> points;
   for (const double mult : multipliers) {
-    auto admission = std::make_shared<serve::BurnRateAdmission>([&] {
-      serve::BurnRateAdmission::Options a;
-      a.shed_explain_burn_rate = 1.0;
-      a.shed_all_burn_rate = 6.0;
-      a.max_queued_requests = max_queued;
-      a.base_retry_after_us = 200;
-      return a;
-    }());
     serve::SchedulerOptions sweep_opt;
     sweep_opt.max_batch_size = 64;
     sweep_opt.flush_deadline_us = 200;
@@ -303,13 +299,7 @@ int main(int argc, char** argv) {
     sweep_opt.e2e_budget_us = deadline_us;
     sweep_opt.queue_wait_budget_us = deadline_us / 4.0;
     sweep_opt.default_deadline_us = deadline_us;
-    sweep_opt.admission = admission;
-    sweep_opt.degraded.enabled = true;
-    sweep_opt.degraded.enter_burn_rate = 2.0;
-    sweep_opt.degraded.exit_burn_rate = 0.5;
-    sweep_opt.degraded.enter_consecutive = 3;
-    sweep_opt.degraded.exit_consecutive = 8;
-    sweep_opt.degraded.probe_every = 16;
+    sweep_opt.max_queued_requests = max_queued;
     sweep_opt.fault_plan = service_cost;
     serve::BatchScheduler scheduler(&session, sweep_opt);
 
@@ -376,15 +366,14 @@ int main(int argc, char** argv) {
     std::printf(
         "%5.1fx offered (%8.0f qps): goodput %8.0f qps | ok %lld shed %lld "
         "expired %lld internal %lld unresolved %lld | retries %lld | "
-        "degraded served %lld (entries %lld) | p99 %.2f ms\n",
+        "batches %lld | p99 %.2f ms\n",
         mult, offered_qps, point.goodput_qps,
         static_cast<long long>(tally.ok), static_cast<long long>(tally.shed),
         static_cast<long long>(tally.expired),
         static_cast<long long>(tally.internal),
         static_cast<long long>(tally.unresolved),
         static_cast<long long>(tally.retries),
-        static_cast<long long>(point.sched.degraded_served),
-        static_cast<long long>(point.sched.degraded_entries), point.p99_ms);
+        static_cast<long long>(point.sched.batches), point.p99_ms);
   }
 
   // --- Report ---------------------------------------------------------------
@@ -445,8 +434,6 @@ int main(int argc, char** argv) {
                 : 0.0)
         << ",\n"
         << "      \"p99_ms\": " << p.p99_ms << ",\n"
-        << "      \"degraded_served\": " << p.sched.degraded_served << ",\n"
-        << "      \"degraded_entries\": " << p.sched.degraded_entries << ",\n"
         << "      \"expired_queue\": " << p.sched.expired << ",\n"
         << "      \"expired_inflight\": " << p.sched.expired_inflight << ",\n"
         << "      \"batches\": " << p.sched.batches << "\n"

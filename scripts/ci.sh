@@ -11,7 +11,7 @@
 #   scripts/ci.sh faults    # fault-injection matrix (NaN skip, crash/resume,
 #                           # checkpoint corruption, artifact flush) on ASan
 #   scripts/ci.sh overload  # overload-resilience matrix: ASan overload sweep
-#                           # (admission, deadlines, degraded mode) with the
+#                           # (queue bound, deadlines) with the
 #                           # no-hung-futures gate, serving fault injection
 #                           # via $SES_FAULT_SPEC, and the shed/deadline/
 #                           # fault paths race-checked under TSan
@@ -248,11 +248,12 @@ stage_tsan() {
   ctest --test-dir build-tsan --output-on-failure -j "${JOBS}" -L tier1
 
   # Races are probabilistic: one clean pass proves little. Repeat the graph-
-  # version snapshot and halo-exchange race tests, each up to 20 times.
-  echo "=== [tsan] snapshot and halo race tests, repeated ==="
+  # version snapshot, halo-exchange and queue-bound recovery race tests, each
+  # up to 20 times.
+  echo "=== [tsan] snapshot, halo and queue-bound race tests, repeated ==="
   ctest --test-dir build-tsan --output-on-failure -j "${JOBS}" \
     --repeat until-fail:20 -R \
-    'ServeTest\.(Snapshot|ForwardLogitsIsSafeAgainstConcurrentArtifactRebuilds|AccessLogVersionsOneClientSeesNeverDecrease|DegradedPredictAnswersFromThePublishedSnapshotAfterABump)|ShardedSessionTest\.HaloExchange'
+    'ServeTest\.(Snapshot|ForwardLogitsIsSafeAgainstConcurrentArtifactRebuilds|AccessLogVersionsOneClientSeesNeverDecrease|AdmissionResumesOnceTheQueueDrains)|ShardedSessionTest\.HaloExchange'
 
   # Scheduler smoke under TSan: concurrent producers, micro-batch formation,
   # worker-pool execution, lock-free future completion, and the batched
@@ -337,8 +338,8 @@ PY
 # ---------------------------------------------------------------------------
 stage_overload() {
   ensure_asan
-  # Short overload sweep under ASan: admission control, deadline expiry, the
-  # degraded-mode transitions, and the retry/backoff client loop must all be
+  # Short overload sweep under ASan: queue-bound shedding (explains first),
+  # deadline expiry, and the retry/backoff client loop must all be
   # memory-clean. Only the structural invariants are gated (unresolved
   # futures, typed resolution counts) — retention measured on a sanitizer
   # build is noise, so the floor is disabled.
@@ -359,10 +360,10 @@ stage_overload() {
     | tee "ci_artifacts/overload-stall.log"
 
   # The deterministic serving fault matrix (poisoned request, thrown batch,
-  # worker stall with clean drain, deadline semantics, degraded mode,
-  # post-stop rejection) lives in serve_test; run it under both sanitizers —
-  # ASan proves the failure paths leak nothing, TSan proves the shed /
-  # deadline / degraded paths are race-free under contention.
+  # worker stall with clean drain, deadline semantics, queue-bound shedding
+  # and recovery, post-stop rejection) lives in serve_test; run it under both
+  # sanitizers — ASan proves the failure paths leak nothing, TSan proves the
+  # shed / deadline paths are race-free under contention.
   echo "=== [overload] serving fault matrix under ASan ==="
   ctest --test-dir build-asan --output-on-failure -j "${JOBS}" -R '^ServeTest\.'
   ensure_tsan

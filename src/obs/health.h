@@ -9,7 +9,7 @@
 namespace ses::obs {
 
 /// Callback returning one health component's state as a JSON object string
-/// (e.g. `{"degraded":false,"queue_depth":3}`). Called from the metrics
+/// (e.g. `{"stopping":false,"queued_requests":3}`). Called from the metrics
 /// server's serving thread on every /healthz scrape, so it must be cheap and
 /// thread-safe.
 using HealthProvider = std::function<std::string()>;

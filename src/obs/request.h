@@ -28,8 +28,8 @@ inline uint64_t CurrentTraceId() { return internal::t_current_trace_id; }
 /// The six stamps follow the critical path and never decrease. A scheduled
 /// request stamps each stage (`has_stages`). A direct-path request is one
 /// forward: submit = admit = seal = forward-start, forward-end = resolve. A
-/// request answered at submit without running (shed, shutdown, degraded-mode
-/// cache) leaves every stamp unset (`timed()` false).
+/// request rejected at submit without running (shed, shutdown) leaves every
+/// stamp unset (`timed()` false).
 struct RequestRecord {
   using Clock = std::chrono::steady_clock;
   enum Stage {
@@ -49,7 +49,7 @@ struct RequestRecord {
   const char* op = "";      ///< static-storage op name ("infer.predict", ...)
   const char* reason = "";  ///< static-storage error/shed reason ("" = none)
   bool error = false;
-  bool cache_hit = false;   ///< answered from memoized logits or the cache
+  bool cache_hit = false;   ///< direct path: answered from memoized logits
   bool has_stages = false;  ///< scheduler-completed: all six stamps are real
   uint64_t digest = 0;      ///< FNV-1a digest of the result (0 = unset)
   /// Graph version of the snapshot that answered (-1 = unknown).

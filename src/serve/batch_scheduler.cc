@@ -73,16 +73,13 @@ uint64_t RequestTraceId() {
   return caller_id != 0 ? caller_id : obs::AllocateTraceId();
 }
 
-uint64_t PredictDigest(int64_t node, int64_t cls) {
-  const int64_t fingerprint[2] = {node, cls};
-  return obs::Fnv1a(obs::Fnv1aBegin(), fingerprint, sizeof(fingerprint));
-}
-
 /// FNV-1a fingerprint of a completed request's result, for the access log.
 uint64_t ResultDigest(const internal::Request& r) {
   switch (r.op) {
-    case OpKind::kPredict:
-      return PredictDigest(r.node, r.predicted);
+    case OpKind::kPredict: {
+      const int64_t fingerprint[2] = {r.node, r.predicted};
+      return obs::Fnv1a(obs::Fnv1aBegin(), fingerprint, sizeof(fingerprint));
+    }
     case OpKind::kLogitsRow:
       return obs::Fnv1a(obs::Fnv1aBegin(), r.logits_row.data(),
                         r.logits_row.size() * sizeof(float));
@@ -119,7 +116,6 @@ BatchScheduler::BatchScheduler(core::InferenceSession* session,
       has_faults_(!fault_plan_.empty()),
       serve_delay_us_(fault_plan_.ServeDelayUs()),
       health_name_(HealthNameForInstance()),
-      degraded_state_(options_.degraded),
       requests_counter_(
           obs::MetricsRegistry::Get().GetCounter("ses.sched.requests")),
       batches_counter_(
@@ -138,25 +134,13 @@ BatchScheduler::BatchScheduler(core::InferenceSession* session,
       expired_inflight_counter_(obs::MetricsRegistry::Get().GetCounter(
           "ses.sched.expired", {{"stage", "inflight"}})),
       internal_error_counter_(obs::MetricsRegistry::Get().GetCounter(
-          "ses.sched.internal_errors")),
-      degraded_served_counter_(obs::MetricsRegistry::Get().GetCounter(
-          "ses.sched.degraded_served")),
-      degraded_mode_gauge_(
-          obs::MetricsRegistry::Get().GetGauge("ses.sched.degraded_mode")) {
+          "ses.sched.internal_errors")) {
   SES_CHECK(session_ != nullptr);
   SES_CHECK(options_.max_batch_size >= 1);
   SES_CHECK(options_.flush_deadline_us >= 0);
   SES_CHECK(options_.num_workers >= 1);
   SES_CHECK(options_.max_queue_batches >= 1);
-  // Degraded mode is driven by the queue-wait burn rate; without that budget
-  // there is no signal and the mode could never engage or recover.
-  SES_CHECK(!options_.degraded.enabled || options_.queue_wait_budget_us > 0.0);
-  if (options_.degraded.enabled) {
-    SES_CHECK(options_.degraded.enter_burn_rate >
-              options_.degraded.exit_burn_rate);
-    SES_CHECK(options_.degraded.enter_consecutive >= 1);
-    SES_CHECK(options_.degraded.exit_consecutive >= 1);
-  }
+  SES_CHECK(options_.max_queued_requests >= 0);
   if (options_.e2e_budget_us > 0.0)
     obs::SloTracker::Get().SetBudget(E2eSloOp(), options_.e2e_budget_us);
   if (options_.queue_wait_budget_us > 0.0)
@@ -207,14 +191,18 @@ Future BatchScheduler::AdmitLocked(std::unique_lock<std::mutex>& lock,
                          "shutting_down"),
                   req.trace_id);
   }
-  if (options_.admission != nullptr) {
-    const AdmissionDecision decision =
-        options_.admission->Admit(req.op, queued_requests_);
-    if (!decision.admit) {
-      return Future(Reject(req.op, req.trace_id,
-                           Status::Overloaded(decision.retry_after_us),
-                           decision.reason),
-                    req.trace_id);
+  if (options_.max_queued_requests > 0) {
+    // Lowest priority first: Explain and LogitsRow are recomputable and off
+    // the interactive path, so they shed at half the bound.
+    const bool low_priority = req.op != OpKind::kPredict;
+    const int64_t bound = low_priority ? options_.max_queued_requests / 2
+                                       : options_.max_queued_requests;
+    if (queued_requests_ >= bound) {
+      return Future(
+          Reject(req.op, req.trace_id,
+                 Status::Overloaded(options_.flush_deadline_us),
+                 low_priority ? "queue_depth_low_priority" : "queue_depth"),
+          req.trace_id);
     }
   }
   // Stage stamp 2 (admit): submit -> admit is the time the producer spent
@@ -277,10 +265,6 @@ Status BatchScheduler::Reject(OpKind op, uint64_t trace_id, Status status,
 
 PredictFuture BatchScheduler::SubmitPredict(int64_t node,
                                             SubmitOptions submit) {
-  if (degraded_mode_.load(std::memory_order_relaxed)) {
-    PredictFuture fut;
-    if (TryDegradedPredict(node, &fut)) return fut;
-  }
   return Submit<PredictFuture>(OpKind::kPredict, node, 0, submit);
 }
 
@@ -291,19 +275,6 @@ LogitsRowFuture BatchScheduler::SubmitLogitsRow(int64_t node,
 
 ExplainFuture BatchScheduler::SubmitExplain(int64_t node, int64_t top_k,
                                             SubmitOptions submit) {
-  if (degraded_mode_.load(std::memory_order_relaxed)) {
-    // Degraded mode sheds Explain outright: it is the recomputable,
-    // lowest-priority op, and the cache cannot answer it.
-    const uint64_t trace_id = RequestTraceId();
-    const Status status =
-        stopping_flag_.load(std::memory_order_relaxed)
-            ? Reject(OpKind::kExplain, trace_id, Status::ShuttingDown(),
-                     "shutting_down")
-            : Reject(OpKind::kExplain, trace_id,
-                     Status::Overloaded(options_.degraded.retry_after_us),
-                     "degraded");
-    return ExplainFuture(status, trace_id);
-  }
   return Submit<ExplainFuture>(OpKind::kExplain, node, top_k, submit);
 }
 
@@ -325,41 +296,6 @@ int64_t BatchScheduler::SubmitPredictStream(const int64_t* nodes, int64_t n,
     enqueued += out[i].state_ != nullptr;
   }
   return enqueued;
-}
-
-bool BatchScheduler::TryDegradedPredict(int64_t node, PredictFuture* out) {
-  if (stopping_flag_.load(std::memory_order_relaxed)) {
-    // Shutdown outranks degraded serving: a post-Stop Submit must never be
-    // answered from the cache.
-    const uint64_t trace_id = RequestTraceId();
-    *out = PredictFuture(Reject(OpKind::kPredict, trace_id,
-                                Status::ShuttingDown(), "shutting_down"),
-                         trace_id);
-    return true;
-  }
-  // Every probe_every-th degraded predict goes through the queue as a canary
-  // so queue-wait samples keep flowing — without them the burn rate would
-  // freeze at its overload value and the mode could never observe recovery.
-  const int64_t probe_every = options_.degraded.probe_every;
-  const int64_t seq = degraded_seq_.fetch_add(1, std::memory_order_relaxed);
-  if (probe_every > 0 && seq % probe_every == 0) return false;
-  // Answer from the published snapshot, even while a newer version builds;
-  // only a session with nothing published queues.
-  const core::InferenceSession::SnapshotPtr snapshot = session_->Current();
-  if (snapshot == nullptr) return false;
-  const int64_t cls = snapshot->PredictMany({node})[0];
-  degraded_served_total_.fetch_add(1, std::memory_order_relaxed);
-  degraded_served_counter_.Add(1);
-  obs::RequestRecord record;
-  record.trace_id = RequestTraceId();
-  record.op = SchedOpName(OpKind::kPredict);
-  record.reason = "degraded_cache";
-  record.cache_hit = true;
-  record.digest = PredictDigest(node, cls);
-  record.version = snapshot->version;
-  obs::PublishRequests(&record, 1);
-  *out = PredictFuture(cls, record.trace_id);
-  return true;
 }
 
 void BatchScheduler::SealFormingLocked(int64_t* reason_counter) {
@@ -400,8 +336,8 @@ void BatchScheduler::WorkerLoop() {
           std::this_thread::sleep_for(std::chrono::milliseconds(stall_ms));
       }
       const double burn = ExecuteBatch(batch.get());
-      // The flight recorder's auto-dump triggers on the same queue-wait burn
-      // signal that drives admission and degraded mode (-1 = no budget).
+      // The flight recorder's auto-dump triggers on the queue-wait burn rate
+      // (-1 = no budget).
       if (burn >= 0.0) obs::FlightRecorder::Get().ObserveBurn(burn);
       lock.lock();
       ++stats_.batches;
@@ -409,18 +345,6 @@ void BatchScheduler::WorkerLoop() {
           std::max(stats_.max_batch,
                    static_cast<int64_t>(batch->requests.size()));
       batches_counter_.Add(1);
-      if (options_.degraded.enabled && burn >= 0.0 &&
-          !forced_degraded_.load(std::memory_order_relaxed)) {
-        const bool was = degraded_state_.degraded();
-        const bool now_degraded = degraded_state_.Update(burn);
-        if (now_degraded != was) {
-          degraded_mode_.store(now_degraded, std::memory_order_relaxed);
-          degraded_mode_gauge_.Set(now_degraded ? 1.0 : 0.0);
-          SES_LOG_WARN << "scheduler " << (now_degraded ? "entered" : "left")
-                       << " degraded mode (queue-wait burn rate " << burn
-                       << ")";
-        }
-      }
       // Shed fraction of the submissions seen since the previous batch, for
       // the anomaly watch (counters are mutex_-guarded, so read them here).
       const int64_t shed = shed_total_.load(std::memory_order_relaxed);
@@ -491,7 +415,7 @@ double BatchScheduler::ExecuteBatch(internal::BatchState* batch) {
                                static_cast<int64_t>(latencies_us.size()));
   // Queue wait is recorded for EVERY request — including ones about to be
   // dropped as expired, whose wait is precisely the overload evidence the
-  // admission burn-rate signal needs.
+  // queue-wait burn rate needs.
   if (options_.queue_wait_budget_us > 0.0)
     obs::SloTracker::Get().RecordMany(
         QueueWaitSloOp(), latencies_us.data(),
@@ -712,28 +636,14 @@ double BatchScheduler::ExecuteBatch(internal::BatchState* batch) {
   // Completion (`done` + notify) is published by WorkerLoop after it has
   // folded this batch into the aggregate stats under the scheduler mutex.
 
-  double burn = -1.0;
-  if (options_.queue_wait_budget_us > 0.0) {
-    burn = obs::SloTracker::Get().Snapshot(QueueWaitSloOp()).burn_rate;
-    if (options_.admission != nullptr)
-      options_.admission->ObserveBurnRate(burn);
-  }
-  return burn;
-}
-
-void BatchScheduler::ForceDegradedForTest(bool on) {
-  forced_degraded_.store(on, std::memory_order_relaxed);
-  degraded_mode_.store(on, std::memory_order_relaxed);
-  degraded_mode_gauge_.Set(on ? 1.0 : 0.0);
+  if (options_.queue_wait_budget_us <= 0.0) return -1.0;
+  return obs::SloTracker::Get().Snapshot(QueueWaitSloOp()).burn_rate;
 }
 
 void BatchScheduler::Stop() {
   // Unregister first (it is a barrier — see health.h): after this no
   // /healthz scrape can be inside HealthJson when the members go away.
   obs::UnregisterHealthProvider(health_name_);
-  // The lock-free flag goes up before the queue flag so the degraded fast
-  // path can never cache-serve a Submit that raced past a completed Stop().
-  stopping_flag_.store(true, std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lock(mutex_);
     stopping_ = true;
@@ -752,12 +662,10 @@ BatchScheduler::Stats BatchScheduler::stats() const {
   Stats s = stats_;
   s.shed = shed_total_.load(std::memory_order_relaxed);
   s.rejected = rejected_total_.load(std::memory_order_relaxed);
-  s.degraded_served = degraded_served_total_.load(std::memory_order_relaxed);
   s.expired = expired_queue_total_.load(std::memory_order_relaxed);
   s.expired_inflight =
       expired_inflight_total_.load(std::memory_order_relaxed);
   s.internal_errors = internal_errors_total_.load(std::memory_order_relaxed);
-  s.degraded_entries = degraded_state_.entries();
   return s;
 }
 
@@ -772,16 +680,12 @@ std::string BatchScheduler::HealthJson() const {
   }
   std::ostringstream out;
   out << "{\"stopping\":" << (stopping ? "true" : "false")
-      << ",\"degraded\":" << (degraded() ? "true" : "false")
-      << ",\"queued_requests\":" << queued << ",\"requests\":" << s.requests
+      << ",\"queued_requests\":" << queued
+      << ",\"max_queued_requests\":" << options_.max_queued_requests
+      << ",\"requests\":" << s.requests
       << ",\"shed\":" << s.shed << ",\"rejected\":" << s.rejected
       << ",\"expired\":" << (s.expired + s.expired_inflight)
-      << ",\"internal_errors\":" << s.internal_errors
-      << ",\"degraded_served\":" << s.degraded_served
-      << ",\"degraded_entries\":" << s.degraded_entries << ",\"admission\":"
-      << (options_.admission != nullptr ? options_.admission->DebugState()
-                                        : std::string("null"))
-      << "}";
+      << ",\"internal_errors\":" << s.internal_errors << "}";
   return out.str();
 }
 

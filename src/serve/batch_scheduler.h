@@ -16,7 +16,6 @@
 #include "core/inference_session.h"
 #include "obs/metrics.h"
 #include "robust/fault.h"
-#include "serve/admission.h"
 #include "serve/status.h"
 #include "util/logging.h"
 
@@ -36,24 +35,25 @@ struct SchedulerOptions {
   int64_t num_workers = 1;
   /// Sealed batches allowed to queue before Submit* blocks (backpressure).
   int64_t max_queue_batches = 256;
+  /// Overload bound on queued requests (forming batch + ready queue); 0 means
+  /// no bound. A Predict at or above the bound, and an Explain or logit slice
+  /// at or above half of it, is shed at submit as an immediate kOverloaded
+  /// rejection whose RetryAfter hint is one batch period (flush_deadline_us).
+  /// The check reads the live queue depth, which falls as the workers drain,
+  /// so admission resumes as soon as there is room.
+  int64_t max_queued_requests = 0;
   /// When > 0, declares an SloTracker budget on the scheduler's end-to-end
   /// (enqueue -> result published) latency under op "sched.e2e".
   double e2e_budget_us = 0.0;
   /// When > 0, declares an SloTracker budget on queue wait (enqueue ->
-  /// dequeue) under op "sched.queue_wait". Its burn rate is the overload
-  /// signal: workers push it to the admission controller and the degraded-
-  /// mode state machine after every batch.
+  /// dequeue) under op "sched.queue_wait". It feeds the `ses.slo.*` series
+  /// and, after every batch, the FlightRecorder's burn-triggered auto-dump;
+  /// it does not drive admission.
   double queue_wait_budget_us = 0.0;
   double queue_wait_target = 0.9;   ///< loose target: burn rate must move
   int64_t queue_wait_window = 256;  ///< small window: react within ~4 batches
   /// Deadline applied to requests submitted without one (0 = none).
   double default_deadline_us = 0.0;
-  /// Admission policy consulted on every Submit (null = admit everything up
-  /// to the queue-batch bound). Shared so callers can keep a handle for
-  /// ObserveBurnRate-driven inspection.
-  std::shared_ptr<AdmissionController> admission;
-  /// Degraded-mode policy (requires queue_wait_budget_us > 0 when enabled).
-  DegradedModeOptions degraded;
   /// Serving fault plan; when empty the scheduler loads $SES_FAULT_SPEC.
   /// Matching is by the scheduler's own sequence numbers: batch seal order
   /// for worker_stall / slow_forward / serve_throw, request accept order for
@@ -114,10 +114,10 @@ core::InferenceSession::Explanation TakeExplain(Request& r);
 }  // namespace internal
 
 /// Lightweight future bound to one slot of a micro-batch, or carrying an
-/// immediate result (degraded-mode cache answer / typed rejection) that
-/// never touched the queue. Default-constructed futures are invalid; every
-/// future a Submit* returns is valid and resolves with a typed Status —
-/// rejected, expired, and faulted requests get their code, never a hang.
+/// immediate typed rejection (shed / shutdown) that never touched the queue.
+/// Default-constructed futures are invalid; every future a Submit* returns
+/// is valid and resolves with a typed Status — rejected, expired, and
+/// faulted requests get their code, never a hang.
 ///
 /// Consumption: Wait() blocks for the status without consuming the result;
 /// Get(&out) blocks, moves the result out on kOk, and returns the status;
@@ -158,7 +158,6 @@ class BatchFuture {
     SES_CHECK(valid());
     if (immediate_) {
       immediate_ = false;
-      if (status_.ok() && out != nullptr) *out = std::move(value_);
       return status_;
     }
     WaitDone();
@@ -186,9 +185,6 @@ class BatchFuture {
   /// Immediate typed rejection (never queued).
   BatchFuture(Status status, uint64_t trace_id)
       : immediate_(true), status_(status), trace_id_(trace_id) {}
-  /// Immediate value (degraded-mode cache answer).
-  BatchFuture(T value, uint64_t trace_id)
-      : immediate_(true), value_(std::move(value)), trace_id_(trace_id) {}
 
   void WaitDone() {
     if (!state_->done.load(std::memory_order_acquire)) {
@@ -203,7 +199,6 @@ class BatchFuture {
   size_t index_ = 0;
   bool immediate_ = false;
   Status status_;
-  T value_{};
   uint64_t trace_id_ = 0;
 };
 
@@ -238,26 +233,21 @@ struct SubmitOptions {
 /// locked calls — results are bitwise-identical to the direct path by
 /// construction (same kernels over the same memoized logits).
 ///
-/// Overload behavior: an AdmissionController sees every submission before it
-/// joins the forming batch and can shed it as an immediate kOverloaded
-/// rejection with a RetryAfter hint (lowest-priority ops first — see
-/// OpKind). Per-request deadlines bound how long a request may wait: work
-/// that is already dead at dequeue is never executed. Under sustained
-/// queue-wait SLO burn the scheduler enters degraded mode (hysteresis on
-/// both edges): warm Predicts are answered straight from the session's
-/// memoized-logits cache without queueing, Explains are shed, and every
-/// probe_every-th Predict still goes through the queue as a canary so
-/// recovery is observable. All of it is typed — no future ever hangs.
+/// Overload behavior: one rule, SchedulerOptions::max_queued_requests. A
+/// submission that finds the queue at the bound (half the bound for Explain
+/// and LogitsRow, the lower-priority ops — see OpKind) is shed as an
+/// immediate kOverloaded rejection with a RetryAfter hint. Per-request
+/// deadlines bound how long a request may wait: work that is already dead
+/// at dequeue is never executed. All of it is typed — no future ever hangs.
 ///
 /// Observability: each request captures the caller's trace-id at enqueue
 /// (allocating one if the caller has none); workers adopt it so their spans
 /// and access-log entries join the same request. The scheduler feeds
 /// `ses.sched.*` metrics — live request-level queue-depth gauge, batch-size
 /// / queue-wait / end-to-end histograms, flush-reason counters, shed /
-/// rejected / expired counters (by reason and stage), the degraded_mode
-/// gauge — SloTracker budgets on e2e and queue wait, shed/expiry reasons in
-/// the access log, and a /healthz component ("scheduler") with admission and
-/// degradation state.
+/// rejected / expired counters (by reason and stage) — SloTracker budgets on
+/// e2e and queue wait, shed/expiry reasons in the access log, and a /healthz
+/// component ("scheduler") with queue and outcome state.
 ///
 /// Request forensics (DESIGN.md §15): every request is stamped at six
 /// critical-path stages — submit (enqueue_time, before the queue lock),
@@ -267,9 +257,9 @@ struct SubmitOptions {
 /// obs::RequestRecord per request and hands the batch to
 /// obs::PublishRequests, which feeds the `ses.sched.stage.*` histograms,
 /// the access log's `stages_us`, the per-stage Chrome-trace spans and the
-/// FlightRecorder. Rejections and degraded-cache answers publish a record
-/// too (access log only). After each batch the worker feeds the queue-wait
-/// burn rate to the FlightRecorder's auto-dump trigger and samples the
+/// FlightRecorder. Rejections publish a record too (access log only). After
+/// each batch the worker feeds the queue-wait burn rate to the
+/// FlightRecorder's auto-dump trigger and samples the
 /// AnomalyWatch series (queue depth, e2e p99, shed rate) plus its probes.
 ///
 /// Shutdown: Stop() (or the destructor) stops admission, seals the forming
@@ -305,16 +295,6 @@ class BatchScheduler {
 
   const SchedulerOptions& options() const { return options_; }
 
-  /// True while the degraded-mode state machine (or the test override) has
-  /// degraded serving switched on.
-  bool degraded() const {
-    return degraded_mode_.load(std::memory_order_relaxed);
-  }
-
-  /// Pins degraded mode on/off regardless of burn rate (test support for the
-  /// cache-serve / shed paths without generating real overload).
-  void ForceDegradedForTest(bool on);
-
   struct Stats {
     int64_t requests = 0;          ///< accepted submissions
     int64_t rejected = 0;          ///< typed kShuttingDown rejections
@@ -322,8 +302,9 @@ class BatchScheduler {
     int64_t expired = 0;           ///< kDeadlineExceeded in queue (pre-exec)
     int64_t expired_inflight = 0;  ///< kDeadlineExceeded mid-flight
     int64_t internal_errors = 0;   ///< kInternal (poison / thrown fault)
-    int64_t degraded_served = 0;   ///< predicts answered from cache
-    int64_t degraded_entries = 0;  ///< degraded-mode enter transitions
+    /// Always 0: the scheduler has no cache-answer path. Kept because the
+    /// repository benchmark still reports it as `serve.degraded_frac`.
+    int64_t degraded_served = 0;
     int64_t batches = 0;           ///< batches executed
     int64_t full_flushes = 0;      ///< seals due to max_batch_size
     int64_t deadline_flushes = 0;  ///< seals due to flush_deadline_us
@@ -358,10 +339,6 @@ class BatchScheduler {
   /// queue-wait burn rate after recording the batch (-1 when no queue-wait
   /// budget is configured).
   double ExecuteBatch(internal::BatchState* batch);
-  /// Degraded-mode fast path for SubmitPredict. True when it produced a
-  /// future (cache answer or shutdown rejection); false to fall through to
-  /// the normal queue (cold cache or canary probe).
-  bool TryDegradedPredict(int64_t node, PredictFuture* out);
   std::string HealthJson() const;
 
   core::InferenceSession* session_;
@@ -380,7 +357,6 @@ class BatchScheduler {
   int64_t queued_requests_ = 0;  ///< forming + ready, request-level
   int64_t next_batch_seq_ = 0;
   Stats stats_;
-  DegradedState degraded_state_;
   // Last-seen counters for the anomaly watch's shed-rate series (guarded by
   // mutex_): each batch completion publishes the shed fraction of the
   // submissions that arrived since the previous batch.
@@ -389,15 +365,10 @@ class BatchScheduler {
 
   std::mutex fault_mutex_;  ///< FaultPlan is not internally synchronized
 
-  std::atomic<bool> stopping_flag_{false};  ///< lock-free fast-path probe
-  std::atomic<bool> degraded_mode_{false};
-  std::atomic<bool> forced_degraded_{false};
-  std::atomic<int64_t> degraded_seq_{0};  ///< canary-probe cadence
   // Tallies bumped without the scheduler lock: rejections resolve wherever
   // they happen, failures on the workers.
   std::atomic<int64_t> shed_total_{0};
   std::atomic<int64_t> rejected_total_{0};
-  std::atomic<int64_t> degraded_served_total_{0};
   std::atomic<int64_t> expired_queue_total_{0};
   std::atomic<int64_t> expired_inflight_total_{0};
   std::atomic<int64_t> internal_errors_total_{0};
@@ -414,8 +385,6 @@ class BatchScheduler {
   obs::Counter& expired_queue_counter_;
   obs::Counter& expired_inflight_counter_;
   obs::Counter& internal_error_counter_;
-  obs::Counter& degraded_served_counter_;
-  obs::Gauge& degraded_mode_gauge_;
 };
 
 }  // namespace ses::serve

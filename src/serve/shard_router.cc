@@ -77,8 +77,6 @@ BatchScheduler::Stats ShardRouter::stats() const {
     total.expired += s.expired;
     total.expired_inflight += s.expired_inflight;
     total.internal_errors += s.internal_errors;
-    total.degraded_served += s.degraded_served;
-    total.degraded_entries += s.degraded_entries;
     total.batches += s.batches;
     total.full_flushes += s.full_flushes;
     total.deadline_flushes += s.deadline_flushes;

@@ -18,14 +18,13 @@ namespace ses::serve {
 /// Node ids are GLOBAL; the router translates Predict/LogitsRow submissions
 /// to shard-local rows before enqueueing (Explain passes the global id
 /// through — the structure mask is global model state). Every per-scheduler
-/// behavior — admission control, deadlines, degraded mode, typed futures —
-/// applies per shard unchanged, and results are bitwise-equal to
+/// behavior — the queue bound, deadlines, typed futures — applies per shard
+/// unchanged (each shard enforces its own max_queued_requests), and results are bitwise-equal to
 /// ShardedSession's direct calls by the same argument that makes one
 /// scheduler bitwise-equal to its InferenceSession.
 class ShardRouter {
  public:
-  /// One scheduler per shard, all built from `options` (the admission
-  /// controller instance, if any, is shared across shards).
+  /// One scheduler per shard, each built from a copy of `options`.
   ShardRouter(core::ShardedSession* session, SchedulerOptions options = {});
 
   PredictFuture SubmitPredict(int64_t node, SubmitOptions submit = {});
@@ -50,7 +49,8 @@ class ShardRouter {
     return schedulers_[static_cast<size_t>(s)].get();
   }
 
-  /// Element-wise sum of every shard scheduler's Stats (max_batch is a max).
+  /// Element-wise sum of every shard scheduler's Stats (max_batch is a max;
+  /// degraded_served stays 0).
   BatchScheduler::Stats stats() const;
 
  private:

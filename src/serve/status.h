@@ -11,7 +11,7 @@ namespace ses::serve {
 enum class StatusCode : uint8_t {
   kOk = 0,
   kDeadlineExceeded,  ///< expired in queue or mid-flight
-  kOverloaded,        ///< shed by admission control; retry after the hint
+  kOverloaded,        ///< shed at the queue bound; retry after the hint
   kShuttingDown,      ///< submitted after Stop() began
   kInternal,          ///< execution failed (poisoned request, thrown fault)
 };
@@ -48,9 +48,9 @@ inline const char* StatusCodeName(StatusCode code) {
   return "unknown";
 }
 
-/// Public op kinds in shed-priority order: admission control sheds Explain
-/// first (it is recomputable and off the interactive path), LogitsRow next,
-/// Predict last.
+/// Public op kinds. Admission sheds Explain and LogitsRow (recomputable, off
+/// the interactive path) at half the queue bound and Predict only at the
+/// bound (SchedulerOptions::max_queued_requests).
 enum class OpKind : uint8_t { kPredict = 0, kLogitsRow = 1, kExplain = 2 };
 
 inline const char* OpKindName(OpKind op) {

@@ -4,9 +4,9 @@
 // propagation from enqueue to the worker's spans, and the ses.sched.*
 // instrument surface — plus the overload-resilience contract: typed
 // statuses for every rejected/expired/faulted request (no future ever
-// hangs), deadline semantics at both expiry stages, admission-control
-// shedding, degraded-mode cache serving, injected serving faults, and
-// clean drain with submissions racing Stop().
+// hangs), deadline semantics at both expiry stages, queue-bound shedding
+// (lowest-priority ops first, recovery once the queue drains), injected
+// serving faults, and clean drain with submissions racing Stop().
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -30,7 +30,6 @@
 #include "obs/request.h"
 #include "obs/trace.h"
 #include "robust/fault.h"
-#include "serve/admission.h"
 #include "serve/batch_scheduler.h"
 #include "serve/retry.h"
 #include "tensor/ops.h"
@@ -372,8 +371,8 @@ TEST_F(ServeTest, StageHistogramsSeeEveryScheduledRequest) {
 TEST_F(ServeTest, EveryRequestOutcomeWritesOneAccessLogLine) {
   // One row per way a scheduled request can resolve. Each row runs under an
   // adopted caller trace id and must leave exactly one access-log line with
-  // that id, whichever path resolved it: batch completion, shed, shutdown,
-  // or the degraded-mode fast path.
+  // that id, whichever path resolved it: batch completion, shed or
+  // shutdown.
   struct Row {
     const char* name;
     const char* op;
@@ -383,13 +382,15 @@ TEST_F(ServeTest, EveryRequestOutcomeWritesOneAccessLogLine) {
     std::function<void(serve::BatchScheduler*, c::InferenceSession*)> run;
   };
   const int64_t node[1] = {3};
-  auto shed_all = [](serve::SchedulerOptions* opt) {
-    opt->admission = std::make_shared<serve::BoundedQueueAdmission>(
-        /*max_queued_requests=*/0, /*retry_after_us=*/100);
+  // A bound of one request, and a forming batch that only Stop() seals: one
+  // queued predict under its own trace id fills the queue for the row.
+  auto bound_one = [](serve::SchedulerOptions* opt) {
+    opt->max_queued_requests = 1;
+    opt->flush_deadline_us = 60'000'000;
   };
-  auto degraded = [](serve::BatchScheduler* s, c::InferenceSession* session) {
-    session->Logits();  // warm the cache the degraded path answers from
-    s->ForceDegradedForTest(true);
+  auto fill_queue = [](serve::BatchScheduler* s) {
+    obs::ScopedTraceId other(obs::AllocateTraceId());
+    s->SubmitPredict(4);
   };
   const std::vector<Row> rows = {
       {"ok", "sched.predict", "ok", true, [](serve::SchedulerOptions*) {},
@@ -410,12 +411,15 @@ TEST_F(ServeTest, EveryRequestOutcomeWritesOneAccessLogLine) {
        [](serve::BatchScheduler* s, c::InferenceSession*) {
          s->SubmitLogitsRow(3).Wait();
        }},
-      {"single shed", "sched.explain", "queue_depth", false, shed_all,
-       [](serve::BatchScheduler* s, c::InferenceSession*) {
+      {"single shed", "sched.explain", "queue_depth_low_priority", false,
+       bound_one,
+       [&](serve::BatchScheduler* s, c::InferenceSession*) {
+         fill_queue(s);
          s->SubmitExplain(3, 2).Wait();
        }},
-      {"stream shed", "sched.predict", "queue_depth", false, shed_all,
+      {"stream shed", "sched.predict", "queue_depth", false, bound_one,
        [&](serve::BatchScheduler* s, c::InferenceSession*) {
+         fill_queue(s);
          serve::PredictFuture out;
          s->SubmitPredictStream(node, 1, &out);
          out.Wait();
@@ -433,18 +437,6 @@ TEST_F(ServeTest, EveryRequestOutcomeWritesOneAccessLogLine) {
          serve::PredictFuture out;
          s->SubmitPredictStream(node, 1, &out);
          out.Wait();
-       }},
-      {"degraded cache answer", "sched.predict", "degraded_cache", false,
-       [](serve::SchedulerOptions* opt) { opt->degraded.probe_every = 0; },
-       [&](serve::BatchScheduler* s, c::InferenceSession* session) {
-         degraded(s, session);
-         s->SubmitPredict(3).Wait();
-       }},
-      {"degraded explain shed", "sched.explain", "degraded", false,
-       [](serve::SchedulerOptions*) {},
-       [&](serve::BatchScheduler* s, c::InferenceSession* session) {
-         degraded(s, session);
-         s->SubmitExplain(3, 2).Wait();
        }},
   };
 
@@ -727,8 +719,8 @@ TEST_F(ServeTest, AdmissionShedResolvesTypedOverloadedWithRetryHint) {
   c::InferenceSession session(model_, ds_);
   serve::SchedulerOptions opt;
   opt.max_batch_size = 1;  // every submit seals its own batch
-  opt.admission = std::make_shared<serve::BoundedQueueAdmission>(
-      /*max_queued_requests=*/2, /*retry_after_us=*/750);
+  opt.flush_deadline_us = 750;  // the RetryAfter hint: one batch period
+  opt.max_queued_requests = 2;
   opt.fault_plan = robust::FaultPlan::Parse("worker_stall:step=0,ms=400");
   serve::BatchScheduler scheduler(&session, opt);
 
@@ -757,8 +749,8 @@ TEST_F(ServeTest, StreamShedSlotsGetTypedRejectionFutures) {
   c::InferenceSession session(model_, ds_);
   serve::SchedulerOptions opt;
   opt.max_batch_size = 1;
-  opt.admission = std::make_shared<serve::BoundedQueueAdmission>(
-      /*max_queued_requests=*/1, /*retry_after_us=*/333);
+  opt.flush_deadline_us = 333;
+  opt.max_queued_requests = 1;
   opt.fault_plan = robust::FaultPlan::Parse("worker_stall:step=0,ms=400");
   serve::BatchScheduler scheduler(&session, opt);
 
@@ -781,134 +773,81 @@ TEST_F(ServeTest, StreamShedSlotsGetTypedRejectionFutures) {
   EXPECT_EQ(scheduler.stats().shed, 5);
 }
 
-// --- degraded mode -----------------------------------------------------------
-
-TEST_F(ServeTest, ForcedDegradedServesWarmPredictsFromCacheAndShedsExplain) {
-  c::InferenceSession session(model_, ds_);
-  session.Logits();  // warm the memoized-logits cache
-  serve::SchedulerOptions opt;
-  opt.degraded.probe_every = 0;  // no canaries: every predict may cache-serve
-  opt.degraded.retry_after_us = 777;
-  serve::BatchScheduler scheduler(&session, opt);
-  scheduler.ForceDegradedForTest(true);
-
-  serve::PredictFuture fut = scheduler.SubmitPredict(5);
-  ASSERT_TRUE(fut.Ready()) << "warm degraded predict must never queue";
-  EXPECT_EQ(fut.Get(), session.PredictNode(5));
-  EXPECT_EQ(scheduler.stats().degraded_served, 1);
-
-  serve::ExplainFuture ex = scheduler.SubmitExplain(5, /*top_k=*/3);
-  ASSERT_TRUE(ex.Ready());
-  const serve::Status status = ex.Wait();
-  EXPECT_EQ(status.code, serve::StatusCode::kOverloaded);
-  EXPECT_EQ(status.retry_after_us, 777);
-
-  // Leaving degraded mode restores normal explain service.
-  scheduler.ForceDegradedForTest(false);
-  serve::ExplainFuture ok = scheduler.SubmitExplain(5, /*top_k=*/3);
-  const auto direct = session.ExplainNode(5, /*top_k=*/3);
-  EXPECT_EQ(ok.Get().neighbors, direct.neighbors);
+/// Shed tally of one reason, across every scheduler in the process.
+int64_t ShedCount(const char* reason) {
+  return obs::MetricsRegistry::Get()
+      .GetCounter("ses.sched.shed", {{"reason", reason}})
+      .Value();
 }
 
-TEST_F(ServeTest, ColdCacheDegradedPredictFallsThroughToTheQueue) {
-  c::InferenceSession session(model_, ds_);  // cache deliberately cold
+TEST_F(ServeTest, ExplainShedsBeforePredictAsTheQueueFills) {
+  c::InferenceSession session(model_, ds_);
   serve::SchedulerOptions opt;
-  opt.degraded.probe_every = 0;
+  opt.max_batch_size = 1;
+  opt.max_queued_requests = 4;
+  opt.fault_plan = robust::FaultPlan::Parse("worker_stall:step=0,ms=400");
   serve::BatchScheduler scheduler(&session, opt);
-  scheduler.ForceDegradedForTest(true);
+  const int64_t low_before = ShedCount("queue_depth_low_priority");
+  const int64_t depth_before = ShedCount("queue_depth");
 
-  // Cold cache: the degraded fast path cannot answer, so the request takes
-  // the normal queue (which warms the cache as a side effect of executing).
-  serve::PredictFuture cold = scheduler.SubmitPredict(0);
+  serve::PredictFuture primed = scheduler.SubmitPredict(0);
+  WaitForEmptyQueue();
+  std::vector<serve::PredictFuture> admitted;
+  admitted.push_back(scheduler.SubmitPredict(1));  // queued: 1
+  admitted.push_back(scheduler.SubmitPredict(2));  // queued: 2 = half
+
+  // At half the bound the lower-priority ops shed; a predict still fits.
+  const serve::Status explain = scheduler.SubmitExplain(3, 2).Wait();
+  EXPECT_EQ(explain.code, serve::StatusCode::kOverloaded);
+  const serve::Status slice = scheduler.SubmitLogitsRow(3).Wait();
+  EXPECT_EQ(slice.code, serve::StatusCode::kOverloaded);
+  EXPECT_EQ(ShedCount("queue_depth_low_priority") - low_before, 2);
+  admitted.push_back(scheduler.SubmitPredict(3));  // queued: 3
+  admitted.push_back(scheduler.SubmitPredict(4));  // queued: 4 = bound
+  EXPECT_EQ(ShedCount("queue_depth") - depth_before, 0);
+
+  // At the bound the predict sheds too.
+  serve::PredictFuture shed = scheduler.SubmitPredict(5);
+  ASSERT_TRUE(shed.Ready());
+  EXPECT_EQ(shed.Wait().code, serve::StatusCode::kOverloaded);
+  EXPECT_EQ(ShedCount("queue_depth") - depth_before, 1);
+
+  EXPECT_EQ(primed.Get(), session.PredictNode(0));
+  for (int64_t n = 1; n <= 4; ++n)
+    EXPECT_EQ(admitted[static_cast<size_t>(n - 1)].Get(),
+              session.PredictNode(n));
+  EXPECT_EQ(scheduler.stats().shed, 3);
+}
+
+TEST_F(ServeTest, AdmissionResumesOnceTheQueueDrains) {
+  c::InferenceSession session(model_, ds_);
+  serve::SchedulerOptions opt;
+  opt.max_batch_size = 1;
+  opt.max_queued_requests = 2;
+  opt.fault_plan = robust::FaultPlan::Parse("worker_stall:step=0,ms=200");
+  serve::BatchScheduler scheduler(&session, opt);
+
+  serve::PredictFuture primed = scheduler.SubmitPredict(0);
+  WaitForEmptyQueue();
+  serve::PredictFuture first = scheduler.SubmitPredict(1);
+  serve::PredictFuture second = scheduler.SubmitPredict(2);
+  EXPECT_EQ(scheduler.SubmitPredict(3).Wait().code,
+            serve::StatusCode::kOverloaded);
+
+  // The stall clears and the worker drains the queue; the bound reads the
+  // live depth, so nothing latches and the next submits are served.
+  EXPECT_EQ(primed.Get(), session.PredictNode(0));
+  EXPECT_EQ(first.Get(), session.PredictNode(1));
+  EXPECT_EQ(second.Get(), session.PredictNode(2));
+  WaitForEmptyQueue();
   int64_t cls = -1;
-  ASSERT_EQ(cold.Get(&cls).code, serve::StatusCode::kOk);
-  EXPECT_EQ(cls, session.PredictNode(0));
-  EXPECT_EQ(scheduler.stats().degraded_served, 0);
-
-  serve::PredictFuture warm = scheduler.SubmitPredict(1);
-  ASSERT_TRUE(warm.Ready()) << "cache is warm now: must serve immediately";
-  EXPECT_EQ(warm.Get(), session.PredictNode(1));
-  EXPECT_EQ(scheduler.stats().degraded_served, 1);
-}
-
-TEST_F(ServeTest, DegradedPredictAnswersFromThePublishedSnapshotAfterABump) {
-  // A version bump with unchanged data must not push degraded predicts into
-  // the queue: they answer from the published snapshot while the next
-  // version builds.
-  c::InferenceSession session(model_, ds_);
-  const int64_t reference = session.PredictNode(5);
-  serve::SchedulerOptions opt;
-  opt.degraded.probe_every = 0;
-  serve::BatchScheduler scheduler(&session, opt);
-  scheduler.ForceDegradedForTest(true);
-  const std::string path = ::testing::TempDir() + "/degraded_after_bump.jsonl";
-  ASSERT_TRUE(obs::AccessLog::Get().Open(path));
-  session.InvalidateGraph();
-  serve::PredictFuture fut = scheduler.SubmitPredict(5);
-  const bool ready = fut.Ready();
-  obs::AccessLog::Get().Close();
-  ASSERT_TRUE(ready) << "a bump must not queue degraded predicts";
-  EXPECT_EQ(fut.Get(), reference);
-  EXPECT_EQ(scheduler.stats().degraded_served, 1);
-
-  std::ifstream in(path);
-  int degraded_lines = 0;
-  for (std::string line; std::getline(in, line);)
-    degraded_lines +=
-        line.find("\"op\":\"sched.predict\"") != std::string::npos &&
-        line.find("\"reason\":\"degraded_cache\"") != std::string::npos &&
-        line.find("\"version\":") != std::string::npos;
-  EXPECT_EQ(degraded_lines, 1);
-}
-
-TEST_F(ServeTest, CanaryProbesKeepFlowingThroughTheQueueWhileDegraded) {
-  c::InferenceSession session(model_, ds_);
-  session.Logits();
-  serve::SchedulerOptions opt;
-  opt.degraded.probe_every = 1;  // every degraded predict is a canary
-  serve::BatchScheduler scheduler(&session, opt);
-  scheduler.ForceDegradedForTest(true);
-
-  for (int64_t n = 0; n < 3; ++n)
-    EXPECT_EQ(scheduler.SubmitPredict(n).Get(), session.PredictNode(n));
-  // All three went through the queue (canaries), none from the cache — the
-  // queue-wait signal keeps flowing, so recovery stays observable.
-  EXPECT_EQ(scheduler.stats().degraded_served, 0);
-  EXPECT_GE(scheduler.stats().batches, 1);
-}
-
-TEST_F(ServeTest, SustainedQueueWaitBurnEntersDegradedMode) {
-  c::InferenceSession session(model_, ds_);
-  session.Logits();
-  serve::SchedulerOptions opt;
-  // A queue-wait budget no real dequeue can meet: the first batch breaches,
-  // burn = (1/1) / (1 - 0.5) = 2.0 >= enter threshold, and with
-  // enter_consecutive = 1 the scheduler is degraded by the time the first
-  // future resolves (completion publishes after the state update).
-  opt.queue_wait_budget_us = 0.5;
-  opt.queue_wait_target = 0.5;
-  opt.queue_wait_window = 4;
-  opt.degraded.enabled = true;
-  opt.degraded.enter_burn_rate = 1.0;
-  opt.degraded.exit_burn_rate = 0.5;
-  opt.degraded.enter_consecutive = 1;
-  opt.degraded.exit_consecutive = 1'000'000;  // never leave during the test
-  opt.degraded.probe_every = 0;
-  opt.degraded.retry_after_us = 555;
-  serve::BatchScheduler scheduler(&session, opt);
-
-  EXPECT_EQ(scheduler.SubmitPredict(0).Get(), session.PredictNode(0));
-  EXPECT_TRUE(scheduler.degraded());
-  EXPECT_EQ(scheduler.stats().degraded_entries, 1);
-
-  // Degraded behavior is live: warm predict from cache, explain shed.
-  serve::PredictFuture cached = scheduler.SubmitPredict(1);
-  ASSERT_TRUE(cached.Ready());
-  EXPECT_EQ(cached.Get(), session.PredictNode(1));
-  EXPECT_EQ(scheduler.stats().degraded_served, 1);
-  const serve::Status shed = scheduler.SubmitExplain(1, 3).Wait();
-  EXPECT_EQ(shed.code, serve::StatusCode::kOverloaded);
-  EXPECT_EQ(shed.retry_after_us, 555);
+  ASSERT_EQ(scheduler.SubmitPredict(3).Get(&cls).code, serve::StatusCode::kOk);
+  EXPECT_EQ(cls, session.PredictNode(3));
+  serve::ExplainFuture explain = scheduler.SubmitExplain(3, /*top_k=*/2);
+  c::InferenceSession::Explanation ex;
+  ASSERT_EQ(explain.Get(&ex).code, serve::StatusCode::kOk);
+  EXPECT_EQ(ex.neighbors, session.ExplainNode(3, /*top_k=*/2).neighbors);
+  EXPECT_EQ(scheduler.stats().shed, 1);
 }
 
 // --- shutdown races ----------------------------------------------------------
@@ -953,91 +892,7 @@ TEST_F(ServeTest, SubmitsRacingStopAllResolveTyped) {
   EXPECT_EQ(stats.rejected, shutdown.load());
 }
 
-// --- admission / retry policy units ------------------------------------------
-
-TEST(AdmissionTest, BoundedQueueShedsAtTheBound) {
-  serve::BoundedQueueAdmission admission(/*max_queued_requests=*/4,
-                                         /*retry_after_us=*/999);
-  EXPECT_TRUE(admission.Admit(serve::OpKind::kPredict, 3).admit);
-  const serve::AdmissionDecision shed =
-      admission.Admit(serve::OpKind::kExplain, 4);
-  EXPECT_FALSE(shed.admit);
-  EXPECT_STREQ(shed.reason, "queue_depth");
-  EXPECT_EQ(shed.retry_after_us, 999);
-  EXPECT_NE(admission.DebugState().find("bounded_queue"), std::string::npos);
-}
-
-TEST(AdmissionTest, BurnRateShedsLowestPriorityOpsFirst) {
-  serve::BurnRateAdmission::Options opt;
-  opt.shed_explain_burn_rate = 1.0;
-  opt.shed_all_burn_rate = 6.0;
-  opt.max_queued_requests = 10;
-  opt.base_retry_after_us = 100;
-  serve::BurnRateAdmission admission(opt);
-
-  // No burn: everything is admitted.
-  EXPECT_TRUE(admission.Admit(serve::OpKind::kExplain, 0).admit);
-
-  // Between the thresholds: recomputable ops shed, Predict survives, and the
-  // hint scales with how far past the threshold the burn is (2x -> 200us).
-  admission.ObserveBurnRate(2.0);
-  EXPECT_TRUE(admission.Admit(serve::OpKind::kPredict, 0).admit);
-  const serve::AdmissionDecision explain_shed =
-      admission.Admit(serve::OpKind::kExplain, 0);
-  EXPECT_FALSE(explain_shed.admit);
-  EXPECT_STREQ(explain_shed.reason, "burn_rate_explain");
-  EXPECT_EQ(explain_shed.retry_after_us, 200);
-  EXPECT_FALSE(admission.Admit(serve::OpKind::kLogitsRow, 0).admit);
-
-  // Above shed_all: even Predict sheds, hinted at 8/6 of the base.
-  admission.ObserveBurnRate(8.0);
-  const serve::AdmissionDecision all_shed =
-      admission.Admit(serve::OpKind::kPredict, 0);
-  EXPECT_FALSE(all_shed.admit);
-  EXPECT_STREQ(all_shed.reason, "burn_rate");
-  EXPECT_EQ(all_shed.retry_after_us, 133);
-
-  // The scaling factor is capped so the hint stays a retry, not a goodbye.
-  admission.ObserveBurnRate(1000.0);
-  EXPECT_EQ(admission.Admit(serve::OpKind::kPredict, 0).retry_after_us, 6400);
-
-  // The hard queue bound backstops the adaptive part even at zero burn.
-  admission.ObserveBurnRate(0.0);
-  const serve::AdmissionDecision backstop =
-      admission.Admit(serve::OpKind::kPredict, 10);
-  EXPECT_FALSE(backstop.admit);
-  EXPECT_STREQ(backstop.reason, "queue_depth");
-}
-
-TEST(AdmissionTest, DegradedStateHysteresisOnBothEdges) {
-  serve::DegradedModeOptions opt;
-  opt.enter_burn_rate = 2.0;
-  opt.exit_burn_rate = 0.5;
-  opt.enter_consecutive = 2;
-  opt.exit_consecutive = 3;
-  serve::DegradedState state(opt);
-
-  // One hot observation is not enough, and a mid-band one resets the streak.
-  EXPECT_FALSE(state.Update(3.0));
-  EXPECT_FALSE(state.Update(1.0));  // mid-band: streak lost
-  EXPECT_FALSE(state.Update(3.0));
-  EXPECT_TRUE(state.Update(2.0));  // >= enter counts; streak of 2 -> enter
-  EXPECT_EQ(state.entries(), 1);
-
-  // Mid-band holds the current state; a hot blip resets the cool streak.
-  EXPECT_TRUE(state.Update(1.0));
-  EXPECT_TRUE(state.Update(0.4));
-  EXPECT_TRUE(state.Update(0.4));
-  EXPECT_TRUE(state.Update(3.0));  // cool streak lost
-  EXPECT_TRUE(state.Update(0.4));
-  EXPECT_TRUE(state.Update(0.4));
-  EXPECT_FALSE(state.Update(0.4));  // third consecutive cool -> exit
-
-  // Re-entry counts a second transition.
-  EXPECT_FALSE(state.Update(5.0));
-  EXPECT_TRUE(state.Update(5.0));
-  EXPECT_EQ(state.entries(), 2);
-}
+// --- retry policy units ------------------------------------------------------
 
 TEST(RetryTest, BackoffGrowsCapsFloorsOnHintAndJitters) {
   serve::RetryPolicy policy;
