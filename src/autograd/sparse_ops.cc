@@ -23,7 +23,8 @@ void AccumulateSpmmGrads(const EdgeList& edges, const NodePtr& pw,
   if (pw->requires_grad) {
     t::Tensor& dw = pw->EnsureGrad();
     const t::Tensor& xv = px->value;
-#pragma omp parallel for schedule(static)
+#pragma omp parallel for schedule(static) \
+    if (kernels::ShouldParallelize(2.0 * static_cast<double>(e_count) * f))
     for (int64_t e = 0; e < e_count; ++e) {
       const float* xrow = xv.RowPtr(edges.src[static_cast<size_t>(e)]);
       const float* grow = g.RowPtr(edges.dst[static_cast<size_t>(e)]);
@@ -162,7 +163,8 @@ Variable PairDot(const Variable& h, const EdgeListPtr& pairs) {
     obs::KernelScope kscope(
         "pair_dot", "fused", 2.0 * static_cast<double>(e_count) * d,
         static_cast<double>(e_count) * (20.0 + 8.0 * d));
-#pragma omp parallel for schedule(static)
+#pragma omp parallel for schedule(static) \
+    if (kernels::ShouldParallelize(2.0 * static_cast<double>(e_count) * d))
     for (int64_t e = 0; e < e_count; ++e) {
       const float* a = hv.RowPtr(src[e]);
       const float* b = hv.RowPtr(dst[e]);
@@ -275,7 +277,8 @@ Variable SparseMaskedLinear(const std::shared_ptr<const tensor::SparseMatrix>& x
         static_cast<double>(x->nnz()) * (16.0 + 4.0 * h) +
             4.0 * static_cast<double>(x->rows) * h);
     const t::Tensor& wv = pw->value;
-#pragma omp parallel for schedule(dynamic, 64)
+#pragma omp parallel for schedule(dynamic, 64) \
+    if (kernels::ShouldParallelize(2.0 * static_cast<double>(x->nnz()) * h))
     for (int64_t r = 0; r < x->rows; ++r) {
       float* dst = out.RowPtr(r);
       for (int64_t e = x->row_ptr[static_cast<size_t>(r)];
@@ -312,7 +315,8 @@ Variable SparseMaskedLinear(const std::shared_ptr<const tensor::SparseMatrix>& x
           // dmask[e] = x_val[e] * dot(W[col(e), :], g[row(e), :])
           t::Tensor& dm = pm->EnsureGrad();
           const t::Tensor& wv = pw->value;
-#pragma omp parallel for schedule(dynamic, 64)
+#pragma omp parallel for schedule(dynamic, 64) \
+    if (kernels::ShouldParallelize(2.0 * static_cast<double>(x->nnz()) * h))
           for (int64_t r = 0; r < x->rows; ++r) {
             const float* grow = g.RowPtr(r);
             for (int64_t e = x->row_ptr[static_cast<size_t>(r)];
@@ -360,7 +364,8 @@ Variable FeatureMaskAtNnz(const Variable& h, const Variable& w2,
     const t::Tensor& hv = ph->value;
     const t::Tensor& wv = pw->value;
     const t::Tensor& bv = pb->value;
-#pragma omp parallel for schedule(static)
+#pragma omp parallel for schedule(static) \
+    if (kernels::ShouldParallelize(2.0 * static_cast<double>(nnz) * hd))
     for (int64_t e = 0; e < nnz; ++e) {
       const int64_t i = (*row_of)[static_cast<size_t>(e)];
       const int64_t j = pattern->col_idx[static_cast<size_t>(e)];

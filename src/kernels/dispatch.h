@@ -98,8 +98,10 @@ struct Dispatch {
   /// In-place fused epilogue on one row: row += bias (when non-null), then
   /// optional ReLU.
   void (*bias_act_row)(float* row, const float* bias, int64_t n, bool relu);
-  /// C(m x n) += A(m x k) * B(k x n); i-k-j order with a zero-skip on A so
-  /// sparse inputs (bag-of-words) keep their fast path. OpenMP over rows
+  /// C(m x n) += A(m x k) * B(k x n). Register-tiled (4 rows x a tier-wide
+  /// column block of C held in registers across k); per element the sum
+  /// runs over k in order and skips A entries equal to zero, so NaN/Inf in
+  /// a B row behind a zero A entry never reaches C. OpenMP over row blocks
   /// behind ShouldParallelize(2mkn).
   void (*matmul)(const float* a, const float* b, float* c, int64_t m,
                  int64_t k, int64_t n);
@@ -115,10 +117,11 @@ struct Dispatch {
   /// CSR-by-destination SpMM with optional fused epilogue (bias may be null,
   /// relu optional). Entry e's weight is w[perm[e]] when `perm` is non-null
   /// (adjacency CSR permuted from an edge list) and w[e] otherwise (value
-  /// CSR, e.g. feature matrices). With entries kept in edge order (stable
-  /// sort) the per-row accumulation sequence equals spmm_edges exactly, so
-  /// same-tier results are bitwise identical. OpenMP over rows behind
-  /// ShouldParallelize(2·nnz·f).
+  /// CSR, e.g. feature matrices). Each output row is accumulated in
+  /// registers, up to 64 columns per pass. With entries kept in edge order
+  /// (stable sort) the per-row accumulation sequence equals spmm_edges
+  /// exactly, so same-tier results are bitwise identical. OpenMP over rows
+  /// behind ShouldParallelize(2·nnz·f).
   void (*spmm_csr)(int64_t rows, const int64_t* row_ptr, const int64_t* col,
                    const int64_t* perm, const float* w, const float* x,
                    int64_t f, float* out, const float* bias, bool relu);

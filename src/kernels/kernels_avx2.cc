@@ -1,13 +1,17 @@
 /// AVX2 + FMA tier. This TU (alone) is compiled with -mavx2 -mfma; runtime
 /// CPUID dispatch guarantees its code only executes on CPUs that support
-/// both. FMA changes rounding versus the scalar mul+add reference, so this
-/// tier is tolerance-gated, never bitwise, against scalar.
+/// both. Every multiply-add is one FMA, ragged tails included (masked
+/// 8-lane loads and stores). FMA changes rounding versus the scalar mul+add
+/// reference, so this tier is tolerance-gated, never bitwise, against
+/// scalar.
 
 #include "kernels/kernel_impl.h"
 
 #if defined(__AVX2__) && defined(__FMA__)
 #include <immintrin.h>
 #define SES_KERNELS_AVX2_COMPILED 1
+#else
+#include "kernels/ops_scalar.h"
 #endif
 
 namespace ses::kernels::detail {
@@ -16,15 +20,50 @@ namespace {
 #ifdef SES_KERNELS_AVX2_COMPILED
 
 struct OpsAvx2 {
+  // Register-tile primitives (see kernel_impl.h).
+  static constexpr int64_t kLanes = 8;
+  static constexpr int kSpmmVecs = 8;
+  static constexpr int kMatMulVecs = 2;
+  using Vec = __m256;
+  using Bcast = __m256;
+  using Tail = __m256i;  // all-ones in the live lanes
+
+  static inline Tail TailMask(int64_t n) {
+    return _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(n)),
+                              _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+  }
+  static inline Vec Load(const float* p) { return _mm256_loadu_ps(p); }
+  static inline Vec LoadTail(const float* p, Tail t) {
+    return _mm256_maskload_ps(p, t);
+  }
+  static inline void Store(float* p, Vec v) { _mm256_storeu_ps(p, v); }
+  static inline void StoreTail(float* p, Vec v, Tail t) {
+    _mm256_maskstore_ps(p, t, v);
+  }
+  static inline Bcast Set1(float a) { return _mm256_set1_ps(a); }
+  static inline Vec Fma(Vec c, Bcast a, Vec b) {
+    return _mm256_fmadd_ps(a, b, c);
+  }
+  static inline Vec FmaIfNonzero(Vec c, Bcast a, Vec b) {
+    // Unordered-or-unequal: a NaN `a` is not skipped, like `a == 0` false.
+    const __m256 nz = _mm256_cmp_ps(a, _mm256_setzero_ps(), _CMP_NEQ_UQ);
+    return _mm256_blendv_ps(c, _mm256_fmadd_ps(a, b, c), nz);
+  }
+  static inline Vec AddV(Vec a, Vec b) { return _mm256_add_ps(a, b); }
+  static inline Vec ReluV(Vec v) {
+    return _mm256_max_ps(v, _mm256_setzero_ps());
+  }
+
   static inline void Axpy(float* dst, const float* src, int64_t n, float a) {
     const __m256 va = _mm256_set1_ps(a);
     int64_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-      const __m256 d = _mm256_fmadd_ps(va, _mm256_loadu_ps(src + i),
-                                       _mm256_loadu_ps(dst + i));
-      _mm256_storeu_ps(dst + i, d);
+    for (; i + 8 <= n; i += 8)
+      Store(dst + i, Fma(Load(dst + i), va, Load(src + i)));
+    if (i < n) {
+      const Tail t = TailMask(n - i);
+      StoreTail(dst + i, Fma(LoadTail(dst + i, t), va, LoadTail(src + i, t)),
+                t);
     }
-    for (; i < n; ++i) dst[i] += a * src[i];
   }
   static inline void Add(float* dst, const float* src, int64_t n) {
     int64_t i = 0;
@@ -92,38 +131,7 @@ constexpr bool kCompiled = true;
 
 /// Compiler lacked AVX2/FMA flags: alias scalar arithmetic so the table
 /// stays well-formed; TierSupported(kAvx2) reports false via `compiled`.
-struct OpsFallback {
-  static inline void Axpy(float* dst, const float* src, int64_t n, float a) {
-    for (int64_t i = 0; i < n; ++i) dst[i] += a * src[i];
-  }
-  static inline void Add(float* dst, const float* src, int64_t n) {
-    for (int64_t i = 0; i < n; ++i) dst[i] += src[i];
-  }
-  static inline void BinAdd(const float* a, const float* b, float* out,
-                            int64_t n) {
-    for (int64_t i = 0; i < n; ++i) out[i] = a[i] + b[i];
-  }
-  static inline void BinSub(const float* a, const float* b, float* out,
-                            int64_t n) {
-    for (int64_t i = 0; i < n; ++i) out[i] = a[i] - b[i];
-  }
-  static inline void BinMul(const float* a, const float* b, float* out,
-                            int64_t n) {
-    for (int64_t i = 0; i < n; ++i) out[i] = a[i] * b[i];
-  }
-  static inline void Relu(const float* a, float* out, int64_t n) {
-    for (int64_t i = 0; i < n; ++i) out[i] = a[i] > 0.0f ? a[i] : 0.0f;
-  }
-  static inline void BiasAct(float* row, const float* bias, int64_t n,
-                             bool relu) {
-    if (bias != nullptr)
-      for (int64_t i = 0; i < n; ++i) row[i] += bias[i];
-    if (relu)
-      for (int64_t i = 0; i < n; ++i) row[i] = row[i] > 0.0f ? row[i] : 0.0f;
-  }
-};
-
-using Ops = OpsFallback;
+using Ops = OpsScalar;
 constexpr bool kCompiled = false;
 
 #endif  // SES_KERNELS_AVX2_COMPILED

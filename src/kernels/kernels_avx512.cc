@@ -9,6 +9,8 @@
 #if defined(__AVX512F__) && defined(__FMA__)
 #include <immintrin.h>
 #define SES_KERNELS_AVX512_COMPILED 1
+#else
+#include "kernels/ops_scalar.h"
 #endif
 
 namespace ses::kernels::detail {
@@ -16,24 +18,49 @@ namespace {
 
 #ifdef SES_KERNELS_AVX512_COMPILED
 
-inline __mmask16 TailMask(int64_t rem) {
-  return static_cast<__mmask16>((1u << rem) - 1u);
-}
-
 struct OpsAvx512 {
+  // Register-tile primitives (see kernel_impl.h).
+  static constexpr int64_t kLanes = 16;
+  static constexpr int kSpmmVecs = 4;
+  static constexpr int kMatMulVecs = 2;
+  using Vec = __m512;
+  using Bcast = __m512;
+  using Tail = __mmask16;
+
+  static inline Tail TailMask(int64_t n) {
+    return static_cast<__mmask16>((1u << n) - 1u);
+  }
+  static inline Vec Load(const float* p) { return _mm512_loadu_ps(p); }
+  static inline Vec LoadTail(const float* p, Tail t) {
+    return _mm512_maskz_loadu_ps(t, p);
+  }
+  static inline void Store(float* p, Vec v) { _mm512_storeu_ps(p, v); }
+  static inline void StoreTail(float* p, Vec v, Tail t) {
+    _mm512_mask_storeu_ps(p, t, v);
+  }
+  static inline Bcast Set1(float a) { return _mm512_set1_ps(a); }
+  static inline Vec Fma(Vec c, Bcast a, Vec b) {
+    return _mm512_fmadd_ps(a, b, c);
+  }
+  static inline Vec FmaIfNonzero(Vec c, Bcast a, Vec b) {
+    // Unordered-or-unequal: a NaN `a` is not skipped, like `a == 0` false.
+    return _mm512_mask3_fmadd_ps(
+        a, b, c, _mm512_cmp_ps_mask(a, _mm512_setzero_ps(), _CMP_NEQ_UQ));
+  }
+  static inline Vec AddV(Vec a, Vec b) { return _mm512_add_ps(a, b); }
+  static inline Vec ReluV(Vec v) {
+    return _mm512_max_ps(v, _mm512_setzero_ps());
+  }
+
   static inline void Axpy(float* dst, const float* src, int64_t n, float a) {
     const __m512 va = _mm512_set1_ps(a);
     int64_t i = 0;
-    for (; i + 16 <= n; i += 16) {
-      const __m512 d = _mm512_fmadd_ps(va, _mm512_loadu_ps(src + i),
-                                       _mm512_loadu_ps(dst + i));
-      _mm512_storeu_ps(dst + i, d);
-    }
+    for (; i + 16 <= n; i += 16)
+      Store(dst + i, Fma(Load(dst + i), va, Load(src + i)));
     if (i < n) {
-      const __mmask16 m = TailMask(n - i);
-      const __m512 d = _mm512_fmadd_ps(va, _mm512_maskz_loadu_ps(m, src + i),
-                                       _mm512_maskz_loadu_ps(m, dst + i));
-      _mm512_mask_storeu_ps(dst + i, m, d);
+      const Tail t = TailMask(n - i);
+      StoreTail(dst + i, Fma(LoadTail(dst + i, t), va, LoadTail(src + i, t)),
+                t);
     }
   }
   static inline void Add(float* dst, const float* src, int64_t n) {
@@ -127,38 +154,7 @@ constexpr bool kCompiled = true;
 
 #else  // !SES_KERNELS_AVX512_COMPILED
 
-struct OpsFallback {
-  static inline void Axpy(float* dst, const float* src, int64_t n, float a) {
-    for (int64_t i = 0; i < n; ++i) dst[i] += a * src[i];
-  }
-  static inline void Add(float* dst, const float* src, int64_t n) {
-    for (int64_t i = 0; i < n; ++i) dst[i] += src[i];
-  }
-  static inline void BinAdd(const float* a, const float* b, float* out,
-                            int64_t n) {
-    for (int64_t i = 0; i < n; ++i) out[i] = a[i] + b[i];
-  }
-  static inline void BinSub(const float* a, const float* b, float* out,
-                            int64_t n) {
-    for (int64_t i = 0; i < n; ++i) out[i] = a[i] - b[i];
-  }
-  static inline void BinMul(const float* a, const float* b, float* out,
-                            int64_t n) {
-    for (int64_t i = 0; i < n; ++i) out[i] = a[i] * b[i];
-  }
-  static inline void Relu(const float* a, float* out, int64_t n) {
-    for (int64_t i = 0; i < n; ++i) out[i] = a[i] > 0.0f ? a[i] : 0.0f;
-  }
-  static inline void BiasAct(float* row, const float* bias, int64_t n,
-                             bool relu) {
-    if (bias != nullptr)
-      for (int64_t i = 0; i < n; ++i) row[i] += bias[i];
-    if (relu)
-      for (int64_t i = 0; i < n; ++i) row[i] = row[i] > 0.0f ? row[i] : 0.0f;
-  }
-};
-
-using Ops = OpsFallback;
+using Ops = OpsScalar;
 constexpr bool kCompiled = false;
 
 #endif  // SES_KERNELS_AVX512_COMPILED

@@ -4,40 +4,10 @@
 /// the baseline every SIMD tier is parity-tested against.
 
 #include "kernels/kernel_impl.h"
+#include "kernels/ops_scalar.h"
 
 namespace ses::kernels::detail {
 namespace {
-
-struct OpsScalar {
-  static inline void Axpy(float* dst, const float* src, int64_t n, float a) {
-    for (int64_t i = 0; i < n; ++i) dst[i] += a * src[i];
-  }
-  static inline void Add(float* dst, const float* src, int64_t n) {
-    for (int64_t i = 0; i < n; ++i) dst[i] += src[i];
-  }
-  static inline void BinAdd(const float* a, const float* b, float* out,
-                            int64_t n) {
-    for (int64_t i = 0; i < n; ++i) out[i] = a[i] + b[i];
-  }
-  static inline void BinSub(const float* a, const float* b, float* out,
-                            int64_t n) {
-    for (int64_t i = 0; i < n; ++i) out[i] = a[i] - b[i];
-  }
-  static inline void BinMul(const float* a, const float* b, float* out,
-                            int64_t n) {
-    for (int64_t i = 0; i < n; ++i) out[i] = a[i] * b[i];
-  }
-  static inline void Relu(const float* a, float* out, int64_t n) {
-    for (int64_t i = 0; i < n; ++i) out[i] = a[i] > 0.0f ? a[i] : 0.0f;
-  }
-  static inline void BiasAct(float* row, const float* bias, int64_t n,
-                             bool relu) {
-    if (bias != nullptr)
-      for (int64_t i = 0; i < n; ++i) row[i] += bias[i];
-    if (relu)
-      for (int64_t i = 0; i < n; ++i) row[i] = row[i] > 0.0f ? row[i] : 0.0f;
-  }
-};
 
 void AxpyRow(float* dst, const float* src, int64_t n, float a) {
   OpsScalar::Axpy(dst, src, n, a);

@@ -74,8 +74,8 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
   KernelScope scope("matmul", d.matmul_variant, 2.0 * m * k * n,
                     MatMulBytes(m, k, n));
   Tensor out(m, n);
-  // i-k-j microkernel with a zero-skip on A, row-axpy inner loop on the
-  // dispatched tier; OpenMP over rows inside the kernel.
+  // Register-tiled microkernel with a zero-skip on A on the dispatched tier;
+  // OpenMP over row blocks inside the kernel.
   d.matmul(a.data(), b.data(), out.data(), m, k, n);
   return out;
 }

@@ -3,6 +3,8 @@
 //  - SIMD/scalar parity sweeps across every dispatched variant (feature
 //    widths 1..333 including ragged SIMD tails, empty rows, duplicate
 //    edges, denormals, NaN masking/propagation),
+//  - the register-tiled MatMul bitwise against a row-axpy reference loop
+//    on each tier's own axpy_row,
 //  - the fused GCN epilogue (aggregate + bias + ReLU) against the unfused
 //    chain — bitwise at scalar tier, tolerance-gated at SIMD tiers,
 //  - SpMMBiasAct gradients (analytic vs the unfused chain, plus numeric),
@@ -35,8 +37,9 @@ namespace k = ses::kernels;
 
 /// Feature widths the parity sweeps cover: scalar, sub-lane, one AVX2 lane,
 /// one AVX-512 lane, lane+1 (ragged tail), a typical hidden width, and a
-/// large non-multiple-of-16 width.
-const std::vector<int64_t> kWidths = {1, 3, 8, 16, 17, 64, 333};
+/// large non-multiple-of-16 width — plus the GCN encoder's class (5) and
+/// hidden (32) widths on the scale graphs.
+const std::vector<int64_t> kWidths = {1, 3, 5, 8, 16, 17, 32, 64, 333};
 
 std::vector<k::SimdTier> SupportedTiers() {
   std::vector<k::SimdTier> tiers;
@@ -235,6 +238,58 @@ TEST(KernelParityTest, MatMulVariantsMatchScalarWithinTolerance) {
   }
 }
 
+/// Reference MatMul: the i-k-j row-axpy loop on `d`'s own row primitive —
+/// per element, c += a·b over k in order, skipping a == 0.
+void RowAxpyMatMul(const k::Dispatch& d, const float* a, const float* b,
+                   float* c, int64_t m, int64_t kk, int64_t n) {
+  for (int64_t i = 0; i < m; ++i)
+    for (int64_t j = 0; j < kk; ++j) {
+      const float av = a[i * kk + j];
+      if (av == 0.0f) continue;
+      d.axpy_row(c + i * n, b + j * n, n, av);
+    }
+}
+
+TEST(KernelParityTest, MatMulIsBitwiseEqualToTheRowAxpyLoopAtEveryTier) {
+  // m = 1..9 covers every remainder of the row tile; k = 32, 33 a full and
+  // a ragged reduction. Zero A entries alternate +0 and -0, whole zero A
+  // columns sit in front of B rows of NaN/Inf that must not leak, and C
+  // starts nonzero (with some -0) because the kernel accumulates.
+  util::Rng rng(13);
+  const float kPoison[3] = {std::nanf(""), INFINITY, -INFINITY};
+  for (const k::SimdTier tier : SupportedTiers()) {
+    const k::Dispatch& d = k::DispatchFor(tier);
+    for (int64_t m = 1; m <= 9; ++m) {
+      for (const int64_t kk : {1, 32, 33}) {
+        for (const int64_t n : kWidths) {
+          t::Tensor a = t::Tensor::Randn(m, kk, &rng);
+          t::Tensor b = t::Tensor::Randn(kk, n, &rng);
+          t::Tensor c = t::Tensor::Randn(m, n, &rng);
+          for (int64_t i = 0; i < m; ++i)
+            for (int64_t j = 0; j < kk; ++j)
+              if ((i + j) % 3 == 0) a.At(i, j) = (i + j) % 2 ? -0.0f : 0.0f;
+          for (int64_t j = 1; j < kk; j += 4) {
+            for (int64_t i = 0; i < m; ++i)
+              a.At(i, j) = (i + j) % 2 ? -0.0f : 0.0f;
+            for (int64_t col = 0; col < n; ++col)
+              b.At(j, col) = kPoison[(j + col) % 3];
+          }
+          for (int64_t e = 0; e < c.size(); e += 4) c[e] = -0.0f;
+          t::Tensor got = c, want = c;
+          d.matmul(a.data(), b.data(), got.data(), m, kk, n);
+          RowAxpyMatMul(d, a.data(), b.data(), want.data(), m, kk, n);
+          EXPECT_TRUE(BitwiseEqual(got.data(), want.data(), m * n))
+              << k::TierName(tier) << " m=" << m << " k=" << kk << " n=" << n;
+          for (int64_t e = 0; e < got.size(); ++e)
+            ASSERT_TRUE(std::isfinite(got[e]))
+                << k::TierName(tier) << " leaked NaN/Inf at " << e
+                << " m=" << m << " k=" << kk << " n=" << n;
+        }
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // SpMM parity: every (algo, tier) variant against the edge-order scalar
 // reference, across all widths, with empty rows / duplicates / zero weights.
@@ -320,22 +375,24 @@ TEST(SpmmNanTest, ZeroWeightMasksNaNRowInEveryVariant) {
   g.src = {4, 4, 3, 5, 3};
   g.dst = {2, 3, 2, 5, 4};
   const int64_t e = static_cast<int64_t>(g.src.size());
-  const int64_t f = 17;
   t::Tensor w = t::Tensor::Ones(e, 1);
   w[0] = 0.0f;
   w[1] = 0.0f;
   util::Rng rng(5);
-  t::Tensor x = t::Tensor::Randn(g.nodes, f, &rng);
-  for (int64_t c = 0; c < f; ++c) x.At(4, c) = std::nanf("");
   const k::SpmmPlan plan(g.src.data(), g.dst.data(), e, g.nodes);
-  for (const k::SimdTier tier : SupportedTiers()) {
-    for (int a = 0; a < k::kNumSpmmAlgos; ++a) {
-      const k::SpmmChoice choice{static_cast<k::SpmmAlgo>(a), tier};
-      t::Tensor out = t::Tensor::Zeros(g.nodes, f);
-      plan.Run(choice, w.data(), x.data(), f, out.data(), nullptr, false);
-      for (int64_t i = 0; i < out.size(); ++i)
-        EXPECT_FALSE(std::isnan(out[i]))
-            << k::SpmmVariantName(choice) << " leaked NaN at " << i;
+  for (const int64_t f : kWidths) {
+    t::Tensor x = t::Tensor::Randn(g.nodes, f, &rng);
+    for (int64_t c = 0; c < f; ++c) x.At(4, c) = std::nanf("");
+    for (const k::SimdTier tier : SupportedTiers()) {
+      for (int a = 0; a < k::kNumSpmmAlgos; ++a) {
+        const k::SpmmChoice choice{static_cast<k::SpmmAlgo>(a), tier};
+        t::Tensor out = t::Tensor::Zeros(g.nodes, f);
+        plan.Run(choice, w.data(), x.data(), f, out.data(), nullptr, false);
+        for (int64_t i = 0; i < out.size(); ++i)
+          EXPECT_FALSE(std::isnan(out[i])) << k::SpmmVariantName(choice)
+                                           << " leaked NaN at " << i
+                                           << " f=" << f;
+      }
     }
   }
 }
@@ -345,18 +402,22 @@ TEST(SpmmNanTest, NonzeroWeightPropagatesNaNInEveryVariant) {
   g.nodes = 4;
   g.src = {1, 2};
   g.dst = {0, 3};
-  const int64_t f = 8;
   t::Tensor w = t::Tensor::Ones(2, 1);
-  t::Tensor x = t::Tensor::Ones(g.nodes, f);
-  x.At(1, 3) = std::nanf("");
   const k::SpmmPlan plan(g.src.data(), g.dst.data(), 2, g.nodes);
-  for (const k::SimdTier tier : SupportedTiers()) {
-    for (int a = 0; a < k::kNumSpmmAlgos; ++a) {
-      const k::SpmmChoice choice{static_cast<k::SpmmAlgo>(a), tier};
-      t::Tensor out = t::Tensor::Zeros(g.nodes, f);
-      plan.Run(choice, w.data(), x.data(), f, out.data(), nullptr, false);
-      EXPECT_TRUE(std::isnan(out.At(0, 3))) << k::SpmmVariantName(choice);
-      EXPECT_FALSE(std::isnan(out.At(3, 3))) << k::SpmmVariantName(choice);
+  for (const int64_t f : kWidths) {
+    const int64_t nan_col = std::min<int64_t>(3, f - 1);
+    t::Tensor x = t::Tensor::Ones(g.nodes, f);
+    x.At(1, nan_col) = std::nanf("");
+    for (const k::SimdTier tier : SupportedTiers()) {
+      for (int a = 0; a < k::kNumSpmmAlgos; ++a) {
+        const k::SpmmChoice choice{static_cast<k::SpmmAlgo>(a), tier};
+        t::Tensor out = t::Tensor::Zeros(g.nodes, f);
+        plan.Run(choice, w.data(), x.data(), f, out.data(), nullptr, false);
+        EXPECT_TRUE(std::isnan(out.At(0, nan_col)))
+            << k::SpmmVariantName(choice) << " f=" << f;
+        EXPECT_FALSE(std::isnan(out.At(3, nan_col)))
+            << k::SpmmVariantName(choice) << " f=" << f;
+      }
     }
   }
 }
