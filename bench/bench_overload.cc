@@ -9,7 +9,7 @@
 // the bound) and request deadlines (doomed-work elimination in queue,
 // mid-flight expiry). Every ok answer is computed by a scheduled batch.
 //
-// Protocol per sweep point (fresh scheduler, fresh SLO window each time):
+// Protocol per sweep point (fresh scheduler each time):
 //   - N paced clients submit on an absolute schedule (open loop: arrivals do
 //     not wait for completions), 90/10 predict/explain, every request with a
 //     relative deadline;
@@ -38,6 +38,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "bench_common.h"
@@ -111,6 +112,10 @@ struct Tally {
   int64_t retries = 0;
   int64_t ok = 0;
   int64_t shed = 0;        ///< final status kOverloaded (retries exhausted)
+  /// `shed` split by op: Predict sheds at the full queue bound
+  /// ("queue_depth"), Explain at half of it ("queue_depth_low_priority").
+  int64_t shed_predict = 0;
+  int64_t shed_explain = 0;
   int64_t expired = 0;     ///< kDeadlineExceeded (queue or mid-flight)
   int64_t shutdown = 0;
   int64_t internal = 0;
@@ -122,6 +127,8 @@ struct Tally {
     retries += other.retries;
     ok += other.ok;
     shed += other.shed;
+    shed_predict += other.shed_predict;
+    shed_explain += other.shed_explain;
     expired += other.expired;
     shutdown += other.shutdown;
     internal += other.internal;
@@ -129,10 +136,13 @@ struct Tally {
   }
 };
 
-void TallyStatus(serve::StatusCode code, Tally* tally) {
+void TallyStatus(serve::StatusCode code, bool explain, Tally* tally) {
   switch (code) {
     case serve::StatusCode::kOk: ++tally->ok; break;
-    case serve::StatusCode::kOverloaded: ++tally->shed; break;
+    case serve::StatusCode::kOverloaded:
+      ++tally->shed;
+      ++(explain ? tally->shed_explain : tally->shed_predict);
+      break;
     case serve::StatusCode::kDeadlineExceeded: ++tally->expired; break;
     case serve::StatusCode::kShuttingDown: ++tally->shutdown; break;
     case serve::StatusCode::kInternal: ++tally->internal; break;
@@ -144,6 +154,7 @@ void TallyStatus(serve::StatusCode code, Tally* tally) {
 template <typename Future>
 void ResolveAll(std::vector<Future>& futures, Clock::time_point give_up,
                 Tally* tally) {
+  constexpr bool kExplain = std::is_same_v<Future, serve::ExplainFuture>;
   for (auto& future : futures) {
     while (!future.Ready() && Clock::now() < give_up)
       std::this_thread::sleep_for(std::chrono::microseconds(100));
@@ -151,7 +162,7 @@ void ResolveAll(std::vector<Future>& futures, Clock::time_point give_up,
       ++tally->unresolved;
       continue;
     }
-    TallyStatus(future.Wait().code, tally);
+    TallyStatus(future.Wait().code, kExplain, tally);
   }
 }
 
@@ -296,8 +307,6 @@ int main(int argc, char** argv) {
     sweep_opt.max_batch_size = 64;
     sweep_opt.flush_deadline_us = 200;
     sweep_opt.num_workers = 1;
-    sweep_opt.e2e_budget_us = deadline_us;
-    sweep_opt.queue_wait_budget_us = deadline_us / 4.0;
     sweep_opt.default_deadline_us = deadline_us;
     sweep_opt.max_queued_requests = max_queued;
     sweep_opt.fault_plan = service_cost;
@@ -365,10 +374,12 @@ int main(int argc, char** argv) {
     points.push_back(point);
     std::printf(
         "%5.1fx offered (%8.0f qps): goodput %8.0f qps | ok %lld shed %lld "
-        "expired %lld internal %lld unresolved %lld | retries %lld | "
-        "batches %lld | p99 %.2f ms\n",
+        "(predict %lld / explain %lld) expired %lld internal %lld "
+        "unresolved %lld | retries %lld | batches %lld | p99 %.2f ms\n",
         mult, offered_qps, point.goodput_qps,
         static_cast<long long>(tally.ok), static_cast<long long>(tally.shed),
+        static_cast<long long>(tally.shed_predict),
+        static_cast<long long>(tally.shed_explain),
         static_cast<long long>(tally.expired),
         static_cast<long long>(tally.internal),
         static_cast<long long>(tally.unresolved),
@@ -422,6 +433,8 @@ int main(int argc, char** argv) {
         << "      \"retries\": " << p.tally.retries << ",\n"
         << "      \"ok\": " << p.tally.ok << ",\n"
         << "      \"shed\": " << p.tally.shed << ",\n"
+        << "      \"shed_predict\": " << p.tally.shed_predict << ",\n"
+        << "      \"shed_explain\": " << p.tally.shed_explain << ",\n"
         << "      \"expired\": " << p.tally.expired << ",\n"
         << "      \"shutdown\": " << p.tally.shutdown << ",\n"
         << "      \"internal\": " << p.tally.internal << ",\n"

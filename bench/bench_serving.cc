@@ -15,34 +15,29 @@
 //      streams requests with a bounded outstanding window, like a pipelined
 //      RPC client) shows the micro-batching throughput win. Both paths carry
 //      full per-request accounting — the direct path records its latency
-//      histogram sample and SLO point inline per request, the scheduled path
-//      gets the same from the worker's batched ObserveMany/RecordMany — so
-//      the comparison is serving-loop vs. serving-loop, not instrumented
-//      vs. bare.
+//      histogram sample inline per request, the scheduled path gets the same
+//      from the worker's batched ObserveMany — so the comparison is
+//      serving-loop vs. serving-loop, not instrumented vs. bare.
 //
 // Results go to --out (default BENCH_serving.json). --smoke shrinks every
 // knob for the ASan CI run (2 threads, tiny query counts).
 //
 // Latency percentiles come from labeled registry histograms
-// (ses.infer.latency_us{op=...}); per-op SLO budgets feed the ses.slo.*
-// burn-rate gauges. Combined with the ObsSession flags (--metrics-port,
-// --access-log, --trace-out) a run is fully scrapable and joinable while it
-// executes.
+// (ses.infer.latency_us{op=...}). Combined with the ObsSession flags
+// (--metrics-port, --access-log, --trace-out) a run is fully scrapable and
+// joinable while it executes.
 #include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
-#include <memory>
 #include <thread>
 #include <vector>
 
 #include "autograd/variable.h"
 #include "bench_common.h"
 #include "core/inference_session.h"
-#include "obs/anomaly.h"
 #include "obs/flight_recorder.h"
-#include "obs/perfcount.h"
 #include "serve/batch_scheduler.h"
 #include "tensor/workspace.h"
 #include "util/logging.h"
@@ -97,14 +92,12 @@ int main(int argc, char** argv) {
       flags.GetInt("open-queries", smoke ? 200 : 50000);
   const std::string out_path = flags.GetString("out", "BENCH_serving.json");
   // Request-forensics knobs. --flight-dump arms the flight recorder's
-  // burn-triggered auto-dump (the CI forensics stage points it at
-  // ci_artifacts/ with a deliberately tiny --sched-queue-budget-us so the
-  // breach is guaranteed); --sched-queue-budget-us also turns on the
-  // queue-wait SLO for the phase-3 scheduler.
+  // auto-dump: the first request whose queue wait exceeds
+  // --flight-queue-budget-us writes the slowest-requests snapshot there
+  // (the CI forensics stage sets a 1 us budget so the breach is certain).
   const std::string flight_dump = flags.GetString("flight-dump", "");
-  const double flight_burn = flags.GetDouble("flight-burn", 0.5);
-  const double sched_queue_budget_us =
-      flags.GetDouble("sched-queue-budget-us", 0.0);
+  const double flight_queue_budget_us =
+      flags.GetDouble("flight-queue-budget-us", 1e3);
   if (smoke) {
     profile.real_scale = std::min(profile.real_scale, 0.15);
     profile.epochs = std::min<int64_t>(profile.epochs, 3);
@@ -114,15 +107,11 @@ int main(int argc, char** argv) {
               profile.Describe().c_str(), static_cast<long long>(threads),
               static_cast<long long>(queries_per_thread));
 
-  // Register every metric family up front — per-op SLO budgets (whose
-  // rolling burn rates land in the ses.slo.* gauges), the labeled latency
-  // histograms, and the ses.pool.* counters — so a live /metrics scrape
-  // taken at any point of the run, including during training, already sees
-  // the full serving exposition. The report below reads its percentiles
-  // back out of the histograms instead of keeping private sorted-vector
-  // percentile code.
-  obs::SloTracker::Get().SetBudget("infer.predict", /*latency_budget_us=*/1e3);
-  obs::SloTracker::Get().SetBudget("infer.explain", /*latency_budget_us=*/2e3);
+  // Register every metric family up front — the labeled latency histograms
+  // and the ses.pool.* counters — so a live /metrics scrape taken at any
+  // point of the run, including during training, already sees the full
+  // serving exposition. The report below reads its percentiles back out of
+  // the histograms instead of keeping private sorted-vector percentile code.
   auto& registry = obs::MetricsRegistry::Get();
   const auto& edges_us = obs::Histogram::DefaultLatencyEdgesUs();
   obs::Histogram& all_hist =
@@ -155,34 +144,8 @@ int main(int argc, char** argv) {
   tensor::workspace::SyncMetricsRegistry();
 
   if (!flight_dump.empty())
-    obs::FlightRecorder::Get().ArmAutoDump(flight_dump, flight_burn);
-  // Anomaly probe over the serving kernel itself: SpMM GFLOP/s since the
-  // last poll, summed across autotuner variants (the per-variant perfcount
-  // gauges can't be watched directly — the variant label is chosen at
-  // runtime). flops/ns is numerically GFLOP/s.
-  {
-    struct SpmmSeen {
-      double flops = 0.0;
-      double ns = 0.0;
-    };
-    auto seen = std::make_shared<SpmmSeen>();
-    obs::AnomalyWatch::Get().WatchProbe(
-        "kernel.spmm_gflops", [seen](double* value) {
-          double flops = 0.0, ns = 0.0;
-          for (const obs::KernelStats& k : obs::SnapshotKernelStats()) {
-            if (k.kernel != "spmm") continue;
-            flops += k.flops;
-            ns += k.inclusive_ns;
-          }
-          const double d_flops = flops - seen->flops;
-          const double d_ns = ns - seen->ns;
-          seen->flops = flops;
-          seen->ns = ns;
-          if (d_ns <= 0.0) return false;  // no new SpMM work since last poll
-          *value = d_flops / d_ns;
-          return true;
-        });
-  }
+    obs::FlightRecorder::Get().ArmAutoDump(flight_dump,
+                                           flight_queue_budget_us);
 
   auto ds = data::MakeRealWorldByName("Cora", profile.real_scale, 1);
   core::SesOptions opt;
@@ -288,23 +251,12 @@ int main(int argc, char** argv) {
       static_cast<long long>(total_queries), wall_s, qps, p50, p99,
       pool_hit_rate * 100.0, static_cast<long long>(cache.cache_hits),
       static_cast<long long>(cache.cache_misses));
-  const auto predict_slo = obs::SloTracker::Get().Snapshot("infer.predict");
-  const auto explain_slo = obs::SloTracker::Get().Snapshot("infer.explain");
-  std::printf(
-      "slo: predict %lld/%lld over budget (burn %.3f) | explain %lld/%lld "
-      "over budget (burn %.3f)\n",
-      static_cast<long long>(predict_slo.breaches),
-      static_cast<long long>(predict_slo.requests), predict_slo.burn_rate,
-      static_cast<long long>(explain_slo.breaches),
-      static_cast<long long>(explain_slo.requests), explain_slo.burn_rate);
 
   // --- Phase 3: batch scheduler vs. direct path ----------------------------
   serve::SchedulerOptions sched_opt;
   sched_opt.max_batch_size = 256;
   sched_opt.flush_deadline_us = 200;
   sched_opt.num_workers = 1;
-  sched_opt.e2e_budget_us = 1e3;  // same budget class as infer.predict
-  sched_opt.queue_wait_budget_us = sched_queue_budget_us;
   serve::BatchScheduler scheduler(&session, sched_opt);
   obs::Histogram& e2e_hist = registry.GetHistogram(
       "ses.sched.e2e_us", obs::Histogram::DefaultLatencyEdgesUs());
@@ -450,7 +402,6 @@ int main(int argc, char** argv) {
           ? static_cast<double>(sched_stats.requests) /
                 static_cast<double>(sched_stats.batches)
           : 0.0;
-  const auto sched_slo = obs::SloTracker::Get().Snapshot("sched.e2e");
   std::printf(
       "scheduler (%lld clients): closed-loop %.0f qps (p50 %.3f ms) | "
       "open-loop direct %.0f qps vs scheduled %.0f qps (%.2fx) | avg batch "
@@ -495,14 +446,6 @@ int main(int argc, char** argv) {
       << "    \"p99_ms\": " << p99 << ",\n"
       << "    \"p999_ms\": " << p999 << "\n"
       << "  },\n"
-      << "  \"slo\": {\n"
-      << "    \"predict\": {\"requests\": " << predict_slo.requests
-      << ", \"breaches\": " << predict_slo.breaches
-      << ", \"burn_rate\": " << predict_slo.burn_rate << "},\n"
-      << "    \"explain\": {\"requests\": " << explain_slo.requests
-      << ", \"breaches\": " << explain_slo.breaches
-      << ", \"burn_rate\": " << explain_slo.burn_rate << "}\n"
-      << "  },\n"
       << "  \"pool\": {\n"
       << "    \"hits\": " << pool.hits << ",\n"
       << "    \"misses\": " << pool.misses << ",\n"
@@ -545,10 +488,7 @@ int main(int argc, char** argv) {
       << ", \"p99_us\": " << stage_forward_hist.P99() << "},\n"
       << "      \"resolve\": {\"p50_us\": " << stage_resolve_hist.P50()
       << ", \"p99_us\": " << stage_resolve_hist.P99() << "}\n"
-      << "    },\n"
-      << "    \"slo_e2e\": {\"requests\": " << sched_slo.requests
-      << ", \"breaches\": " << sched_slo.breaches
-      << ", \"burn_rate\": " << sched_slo.burn_rate << "}\n"
+      << "    }\n"
       << "  },\n"
       << "  \"session_cache\": {\n"
       << "    \"hits\": " << cache.cache_hits << ",\n"

@@ -34,11 +34,11 @@
 #                           # 10k smoke under ASan
 #   scripts/ci.sh forensics # request-forensics gate (DESIGN.md §15): Release
 #                           # bench_serving with a deliberately tiny queue-
-#                           # wait SLO so the flight recorder's burn-triggered
-#                           # auto-dump is guaranteed to trip; the live
-#                           # endpoints are scraped mid-run (OpenMetrics
-#                           # exemplars on the e2e histogram, /debug/slowest
-#                           # stage monotonicity, anomaly_watch in /healthz)
+#                           # wait budget so the flight recorder's auto-dump
+#                           # is guaranteed to trip; the live endpoints are
+#                           # scraped mid-run (OpenMetrics exemplars on the
+#                           # e2e histogram, /debug/slowest stage
+#                           # monotonicity, the scheduler in /healthz)
 #                           # and the dump + exemplar trace-ids are joined
 #                           # offline against the access log and Chrome trace
 #                           # (dumped e2e == logged submit->resolve offset)
@@ -174,7 +174,8 @@ stage_asan() {
 import os, sys, time, urllib.request
 
 port, pid = sys.argv[1], int(sys.argv[2])
-need = ["ses_pool_", "ses_infer_", "ses_slo_", "ses_sched_", "ses_kernel_"]
+need = ["ses_pool_", "ses_infer_", "ses_sched_queue_wait_us_bucket",
+        "ses_sched_", "ses_kernel_"]
 body = ""
 deadline = time.monotonic() + 120
 while time.monotonic() < deadline:
@@ -248,16 +249,16 @@ stage_tsan() {
   ctest --test-dir build-tsan --output-on-failure -j "${JOBS}" -L tier1
 
   # Races are probabilistic: one clean pass proves little. Repeat the graph-
-  # version snapshot, halo-exchange and queue-bound recovery race tests, each
-  # up to 20 times.
-  echo "=== [tsan] snapshot, halo and queue-bound race tests, repeated ==="
+  # version snapshot, halo-exchange, queue-bound recovery and flight-recorder
+  # dump-trigger race tests, each up to 20 times.
+  echo "=== [tsan] snapshot, halo, queue-bound and dump-trigger race tests, repeated ==="
   ctest --test-dir build-tsan --output-on-failure -j "${JOBS}" \
     --repeat until-fail:20 -R \
-    'ServeTest\.(Snapshot|ForwardLogitsIsSafeAgainstConcurrentArtifactRebuilds|AccessLogVersionsOneClientSeesNeverDecrease|AdmissionResumesOnceTheQueueDrains)|ShardedSessionTest\.HaloExchange'
+    'ServeTest\.(Snapshot|ForwardLogitsIsSafeAgainstConcurrentArtifactRebuilds|AccessLogVersionsOneClientSeesNeverDecrease|AdmissionResumesOnceTheQueueDrains)|ShardedSessionTest\.HaloExchange|FlightRecorderTest\.ConcurrentBreachesDumpExactlyOnce'
 
   # Scheduler smoke under TSan: concurrent producers, micro-batch formation,
   # worker-pool execution, lock-free future completion, and the batched
-  # metrics/SLO recording all race-checked in one run. --smoke keeps the
+  # metrics recording all race-checked in one run. --smoke keeps the
   # model tiny; the scheduler phase still pushes thousands of requests
   # through every flush path.
   echo "=== [tsan] bench_serving --smoke (scheduler under contention) ==="
@@ -567,17 +568,16 @@ stage_forensics() {
   ensure_release
   # Request forensics end to end (DESIGN.md §15). One Release bench_serving
   # run with the whole forensics surface armed: exemplars and stage
-  # attribution are always on; --sched-queue-budget-us=1 makes every
-  # scheduled request breach its queue-wait budget, so the burn rate crosses
-  # --flight-burn on the very first batch and the flight recorder's
-  # auto-dump is guaranteed to trip. Generously sized closed-loop phase
+  # attribution are always on; --flight-queue-budget-us=1 makes every
+  # scheduled request breach the flight recorder's queue-wait budget, so its
+  # auto-dump is guaranteed to trip on the very first batch. Generously sized closed-loop phase
   # (~1 s) so the mid-run scrape reliably catches the scheduler alive.
   echo "=== [forensics] bench_serving with flight recorder armed (live scrape) ==="
   rm -f ci_artifacts/flight-dump.json
   ./build/bench/bench_serving --scale=0.25 --epochs=40 --hidden=32 \
     --seeds=1 --threads=2 --queries=2000 \
     --sched-clients=4 --closed-queries=4000 --open-queries=4000 \
-    --sched-queue-budget-us=1 --flight-burn=0.05 \
+    --flight-queue-budget-us=1 \
     --flight-dump=ci_artifacts/flight-dump.json \
     --metrics-port=0 --access-log="${SCRATCH}/forensics-access.jsonl" \
     --trace-out="${SCRATCH}/forensics-trace.json" \
@@ -650,14 +650,16 @@ assert e2es == sorted(e2es, reverse=True), "/debug/slowest not slowest-first"
 
 with urllib.request.urlopen(f"{base}/healthz", timeout=5) as resp:
     health = json.load(resp)
-assert "anomaly_watch" in health.get("components", {}), \
-    f"anomaly_watch component missing from /healthz: {sorted(health)}"
+schedulers = [c for c in health.get("components", {})
+              if c.startswith("scheduler")]
+assert schedulers, \
+    f"no scheduler component in /healthz: {sorted(health.get('components', {}))}"
 
 with open(os.path.join(scratch, "forensics-exemplars.json"), "w") as f:
     json.dump(exemplar_ids, f)
 print(f"live forensics ok: {len(exemplar_ids)} e2e exemplars, "
       f"{len(records)} /debug/slowest records (top_k {slowest['top_k']}), "
-      f"anomaly_watch registered")
+      f"/healthz components {schedulers}")
 PY
   wait "${serving_pid}" || {
     cat "ci_artifacts/serving-forensics.log"
@@ -665,7 +667,7 @@ PY
 
   echo "=== [forensics] dump + exemplars join the access log and Chrome trace ==="
   [[ -s ci_artifacts/flight-dump.json ]] || {
-    echo "FAIL: the SLO breach never auto-dumped ci_artifacts/flight-dump.json"
+    echo "FAIL: the queue-wait breach never auto-dumped ci_artifacts/flight-dump.json"
     exit 1; }
   python3 - ci_artifacts/flight-dump.json \
     "${SCRATCH}/forensics-access.jsonl" "${SCRATCH}/forensics-trace.json" \

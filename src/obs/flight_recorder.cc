@@ -60,10 +60,35 @@ void FlightRecorder::RollWindowIfDue(double now_us) {
   current_.clear();
   floor_.store(-1.0, std::memory_order_relaxed);
   window_start_us_.store(now_us, std::memory_order_relaxed);
+  dumped_.store(false, std::memory_order_relaxed);
 }
 
 void FlightRecorder::Record(const RequestRecord& record) {
   RollWindowIfDue(TraceUs(record.stamps[RequestRecord::kResolve]));
+  Admit(record);
+  const double budget_us = dump_budget_us_.load(std::memory_order_relaxed);
+  if (budget_us <= 0.0 ||
+      record.OffsetUs(RequestRecord::kForwardStart) <= budget_us)
+    return;
+  // One dump per window: the exchange picks the one breaching record that
+  // writes it, however many threads breach at once.
+  if (dumped_.exchange(true, std::memory_order_relaxed)) return;
+  std::string path;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    path = dump_path_;
+  }
+  if (path.empty()) return;  // disarmed since the budget load above
+  if (DumpTo(path)) {
+    dumps_.fetch_add(1, std::memory_order_relaxed);
+    SES_LOG_INFO << "flight recorder: queue wait of request "
+                 << record.trace_id << " exceeded " << budget_us
+                 << " us, dumped slowest requests to " << path;
+  }
+  MetricsRegistry::Get().GetCounter("ses.flight.dumps").Add(1);
+}
+
+void FlightRecorder::Admit(const RequestRecord& record) {
   const double e2e_us = record.e2e_us();
   // Fast path: a full heap whose minimum beats this record means the record
   // can't place. The floor may be stale (another thread mid-insert); that
@@ -118,40 +143,14 @@ std::string FlightRecorder::SnapshotJson() const {
 }
 
 void FlightRecorder::ArmAutoDump(const std::string& path,
-                                 double burn_threshold) {
+                                 double queue_wait_budget_us) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     dump_path_ = path;
   }
-  burn_threshold_.store(burn_threshold, std::memory_order_relaxed);
-  ready_.store(true, std::memory_order_relaxed);
-  armed_.store(!path.empty() && burn_threshold > 0.0,
-               std::memory_order_release);
-}
-
-void FlightRecorder::ObserveBurn(double burn) {
-  if (!armed_.load(std::memory_order_acquire)) return;
-  const double threshold = burn_threshold_.load(std::memory_order_relaxed);
-  if (ready_.load(std::memory_order_relaxed)) {
-    if (burn < threshold) return;
-    // One dump per excursion: flip ready_ first so racing batches don't dump
-    // twice (exchange is the arbiter).
-    if (!ready_.exchange(false, std::memory_order_acq_rel)) return;
-    std::string path;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      path = dump_path_;
-    }
-    if (DumpTo(path)) {
-      dumps_.fetch_add(1, std::memory_order_relaxed);
-      SES_LOG_INFO << "flight recorder: SLO burn " << burn << " >= "
-                   << threshold << ", dumped slowest requests to " << path;
-    }
-    MetricsRegistry::Get().GetCounter("ses.flight.dumps").Add(1);
-    return;
-  }
-  // Tripped: re-arm only after the burn recedes below half the threshold.
-  if (burn < 0.5 * threshold) ready_.store(true, std::memory_order_relaxed);
+  dumped_.store(false, std::memory_order_relaxed);
+  dump_budget_us_.store(path.empty() ? 0.0 : queue_wait_budget_us,
+                        std::memory_order_relaxed);
 }
 
 bool FlightRecorder::DumpTo(const std::string& path) const {
@@ -173,9 +172,8 @@ void FlightRecorder::ResetForTest() {
   floor_.store(-1.0, std::memory_order_relaxed);
   window_start_us_.store(0.0, std::memory_order_relaxed);
   dump_path_.clear();
-  burn_threshold_.store(0.0, std::memory_order_relaxed);
-  armed_.store(false, std::memory_order_relaxed);
-  ready_.store(true, std::memory_order_relaxed);
+  dump_budget_us_.store(0.0, std::memory_order_relaxed);
+  dumped_.store(false, std::memory_order_relaxed);
   dumps_.store(0, std::memory_order_relaxed);
 }
 

@@ -21,12 +21,11 @@ namespace ses::obs {
 /// always serves up to two windows of context instead of going blank at the
 /// boundary.
 ///
-/// Auto-dump: ArmAutoDump(path, threshold) arms a one-shot trigger on the SLO
-/// burn rate the scheduler reports per batch (ObserveBurn). When burn crosses
-/// the threshold the current snapshot is written to `path` as JSON; the
-/// trigger re-arms once burn falls below threshold/2 (hysteresis — a burn
-/// oscillating at the threshold produces one dump per excursion, not one per
-/// batch).
+/// Auto-dump: ArmAutoDump(path, budget) arms a trigger on the records
+/// themselves. The first timed record whose queue wait (forward-start minus
+/// submit; 0 on the direct path) exceeds the budget is admitted and then the
+/// snapshot is written to `path` as JSON. The trigger re-arms when the window
+/// rolls, so a sustained breach writes at most one dump per window.
 class FlightRecorder {
  public:
   static FlightRecorder& Get();
@@ -47,12 +46,8 @@ class FlightRecorder {
   /// trace-epoch clock, so they line up with Chrome-trace `ts` values.
   std::string SnapshotJson() const;
 
-  /// Arms the burn-triggered auto-dump. An empty path disarms.
-  void ArmAutoDump(const std::string& path, double burn_threshold);
-
-  /// Feeds one SLO burn-rate sample (scheduler: once per executed batch).
-  /// Dumps at most once per threshold excursion.
-  void ObserveBurn(double burn);
+  /// Arms the queue-wait auto-dump. An empty path or a budget <= 0 disarms.
+  void ArmAutoDump(const std::string& path, double queue_wait_budget_us);
 
   /// Writes SnapshotJson() to `path`. Returns false (and logs) on failure.
   bool DumpTo(const std::string& path) const;
@@ -66,6 +61,8 @@ class FlightRecorder {
   FlightRecorder() = default;
 
   void RollWindowIfDue(double now_us);
+  /// Enters `record` into the current window's heap if it places.
+  void Admit(const RequestRecord& record);
 
   mutable std::mutex mutex_;
   std::vector<RequestRecord> current_;   ///< min-heap by e2e, size <= top_k_
@@ -80,9 +77,8 @@ class FlightRecorder {
   std::atomic<double> window_start_us_{0.0};
 
   std::string dump_path_;  ///< guarded by mutex_
-  std::atomic<double> burn_threshold_{0.0};
-  std::atomic<bool> armed_{false};
-  std::atomic<bool> ready_{true};  ///< false after a dump until burn recedes
+  std::atomic<double> dump_budget_us_{0.0};  ///< 0 = auto-dump disarmed
+  std::atomic<bool> dumped_{false};  ///< this window has dumped already
   std::atomic<int64_t> dumps_{0};
 };
 

@@ -134,10 +134,10 @@ class Histogram {
 /// objects are lock-free, and returned references stay valid for the
 /// lifetime of the process.
 ///
-/// Metrics can carry Prometheus-style labels: GetCounter("ses.slo.requests",
-/// {{"op", "predict"}}) registers a distinct time series per label set. The
-/// labels are folded into the registry key in a canonical encoded form (see
-/// LabeledName); the Prometheus exporter splits them back out.
+/// Metrics can carry Prometheus-style labels: GetCounter("ses.sched.shed",
+/// {{"reason", "queue_depth"}}) registers a distinct time series per label
+/// set. The labels are folded into the registry key in a canonical encoded
+/// form (see LabeledName); the Prometheus exporter splits them back out.
 class MetricsRegistry {
  public:
   /// One label set: (key, value) pairs. Order is irrelevant — keys are

@@ -11,7 +11,6 @@
 #include "obs/health.h"
 #include "obs/metrics.h"
 #include "obs/request.h"
-#include "obs/slo.h"
 #include "obs/trace.h"
 #include "util/logging.h"
 
@@ -70,24 +69,13 @@ bool MetricsServer::RenderEndpoint(const std::string& path, std::string* body,
     // health registry (providers run under the registry lock) BEFORE any of
     // it is written to the response. A component that unregisters while this
     // scrape serializes therefore cannot invalidate anything we still hold —
-    // the snapshot owns its strings. Same for the SLO snapshot.
-    const auto slo_snapshot = SloTracker::Get().SnapshotAll();
+    // the snapshot owns its strings.
     const auto components = CollectHealthComponents();
     std::ostringstream out;
     out << "{\"status\":\"ok\",\"uptime_seconds\":" << uptime
-        << ",\"requests_started\":" << RequestsStarted() << ",\"slo\":[";
+        << ",\"requests_started\":" << RequestsStarted()
+        << ",\"components\":{";
     bool first = true;
-    for (const auto& [op, snap] : slo_snapshot) {
-      if (!first) out << ",";
-      first = false;
-      out << "{\"op\":\"" << JsonEscapeString(op)
-          << "\",\"requests\":" << snap.requests
-          << ",\"breaches\":" << snap.breaches
-          << ",\"errors\":" << snap.errors
-          << ",\"burn_rate\":" << snap.burn_rate << "}";
-    }
-    out << "],\"components\":{";
-    first = true;
     for (const auto& [name, json] : components) {
       if (!first) out << ",";
       first = false;

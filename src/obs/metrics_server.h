@@ -14,8 +14,8 @@ namespace ses::obs {
 /// thread, one request per connection (`Connection: close`). Endpoints:
 ///
 ///   GET /metrics        Prometheus text exposition of the MetricsRegistry
-///   GET /healthz        JSON: status, uptime, requests started, SLO burn
-///                       rates, health components (copy-then-serialize: the
+///   GET /healthz        JSON: status, uptime, requests started, health
+///                       components (copy-then-serialize: the
 ///                       component snapshot is fully materialized before any
 ///                       byte is rendered, so unregistering mid-scrape is
 ///                       safe)

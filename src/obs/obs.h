@@ -13,8 +13,6 @@
 ///    exposition), /healthz and /spans for live scraping (metrics_server.h);
 ///  - RequestScope / AccessLog: request-scoped trace-ids propagated into
 ///    spans, one JSONL access-log line per request (request.h);
-///  - SloTracker: per-op latency budgets, breach counters and rolling
-///    burn rates exported as ses.slo.* (slo.h);
 ///  - ModelHealthMonitor: per-epoch gradient norms, update ratios, dead-unit
 ///    fractions and attention entropy as ses.health.* (model_health.h);
 ///  - Telemetry: per-epoch training records to JSONL or a callback
@@ -29,12 +27,9 @@
 ///  - WriteFoldedStacks: flamegraph export of the span buffers
 ///    (flamegraph.h);
 ///  - FlightRecorder: top-K slowest fully-attributed requests per rolling
-///    window, served at /debug/slowest and auto-dumped on SLO burn
-///    (flight_recorder.h);
-///  - AnomalyWatch: EWMA z-score detectors with hysteresis over operational
-///    series, ses.anomaly.* gauges and a /healthz component (anomaly.h).
+///    window, served at /debug/slowest and auto-dumped when a request's
+///    queue wait exceeds a budget (flight_recorder.h).
 
-#include "obs/anomaly.h"
 #include "obs/chrome_trace.h"
 #include "obs/crash_flush.h"
 #include "obs/flamegraph.h"
@@ -46,7 +41,6 @@
 #include "obs/perfcount.h"
 #include "obs/request.h"
 #include "obs/roofline.h"
-#include "obs/slo.h"
 #include "obs/telemetry.h"
 #include "obs/trace.h"
 

@@ -7,7 +7,6 @@
 
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
-#include "obs/slo.h"
 #include "util/logging.h"
 
 namespace ses::obs {
@@ -183,8 +182,7 @@ uint64_t RequestScope::Acquire(uint64_t* prev, bool* owner) {
 
 RequestScope::RequestScope(const char* op)
     : op_(op), trace_id_(Acquire(&prev_id_, &owner_)), span_(op) {
-  if (owner_ &&
-      (SloTracker::Get().enabled() || AccessLog::Get().active())) {
+  if (owner_ && AccessLog::Get().active()) {
     measured_ = true;
     start_ = std::chrono::steady_clock::now();
   }
@@ -206,7 +204,6 @@ RequestScope::~RequestScope() {
   const auto end = std::chrono::steady_clock::now();
   for (int s = 0; s < RequestRecord::kNumStages; ++s)
     record.stamps[s] = s < RequestRecord::kForwardEnd ? start_ : end;
-  SloTracker::Get().Record(op_, record.e2e_us(), error_);
   PublishRequests(&record, 1);
 }
 

@@ -131,13 +131,12 @@ inline uint64_t Fnv1aBegin() { return 0xcbf29ce484222325ull; }
 /// RAII request context. The outermost scope on a thread allocates a fresh
 /// monotonic trace-id, publishes it thread-locally (so spans and nested
 /// scopes inherit it), opens one span named after the op, and on destruction
-/// records one SloTracker observation and publishes one direct-path
-/// RequestRecord. Nested scopes reuse the enclosing id and stay silent: one
-/// request, one record.
+/// publishes one direct-path RequestRecord. Nested scopes reuse the enclosing
+/// id and stay silent: one request, one record.
 ///
-/// Latency is only measured (two clock reads) while something consumes it —
-/// an SLO budget or an open access log; with both off a scope costs a TLS
-/// id bump and a few relaxed loads, keeping the warm predict path fast.
+/// Latency is only measured (two clock reads) while the access log is open;
+/// with it closed a scope costs a TLS id bump and a few relaxed loads,
+/// keeping the warm predict path fast.
 class RequestScope {
  public:
   explicit RequestScope(const char* op);
@@ -160,7 +159,7 @@ class RequestScope {
   const char* op_;
   uint64_t prev_id_ = 0;
   bool owner_ = false;
-  bool measured_ = false;  ///< clock reads on: SLO budget or access log live
+  bool measured_ = false;  ///< clock reads on: access log live
   uint64_t trace_id_;  ///< initialized via Acquire, before span_
   ScopedSpan span_;    ///< opens after the id is published
   std::chrono::steady_clock::time_point start_;

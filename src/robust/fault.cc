@@ -18,11 +18,14 @@ namespace {
   throw std::runtime_error("SES_FAULT_SPEC '" + spec + "': " + why);
 }
 
-int64_t ParseInt(const std::string& spec, const std::string& value) {
+/// Every numeric key (epoch, step, ms, us) is a count or a duration, so a
+/// negative value is malformed rather than "unset".
+int64_t ParseNonNegative(const std::string& spec, const std::string& value) {
   try {
     size_t used = 0;
     const int64_t v = std::stoll(value, &used);
     if (used != value.size()) BadSpec(spec, "bad integer '" + value + "'");
+    if (v < 0) BadSpec(spec, "negative value '" + value + "'");
     return v;
   } catch (const std::logic_error&) {
     BadSpec(spec, "bad integer '" + value + "'");
@@ -57,15 +60,15 @@ FaultPlan FaultPlan::Parse(const std::string& spec) {
         if (key == "phase") {
           fault.phase = value;
         } else if (key == "epoch") {
-          fault.epoch = ParseInt(spec, value);
+          fault.epoch = ParseNonNegative(spec, value);
         } else if (key == "step") {
-          fault.step = ParseInt(spec, value);
+          fault.step = ParseNonNegative(spec, value);
         } else if (key == "mode") {
           fault.mode = value;
         } else if (key == "ms") {
-          fault.ms = ParseInt(spec, value);
+          fault.ms = ParseNonNegative(spec, value);
         } else if (key == "us") {
-          fault.us = ParseInt(spec, value);
+          fault.us = ParseNonNegative(spec, value);
         } else {
           BadSpec(spec, "unknown key '" + key + "'");
         }
@@ -149,7 +152,7 @@ constexpr int64_t kDefaultStallMs = 10;
 bool FaultPlan::TakeWorkerStall(int64_t batch_seq, int64_t* ms) {
   Fault* f = Find("worker_stall", "", -1, batch_seq);
   if (f == nullptr) return false;
-  *ms = f->ms > 0 ? f->ms : kDefaultStallMs;
+  *ms = f->ms >= 0 ? f->ms : kDefaultStallMs;
   SES_LOG_WARN << "fault injection: worker stall " << *ms << " ms before batch "
                << batch_seq;
   return true;
@@ -158,7 +161,7 @@ bool FaultPlan::TakeWorkerStall(int64_t batch_seq, int64_t* ms) {
 bool FaultPlan::TakeSlowForward(int64_t batch_seq, int64_t* ms) {
   Fault* f = Find("slow_forward", "", -1, batch_seq);
   if (f == nullptr) return false;
-  *ms = f->ms > 0 ? f->ms : kDefaultStallMs;
+  *ms = f->ms >= 0 ? f->ms : kDefaultStallMs;
   SES_LOG_WARN << "fault injection: slow forward " << *ms << " ms in batch "
                << batch_seq;
   return true;

@@ -5,11 +5,8 @@
 #include <sstream>
 #include <utility>
 
-#include "obs/anomaly.h"
-#include "obs/flight_recorder.h"
 #include "obs/health.h"
 #include "obs/request.h"
-#include "obs/slo.h"
 #include "obs/trace.h"
 #include "tensor/ops.h"
 #include "tensor/workspace.h"
@@ -25,16 +22,6 @@ double MicrosBetween(std::chrono::steady_clock::time_point from,
              std::chrono::duration_cast<std::chrono::nanoseconds>(to - from)
                  .count()) *
          1e-3;
-}
-
-const std::string& E2eSloOp() {
-  static const std::string op("sched.e2e");
-  return op;
-}
-
-const std::string& QueueWaitSloOp() {
-  static const std::string op("sched.queue_wait");
-  return op;
 }
 
 const char* SchedOpName(OpKind op) {
@@ -141,12 +128,6 @@ BatchScheduler::BatchScheduler(core::InferenceSession* session,
   SES_CHECK(options_.num_workers >= 1);
   SES_CHECK(options_.max_queue_batches >= 1);
   SES_CHECK(options_.max_queued_requests >= 0);
-  if (options_.e2e_budget_us > 0.0)
-    obs::SloTracker::Get().SetBudget(E2eSloOp(), options_.e2e_budget_us);
-  if (options_.queue_wait_budget_us > 0.0)
-    obs::SloTracker::Get().SetBudget(
-        QueueWaitSloOp(), options_.queue_wait_budget_us,
-        options_.queue_wait_target, options_.queue_wait_window);
   obs::RegisterHealthProvider(health_name_, [this] { return HealthJson(); });
   workers_.reserve(static_cast<size_t>(options_.num_workers));
   for (int64_t i = 0; i < options_.num_workers; ++i)
@@ -335,26 +316,13 @@ void BatchScheduler::WorkerLoop() {
         if (stall)
           std::this_thread::sleep_for(std::chrono::milliseconds(stall_ms));
       }
-      const double burn = ExecuteBatch(batch.get());
-      // The flight recorder's auto-dump triggers on the queue-wait burn rate
-      // (-1 = no budget).
-      if (burn >= 0.0) obs::FlightRecorder::Get().ObserveBurn(burn);
+      ExecuteBatch(batch.get());
       lock.lock();
       ++stats_.batches;
       stats_.max_batch =
           std::max(stats_.max_batch,
                    static_cast<int64_t>(batch->requests.size()));
       batches_counter_.Add(1);
-      // Shed fraction of the submissions seen since the previous batch, for
-      // the anomaly watch (counters are mutex_-guarded, so read them here).
-      const int64_t shed = shed_total_.load(std::memory_order_relaxed);
-      const int64_t d_shed = shed - anomaly_prev_shed_;
-      const int64_t d_seen =
-          d_shed + (stats_.requests - anomaly_prev_requests_);
-      anomaly_prev_shed_ = shed;
-      anomaly_prev_requests_ = stats_.requests;
-      const double shed_rate =
-          d_seen > 0 ? static_cast<double>(d_shed) / d_seen : 0.0;
       // Publish only after the aggregate stats above: a caller whose Get()
       // returned must never observe stats() missing its own batch.
       {
@@ -362,20 +330,6 @@ void BatchScheduler::WorkerLoop() {
         batch->done.store(true, std::memory_order_release);
       }
       batch->cv.notify_all();
-      // Anomaly sampling runs with mutex_ RELEASED: the first Sample of a
-      // series registers the watch's health provider, which takes the health-
-      // registry lock — while a concurrent /healthz scrape holds that lock
-      // and calls this scheduler's HealthJson, which wants mutex_. Sampling
-      // under mutex_ would close that cycle into a deadlock.
-      lock.unlock();
-      {
-        obs::AnomalyWatch& watch = obs::AnomalyWatch::Get();
-        watch.Sample("sched.queue_depth", queue_depth_gauge_.Value());
-        watch.Sample("sched.e2e_p99_us", e2e_hist_.P99());
-        watch.Sample("sched.shed_rate", shed_rate);
-        watch.PollProbes();
-      }
-      lock.lock();
       continue;
     }
     if (forming_ && !forming_->requests.empty()) {
@@ -394,13 +348,13 @@ void BatchScheduler::WorkerLoop() {
   }
 }
 
-double BatchScheduler::ExecuteBatch(internal::BatchState* batch) {
+void BatchScheduler::ExecuteBatch(internal::BatchState* batch) {
   SES_TRACE_SPAN("sched/batch");
   const auto exec_start = std::chrono::steady_clock::now();
   std::vector<internal::Request>& reqs = batch->requests;
   batch_size_hist_.Observe(static_cast<double>(reqs.size()));
   // Latency scratch, reused across batches and for the end-to-end pass
-  // below: the batched Observe/Record calls are what amortize per-request
+  // below: the batched ObserveMany calls are what amortize per-request
   // bookkeeping to O(1) contended ops per batch.
   thread_local std::vector<double> latencies_us;
   thread_local std::vector<int64_t> node_scratch;
@@ -411,15 +365,10 @@ double BatchScheduler::ExecuteBatch(internal::BatchState* batch) {
     latencies_us[i] = MicrosBetween(reqs[i].enqueue_time, exec_start);
     trace_ids[i] = reqs[i].trace_id;
   }
+  // Queue wait is recorded for EVERY request, including ones about to be
+  // dropped as expired: their wait is the overload evidence.
   queue_wait_hist_.ObserveMany(latencies_us.data(), trace_ids.data(),
                                static_cast<int64_t>(latencies_us.size()));
-  // Queue wait is recorded for EVERY request — including ones about to be
-  // dropped as expired, whose wait is precisely the overload evidence the
-  // queue-wait burn rate needs.
-  if (options_.queue_wait_budget_us > 0.0)
-    obs::SloTracker::Get().RecordMany(
-        QueueWaitSloOp(), latencies_us.data(),
-        static_cast<int64_t>(latencies_us.size()));
 
   // Injected serving faults (one fault-plan lock per batch when armed).
   bool throw_fault = false;
@@ -586,26 +535,13 @@ double BatchScheduler::ExecuteBatch(internal::BatchState* batch) {
     internal_error_counter_.Add(poisoned);
   }
 
-  // End-to-end latency (enqueue -> results ready) for every request, fed to
-  // the histogram and the SLO tracker as one batched pass each. e2e is the
-  // queue wait plus the batch's execution time, which is shared by every
-  // request in the batch. Failed requests count as SLO errors individually;
-  // the common all-ok batch keeps the single batched Record.
+  // End-to-end latency (enqueue -> results ready) for every request, in one
+  // batched pass: the queue wait plus the batch's execution time, which is
+  // shared by every request in the batch.
   const double exec_us = MicrosBetween(exec_start, exec_end);
   for (double& l : latencies_us) l += exec_us;
   e2e_hist_.ObserveMany(latencies_us.data(), trace_ids.data(),
                         static_cast<int64_t>(latencies_us.size()));
-  const bool any_failed = dead > 0 || expired_inflight > 0 ||
-                          (!reqs.empty() && !reqs.front().status.ok());
-  if (!any_failed) {
-    obs::SloTracker::Get().RecordMany(
-        E2eSloOp(), latencies_us.data(),
-        static_cast<int64_t>(latencies_us.size()));
-  } else {
-    for (size_t i = 0; i < reqs.size(); ++i)
-      obs::SloTracker::Get().Record(E2eSloOp(), latencies_us[i],
-                                    !reqs[i].status.ok());
-  }
 
   // ---- Request forensics (DESIGN.md §15) ----
   // Stage stamp 6 (resolve): results are written back and aggregate
@@ -635,9 +571,6 @@ double BatchScheduler::ExecuteBatch(internal::BatchState* batch) {
   obs::PublishRequests(records.data(), static_cast<int64_t>(records.size()));
   // Completion (`done` + notify) is published by WorkerLoop after it has
   // folded this batch into the aggregate stats under the scheduler mutex.
-
-  if (options_.queue_wait_budget_us <= 0.0) return -1.0;
-  return obs::SloTracker::Get().Snapshot(QueueWaitSloOp()).burn_rate;
 }
 
 void BatchScheduler::Stop() {

@@ -42,16 +42,6 @@ struct SchedulerOptions {
   /// The check reads the live queue depth, which falls as the workers drain,
   /// so admission resumes as soon as there is room.
   int64_t max_queued_requests = 0;
-  /// When > 0, declares an SloTracker budget on the scheduler's end-to-end
-  /// (enqueue -> result published) latency under op "sched.e2e".
-  double e2e_budget_us = 0.0;
-  /// When > 0, declares an SloTracker budget on queue wait (enqueue ->
-  /// dequeue) under op "sched.queue_wait". It feeds the `ses.slo.*` series
-  /// and, after every batch, the FlightRecorder's burn-triggered auto-dump;
-  /// it does not drive admission.
-  double queue_wait_budget_us = 0.0;
-  double queue_wait_target = 0.9;   ///< loose target: burn rate must move
-  int64_t queue_wait_window = 256;  ///< small window: react within ~4 batches
   /// Deadline applied to requests submitted without one (0 = none).
   double default_deadline_us = 0.0;
   /// Serving fault plan; when empty the scheduler loads $SES_FAULT_SPEC.
@@ -245,9 +235,9 @@ struct SubmitOptions {
 /// and access-log entries join the same request. The scheduler feeds
 /// `ses.sched.*` metrics — live request-level queue-depth gauge, batch-size
 /// / queue-wait / end-to-end histograms, flush-reason counters, shed /
-/// rejected / expired counters (by reason and stage) — SloTracker budgets on
-/// e2e and queue wait, shed/expiry reasons in the access log, and a /healthz
-/// component ("scheduler") with queue and outcome state.
+/// rejected / expired counters (by reason and stage) — shed/expiry reasons in
+/// the access log, and a /healthz component ("scheduler") with queue and
+/// outcome state.
 ///
 /// Request forensics (DESIGN.md §15): every request is stamped at six
 /// critical-path stages — submit (enqueue_time, before the queue lock),
@@ -257,10 +247,8 @@ struct SubmitOptions {
 /// obs::RequestRecord per request and hands the batch to
 /// obs::PublishRequests, which feeds the `ses.sched.stage.*` histograms,
 /// the access log's `stages_us`, the per-stage Chrome-trace spans and the
-/// FlightRecorder. Rejections publish a record too (access log only). After
-/// each batch the worker feeds the queue-wait burn rate to the
-/// FlightRecorder's auto-dump trigger and samples the
-/// AnomalyWatch series (queue depth, e2e p99, shed rate) plus its probes.
+/// FlightRecorder (whose auto-dump fires on a record's queue wait).
+/// Rejections publish a record too (access log only).
 ///
 /// Shutdown: Stop() (or the destructor) stops admission, seals the forming
 /// batch, and joins the workers only after every queued batch has executed —
@@ -335,10 +323,8 @@ class BatchScheduler {
   /// `reason_counter` is one of the flush counters below.
   void SealFormingLocked(int64_t* reason_counter);
   void WorkerLoop();
-  /// Executes one sealed batch (no scheduler locks held). Returns the
-  /// queue-wait burn rate after recording the batch (-1 when no queue-wait
-  /// budget is configured).
-  double ExecuteBatch(internal::BatchState* batch);
+  /// Executes one sealed batch (no scheduler locks held).
+  void ExecuteBatch(internal::BatchState* batch);
   std::string HealthJson() const;
 
   core::InferenceSession* session_;
@@ -357,11 +343,6 @@ class BatchScheduler {
   int64_t queued_requests_ = 0;  ///< forming + ready, request-level
   int64_t next_batch_seq_ = 0;
   Stats stats_;
-  // Last-seen counters for the anomaly watch's shed-rate series (guarded by
-  // mutex_): each batch completion publishes the shed fraction of the
-  // submissions that arrived since the previous batch.
-  int64_t anomaly_prev_shed_ = 0;
-  int64_t anomaly_prev_requests_ = 0;
 
   std::mutex fault_mutex_;  ///< FaultPlan is not internally synchronized
 

@@ -1,7 +1,9 @@
 #include "util/string_util.h"
 
+#include <cerrno>
 #include <cstdlib>
 #include <sstream>
+#include <stdexcept>
 
 namespace ses::util {
 
@@ -48,15 +50,41 @@ std::string FlagParser::GetString(const std::string& name,
   return fallback;
 }
 
+namespace {
+
+/// Parses `value` with `parse` (strtoll / strtod) and throws
+/// std::invalid_argument naming `--name` unless the whole value is one
+/// in-range number: "abc", "5x" or "" must not read as 0.
+template <typename T, typename Parse>
+T ParseNumber(const std::string& name, const std::string& value,
+              Parse parse) {
+  const char* begin = value.c_str();
+  char* end = nullptr;
+  errno = 0;
+  const T parsed = parse(begin, &end);
+  if (end == begin || *end != '\0' || errno == ERANGE)
+    throw std::invalid_argument("--" + name + "=" + value +
+                                ": not a valid number");
+  return parsed;
+}
+
+}  // namespace
+
 int64_t FlagParser::GetInt(const std::string& name, int64_t fallback) const {
   for (const auto& [k, v] : flags_)
-    if (k == name) return std::strtoll(v.c_str(), nullptr, 10);
+    if (k == name)
+      return ParseNumber<int64_t>(name, v, [](const char* s, char** end) {
+        return std::strtoll(s, end, 10);
+      });
   return fallback;
 }
 
 double FlagParser::GetDouble(const std::string& name, double fallback) const {
   for (const auto& [k, v] : flags_)
-    if (k == name) return std::strtod(v.c_str(), nullptr);
+    if (k == name)
+      return ParseNumber<double>(name, v, [](const char* s, char** end) {
+        return std::strtod(s, end);
+      });
   return fallback;
 }
 

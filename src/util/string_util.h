@@ -23,6 +23,8 @@ class FlagParser {
 
   /// Returns the flag value or `fallback` if absent.
   std::string GetString(const std::string& name, const std::string& fallback) const;
+  /// Numeric getters throw std::invalid_argument, naming the flag, when a
+  /// present value is not one whole in-range number ("abc", "5x", "").
   int64_t GetInt(const std::string& name, int64_t fallback) const;
   double GetDouble(const std::string& name, double fallback) const;
   bool GetBool(const std::string& name, bool fallback) const;

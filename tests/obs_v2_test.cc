@@ -1,6 +1,6 @@
 // Tests for the serving-grade observability layer: Prometheus exposition
 // (parse-back, label escaping, bucket ordering), the embedded metrics
-// server, request-scoped tracing and the access log, SLO burn-rate math,
+// server, request-scoped tracing and the access log, the flight recorder,
 // model-health statistics, and registry thread-safety under a concurrent
 // scrape. Run the binary under TSan (SES_SANITIZE=thread) to exercise the
 // shared-lock registry paths with real data races on the line.
@@ -55,13 +55,10 @@ obs::RequestRecord RecordAt(
   return rec;
 }
 
-/// Drops all singleton observability state. SloTracker and AnomalyWatch
-/// cache registry pointers, so they must be reset before the registry that
-/// owns them.
+/// Drops all singleton observability state. ModelHealthMonitor caches
+/// registry pointers, so it must be reset before the registry that owns them.
 void ResetObsState() {
-  obs::SloTracker::Get().ResetForTest();
   obs::ModelHealthMonitor::Get().ResetForTest();
-  obs::AnomalyWatch::Get().ResetForTest();
   obs::FlightRecorder::Get().ResetForTest();
   MetricsRegistry::Get().ResetForTest();
   obs::ResetTracing();
@@ -226,7 +223,8 @@ std::string HttpGet(uint16_t port, const std::string& request) {
 TEST(MetricsServerTest, ServesMetricsHealthzAndSpansOnEphemeralPort) {
   ResetObsState();
   MetricsRegistry::Get().GetCounter("ses.test.live").Add(3);
-  obs::SloTracker::Get().SetBudget("op.a", 100.0);
+  obs::RegisterHealthProvider("t.server",
+                              [] { return std::string("{\"up\":true}"); });
 
   obs::MetricsServer server;
   ASSERT_TRUE(server.Start(0));
@@ -237,12 +235,12 @@ TEST(MetricsServerTest, ServesMetricsHealthzAndSpansOnEphemeralPort) {
   EXPECT_NE(metrics.find("HTTP/1.0 200 OK"), std::string::npos);
   EXPECT_NE(metrics.find("version=0.0.4"), std::string::npos);
   EXPECT_NE(metrics.find("ses_test_live 3"), std::string::npos);
-  EXPECT_NE(metrics.find("ses_slo_latency_budget_us"), std::string::npos);
 
   const std::string health =
       HttpGet(server.port(), "GET /healthz?verbose=1 HTTP/1.0\r\n\r\n");
   EXPECT_NE(health.find("\"status\":\"ok\""), std::string::npos);
-  EXPECT_NE(health.find("\"op\":\"op.a\""), std::string::npos);
+  EXPECT_NE(health.find("\"t.server\":{\"up\":true}"), std::string::npos);
+  obs::UnregisterHealthProvider("t.server");
 
   const std::string spans = HttpGet(server.port(), "GET /spans HTTP/1.0\r\n\r\n");
   EXPECT_NE(spans.find("application/json"), std::string::npos);
@@ -421,120 +419,6 @@ TEST(AccessLogTest, RequestScopesWriteOneLineEach) {
   EXPECT_NE(lines[0].find("\"cache_hit\":true"), std::string::npos);
   EXPECT_NE(lines[0].find("\"digest\":\"0000000000000007\""),
             std::string::npos);
-}
-
-// ---------------------------------------------------------------------------
-// SLO tracker.
-
-TEST(SloTrackerTest, BurnRateMatchesTheRollingWindowDefinition) {
-  ResetObsState();
-  auto& slo = obs::SloTracker::Get();
-  slo.SetBudget("op.fast", /*latency_budget_us=*/100.0, /*target=*/0.9,
-                /*window=*/10);
-  // 7 in budget + 3 breaches: burn = (3 / 10) / (1 - 0.9) = 3.0.
-  for (int i = 0; i < 7; ++i) slo.Record("op.fast", 50.0);
-  for (int i = 0; i < 3; ++i) slo.Record("op.fast", 500.0);
-  obs::SloTracker::OpSnapshot snap = slo.Snapshot("op.fast");
-  EXPECT_EQ(snap.requests, 10);
-  EXPECT_EQ(snap.breaches, 3);
-  EXPECT_EQ(snap.errors, 0);
-  EXPECT_DOUBLE_EQ(snap.burn_rate, 3.0);
-
-  // A full window of healthy requests flushes the breaches back out.
-  for (int i = 0; i < 10; ++i) slo.Record("op.fast", 1.0);
-  snap = slo.Snapshot("op.fast");
-  EXPECT_EQ(snap.requests, 20);
-  EXPECT_EQ(snap.breaches, 3) << "cumulative counter must not roll";
-  EXPECT_DOUBLE_EQ(snap.burn_rate, 0.0);
-
-  // Errors burn budget even when fast, and unbudgeted ops are ignored.
-  slo.Record("op.fast", 1.0, /*error=*/true);
-  EXPECT_EQ(slo.Snapshot("op.fast").errors, 1);
-  slo.Record("op.unknown", 1.0);
-  EXPECT_EQ(slo.Snapshot("op.unknown").requests, 0);
-
-  // The mirrored metric family is labeled by op.
-  std::ostringstream out;
-  MetricsRegistry::Get().WritePrometheus(out);
-  EXPECT_NE(out.str().find("ses_slo_requests{op=\"op.fast\"} 21"),
-            std::string::npos);
-}
-
-TEST(SloTrackerTest, PartialWindowUsesSeenRequestsNotCapacity) {
-  ResetObsState();
-  auto& slo = obs::SloTracker::Get();
-  slo.SetBudget("op.partial", 100.0, /*target=*/0.5, /*window=*/100);
-  slo.Record("op.partial", 500.0);
-  slo.Record("op.partial", 1.0);
-  // 1 breach over the 2 requests seen (not over the window capacity of 100):
-  // burn = (1/2) / (1 - 0.5) = 1.0.
-  EXPECT_DOUBLE_EQ(slo.Snapshot("op.partial").burn_rate, 1.0);
-}
-
-TEST(SloTrackerTest, RecordManyMatchesNRecordsExactly) {
-  ResetObsState();
-  auto& slo = obs::SloTracker::Get();
-  slo.SetBudget("op.one", 100.0, /*target=*/0.9, /*window=*/10);
-  slo.SetBudget("op.many", 100.0, /*target=*/0.9, /*window=*/10);
-  const std::vector<double> batch = {50.0, 500.0, 99.0, 101.0, 1.0,
-                                     1.0,  1.0,   1.0,  300.0, 2.0};
-  for (double v : batch) slo.Record("op.one", v);
-  slo.RecordMany("op.many", batch.data(), static_cast<int64_t>(batch.size()));
-
-  const auto one = slo.Snapshot("op.one");
-  const auto many = slo.Snapshot("op.many");
-  EXPECT_EQ(many.requests, one.requests);
-  EXPECT_EQ(many.breaches, one.breaches);
-  EXPECT_DOUBLE_EQ(many.burn_rate, one.burn_rate);
-
-  // A second batch wraps the ring and must flush old breaches identically.
-  const std::vector<double> healthy(10, 1.0);
-  slo.RecordMany("op.many", healthy.data(), 10);
-  for (double v : healthy) slo.Record("op.one", v);
-  EXPECT_DOUBLE_EQ(slo.Snapshot("op.many").burn_rate,
-                   slo.Snapshot("op.one").burn_rate);
-  EXPECT_DOUBLE_EQ(slo.Snapshot("op.many").burn_rate, 0.0);
-
-  // Unbudgeted and empty batches are ignored.
-  slo.RecordMany("op.unknown", batch.data(), 3);
-  EXPECT_EQ(slo.Snapshot("op.unknown").requests, 0);
-  slo.RecordMany("op.many", batch.data(), 0);
-  EXPECT_EQ(slo.Snapshot("op.many").requests, 20);
-}
-
-TEST(SloTrackerTest, IdleGapResetsTheRollingWindow) {
-  ResetObsState();
-  auto& slo = obs::SloTracker::Get();
-  slo.SetBudget("op.idle", /*latency_budget_us=*/100.0, /*target=*/0.5,
-                /*window=*/8, /*idle_reset_us=*/20'000.0);
-  for (int i = 0; i < 4; ++i) slo.Record("op.idle", 500.0);
-  EXPECT_DOUBLE_EQ(slo.Snapshot("op.idle").burn_rate, 2.0);
-
-  std::this_thread::sleep_for(std::chrono::milliseconds(40));
-  // A stale window reads as 0 even before the next sample arrives — an
-  // admission controller must not shed morning traffic over last night's
-  // spike.
-  EXPECT_DOUBLE_EQ(slo.Snapshot("op.idle").burn_rate, 0.0);
-
-  // The first sample after the gap starts a fresh window: one healthy
-  // request out of one seen, not one out of five.
-  slo.Record("op.idle", 1.0);
-  EXPECT_DOUBLE_EQ(slo.Snapshot("op.idle").burn_rate, 0.0);
-  slo.Record("op.idle", 500.0);
-  // 1 breach / 2 seen over error budget 0.5 — the pre-idle spike is gone.
-  EXPECT_DOUBLE_EQ(slo.Snapshot("op.idle").burn_rate, 1.0);
-
-  // Cumulative counters survive the window reset.
-  const auto snap = slo.Snapshot("op.idle");
-  EXPECT_EQ(snap.requests, 6);
-  EXPECT_EQ(snap.breaches, 5);
-
-  // idle_reset_us <= 0 disables the decay entirely.
-  slo.SetBudget("op.sticky", 100.0, /*target=*/0.5, /*window=*/8,
-                /*idle_reset_us=*/0.0);
-  slo.Record("op.sticky", 500.0);
-  std::this_thread::sleep_for(std::chrono::milliseconds(40));
-  EXPECT_DOUBLE_EQ(slo.Snapshot("op.sticky").burn_rate, 2.0);
 }
 
 TEST(HealthRegistryTest, ProvidersRegisterReplaceAndUnregister) {
@@ -765,7 +649,7 @@ TEST(MetricsRegistryTest, ExemplarWritesRaceScrapesSafely) {
 }
 
 // ---------------------------------------------------------------------------
-// Flight recorder: top-K retention, window roll, burn-triggered auto-dump.
+// Flight recorder: top-K retention, window roll, queue-wait auto-dump.
 
 /// A direct-path record resolving at `resolve_us` on the trace epoch after
 /// an end-to-end latency of `e2e_us`.
@@ -813,32 +697,117 @@ TEST(FlightRecorderTest, WindowRollRetiresCurrentAndServesTwoWindows) {
   recorder.ResetForTest();
 }
 
-TEST(FlightRecorderTest, BurnTriggeredDumpFiresOncePerExcursion) {
+/// A scheduled record resolving at `resolve_us` that waited `queue_us`
+/// between submit and forward-start and then ran for 10 us.
+obs::RequestRecord QueuedRecordAt(uint64_t trace_id, double resolve_us,
+                                  double queue_us) {
+  const double start_us = resolve_us - 10.0;
+  const double submit_us = start_us - queue_us;
+  return RecordAt(trace_id, "t.sched", {submit_us, submit_us, submit_us,
+                                        start_us, resolve_us, resolve_us});
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path);
+  std::stringstream body;
+  body << in.rdbuf();
+  return body.str();
+}
+
+TEST(FlightRecorderTest, RecordsWithinTheQueueWaitBudgetDoNotDump) {
   ResetObsState();
   auto& recorder = obs::FlightRecorder::Get();
-  recorder.Record(DirectRecordAt(5, /*resolve_us=*/50.0, /*e2e_us=*/9.0));
-
-  const std::string path = ::testing::TempDir() + "/flight_dump_test.json";
+  const std::string path = ::testing::TempDir() + "/flight_dump_quiet.json";
   std::remove(path.c_str());
-  recorder.ArmAutoDump(path, /*burn_threshold=*/2.0);
-  recorder.ObserveBurn(1.0);  // below threshold: armed but quiet
+  recorder.ArmAutoDump(path, /*queue_wait_budget_us=*/100.0);
+  recorder.Record(QueuedRecordAt(1, 1000.0, /*queue_us=*/50.0));
+  recorder.Record(QueuedRecordAt(2, 1100.0, /*queue_us=*/100.0));  // at budget
+  // A direct-path record waits 0 us however slow its forward is.
+  recorder.Record(DirectRecordAt(3, 1200.0, /*e2e_us=*/1e6));
   EXPECT_EQ(recorder.dumps(), 0);
-  recorder.ObserveBurn(2.0);  // crossing dumps exactly once
+  EXPECT_FALSE(std::ifstream(path).good());
+  EXPECT_EQ(recorder.Snapshot().size(), 3u) << "quiet records still recorded";
+  recorder.ResetForTest();
+}
+
+TEST(FlightRecorderTest, FirstBreachDumpsAFileHoldingTheBreachingRecord) {
+  ResetObsState();
+  auto& recorder = obs::FlightRecorder::Get();
+  const std::string path = ::testing::TempDir() + "/flight_dump_breach.json";
+  std::remove(path.c_str());
+  recorder.ArmAutoDump(path, /*queue_wait_budget_us=*/100.0);
+  recorder.Record(QueuedRecordAt(5, 1000.0, /*queue_us=*/20.0));
+  EXPECT_EQ(recorder.dumps(), 0);
+  recorder.Record(QueuedRecordAt(7, 1100.0, /*queue_us=*/150.0));
   EXPECT_EQ(recorder.dumps(), 1);
-  recorder.ObserveBurn(5.0);  // same excursion: no second dump
-  recorder.ObserveBurn(1.5);  // above threshold/2: hysteresis holds
-  recorder.ObserveBurn(5.0);
+
+  const std::string dumped = ReadFile(path);
+  EXPECT_NE(dumped.find("\"records\":["), std::string::npos);
+  EXPECT_NE(dumped.find("\"trace_id\":7"), std::string::npos)
+      << "the breaching record is admitted before the dump: " << dumped;
+  EXPECT_NE(dumped.find("\"trace_id\":5"), std::string::npos);
+  EXPECT_EQ(MetricsRegistry::Get().GetCounter("ses.flight.dumps").Value(), 1);
+  recorder.ResetForTest();
+  std::remove(path.c_str());
+}
+
+TEST(FlightRecorderTest, OneDumpPerWindowAndABreachAfterARollDumpsAgain) {
+  ResetObsState();
+  auto& recorder = obs::FlightRecorder::Get();
+  recorder.Configure(/*top_k=*/8, /*window_us=*/1000.0);
+  const std::string path = ::testing::TempDir() + "/flight_dump_window.json";
+  std::remove(path.c_str());
+  recorder.ArmAutoDump(path, /*queue_wait_budget_us=*/100.0);
+  recorder.Record(QueuedRecordAt(1, 500.0, /*queue_us=*/200.0));  // opens
   EXPECT_EQ(recorder.dumps(), 1);
-  recorder.ObserveBurn(0.9);  // recedes below threshold/2: re-arms
-  recorder.ObserveBurn(3.0);  // next excursion dumps again
+  // The breach goes on inside the same window: no second dump.
+  recorder.Record(QueuedRecordAt(2, 900.0, /*queue_us=*/300.0));
+  recorder.Record(QueuedRecordAt(3, 1400.0, /*queue_us=*/400.0));
+  EXPECT_EQ(recorder.dumps(), 1);
+  // 1100 us after the window opened it rolls, and the trigger re-arms.
+  recorder.Record(QueuedRecordAt(4, 1600.0, /*queue_us=*/200.0));
+  EXPECT_EQ(recorder.dumps(), 2);
+  EXPECT_NE(ReadFile(path).find("\"trace_id\":4"), std::string::npos);
+  recorder.Record(QueuedRecordAt(5, 1700.0, /*queue_us=*/200.0));
   EXPECT_EQ(recorder.dumps(), 2);
 
-  std::ifstream in(path);
-  std::stringstream dumped;
-  dumped << in.rdbuf();
-  EXPECT_NE(dumped.str().find("\"trace_id\":5"), std::string::npos);
-  EXPECT_NE(dumped.str().find("\"records\":["), std::string::npos);
-  EXPECT_EQ(MetricsRegistry::Get().GetCounter("ses.flight.dumps").Value(), 2);
+  // An empty path disarms.
+  recorder.ArmAutoDump("", /*queue_wait_budget_us=*/100.0);
+  recorder.Record(QueuedRecordAt(6, 5000.0, /*queue_us=*/200.0));
+  EXPECT_EQ(recorder.dumps(), 2);
+  recorder.ResetForTest();
+  std::remove(path.c_str());
+}
+
+TEST(FlightRecorderTest, ConcurrentBreachesDumpExactlyOnce) {
+  ResetObsState();
+  auto& recorder = obs::FlightRecorder::Get();
+  recorder.Configure(/*top_k=*/16, /*window_us=*/1e12);
+  const std::string path = ::testing::TempDir() + "/flight_dump_race.json";
+  std::remove(path.c_str());
+  recorder.ArmAutoDump(path, /*queue_wait_budget_us=*/100.0);
+  recorder.Record(QueuedRecordAt(1, 1000.0, /*queue_us=*/1.0));  // opens
+  // Four threads breach at once; the trigger must pick exactly one writer.
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 200;
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) {
+      }
+      for (int i = 0; i < kPerThread; ++i) {
+        const uint64_t id = 100 + static_cast<uint64_t>(t * kPerThread + i);
+        recorder.Record(
+            QueuedRecordAt(id, 2000.0 + i, /*queue_us=*/500.0 + t + i));
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(recorder.dumps(), 1);
+  EXPECT_EQ(MetricsRegistry::Get().GetCounter("ses.flight.dumps").Value(), 1);
+  EXPECT_NE(ReadFile(path).find("\"records\":["), std::string::npos);
   recorder.ResetForTest();
   std::remove(path.c_str());
 }
@@ -896,122 +865,6 @@ TEST(MetricsServerTest, HealthzSnapshotsComponentsBeforeSerializing) {
   }
   stop.store(true);
   churner.join();
-}
-
-// ---------------------------------------------------------------------------
-// Anomaly watch: EWMA z-score detectors with hysteresis over operational
-// series, published as gauges and a /healthz component.
-
-TEST(EwmaDetectorTest, LevelShiftRaisesAfterStreakAndSelfClears) {
-  obs::AnomalyOptions opts;
-  opts.alpha = 0.05;
-  opts.z_enter = 3.0;
-  opts.z_exit = 1.0;
-  opts.enter_consecutive = 2;
-  opts.exit_consecutive = 3;
-  opts.warmup = 4;
-  obs::EwmaDetector det(opts);
-  // Flat baseline, then a level shift. One spiky sample is not enough — the
-  // hysteresis wants enter_consecutive hits in a row.
-  for (int i = 0; i < 6; ++i) EXPECT_FALSE(det.Observe(10.0));
-  EXPECT_FALSE(det.Observe(100.0)) << "first hit only starts the streak";
-  EXPECT_GE(std::abs(det.z()), opts.z_enter);
-  EXPECT_TRUE(det.Observe(100.0)) << "second consecutive hit raises";
-  EXPECT_EQ(det.trips(), 1);
-  // Feeding the current mean gives z = 0 <= z_exit; exit_consecutive in a
-  // row clears. The alarm cannot latch forever: the baseline keeps adapting.
-  EXPECT_TRUE(det.Observe(det.mean()));
-  EXPECT_TRUE(det.Observe(det.mean()));
-  EXPECT_FALSE(det.Observe(det.mean()));
-  EXPECT_EQ(det.trips(), 1) << "clearing is not a new trip";
-}
-
-TEST(EwmaDetectorTest, WarmupConstantsAndBrokenStreaksStayQuiet) {
-  obs::AnomalyOptions opts;
-  opts.z_enter = 3.0;
-  opts.enter_consecutive = 2;
-  opts.warmup = 8;
-  // A wild outlier inside the warmup window is absorbed without judgement.
-  obs::EwmaDetector young(opts);
-  EXPECT_FALSE(young.Observe(10.0));
-  EXPECT_FALSE(young.Observe(1e9));
-  EXPECT_DOUBLE_EQ(young.z(), 0.0);
-  // A constant series never alarms: min_sigma floors the variance.
-  obs::EwmaDetector flat(opts);
-  for (int i = 0; i < 50; ++i) EXPECT_FALSE(flat.Observe(42.0));
-  EXPECT_EQ(flat.trips(), 0);
-  // spike, normal, spike never reaches enter_consecutive = 2.
-  obs::AnomalyOptions strict = opts;
-  strict.warmup = 2;
-  strict.alpha = 0.001;  // baseline barely moves, spikes stay detectable
-  obs::EwmaDetector gap(strict);
-  EXPECT_FALSE(gap.Observe(10.0));
-  EXPECT_FALSE(gap.Observe(10.0));
-  EXPECT_FALSE(gap.Observe(100.0));  // streak 1
-  EXPECT_FALSE(gap.Observe(10.0));   // streak broken
-  EXPECT_FALSE(gap.Observe(100.0));  // streak 1 again, never 2
-  EXPECT_EQ(gap.trips(), 0);
-}
-
-TEST(AnomalyWatchTest, ActiveSeriesPublishesGaugesAndHealthReason) {
-  ResetObsState();
-  auto& watch = obs::AnomalyWatch::Get();
-  obs::AnomalyOptions opts;
-  opts.alpha = 0.05;
-  opts.z_enter = 3.0;
-  opts.z_exit = 1.0;
-  opts.enter_consecutive = 2;
-  opts.exit_consecutive = 3;
-  opts.warmup = 4;
-  watch.Declare("t.depth", opts);
-  for (int i = 0; i < 6; ++i) watch.Sample("t.depth", 10.0);
-  watch.Sample("t.depth", 100.0);
-  watch.Sample("t.depth", 100.0);  // second consecutive hit: active
-
-  const auto states = watch.Snapshot();
-  ASSERT_EQ(states.size(), 1u);
-  EXPECT_EQ(states[0].series, "t.depth");
-  EXPECT_TRUE(states[0].active);
-  EXPECT_EQ(states[0].trips, 1);
-  EXPECT_EQ(states[0].samples, 8);
-
-  auto& registry = MetricsRegistry::Get();
-  const MetricsRegistry::LabelSet labels{{"series", "t.depth"}};
-  EXPECT_DOUBLE_EQ(registry.GetGauge("ses.anomaly.active", labels).Value(),
-                   1.0);
-  EXPECT_EQ(registry.GetCounter("ses.anomaly.trips", labels).Value(), 1);
-  EXPECT_GE(registry.GetGauge("ses.anomaly.z", labels).Value(), opts.z_enter);
-
-  // The /healthz component carries a structured reason while active …
-  const std::string health = watch.HealthJson();
-  EXPECT_NE(health.find("\"active_anomalies\":1"), std::string::npos);
-  EXPECT_NE(health.find("\"t.depth\":{\"active\":true"), std::string::npos);
-  EXPECT_NE(health.find("\"reason\":\"z="), std::string::npos);
-  // … and is wired into the health registry under "anomaly_watch".
-  bool registered = false;
-  for (const auto& [name, json] : obs::CollectHealthComponents())
-    if (name == "anomaly_watch") registered = (json == health);
-  EXPECT_TRUE(registered);
-}
-
-TEST(AnomalyWatchTest, ProbesAreSampledOnPollAndMaySkip) {
-  ResetObsState();
-  auto& watch = obs::AnomalyWatch::Get();
-  auto ticks = std::make_shared<int>(0);
-  watch.WatchProbe("t.probe", [ticks](double* value) {
-    ++*ticks;
-    if (*ticks % 2 == 1) return false;  // odd polls: no new data, skip
-    *value = 7.0;
-    return true;
-  });
-  watch.PollProbes();  // skipped
-  watch.PollProbes();  // sampled
-  watch.PollProbes();  // skipped
-  EXPECT_EQ(*ticks, 3);
-  const auto states = watch.Snapshot();
-  ASSERT_EQ(states.size(), 1u);
-  EXPECT_EQ(states[0].samples, 1) << "a false probe must not feed the detector";
-  EXPECT_DOUBLE_EQ(states[0].last, 7.0);
 }
 
 // ---------------------------------------------------------------------------

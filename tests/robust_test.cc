@@ -298,6 +298,21 @@ TEST(FaultPlanTest, RejectsMalformedSpecs) {
                std::runtime_error);
   EXPECT_THROW(r::FaultPlan::Parse("corrupt_ckpt:epoch=1,mode=shred"),
                std::runtime_error);
+  // Negative counts and durations are malformed, not "unset" or "0 ms".
+  EXPECT_THROW(r::FaultPlan::Parse("worker_stall:step=2,ms=-5"),
+               std::runtime_error);
+  EXPECT_THROW(r::FaultPlan::Parse("serve_delay:us=-100"), std::runtime_error);
+  EXPECT_THROW(r::FaultPlan::Parse("nan_grad:step=-1"), std::runtime_error);
+  EXPECT_THROW(r::FaultPlan::Parse("crash:epoch=-2"), std::runtime_error);
+  // Zero stays valid: step 0 is the first batch and ms=0 a zero-length
+  // stall; only an omitted ms= takes the 10 ms default.
+  r::FaultPlan zero =
+      r::FaultPlan::Parse("worker_stall:step=0,ms=0;slow_forward:step=1");
+  int64_t ms = -1;
+  EXPECT_TRUE(zero.TakeWorkerStall(0, &ms));
+  EXPECT_EQ(ms, 0);
+  EXPECT_TRUE(zero.TakeSlowForward(1, &ms));
+  EXPECT_EQ(ms, 10);
 }
 
 TEST(FaultPlanTest, FaultsFireExactlyOnce) {

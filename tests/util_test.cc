@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <stdexcept>
 
 #include <fstream>
 
@@ -166,6 +167,28 @@ TEST(StringTest, FlagParser) {
   EXPECT_EQ(flags.GetInt("epochs", 0), 40);
   EXPECT_EQ(flags.GetString("name", ""), "test");
   EXPECT_EQ(flags.GetInt("missing", 99), 99);
+
+  // A numeric value must be one whole in-range number: "abc" or "5x" must
+  // not silently read as 0 or 5.
+  const char* bad_argv[] = {"prog",     "--budget=abc", "--epochs=5x",
+                            "--empty=", "--bare",       "--huge=1e999",
+                            "--neg=-3", "--sci=2.5e3"};
+  u::FlagParser bad(8, const_cast<char**>(bad_argv));
+  EXPECT_THROW(bad.GetDouble("budget", 1.0), std::invalid_argument);
+  EXPECT_THROW(bad.GetInt("budget", 1), std::invalid_argument);
+  EXPECT_THROW(bad.GetInt("epochs", 1), std::invalid_argument);
+  EXPECT_THROW(bad.GetInt("empty", 1), std::invalid_argument);
+  EXPECT_THROW(bad.GetDouble("bare", 1.0), std::invalid_argument);
+  EXPECT_THROW(bad.GetDouble("huge", 1.0), std::invalid_argument);
+  EXPECT_THROW(bad.GetInt("sci", 1), std::invalid_argument);
+  try {
+    bad.GetDouble("budget", 1.0);
+    ADD_FAILURE() << "--budget=abc parsed";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--budget=abc"), std::string::npos);
+  }
+  EXPECT_EQ(bad.GetInt("neg", 0), -3);
+  EXPECT_DOUBLE_EQ(bad.GetDouble("sci", 0.0), 2500.0);
 }
 
 TEST(FileTest, WriteCreatesDirectories) {
