@@ -10,7 +10,7 @@
 
 using namespace ses;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   util::FlagParser flags(argc, argv);
   bench::Profile profile = bench::Profile::FromFlags(flags);
   std::printf("[Fig 4] %s\n", profile.Describe().c_str());
@@ -70,4 +70,6 @@ int main(int argc, char** argv) {
   table.Print();
   table.WriteCsv(bench::ArtifactDir() + "/fig4_sensitivity.csv");
   return 0;
+} catch (const util::FlagError& e) {
+  return util::FlagUsageError(argv[0], e);
 }

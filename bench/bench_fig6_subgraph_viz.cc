@@ -37,7 +37,7 @@ std::vector<float> LocalScores(const data::Dataset& ds,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   util::FlagParser flags(argc, argv);
   bench::Profile profile = bench::Profile::FromFlags(flags);
   std::printf("[Fig 6] %s\n", profile.Describe().c_str());
@@ -97,4 +97,6 @@ int main(int argc, char** argv) {
     }
   }
   return 0;
+} catch (const util::FlagError& e) {
+  return util::FlagUsageError(argv[0], e);
 }

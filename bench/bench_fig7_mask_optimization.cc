@@ -10,7 +10,7 @@
 
 using namespace ses;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   util::FlagParser flags(argc, argv);
   bench::Profile profile = bench::Profile::FromFlags(flags);
   std::printf("[Fig 7] %s\n", profile.Describe().c_str());
@@ -74,4 +74,6 @@ int main(int argc, char** argv) {
                 path.c_str(), m.Mean(), m.Min(), m.Max());
   }
   return 0;
+} catch (const util::FlagError& e) {
+  return util::FlagUsageError(argv[0], e);
 }

@@ -44,7 +44,7 @@ std::string RankNeighbors(const data::Dataset& ds, int64_t center,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   util::FlagParser flags(argc, argv);
   bench::Profile profile = bench::Profile::FromFlags(flags);
   std::printf("[Fig 8] %s\n", profile.Describe().c_str());
@@ -118,4 +118,6 @@ int main(int argc, char** argv) {
   table.Print();
   table.WriteCsv(bench::ArtifactDir() + "/fig8_case_study.csv");
   return 0;
+} catch (const util::FlagError& e) {
+  return util::FlagUsageError(argv[0], e);
 }

@@ -90,7 +90,7 @@ double BestSpmmGflops(const std::vector<obs::KernelStats>& stats, Pred pred) {
   return best;
 }
 
-/// SIMD-vs-scalar SpMM speedup from the per-variant sweep: best SIMD-tier
+/// SIMD-vs-scalar SpMM speedup from the per-tier sweep: best SIMD-tier
 /// GFLOP/s over best scalar-tier GFLOP/s (0 when either side is missing).
 double SpmmSimdSpeedup(const std::vector<obs::KernelStats>& stats) {
   const double scalar = BestSpmmGflops(stats, [](const std::string& v) {
@@ -111,10 +111,10 @@ void WriteJson(const std::string& path, const std::vector<obs::KernelStats>& sta
   }
   const bool perf = obs::PerfCountersAvailable();
   // schema_version 2: variant labels carry the dispatched SIMD tier
-  // ("csr_avx2", "dense_scalar", ...), spmm has one entry per swept
-  // (algo, tier) variant, and the file records the active tier plus the
-  // measured SIMD speedup. bench_check.sh compares like variant to like
-  // variant and falls back to best-of when the baseline predates variants.
+  // ("csr_avx2", "dense_scalar", ...), spmm has one entry per swept tier,
+  // and the file records the active tier plus the measured SIMD speedup.
+  // bench_check.sh compares like variant to like variant and falls back to
+  // best-of when the baseline predates variants.
   out << "{\n  \"schema_version\": 2,\n";
   out << "  \"active_tier\": \"" << kernels::TierName(kernels::ActiveTier())
       << "\",\n";
@@ -150,7 +150,7 @@ void WriteJson(const std::string& path, const std::vector<obs::KernelStats>& sta
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   util::FlagParser flags(argc, argv);
   bench::ObsSession obs_session(flags);
   const bool smoke = flags.GetBool("smoke", false);
@@ -198,7 +198,7 @@ int main(int argc, char** argv) {
     (void)t::MatMulTransposedB(a, b);        // matmul|bt
     (void)t::MatMulTransposedA(a, b);        // matmul|at
     (void)sm.MatMul(dense);                  // spmm|csr_<tier>
-    (void)ag::SpMM(edges, edge_w, xvar);     // spmm|<plan-selected variant>
+    (void)ag::SpMM(edges, edge_w, xvar);     // spmm|csr_<tier>
     (void)t::Add(ew_a, ew_b);                // elementwise|binary_<tier>
     (void)t::Relu(ew_a);                     // elementwise|unary_<tier>
     (void)t::GatherRows(dense, gather_idx);  // row_gather|copy
@@ -206,17 +206,18 @@ int main(int argc, char** argv) {
     t::ScatterAddRows(dense, gather_idx, &scatter_out);
   }
 
-  // Per-variant SpMM sweep: every (algo, tier) pair the dispatch layer can
-  // select, like-for-like over the same graph and operands. This is what
-  // feeds the schema-2 per-variant entries, the spmm_simd_speedup field,
-  // and bench_check.sh's like-variant-to-like-variant gating. Unsupported
-  // tiers are logged, not silently skipped.
+  // Per-tier SpMM sweep: the CSR kernel at every tier the host supports,
+  // like-for-like over the same graph and operands. This is what feeds the
+  // schema-2 per-tier entries, the spmm_simd_speedup field, and
+  // bench_check.sh's like-variant-to-like-variant gating. Unsupported tiers
+  // are logged, not silently skipped.
   {
-    const auto plan = edges->plan();
+    const kernels::CsrAdj& csr = edges->plan()->csr;
     const int64_t e_count = edges->size();
     const double sweep_flops = 2.0 * static_cast<double>(e_count) * feat;
     const double sweep_bytes =
-        static_cast<double>(e_count) * (20.0 + 12.0 * feat);
+        static_cast<double>(e_count) * (20.0 + 4.0 * feat) +
+        4.0 * static_cast<double>(sp_rows) * feat;
     for (int tier_i = 0; tier_i < kernels::kNumSimdTiers; ++tier_i) {
       const auto tier = static_cast<kernels::SimdTier>(tier_i);
       if (!kernels::TierSupported(tier)) {
@@ -224,16 +225,14 @@ int main(int argc, char** argv) {
                     kernels::TierName(tier));
         continue;
       }
-      for (int algo_i = 0; algo_i < kernels::kNumSpmmAlgos; ++algo_i) {
-        const kernels::SpmmChoice choice{
-            static_cast<kernels::SpmmAlgo>(algo_i), tier};
-        for (int64_t r = 0; r < reps; ++r) {
-          t::Tensor out_t = t::Tensor::Zeros(sp_rows, feat);
-          obs::KernelScope kscope("spmm", kernels::SpmmVariantName(choice),
-                                  sweep_flops, sweep_bytes);
-          plan->Run(choice, edge_w.value().data(), dense.data(), feat,
-                    out_t.data(), /*bias=*/nullptr, /*relu=*/false);
-        }
+      const kernels::Dispatch& d = kernels::DispatchFor(tier);
+      for (int64_t r = 0; r < reps; ++r) {
+        t::Tensor out_t = t::Tensor::Zeros(sp_rows, feat);
+        obs::KernelScope kscope("spmm", d.spmm_variant, sweep_flops,
+                                sweep_bytes);
+        d.spmm_csr(csr.rows, csr.row_ptr.data(), csr.col.data(),
+                   csr.perm.data(), edge_w.value().data(), dense.data(), feat,
+                   out_t.data(), /*bias=*/nullptr, /*relu=*/false);
       }
     }
   }
@@ -263,4 +262,6 @@ int main(int argc, char** argv) {
 
   WriteJson(out_path, stats, roof);
   return 0;
+} catch (const util::FlagError& e) {
+  return util::FlagUsageError(argv[0], e);
 }

@@ -95,7 +95,7 @@ std::vector<int64_t> QueryStream(int64_t n, int64_t count, util::Rng* rng) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   util::FlagParser flags(argc, argv);
   bench::ObsSession obs_session(flags);
   const bool smoke = flags.GetBool("smoke", false);
@@ -291,4 +291,6 @@ int main(int argc, char** argv) {
       << "}\n";
   std::printf("results written to %s\n", out_path.c_str());
   return all_parity ? 0 : 1;
+} catch (const util::FlagError& e) {
+  return util::FlagUsageError(argv[0], e);
 }

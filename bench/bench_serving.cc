@@ -72,7 +72,7 @@ tensor::Tensor TapedLogits(const core::SesModel& model,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   util::FlagParser flags(argc, argv);
   bench::Profile profile = bench::Profile::FromFlags(flags);
   bench::ObsSession obs_session(flags);
@@ -497,4 +497,6 @@ int main(int argc, char** argv) {
       << "}\n";
   std::printf("results written to %s\n", out_path.c_str());
   return 0;
+} catch (const util::FlagError& e) {
+  return util::FlagUsageError(argv[0], e);
 }

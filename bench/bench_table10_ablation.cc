@@ -104,7 +104,7 @@ double RunPostHocEpl(const data::Dataset& ds, const std::string& backbone,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   util::FlagParser flags(argc, argv);
   bench::Profile profile = bench::Profile::FromFlags(flags);
   std::printf("[Table 10] %s\n", profile.Describe().c_str());
@@ -160,4 +160,6 @@ int main(int argc, char** argv) {
   table.Print();
   table.WriteCsv(bench::ArtifactDir() + "/table10_ablation.csv");
   return 0;
+} catch (const util::FlagError& e) {
+  return util::FlagUsageError(argv[0], e);
 }

@@ -51,7 +51,7 @@ bool Applicable(const std::string& model, const std::string& dataset) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   util::FlagParser flags(argc, argv);
   bench::Profile profile = bench::Profile::FromFlags(flags);
   std::printf("[Table 3] %s\n", profile.Describe().c_str());
@@ -87,4 +87,6 @@ int main(int argc, char** argv) {
   table.Print();
   table.WriteCsv(bench::ArtifactDir() + "/table3_node_classification.csv");
   return 0;
+} catch (const util::FlagError& e) {
+  return util::FlagUsageError(argv[0], e);
 }

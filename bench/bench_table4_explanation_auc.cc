@@ -40,7 +40,7 @@ const std::map<std::string, std::map<std::string, double>> kPaper = {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   util::FlagParser flags(argc, argv);
   bench::Profile profile = bench::Profile::FromFlags(flags);
   std::printf("[Table 4] %s\n", profile.Describe().c_str());
@@ -106,4 +106,6 @@ int main(int argc, char** argv) {
   table.Print();
   table.WriteCsv(bench::ArtifactDir() + "/table4_explanation_auc.csv");
   return 0;
+} catch (const util::FlagError& e) {
+  return util::FlagUsageError(argv[0], e);
 }

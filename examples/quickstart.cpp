@@ -48,7 +48,7 @@
 
 using namespace ses;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   util::FlagParser flags(argc, argv);
   const std::string trace_out = flags.GetString("trace-out", "");
   const std::string telemetry_out = flags.GetString("telemetry-out", "");
@@ -190,4 +190,6 @@ int main(int argc, char** argv) {
   obs::ModelHealthMonitor::Get().SetEnabled(false);
   obs::SetCrashArtifacts("", "");
   return 0;
+} catch (const util::FlagError& e) {
+  return util::FlagUsageError(argv[0], e);
 }

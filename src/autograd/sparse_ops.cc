@@ -58,17 +58,15 @@ Variable SpMM(const EdgeListPtr& edges, const Variable& edge_weight,
   const int64_t f = px->value.cols();
   t::Tensor out(edges->num_nodes, f);
   const auto plan = edges->plan();
-  const kernels::SpmmChoice choice = plan->Choose(f);
   {
-    // One multiply-add per edge element; per edge — weight + two indices,
-    // the source row read and the destination row read-modify-written. The
-    // plan-selected variant (edge-order or CSR at the active SIMD tier) is
-    // the KernelScope variant label.
+    // One multiply-add per edge element; per edge — weight + two indices
+    // and the source row read; each output row written once.
     obs::KernelScope kscope(
-        "spmm", kernels::SpmmVariantName(choice),
+        "spmm", kernels::GetDispatch().spmm_variant,
         2.0 * static_cast<double>(e_count) * f,
-        static_cast<double>(e_count) * (20.0 + 12.0 * f));
-    plan->Run(choice, pw->value.data(), px->value.data(), f, out.data(),
+        static_cast<double>(e_count) * (20.0 + 4.0 * f) +
+            4.0 * static_cast<double>(edges->num_nodes) * f);
+    plan->Run(pw->value.data(), px->value.data(), f, out.data(),
               /*bias=*/nullptr, /*relu=*/false);
   }
   auto node = MakeOpNode(
@@ -94,16 +92,16 @@ Variable SpMMBiasAct(const EdgeListPtr& edges, const Variable& edge_weight,
   const double n_out = static_cast<double>(edges->num_nodes);
   t::Tensor out(edges->num_nodes, f);
   const auto plan = edges->plan();
-  const kernels::SpmmChoice choice = plan->Choose(f);
   {
     // Aggregation plus the fused epilogue (bias add + activation applied
     // per CSR row while it is cache-hot): epilogue adds ~2 ops/element but
     // no extra output traffic.
     obs::KernelScope kscope(
-        fused ? "spmm_fused" : "spmm", kernels::SpmmVariantName(choice),
+        fused ? "spmm_fused" : "spmm", kernels::GetDispatch().spmm_variant,
         2.0 * static_cast<double>(e_count) * f + (fused ? 2.0 * n_out * f : 0.0),
-        static_cast<double>(e_count) * (20.0 + 12.0 * f) + 4.0 * f);
-    plan->Run(choice, pw->value.data(), px->value.data(), f, out.data(),
+        static_cast<double>(e_count) * (20.0 + 4.0 * f) + 4.0 * n_out * f +
+            4.0 * f);
+    plan->Run(pw->value.data(), px->value.data(), f, out.data(),
               pb != nullptr ? pb->value.data() : nullptr, relu);
   }
   if (!GradEnabled()) return Variable(MakeTapeFreeNode(std::move(out)));

@@ -15,10 +15,9 @@ namespace ses::autograd {
 /// per-epoch graph rebuilds never copy the index arrays.
 ///
 /// Fill `src`/`dst`/`num_nodes` once after construction and treat the list
-/// as frozen: `plan()` memoizes per-graph kernel state (CSR-by-destination
-/// view, graph statistics, the SpMM variant decision) against the
-/// current arrays, and every SpMM over this list replays that plan — which
-/// is what keeps taped and InferenceGuard forwards on identical kernels.
+/// as frozen: `plan()` memoizes the CSR-by-destination view against the
+/// current arrays, and every SpMM over this list runs the CSR kernel over
+/// it — taped and InferenceGuard forwards alike.
 struct EdgeList {
   std::vector<int64_t> src;
   std::vector<int64_t> dst;
@@ -41,8 +40,8 @@ using EdgeListPtr = std::shared_ptr<const EdgeList>;
 /// Gradients flow to both `w` (E x 1) and `x` (N x F). This is the op that
 /// lets SES co-train the structure mask with the encoder (Eq. 8): the mask
 /// enters the aggregation as `w` and receives d(loss)/d(w_e) directly.
-/// The forward runs the plan-selected kernel variant (edge-order or CSR at
-/// the active SIMD tier); see kernels/spmm.h for the equivalence contract.
+/// The forward runs the CSR kernel at the active SIMD tier over the edge
+/// list's memoized plan (kernels/spmm.h).
 Variable SpMM(const EdgeListPtr& edges, const Variable& edge_weight,
               const Variable& x);
 

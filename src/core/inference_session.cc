@@ -5,7 +5,6 @@
 #include <numeric>
 #include <utility>
 
-#include "kernels/spmm.h"
 #include "obs/metrics.h"
 #include "obs/request.h"
 #include "obs/trace.h"
@@ -107,18 +106,6 @@ void InferenceSession::BuildLocked(std::unique_lock<std::mutex>& lock) {
     failed_version_ = version;
     failure_ = failure;
   } else if (current_ == nullptr || current_->version < version) {
-    // Exported as a labeled gauge so /metrics shows which kernel is serving;
-    // the previous version's label is zeroed on change.
-    auto& registry = obs::MetricsRegistry::Get();
-    if (current_ != nullptr && current_->spmm_variant != snapshot->spmm_variant)
-      registry
-          .GetGauge("ses.kernel.autotune",
-                    {{"op", "spmm"}, {"variant", current_->spmm_variant}})
-          .Set(0);
-    registry
-        .GetGauge("ses.kernel.autotune",
-                  {{"op", "spmm"}, {"variant", snapshot->spmm_variant}})
-        .Set(1);
     current_ = std::move(snapshot);
   }
   published_cv_.notify_all();
@@ -158,14 +145,6 @@ InferenceSession::SnapshotPtr InferenceSession::Build(
     a.cached_aggregation =
         encoder_->PrecomputeAggregation(a.edges, a.adj_mask,
                                         /*renormalize_mask=*/true);
-    // Pick the SpMM variant for this graph version with the nnz heuristic.
-    // Choose() is a pure function of the graph statistics, the hidden
-    // feature width, and the active SIMD tier, memoized on the edge list —
-    // so every forward over these edges (warm query or benchmark) replays
-    // exactly this decision, and a fresh-but-identical edge list (the taped
-    // eval path) lands on the same variant.
-    snapshot->spmm_variant = kernels::SpmmVariantName(
-        a.edges->plan()->Choose(encoder_->hidden_dim()));
   }
   SES_TRACE_SPAN("infer/build_forward");
   // Builds run on the builder thread, off every request's path, so the
@@ -226,11 +205,6 @@ InferenceSession::SnapshotPtr InferenceSession::Latest(
     request->SetVersion(snapshot->version);
   }
   return snapshot;
-}
-
-std::string InferenceSession::spmm_variant() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return current_ == nullptr ? std::string() : current_->spmm_variant;
 }
 
 tensor::Tensor InferenceSession::RunForward(const Artifacts& artifacts) const {

@@ -7,7 +7,6 @@
 #include <exception>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -89,9 +88,6 @@ class InferenceSession {
     int64_t version = 0;
     Artifacts artifacts;
     tensor::Tensor logits;
-    /// Static-storage SpMM variant name (kernels::SpmmVariantName) chosen
-    /// for this version's edges.
-    const char* spmm_variant = "";
 
     /// Argmax class of each of `nodes` (first max wins). Element i is
     /// bitwise-equal to PredictNode(nodes[i]) at this version.
@@ -179,15 +175,6 @@ class InferenceSession {
   Stats stats() const {
     return {cache_hits_.load(), cache_misses_.load()};
   }
-
-  /// The SpMM kernel variant serving the published version (e.g.
-  /// "csr_avx2"), chosen once per version inside the build by the nnz
-  /// heuristic and exported as `ses.kernel.autotune{op="spmm",
-  /// variant=...}`. Empty until the first build publishes. Deterministic
-  /// given identical graph statistics (the choice is a pure function of the
-  /// graph stats, the encoder's hidden width, and the active SIMD tier);
-  /// variants at one tier are bitwise-equal, so it never changes outputs.
-  std::string spmm_variant() const;
 
  private:
   /// Waits for (or, cold, builds) the version at call entry; `*waited` says

@@ -31,10 +31,9 @@ struct ShardedSessionOptions {
 /// to the whole-graph InferenceSession's, because (a) the halo closure makes
 /// every degree an owned logit's GCN normalization reads exact, (b) shard
 /// node lists are ascending so the global→local relabeling is monotone and
-/// per-row accumulation order is preserved, and (c) every SpMM variant at
-/// one SIMD tier accumulates a row in edge order, so a shard whose plan
-/// picks a different variant from the whole-graph session (a small shard
-/// can fall under the edge-order cutoff) still produces the same bits. The
+/// per-row accumulation order is preserved, and (c) the CSR SpMM kernel
+/// accumulates each row in edge order at every graph size, so a shard and
+/// the whole-graph session run the same operation sequence per row. The
 /// scale tests assert this equality on every graph they touch.
 class ShardedSession {
  public:

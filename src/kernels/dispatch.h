@@ -84,6 +84,7 @@ struct Dispatch {
   const char* unary_variant;    ///< dispatched element-wise unary chains
   const char* binary_variant;   ///< dispatched element-wise binary chains
   const char* scatter_variant;  ///< scatter-add rows
+  const char* spmm_variant;     ///< "csr_scalar" / "csr_avx2" / ...
 
   /// dst[0..n) += a * src[0..n)
   void (*axpy_row)(float* dst, const float* src, int64_t n, float a);
@@ -95,9 +96,6 @@ struct Dispatch {
   /// out[i] = max(a[i], 0) — NaN and -0 map to +0, matching the scalar
   /// `x > 0 ? x : 0` reference exactly.
   void (*vec_relu)(const float* a, float* out, int64_t n);
-  /// In-place fused epilogue on one row: row += bias (when non-null), then
-  /// optional ReLU.
-  void (*bias_act_row)(float* row, const float* bias, int64_t n, bool relu);
   /// C(m x n) += A(m x k) * B(k x n). Register-tiled (4 rows x a tier-wide
   /// column block of C held in registers across k); per element the sum
   /// runs over k in order and skips A entries equal to zero, so NaN/Inf in
@@ -109,19 +107,17 @@ struct Dispatch {
   /// optimal on every tier — single variant, routed here for uniformity).
   void (*gather_rows)(const float* a, int64_t cols, const int64_t* index,
                       int64_t n, float* out);
-  /// Edge-order SpMM reference: out[edst[e], :] += w[e] * x[esrc[e], :] in
-  /// edge order. Serial (scatter writes race); zero weights skipped so NaN
-  /// rows behind a zeroed mask never propagate.
-  void (*spmm_edges)(const int64_t* esrc, const int64_t* edst, const float* w,
-                     int64_t e, const float* x, int64_t f, float* out);
-  /// CSR-by-destination SpMM with optional fused epilogue (bias may be null,
-  /// relu optional). Entry e's weight is w[perm[e]] when `perm` is non-null
-  /// (adjacency CSR permuted from an edge list) and w[e] otherwise (value
-  /// CSR, e.g. feature matrices). Each output row is accumulated in
-  /// registers, up to 64 columns per pass. With entries kept in edge order
-  /// (stable sort) the per-row accumulation sequence equals spmm_edges
-  /// exactly, so same-tier results are bitwise identical. OpenMP over rows
-  /// behind ShouldParallelize(2·nnz·f).
+  /// The one sparse aggregation kernel: CSR-by-destination SpMM with
+  /// optional fused epilogue (bias may be null, relu optional). It
+  /// overwrites `out`: each row starts from +0, not from out's contents
+  /// (callers pass zeroed buffers, so the result is the same). Entry e's
+  /// weight is w[perm[e]] when `perm` is non-null (adjacency CSR permuted
+  /// from an edge list) and w[e] otherwise (value CSR, e.g. feature
+  /// matrices). Each output row is accumulated in registers, up to 64
+  /// columns per pass, one multiply-add per entry in CSR order (zero
+  /// weights skipped, so NaN rows behind a zeroed mask never propagate);
+  /// with entries kept in edge order (stable sort) that is edge order.
+  /// OpenMP over rows behind ShouldParallelize(2·nnz·f).
   void (*spmm_csr)(int64_t rows, const int64_t* row_ptr, const int64_t* col,
                    const int64_t* perm, const float* w, const float* x,
                    int64_t f, float* out, const float* bias, bool relu);

@@ -11,7 +11,7 @@
 /// per-element arithmetic differs.
 ///
 /// `Ops` supplies two kinds of primitive:
-///  - row primitives — Axpy, Add, BiasAct, BinAdd/BinSub/BinMul, Relu —
+///  - row primitives — Axpy, Add, BinAdd/BinSub/BinMul, Relu —
 ///    that read and write memory;
 ///  - register-tile primitives for MatMul and CSR SpMM, on `Ops::Vec` (a
 ///    vector of `kLanes` floats):
@@ -27,12 +27,11 @@
 ///      Vec AddV(a, b), ReluV(v) the epilogue
 ///    plus kSpmmVecs / kMatMulVecs, the tile width in Vecs.
 ///
-/// A tile holds its output in registers from one load to one store. Per
-/// element it must perform exactly the operation sequence of repeated
-/// `Axpy` calls — `c = c ⊕ a·b` over k (MatMul) or over the row's nonzeros
+/// A tile holds its output in registers from one load (MatMul) or from zero
+/// (SpMM) to one store. Per element it must perform exactly the operation
+/// sequence of repeated `Axpy` calls — `c = c ⊕ a·b` over k (MatMul) or over the row's nonzeros
 /// in CSR order (SpMM), then bias, then ReLU — with the same rounding:
-/// that is what keeps scalar ≡ reference, edges ≡ csr and sharded ≡ single
-/// bitwise.
+/// that is what keeps scalar ≡ reference and sharded ≡ single bitwise.
 
 #include <algorithm>
 #include <cstdint>
@@ -48,56 +47,67 @@ extern const Dispatch kDispatchScalar;
 extern const Dispatch kDispatchAvx2;
 extern const Dispatch kDispatchAvx512;
 
+/// Runs body(i) for every i in [0, n): a plain loop when `par` is false,
+/// an OpenMP `parallel for` otherwise (`schedule(dynamic, kDynamicChunk)`
+/// when kDynamicChunk > 0, static else). `#pragma omp parallel for if (par)`
+/// is not enough: with `par` false it still opens a one-thread region, a
+/// fixed ~0.3-0.5 us per call that dominates kernels over ego-net
+/// subgraphs of a few dozen edges.
+template <int kDynamicChunk = 0, class Body>
+inline void ParallelFor(bool par, int64_t n, Body&& body) {
+  if (!par) {
+    for (int64_t i = 0; i < n; ++i) body(i);
+    return;
+  }
+  if constexpr (kDynamicChunk > 0) {
+#pragma omp parallel for schedule(dynamic, kDynamicChunk)
+    for (int64_t i = 0; i < n; ++i) body(i);
+  } else {
+#pragma omp parallel for schedule(static)
+    for (int64_t i = 0; i < n; ++i) body(i);
+  }
+}
+
 /// Element-wise loops run in fixed chunks so OpenMP can split them while the
 /// tier primitive keeps long unit-stride runs.
 inline constexpr int64_t kElementwiseChunk = 1 << 15;
 
+/// body(lo, len) over [0, n) in kElementwiseChunk pieces.
+template <class Body>
+inline void ForEachChunk(int64_t n, Body&& body) {
+  const int64_t nb = (n + kElementwiseChunk - 1) / kElementwiseChunk;
+  ParallelFor(ShouldParallelize(static_cast<double>(n)), nb, [&](int64_t i) {
+    const int64_t lo = i * kElementwiseChunk;
+    body(lo, std::min(kElementwiseChunk, n - lo));
+  });
+}
+
 template <class Ops>
 void VecAddImpl(const float* a, const float* b, float* out, int64_t n) {
-  const bool par = ShouldParallelize(static_cast<double>(n));
-  const int64_t nb = (n + kElementwiseChunk - 1) / kElementwiseChunk;
-#pragma omp parallel for schedule(static) if (par)
-  for (int64_t i = 0; i < nb; ++i) {
-    const int64_t lo = i * kElementwiseChunk;
-    const int64_t len = std::min(kElementwiseChunk, n - lo);
+  ForEachChunk(n, [&](int64_t lo, int64_t len) {
     Ops::BinAdd(a + lo, b + lo, out + lo, len);
-  }
+  });
 }
 
 template <class Ops>
 void VecSubImpl(const float* a, const float* b, float* out, int64_t n) {
-  const bool par = ShouldParallelize(static_cast<double>(n));
-  const int64_t nb = (n + kElementwiseChunk - 1) / kElementwiseChunk;
-#pragma omp parallel for schedule(static) if (par)
-  for (int64_t i = 0; i < nb; ++i) {
-    const int64_t lo = i * kElementwiseChunk;
-    const int64_t len = std::min(kElementwiseChunk, n - lo);
+  ForEachChunk(n, [&](int64_t lo, int64_t len) {
     Ops::BinSub(a + lo, b + lo, out + lo, len);
-  }
+  });
 }
 
 template <class Ops>
 void VecMulImpl(const float* a, const float* b, float* out, int64_t n) {
-  const bool par = ShouldParallelize(static_cast<double>(n));
-  const int64_t nb = (n + kElementwiseChunk - 1) / kElementwiseChunk;
-#pragma omp parallel for schedule(static) if (par)
-  for (int64_t i = 0; i < nb; ++i) {
-    const int64_t lo = i * kElementwiseChunk;
-    const int64_t len = std::min(kElementwiseChunk, n - lo);
+  ForEachChunk(n, [&](int64_t lo, int64_t len) {
     Ops::BinMul(a + lo, b + lo, out + lo, len);
-  }
+  });
 }
 
 template <class Ops>
 void VecReluImpl(const float* a, float* out, int64_t n) {
-  const bool par = ShouldParallelize(static_cast<double>(n));
-  const int64_t nb = (n + kElementwiseChunk - 1) / kElementwiseChunk;
-#pragma omp parallel for schedule(static) if (par)
-  for (int64_t i = 0; i < nb; ++i) {
-    const int64_t lo = i * kElementwiseChunk;
-    const int64_t len = std::min(kElementwiseChunk, n - lo);
+  ForEachChunk(n, [&](int64_t lo, int64_t len) {
     Ops::Relu(a + lo, out + lo, len);
-  }
+  });
 }
 
 /// Calls f(std::integral_constant<int, V>{}) for V == nv, 1 <= nv <= kMax:
@@ -190,12 +200,11 @@ void MatMulRows(const float* a, const float* b, float* c, int64_t m,
                 int64_t k, int64_t n,
                 const ColumnPasses<Ops, Ops::kMatMulVecs>& p, bool par) {
   const int64_t blocks = m / kMatMulRows;
-#pragma omp parallel for schedule(static) if (par)
-  for (int64_t ib = 0; ib < blocks; ++ib) {
+  ParallelFor(par, blocks, [&](int64_t ib) {
     const int64_t i = ib * kMatMulRows;
     MatMulRowBlock<Ops, kMatMulRows, kLastVecs>(a + i * k, b, c + i * n, k, n,
                                                 p);
-  }
+  });
   for (int64_t i = blocks * kMatMulRows; i < m; ++i)
     MatMulRowBlock<Ops, 1, kLastVecs>(a + i * k, b, c + i * n, k, n, p);
 }
@@ -217,20 +226,12 @@ inline void GatherRowsImpl(const float* a, int64_t cols, const int64_t* index,
     std::copy(a + index[i] * cols, a + (index[i] + 1) * cols, out + i * cols);
 }
 
-template <class Ops>
-void SpmmEdgesImpl(const int64_t* esrc, const int64_t* edst, const float* w,
-                   int64_t e_count, const float* x, int64_t f, float* out) {
-  for (int64_t e = 0; e < e_count; ++e) {
-    const float we = w[e];
-    if (we == 0.0f) continue;
-    Ops::Axpy(out + edst[e] * f, x + esrc[e] * f, f, we);
-  }
-}
-
 /// One CSR row's output segment dst[0..w) in kVecs Vecs (the last one
-/// `tail` lanes wide): loaded once, one Fma per nonzero entry and Vec in
-/// CSR order, bias and ReLU applied in registers, stored once. x, dst and
-/// bias point at the segment's first column; x has row stride f.
+/// `tail` lanes wide): started at zero in registers, one Fma per nonzero
+/// entry and Vec in CSR order, bias and ReLU applied in registers, stored
+/// once. dst is never read: on ego-net subgraphs loading the just-zeroed
+/// row cost more than the row's arithmetic (DESIGN §14.1). x, dst and bias
+/// point at the segment's first column; x has row stride f.
 template <class Ops, int kVecs>
 inline void SpmmCsrRowPass(const int64_t* col, const int64_t* perm,
                            const float* w, int64_t e_begin, int64_t e_end,
@@ -241,8 +242,7 @@ inline void SpmmCsrRowPass(const int64_t* col, const int64_t* perm,
   constexpr int kLast = kVecs - 1;
   typename Ops::Vec acc[kVecs];
 #pragma GCC unroll 8
-  for (int v = 0; v < kLast; ++v) acc[v] = Ops::Load(dst + v * L);
-  acc[kLast] = Ops::LoadTail(dst + kLast * L, tail);
+  for (int v = 0; v < kVecs; ++v) acc[v] = Ops::Set1(0.0f);
   for (int64_t e = e_begin; e < e_end; ++e) {
     const float we = w[perm != nullptr ? perm[e] : e];
     if (we == 0.0f) continue;
@@ -274,18 +274,31 @@ void SpmmCsrRows(int64_t rows, const int64_t* row_ptr, const int64_t* col,
                  int64_t f, float* out, const float* bias, bool relu,
                  const ColumnPasses<Ops, Ops::kSpmmVecs>& p, bool par) {
   constexpr int64_t W = ColumnPasses<Ops, Ops::kSpmmVecs>::kWidth;
-#pragma omp parallel for schedule(dynamic, 64) if (par)
-  for (int64_t r = 0; r < rows; ++r) {
-    const int64_t e_begin = row_ptr[r], e_end = row_ptr[r + 1];
-    float* dst = out + r * f;
-    for (int64_t q = 0; q < p.full; ++q)
-      SpmmCsrRowPass<Ops, Ops::kSpmmVecs>(
-          col, perm, w, e_begin, e_end, x + q * W, f, dst + q * W,
-          bias != nullptr ? bias + q * W : nullptr, relu, p.full_tail);
-    const int64_t j = p.full * W;
-    SpmmCsrRowPass<Ops, kLastVecs>(col, perm, w, e_begin, e_end, x + j, f,
-                                   dst + j, bias != nullptr ? bias + j : nullptr,
-                                   relu, p.last_tail);
+  // One sweep over the rows per column pass (one sweep in all for widths
+  // up to W, which covers the encoders' hidden and class widths). Each
+  // loop captures by value and has nothing else live, so the serial loop
+  // keeps its state in registers; a single row loop over all passes
+  // spilled it and re-read it on every row, up to ~40% slower on ego-net
+  // subgraphs.
+  for (int64_t q = 0; q <= p.full; ++q) {
+    const int64_t j = q * W;
+    const float* bias_j = bias != nullptr ? bias + j : nullptr;
+    if (q < p.full) {
+      const typename Ops::Tail tail = p.full_tail;
+      ParallelFor<64>(par, rows, [=](int64_t r) {
+        SpmmCsrRowPass<Ops, Ops::kSpmmVecs>(col, perm, w, row_ptr[r],
+                                            row_ptr[r + 1], x + j, f,
+                                            out + r * f + j, bias_j, relu,
+                                            tail);
+      });
+    } else {
+      const typename Ops::Tail tail = p.last_tail;
+      ParallelFor<64>(par, rows, [=](int64_t r) {
+        SpmmCsrRowPass<Ops, kLastVecs>(col, perm, w, row_ptr[r],
+                                       row_ptr[r + 1], x + j, f,
+                                       out + r * f + j, bias_j, relu, tail);
+      });
+    }
   }
 }
 

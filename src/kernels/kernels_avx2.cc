@@ -105,23 +105,6 @@ struct OpsAvx2 {
       _mm256_storeu_ps(out + i, _mm256_max_ps(_mm256_loadu_ps(a + i), zero));
     for (; i < n; ++i) out[i] = a[i] > 0.0f ? a[i] : 0.0f;
   }
-  static inline void BiasAct(float* row, const float* bias, int64_t n,
-                             bool relu) {
-    const __m256 zero = _mm256_setzero_ps();
-    int64_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-      __m256 v = _mm256_loadu_ps(row + i);
-      if (bias != nullptr) v = _mm256_add_ps(v, _mm256_loadu_ps(bias + i));
-      if (relu) v = _mm256_max_ps(v, zero);
-      _mm256_storeu_ps(row + i, v);
-    }
-    for (; i < n; ++i) {
-      float v = row[i];
-      if (bias != nullptr) v += bias[i];
-      if (relu) v = v > 0.0f ? v : 0.0f;
-      row[i] = v;
-    }
-  }
 };
 
 using Ops = OpsAvx2;
@@ -140,9 +123,6 @@ void AxpyRow(float* dst, const float* src, int64_t n, float a) {
   Ops::Axpy(dst, src, n, a);
 }
 void AddRow(float* dst, const float* src, int64_t n) { Ops::Add(dst, src, n); }
-void BiasActRow(float* row, const float* bias, int64_t n, bool relu) {
-  Ops::BiasAct(row, bias, n, relu);
-}
 void VecAdd(const float* a, const float* b, float* out, int64_t n) {
   VecAddImpl<Ops>(a, b, out, n);
 }
@@ -163,10 +143,6 @@ void GatherRows(const float* a, int64_t cols, const int64_t* index, int64_t n,
                 float* out) {
   GatherRowsImpl(a, cols, index, n, out);
 }
-void SpmmEdges(const int64_t* esrc, const int64_t* edst, const float* w,
-               int64_t e, const float* x, int64_t f, float* out) {
-  SpmmEdgesImpl<Ops>(esrc, edst, w, e, x, f, out);
-}
 void SpmmCsr(int64_t rows, const int64_t* row_ptr, const int64_t* col,
              const int64_t* perm, const float* w, const float* x, int64_t f,
              float* out, const float* bias, bool relu) {
@@ -183,16 +159,15 @@ const Dispatch kDispatchAvx2 = {
     "unary_avx2",
     "binary_avx2",
     "rows_avx2",
+    "csr_avx2",
     &AxpyRow,
     &AddRow,
     &VecAdd,
     &VecSub,
     &VecMul,
     &VecRelu,
-    &BiasActRow,
     &MatMul,
     &GatherRows,
-    &SpmmEdges,
     &SpmmCsr,
 };
 

@@ -128,25 +128,6 @@ struct OpsAvx512 {
           out + i, m, _mm512_max_ps(_mm512_maskz_loadu_ps(m, a + i), zero));
     }
   }
-  static inline void BiasAct(float* row, const float* bias, int64_t n,
-                             bool relu) {
-    const __m512 zero = _mm512_setzero_ps();
-    int64_t i = 0;
-    for (; i + 16 <= n; i += 16) {
-      __m512 v = _mm512_loadu_ps(row + i);
-      if (bias != nullptr) v = _mm512_add_ps(v, _mm512_loadu_ps(bias + i));
-      if (relu) v = _mm512_max_ps(v, zero);
-      _mm512_storeu_ps(row + i, v);
-    }
-    if (i < n) {
-      const __mmask16 m = TailMask(n - i);
-      __m512 v = _mm512_maskz_loadu_ps(m, row + i);
-      if (bias != nullptr)
-        v = _mm512_add_ps(v, _mm512_maskz_loadu_ps(m, bias + i));
-      if (relu) v = _mm512_max_ps(v, zero);
-      _mm512_mask_storeu_ps(row + i, m, v);
-    }
-  }
 };
 
 using Ops = OpsAvx512;
@@ -163,9 +144,6 @@ void AxpyRow(float* dst, const float* src, int64_t n, float a) {
   Ops::Axpy(dst, src, n, a);
 }
 void AddRow(float* dst, const float* src, int64_t n) { Ops::Add(dst, src, n); }
-void BiasActRow(float* row, const float* bias, int64_t n, bool relu) {
-  Ops::BiasAct(row, bias, n, relu);
-}
 void VecAdd(const float* a, const float* b, float* out, int64_t n) {
   VecAddImpl<Ops>(a, b, out, n);
 }
@@ -186,10 +164,6 @@ void GatherRows(const float* a, int64_t cols, const int64_t* index, int64_t n,
                 float* out) {
   GatherRowsImpl(a, cols, index, n, out);
 }
-void SpmmEdges(const int64_t* esrc, const int64_t* edst, const float* w,
-               int64_t e, const float* x, int64_t f, float* out) {
-  SpmmEdgesImpl<Ops>(esrc, edst, w, e, x, f, out);
-}
 void SpmmCsr(int64_t rows, const int64_t* row_ptr, const int64_t* col,
              const int64_t* perm, const float* w, const float* x, int64_t f,
              float* out, const float* bias, bool relu) {
@@ -206,16 +180,15 @@ const Dispatch kDispatchAvx512 = {
     "unary_avx512",
     "binary_avx512",
     "rows_avx512",
+    "csr_avx512",
     &AxpyRow,
     &AddRow,
     &VecAdd,
     &VecSub,
     &VecMul,
     &VecRelu,
-    &BiasActRow,
     &MatMul,
     &GatherRows,
-    &SpmmEdges,
     &SpmmCsr,
 };
 

@@ -15,9 +15,6 @@ void AxpyRow(float* dst, const float* src, int64_t n, float a) {
 void AddRow(float* dst, const float* src, int64_t n) {
   OpsScalar::Add(dst, src, n);
 }
-void BiasActRow(float* row, const float* bias, int64_t n, bool relu) {
-  OpsScalar::BiasAct(row, bias, n, relu);
-}
 void VecAdd(const float* a, const float* b, float* out, int64_t n) {
   VecAddImpl<OpsScalar>(a, b, out, n);
 }
@@ -38,10 +35,6 @@ void GatherRows(const float* a, int64_t cols, const int64_t* index, int64_t n,
                 float* out) {
   GatherRowsImpl(a, cols, index, n, out);
 }
-void SpmmEdges(const int64_t* esrc, const int64_t* edst, const float* w,
-               int64_t e, const float* x, int64_t f, float* out) {
-  SpmmEdgesImpl<OpsScalar>(esrc, edst, w, e, x, f, out);
-}
 void SpmmCsr(int64_t rows, const int64_t* row_ptr, const int64_t* col,
              const int64_t* perm, const float* w, const float* x, int64_t f,
              float* out, const float* bias, bool relu) {
@@ -58,16 +51,15 @@ const Dispatch kDispatchScalar = {
     "unary_scalar",
     "binary_scalar",
     "rows_scalar",
+    "csr_scalar",
     &AxpyRow,
     &AddRow,
     &VecAdd,
     &VecSub,
     &VecMul,
     &VecRelu,
-    &BiasActRow,
     &MatMul,
     &GatherRows,
-    &SpmmEdges,
     &SpmmCsr,
 };
 

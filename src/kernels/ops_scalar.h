@@ -37,13 +37,6 @@ struct OpsScalar {
   static inline void Relu(const float* a, float* out, int64_t n) {
     for (int64_t i = 0; i < n; ++i) out[i] = a[i] > 0.0f ? a[i] : 0.0f;
   }
-  static inline void BiasAct(float* row, const float* bias, int64_t n,
-                             bool relu) {
-    if (bias != nullptr)
-      for (int64_t i = 0; i < n; ++i) row[i] += bias[i];
-    if (relu)
-      for (int64_t i = 0; i < n; ++i) row[i] = row[i] > 0.0f ? row[i] : 0.0f;
-  }
 
   // Register-tile primitives. A Vec is four floats in a GCC vector type:
   // element-wise IEEE multiply and add, exactly the scalar operations, in

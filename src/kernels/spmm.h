@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <utility>
 #include <vector>
 
 #include "kernels/dispatch.h"
@@ -12,24 +11,19 @@
 namespace ses::kernels {
 
 /// ---------------------------------------------------------------------------
-/// Per-graph SpMM planning and autotuning.
+/// Per-graph SpMM plan.
 ///
 /// Aggregation SpMMs run thousands of times over the same adjacency (per
-/// epoch in training, per request in serving), so the per-graph work — a
-/// CSR-by-destination view of the edge list, cheap graph statistics, and the
-/// variant decision derived from them — is computed once and memoized in an
-/// `SpmmPlan` that lives on the owning EdgeList. Every variant at one SIMD
-/// tier accumulates each output row in edge order (see CsrAdj), so they are
-/// bitwise-equal to each other: the choice is purely a performance decision
-/// and can never change numerics. It is still a deterministic function of
-/// (graph statistics, feature width, active SIMD tier), so the kernel that
-/// serves a graph is predictable and reported in metrics.
+/// epoch in training, per request in serving), so the CSR-by-destination
+/// view of an edge list is built once and memoized in an `SpmmPlan` that
+/// lives on the owning EdgeList. Every aggregation runs the one CSR kernel
+/// (`Dispatch::spmm_csr`) at the active SIMD tier, whatever the graph's
+/// size: there is no per-graph layout choice.
 
 /// Structure-only CSR view of an edge list, grouped by destination. Entries
 /// keep their original edge order within each row (stable counting sort), so
-/// per-row accumulation order equals edge order — the property that makes
-/// csr_* bitwise-equal to edges_* at the same tier. `perm` maps each entry
-/// back to its edge index for weight lookup (weights change every call; the
+/// per-row accumulation order equals edge order. `perm` maps each entry back
+/// to its edge index for weight lookup (weights change every call; the
 /// structure does not).
 struct CsrAdj {
   int64_t rows = 0;  ///< destination nodes
@@ -45,69 +39,16 @@ struct CsrAdj {
 CsrAdj BuildCsrByDst(const int64_t* src, const int64_t* dst, int64_t e,
                      int64_t n);
 
-/// Cheap statistics the plan decides from. Degree means in-degree (by
-/// destination — the scatter side that determines SpMM locality).
-struct GraphStats {
-  int64_t nodes = 0;
-  int64_t nnz = 0;
-  int64_t max_degree = 0;
-};
+/// Immutable per-graph plan: the CSR view, built once. Thread-safe by
+/// construction; serving threads share one plan and it keeps no pointer to
+/// the edge arrays it was built from.
+struct SpmmPlan {
+  CsrAdj csr;
 
-GraphStats ComputeGraphStats(const int64_t* dst, int64_t e, int64_t n);
-
-enum class SpmmAlgo : int {
-  kEdgeOrder = 0,  ///< edge-stream scatter; no per-graph setup
-  kCsr = 1,        ///< CSR-by-dst rows, edge order preserved
-};
-inline constexpr int kNumSpmmAlgos = 2;
-
-struct SpmmChoice {
-  SpmmAlgo algo = SpmmAlgo::kCsr;
-  SimdTier tier = SimdTier::kScalar;
-};
-
-/// Static-storage variant label ("csr_avx512", "edges_scalar", ...) for
-/// KernelScope / metrics / bench entries.
-const char* SpmmVariantName(SpmmChoice choice);
-
-/// The deterministic decision rule: a pure function of (stats, feature
-/// width, tier). Exposed directly for the CI determinism check.
-SpmmChoice HeuristicSpmmChoice(const GraphStats& stats, int64_t feat,
-                               SimdTier tier);
-
-/// Memoized per-graph plan: stats eagerly, CSR views lazily (an edge-order
-/// decision never pays for the CSR build), choice per feature width. All
-/// accessors are thread-safe; serving threads share one plan.
-///
-/// The plan RETAINS the src/dst pointers it was built from — it lives inside
-/// the owning EdgeList (see SpmmPlanCell), whose index arrays are immutable
-/// and outlive it. Callers that copy a plan pointer out must keep the
-/// EdgeListPtr alive alongside it.
-class SpmmPlan {
- public:
-  SpmmPlan(const int64_t* src, const int64_t* dst, int64_t e, int64_t n);
-
-  const GraphStats& stats() const { return stats_; }
-
-  /// The variant decision for feature width `feat`, memoized per width.
-  SpmmChoice Choose(int64_t feat) const;
-
-  /// Runs the chosen SpMM: out(nodes x f, zero-initialized) accumulates the
-  /// weighted aggregation, then the optional fused epilogue (bias/ReLU).
-  void Run(SpmmChoice choice, const float* w, const float* x, int64_t f,
-           float* out, const float* bias, bool relu) const;
-
- private:
-  const CsrAdj& EnsureCsr() const;
-
-  const int64_t* src_ = nullptr;
-  const int64_t* dst_ = nullptr;
-  int64_t edges_ = 0;
-  GraphStats stats_;
-  mutable std::mutex mu_;
-  mutable CsrAdj csr_;          ///< rows empty until built
-  mutable bool csr_built_ = false;
-  mutable std::vector<std::pair<int64_t, SpmmChoice>> choice_memo_;
+  /// Writes the weighted aggregation into out (rows x f) at the active
+  /// tier, then the optional fused epilogue (bias/ReLU).
+  void Run(const float* w, const float* x, int64_t f, float* out,
+           const float* bias, bool relu) const;
 };
 
 /// Holder for the plan an EdgeList memoizes. Copy/move produce an EMPTY cell

@@ -1,7 +1,6 @@
 #include "tensor/sparse.h"
 
 #include "kernels/dispatch.h"
-#include "kernels/spmm.h"
 #include "obs/perfcount.h"
 #include "util/logging.h"
 
@@ -44,7 +43,7 @@ Tensor SparseMatrix::MatMul(const Tensor& dense) const {
   // behind kernels::ShouldParallelize — this loop used to fork a team
   // regardless of nnz.
   obs::KernelScope scope(
-      "spmm", kernels::SpmmVariantName({kernels::SpmmAlgo::kCsr, d.tier}),
+      "spmm", d.spmm_variant,
       2.0 * static_cast<double>(nnz()) * f,
       static_cast<double>(nnz()) * (12.0 + 4.0 * f) +
           4.0 * static_cast<double>(rows) * f);

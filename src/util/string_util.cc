@@ -1,7 +1,9 @@
 #include "util/string_util.h"
 
 #include <cerrno>
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <sstream>
 #include <stdexcept>
 
@@ -52,9 +54,9 @@ std::string FlagParser::GetString(const std::string& name,
 
 namespace {
 
-/// Parses `value` with `parse` (strtoll / strtod) and throws
-/// std::invalid_argument naming `--name` unless the whole value is one
-/// in-range number: "abc", "5x" or "" must not read as 0.
+/// Parses `value` with `parse` (strtoll / strtod) and throws FlagError
+/// naming `--name` unless the whole value is one in-range number: "abc",
+/// "5x" or "" must not read as 0.
 template <typename T, typename Parse>
 T ParseNumber(const std::string& name, const std::string& value,
               Parse parse) {
@@ -63,8 +65,7 @@ T ParseNumber(const std::string& name, const std::string& value,
   errno = 0;
   const T parsed = parse(begin, &end);
   if (end == begin || *end != '\0' || errno == ERANGE)
-    throw std::invalid_argument("--" + name + "=" + value +
-                                ": not a valid number");
+    throw FlagError("--" + name + "=" + value + ": not a valid number");
   return parsed;
 }
 
@@ -92,6 +93,14 @@ bool FlagParser::GetBool(const std::string& name, bool fallback) const {
   for (const auto& [k, v] : flags_)
     if (k == name) return v == "true" || v == "1" || v == "yes";
   return fallback;
+}
+
+int FlagUsageError(const char* argv0, const FlagError& error) {
+  const char* slash = std::strrchr(argv0, '/');
+  const char* prog = slash != nullptr ? slash + 1 : argv0;
+  std::fprintf(stderr, "%s: %s\nusage: %s [--flag=value ...]\n", prog,
+               error.what(), prog);
+  return 2;
 }
 
 }  // namespace ses::util

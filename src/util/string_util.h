@@ -1,6 +1,7 @@
 #ifndef SES_UTIL_STRING_UTIL_H_
 #define SES_UTIL_STRING_UTIL_H_
 
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -15,6 +16,12 @@ std::string Join(const std::vector<std::string>& pieces, const std::string& sep)
 /// True if `s` starts with `prefix`.
 bool StartsWith(const std::string& s, const std::string& prefix);
 
+/// A malformed command-line flag value.
+class FlagError : public std::invalid_argument {
+ public:
+  using std::invalid_argument::invalid_argument;
+};
+
 /// Parses "--flag=value"-style command-line arguments; also recognizes bare
 /// "--flag" as "true". Unrecognized positional arguments are ignored.
 class FlagParser {
@@ -23,8 +30,8 @@ class FlagParser {
 
   /// Returns the flag value or `fallback` if absent.
   std::string GetString(const std::string& name, const std::string& fallback) const;
-  /// Numeric getters throw std::invalid_argument, naming the flag, when a
-  /// present value is not one whole in-range number ("abc", "5x", "").
+  /// Numeric getters throw FlagError, naming the flag, when a present
+  /// value is not one whole in-range number ("abc", "5x", "").
   int64_t GetInt(const std::string& name, int64_t fallback) const;
   double GetDouble(const std::string& name, double fallback) const;
   bool GetBool(const std::string& name, bool fallback) const;
@@ -32,6 +39,12 @@ class FlagParser {
  private:
   std::vector<std::pair<std::string, std::string>> flags_;
 };
+
+/// Prints `error` and a usage line for program `argv0` to stderr and
+/// returns 2, the usage-error exit status. Mains whose flags can throw use
+/// it as their handler: `int main(...) try { ... } catch (const FlagError&
+/// e) { return FlagUsageError(argv[0], e); }`.
+int FlagUsageError(const char* argv0, const FlagError& error);
 
 }  // namespace ses::util
 

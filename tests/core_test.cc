@@ -108,8 +108,9 @@ TEST(PairConstructionTest, PositivesAreHighestMaskNeighbors) {
   // ratio 0.5 over 2 neighbors keeps exactly 1 per node.
   auto pairs = c::ConstructPairs(khop, mask, negs, 0.5, &rng);
   for (int64_t i = 0; i < pairs.size(); ++i) {
-    if (pairs.anchor[static_cast<size_t>(i)] == 2)
+    if (pairs.anchor[static_cast<size_t>(i)] == 2) {
       EXPECT_EQ(pairs.positive[static_cast<size_t>(i)], 3);
+    }
   }
 }
 

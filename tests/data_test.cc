@@ -109,8 +109,9 @@ TEST_P(SyntheticGtTest, MotifNodesHaveNonBaseLabels) {
   d::Dataset ds = d::MakeSyntheticByName(GetParam(), opt);
   for (int64_t i = 0; i < ds.num_nodes(); ++i) {
     if (GetParam() == "BACommunity") continue;  // two base labels there
-    if (!ds.in_motif[static_cast<size_t>(i)])
+    if (!ds.in_motif[static_cast<size_t>(i)]) {
       EXPECT_EQ(ds.labels[static_cast<size_t>(i)], 0);
+    }
   }
 }
 

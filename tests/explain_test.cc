@@ -106,8 +106,9 @@ TEST(GnnExplainerTest, ExplainsRequestedNodesOnly) {
   std::set<int64_t> ball(sub.nodes.begin(), sub.nodes.end());
   for (size_t i = 0; i < scores.size(); ++i) {
     auto [u, v] = f.ds.graph.edges()[i];
-    if (scores[i] != 0.0f)
+    if (scores[i] != 0.0f) {
       EXPECT_TRUE(ball.count(u) && ball.count(v));
+    }
   }
 }
 

@@ -1,14 +1,16 @@
 // Tests for the runtime-dispatched SIMD kernel layer (src/kernels):
 //  - tier dispatch + SES_KERNEL_VARIANT forcing semantics,
-//  - SIMD/scalar parity sweeps across every dispatched variant (feature
+//  - SIMD/scalar parity sweeps across every dispatched kernel (feature
 //    widths 1..333 including ragged SIMD tails, empty rows, duplicate
 //    edges, denormals, NaN masking/propagation),
+//  - the CSR SpMM bitwise against an edge-order reference loop at every
+//    tier (separate multiply and add at scalar, std::fmaf at SIMD tiers),
 //  - the register-tiled MatMul bitwise against a row-axpy reference loop
 //    on each tier's own axpy_row,
 //  - the fused GCN epilogue (aggregate + bias + ReLU) against the unfused
 //    chain — bitwise at scalar tier, tolerance-gated at SIMD tiers,
 //  - SpMMBiasAct gradients (analytic vs the unfused chain, plus numeric),
-//  - autotuner determinism and per-graph plan memoization.
+//  - per-graph plan memoization.
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -104,17 +106,22 @@ TestGraph MakeMessyGraph(int64_t nodes, int64_t edges, uint64_t seed) {
   return g;
 }
 
-/// Scalar edge-order reference SpMM with optional epilogue — the ground
-/// truth every dispatched variant is compared against.
+/// Edge-order reference SpMM with optional epilogue — the ground truth
+/// every tier is compared against bit for bit. `fused_multiply_add` selects
+/// the SIMD tiers' rounding (std::fmaf, one rounding per step) instead of
+/// the scalar tier's separate multiply and add.
 void ReferenceSpmm(const TestGraph& g, const float* w, const float* x,
-                   int64_t f, float* out, const float* bias, bool relu) {
+                   int64_t f, float* out, const float* bias, bool relu,
+                   bool fused_multiply_add) {
   std::fill(out, out + g.nodes * f, 0.0f);
   for (size_t e = 0; e < g.src.size(); ++e) {
     const float we = w[e];
     if (we == 0.0f) continue;
     const float* srcp = x + g.src[e] * f;
     float* dstp = out + g.dst[e] * f;
-    for (int64_t c = 0; c < f; ++c) dstp[c] += we * srcp[c];
+    for (int64_t c = 0; c < f; ++c)
+      dstp[c] = fused_multiply_add ? std::fmaf(we, srcp[c], dstp[c])
+                                   : dstp[c] + we * srcp[c];
   }
   for (int64_t r = 0; r < g.nodes; ++r) {
     float* row = out + r * f;
@@ -163,9 +170,7 @@ TEST(DispatchTest, VariantLabelsCarryTierSuffix) {
     const std::string suffix = k::TierName(tier);
     EXPECT_NE(std::string(d.matmul_variant).find(suffix), std::string::npos);
     EXPECT_NE(std::string(d.unary_variant).find(suffix), std::string::npos);
-    EXPECT_NE(
-        std::string(k::SpmmVariantName({k::SpmmAlgo::kCsr, tier})).find(suffix),
-        std::string::npos);
+    EXPECT_NE(std::string(d.spmm_variant).find(suffix), std::string::npos);
   }
 }
 
@@ -291,10 +296,18 @@ TEST(KernelParityTest, MatMulIsBitwiseEqualToTheRowAxpyLoopAtEveryTier) {
 }
 
 // ---------------------------------------------------------------------------
-// SpMM parity: every (algo, tier) variant against the edge-order scalar
-// reference, across all widths, with empty rows / duplicates / zero weights.
-// Within one tier every variant must be bitwise-equal to every other — the
-// contract that makes the plan's variant choice numerics-free.
+// SpMM parity: the CSR kernel at every tier against the edge-order reference
+// loop, across all widths, with empty rows / duplicates / zero weights. The
+// CSR view keeps edge order per row, so each tier reproduces the loop with
+// its own rounding exactly.
+
+/// Runs the CSR SpMM of `tier` over `csr` into `out` (zero-initialized).
+void RunSpmm(k::SimdTier tier, const k::CsrAdj& csr, const float* w,
+             const float* x, int64_t f, float* out, const float* bias,
+             bool relu) {
+  k::DispatchFor(tier).spmm_csr(csr.rows, csr.row_ptr.data(), csr.col.data(),
+                                csr.perm.data(), w, x, f, out, bias, relu);
+}
 
 class SpmmParityTest : public ::testing::Test {
  protected:
@@ -306,7 +319,8 @@ class SpmmParityTest : public ::testing::Test {
     w[0] = 0.0f;  // masked edges
     w[1] = 0.0f;
     w[2] = 1e-39f;  // denormal weight
-    const k::SpmmPlan plan(g.src.data(), g.dst.data(), e, g.nodes);
+    const k::CsrAdj csr = k::BuildCsrByDst(g.src.data(), g.dst.data(), e,
+                                           g.nodes);
     for (const int64_t f : kWidths) {
       t::Tensor x = t::Tensor::Randn(g.nodes, f, &rng);
       t::Tensor bias;
@@ -315,44 +329,23 @@ class SpmmParityTest : public ::testing::Test {
         bias = t::Tensor::Randn(1, f, &rng);
         bias_ptr = bias.data();
       }
-      std::vector<float> want(static_cast<size_t>(g.nodes) * f);
-      ReferenceSpmm(g, w.data(), x.data(), f, want.data(), bias_ptr,
-                    with_epilogue);
       for (const k::SimdTier tier : SupportedTiers()) {
-        t::Tensor first;  // the tier's edge-order output
-        for (int a = 0; a < k::kNumSpmmAlgos; ++a) {
-          const k::SpmmChoice choice{static_cast<k::SpmmAlgo>(a), tier};
-          t::Tensor got = t::Tensor::Zeros(g.nodes, f);
-          plan.Run(choice, w.data(), x.data(), f, got.data(), bias_ptr,
-                   with_epilogue);
-          // Every variant keeps edge order per row (stable CSR), so the
-          // scalar tier is bitwise against the reference; SIMD tiers (FMA)
-          // are tolerance-gated against it.
-          const double diff =
-              MaxAbsDiff(got.data(), want.data(), g.nodes * f);
-          if (tier == k::SimdTier::kScalar) {
-            EXPECT_TRUE(BitwiseEqual(got.data(), want.data(), g.nodes * f))
-                << k::SpmmVariantName(choice) << " f=" << f
-                << " diff=" << diff;
-          } else {
-            EXPECT_LE(diff, Tolerance(plan.stats().max_degree))
-                << k::SpmmVariantName(choice) << " f=" << f;
-          }
-          if (a == 0) {
-            first = got;
-          } else {
-            EXPECT_TRUE(BitwiseEqual(got.data(), first.data(), g.nodes * f))
-                << k::SpmmVariantName(choice) << " differs from "
-                << k::SpmmVariantName({k::SpmmAlgo::kEdgeOrder, tier})
-                << " f=" << f;
-          }
-          // Empty rows stay exactly zero (or epilogue-only).
-          for (int64_t c = 0; c < f; ++c) {
-            float expect_empty = bias_ptr != nullptr ? bias[c] : 0.0f;
-            if (with_epilogue && expect_empty < 0.0f) expect_empty = 0.0f;
-            EXPECT_EQ(got.At(0, c), expect_empty)
-                << k::SpmmVariantName(choice) << " empty row, f=" << f;
-          }
+        const bool fma = tier != k::SimdTier::kScalar;
+        std::vector<float> want(static_cast<size_t>(g.nodes) * f);
+        ReferenceSpmm(g, w.data(), x.data(), f, want.data(), bias_ptr,
+                      with_epilogue, fma);
+        t::Tensor got = t::Tensor::Zeros(g.nodes, f);
+        RunSpmm(tier, csr, w.data(), x.data(), f, got.data(), bias_ptr,
+                with_epilogue);
+        EXPECT_TRUE(BitwiseEqual(got.data(), want.data(), g.nodes * f))
+            << k::DispatchFor(tier).spmm_variant << " f=" << f << " diff="
+            << MaxAbsDiff(got.data(), want.data(), g.nodes * f);
+        // Empty rows stay exactly zero (or epilogue-only).
+        for (int64_t c = 0; c < f; ++c) {
+          float expect_empty = bias_ptr != nullptr ? bias[c] : 0.0f;
+          if (with_epilogue && expect_empty < 0.0f) expect_empty = 0.0f;
+          EXPECT_EQ(got.At(0, c), expect_empty)
+              << k::DispatchFor(tier).spmm_variant << " empty row, f=" << f;
         }
       }
     }
@@ -369,7 +362,7 @@ TEST_F(SpmmParityTest, FusedEpilogueMatchesReferenceAcrossWidths) {
 
 TEST(SpmmNanTest, ZeroWeightMasksNaNRowInEveryVariant) {
   // Node 4's features are NaN, but every edge sourced at node 4 has weight
-  // zero — the zero-skip must keep NaN out of all outputs in all variants.
+  // zero — the zero-skip must keep NaN out of all outputs at every tier.
   TestGraph g;
   g.nodes = 6;
   g.src = {4, 4, 3, 5, 3};
@@ -379,20 +372,18 @@ TEST(SpmmNanTest, ZeroWeightMasksNaNRowInEveryVariant) {
   w[0] = 0.0f;
   w[1] = 0.0f;
   util::Rng rng(5);
-  const k::SpmmPlan plan(g.src.data(), g.dst.data(), e, g.nodes);
+  const k::CsrAdj csr = k::BuildCsrByDst(g.src.data(), g.dst.data(), e,
+                                         g.nodes);
   for (const int64_t f : kWidths) {
     t::Tensor x = t::Tensor::Randn(g.nodes, f, &rng);
     for (int64_t c = 0; c < f; ++c) x.At(4, c) = std::nanf("");
     for (const k::SimdTier tier : SupportedTiers()) {
-      for (int a = 0; a < k::kNumSpmmAlgos; ++a) {
-        const k::SpmmChoice choice{static_cast<k::SpmmAlgo>(a), tier};
-        t::Tensor out = t::Tensor::Zeros(g.nodes, f);
-        plan.Run(choice, w.data(), x.data(), f, out.data(), nullptr, false);
-        for (int64_t i = 0; i < out.size(); ++i)
-          EXPECT_FALSE(std::isnan(out[i])) << k::SpmmVariantName(choice)
-                                           << " leaked NaN at " << i
-                                           << " f=" << f;
-      }
+      t::Tensor out = t::Tensor::Zeros(g.nodes, f);
+      RunSpmm(tier, csr, w.data(), x.data(), f, out.data(), nullptr, false);
+      for (int64_t i = 0; i < out.size(); ++i)
+        EXPECT_FALSE(std::isnan(out[i]))
+            << k::DispatchFor(tier).spmm_variant << " leaked NaN at " << i
+            << " f=" << f;
     }
   }
 }
@@ -403,21 +394,19 @@ TEST(SpmmNanTest, NonzeroWeightPropagatesNaNInEveryVariant) {
   g.src = {1, 2};
   g.dst = {0, 3};
   t::Tensor w = t::Tensor::Ones(2, 1);
-  const k::SpmmPlan plan(g.src.data(), g.dst.data(), 2, g.nodes);
+  const k::CsrAdj csr = k::BuildCsrByDst(g.src.data(), g.dst.data(), 2,
+                                         g.nodes);
   for (const int64_t f : kWidths) {
     const int64_t nan_col = std::min<int64_t>(3, f - 1);
     t::Tensor x = t::Tensor::Ones(g.nodes, f);
     x.At(1, nan_col) = std::nanf("");
     for (const k::SimdTier tier : SupportedTiers()) {
-      for (int a = 0; a < k::kNumSpmmAlgos; ++a) {
-        const k::SpmmChoice choice{static_cast<k::SpmmAlgo>(a), tier};
-        t::Tensor out = t::Tensor::Zeros(g.nodes, f);
-        plan.Run(choice, w.data(), x.data(), f, out.data(), nullptr, false);
-        EXPECT_TRUE(std::isnan(out.At(0, nan_col)))
-            << k::SpmmVariantName(choice) << " f=" << f;
-        EXPECT_FALSE(std::isnan(out.At(3, nan_col)))
-            << k::SpmmVariantName(choice) << " f=" << f;
-      }
+      t::Tensor out = t::Tensor::Zeros(g.nodes, f);
+      RunSpmm(tier, csr, w.data(), x.data(), f, out.data(), nullptr, false);
+      EXPECT_TRUE(std::isnan(out.At(0, nan_col)))
+          << k::DispatchFor(tier).spmm_variant << " f=" << f;
+      EXPECT_FALSE(std::isnan(out.At(3, nan_col)))
+          << k::DispatchFor(tier).spmm_variant << " f=" << f;
     }
   }
 }
@@ -509,46 +498,9 @@ TEST(SpmmBiasActTest, NumericGradientCheck) {
 }
 
 // ---------------------------------------------------------------------------
-// Autotuner determinism and plan memoization.
+// Plan memoization.
 
-TEST(AutotuneTest, HeuristicChoiceIsDeterministicGivenIdenticalStats) {
-  const TestGraph g = MakeMessyGraph(64, 500, 3);
-  const k::GraphStats stats = k::ComputeGraphStats(
-      g.dst.data(), static_cast<int64_t>(g.dst.size()), g.nodes);
-  for (const int64_t f : kWidths) {
-    const k::SpmmChoice a = k::HeuristicSpmmChoice(stats, f, k::ActiveTier());
-    const k::SpmmChoice b = k::HeuristicSpmmChoice(stats, f, k::ActiveTier());
-    EXPECT_EQ(static_cast<int>(a.algo), static_cast<int>(b.algo));
-    EXPECT_EQ(static_cast<int>(a.tier), static_cast<int>(b.tier));
-    EXPECT_EQ(static_cast<int>(a.tier), static_cast<int>(k::ActiveTier()));
-  }
-}
-
-TEST(AutotuneTest, IdenticalGraphsLandOnTheSameVariant) {
-  // Two independently-built plans over identical edge lists — the situation
-  // of the taped eval path vs the serving session — must choose the same
-  // variant for every width (the bitwise cross-path parity precondition).
-  const TestGraph g = MakeMessyGraph(64, 600, 23);
-  const int64_t e = static_cast<int64_t>(g.src.size());
-  const k::SpmmPlan p1(g.src.data(), g.dst.data(), e, g.nodes);
-  const k::SpmmPlan p2(g.src.data(), g.dst.data(), e, g.nodes);
-  for (const int64_t f : kWidths) {
-    const k::SpmmChoice c1 = p1.Choose(f);
-    const k::SpmmChoice c2 = p2.Choose(f);
-    EXPECT_STREQ(k::SpmmVariantName(c1), k::SpmmVariantName(c2)) << f;
-  }
-}
-
-TEST(AutotuneTest, TinyGraphPrefersEdgeOrder) {
-  k::GraphStats tiny;
-  tiny.nodes = 30;
-  tiny.nnz = 60;  // < kTinyNnz: CSR build never pays off
-  EXPECT_EQ(static_cast<int>(
-                k::HeuristicSpmmChoice(tiny, 16, k::SimdTier::kScalar).algo),
-            static_cast<int>(k::SpmmAlgo::kEdgeOrder));
-}
-
-TEST(AutotuneTest, EdgeListPlanMemoizesAndRebuildsOnResize) {
+TEST(SpmmPlanTest, EdgeListPlanMemoizesAndRebuildsOnResize) {
   auto edges = std::make_shared<ag::EdgeList>();
   edges->src = {0, 1, 2};
   edges->dst = {1, 2, 0};
@@ -556,7 +508,15 @@ TEST(AutotuneTest, EdgeListPlanMemoizesAndRebuildsOnResize) {
   const auto p1 = edges->plan();
   const auto p2 = edges->plan();
   EXPECT_EQ(p1.get(), p2.get()) << "same graph must reuse the memoized plan";
-  EXPECT_EQ(p1->stats().nnz, 3);
+  EXPECT_EQ(p1->csr.nnz(), 3);
+  EXPECT_EQ(p1->csr.rows, 3);
+  edges->src.push_back(3);
+  edges->dst.push_back(3);
+  edges->num_nodes = 4;
+  const auto p3 = edges->plan();
+  EXPECT_NE(p3.get(), p1.get()) << "a resized edge list must rebuild";
+  EXPECT_EQ(p3->csr.nnz(), 4);
+  EXPECT_EQ(p3->csr.rows, 4);
 }
 
 // ---------------------------------------------------------------------------

@@ -617,7 +617,9 @@ TEST(MetricsRegistryTest, ExemplarWritesRaceScrapesSafely) {
       registry.WritePrometheus(out);
       obs::Histogram::Exemplar ex;
       for (size_t b = 0; b < 4; ++b) {
-        if (hist.ReadExemplar(b, &ex)) EXPECT_NE(ex.trace_id, 0u);
+        if (hist.ReadExemplar(b, &ex)) {
+          EXPECT_NE(ex.trace_id, 0u);
+        }
       }
     }
   });

@@ -13,7 +13,6 @@
 #include <gtest/gtest.h>
 
 #include "kernels/dispatch.h"
-#include "kernels/spmm.h"
 #include "obs/obs.h"
 #include "tensor/ops.h"
 #include "tensor/sparse.h"
@@ -29,10 +28,7 @@ namespace t = ses::tensor;
 std::string MatMulVariant() {
   return kernels::GetDispatch().matmul_variant;
 }
-std::string CsrSpmmVariant() {
-  return kernels::SpmmVariantName(
-      {kernels::SpmmAlgo::kCsr, kernels::GetDispatch().tier});
-}
+std::string CsrSpmmVariant() { return kernels::GetDispatch().spmm_variant; }
 
 /// Finds one (kernel, variant) aggregate; calls==0 stats count as absent.
 const obs::KernelStats* Find(const std::vector<obs::KernelStats>& stats,

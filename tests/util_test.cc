@@ -184,8 +184,9 @@ TEST(StringTest, FlagParser) {
   try {
     bad.GetDouble("budget", 1.0);
     ADD_FAILURE() << "--budget=abc parsed";
-  } catch (const std::invalid_argument& e) {
+  } catch (const u::FlagError& e) {
     EXPECT_NE(std::string(e.what()).find("--budget=abc"), std::string::npos);
+    EXPECT_EQ(u::FlagUsageError("bench/prog", e), 2);  // the usage exit code
   }
   EXPECT_EQ(bad.GetInt("neg", 0), -3);
   EXPECT_DOUBLE_EQ(bad.GetDouble("sci", 0.0), 2500.0);
