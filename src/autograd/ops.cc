@@ -18,22 +18,39 @@ namespace t = ses::tensor;
 
 namespace {
 
-/// Shorthand for a unary op whose backward multiplies the incoming gradient
-/// elementwise with a locally computed factor tensor.
-Variable UnaryWithFactor(const Variable& a, t::Tensor value, t::Tensor factor,
-                         const char* bwd_label) {
+/// dst[i] += g[i] * factor(i) over the whole buffer, in one pass with no
+/// temporary: the backward of every element-wise op below.
+template <class Factor>
+void AccumulateScaled(t::Tensor& dst, const t::Tensor& g, Factor factor) {
+  SES_CHECK(dst.SameShape(g));
+  const int64_t n = g.size();
+  const float* pg = g.data();
+  float* pd = dst.data();
+  for (int64_t i = 0; i < n; ++i) pd[i] += pg[i] * factor(i);
+}
+
+/// One element-wise op as a forward / derivative pair, in the style of
+/// Dali's DALI_DEFINE_UNARY_OP0(name, fwd, bwd): `y` is the forward value
+/// and `dydx(x, y)` the local derivative at one element, with x read from
+/// the input node and y from a copy of the output kept only when kUsesY.
+/// The backward accumulates g·dydx straight into the input's gradient.
+template <bool kUsesY, class Deriv>
+Variable UnaryOp(const Variable& a, t::Tensor y, Deriv dydx,
+                 const char* bwd_label) {
+  if (!GradEnabled()) return Variable(MakeTapeFreeNode(std::move(y)));
   NodePtr pa = a.node();
+  t::Tensor y_keep;
+  if constexpr (kUsesY) y_keep = y;
   auto node = MakeOpNode(
-      std::move(value), {pa},
-      [pa, factor = std::move(factor)](const t::Tensor& g) {
-        if (pa->requires_grad) {
-          t::Tensor& dst = pa->EnsureGrad();
-          const int64_t n = g.size();
-          const float* pg = g.data();
-          const float* pf = factor.data();
-          float* pd = dst.data();
-          for (int64_t i = 0; i < n; ++i) pd[i] += pg[i] * pf[i];
-        }
+      std::move(y), {pa},
+      [pa, y = std::move(y_keep), dydx](const t::Tensor& g) {
+        if (!pa->requires_grad) return;
+        const float* px = pa->value.data();
+        const float* py = y.data();
+        AccumulateScaled(pa->EnsureGrad(), g, [&](int64_t i) {
+          if constexpr (kUsesY) return dydx(px[i], py[i]);
+          return dydx(px[i], 0.0f);
+        });
       },
       bwd_label);
   return Variable(node);
@@ -99,10 +116,18 @@ Variable Mul(const Variable& a, const Variable& b) {
   NodePtr pa = a.node(), pb = b.node();
   auto node = MakeOpNode(t::Mul(pa->value, pb->value), {pa, pb},
                          [pa, pb](const t::Tensor& g) {
-                           if (pa->requires_grad)
-                             pa->EnsureGrad().AddInPlace(t::Mul(g, pb->value));
-                           if (pb->requires_grad)
-                             pb->EnsureGrad().AddInPlace(t::Mul(g, pa->value));
+                           // One side after the other: for Mul(x, x)
+                           // the a-side products land first.
+                           if (pa->requires_grad) {
+                             const float* b = pb->value.data();
+                             AccumulateScaled(pa->EnsureGrad(), g,
+                                              [b](int64_t i) { return b[i]; });
+                           }
+                           if (pb->requires_grad) {
+                             const float* a = pa->value.data();
+                             AccumulateScaled(pb->EnsureGrad(), g,
+                                              [a](int64_t i) { return a[i]; });
+                           }
                          },
                          "bwd:Mul");
   return Variable(node);
@@ -154,119 +179,91 @@ Variable Neg(const Variable& a) { return Scale(a, -1.0f); }
 
 Variable Sigmoid(const Variable& a) {
   SES_OP_FWD("Sigmoid");
-  t::Tensor y = t::Sigmoid(a.value());
-  if (!GradEnabled()) return Variable(MakeTapeFreeNode(std::move(y)));
-  t::Tensor factor(y.rows(), y.cols());
-  for (int64_t i = 0; i < y.size(); ++i) factor[i] = y[i] * (1.0f - y[i]);
-  return UnaryWithFactor(a, std::move(y), std::move(factor), "bwd:Sigmoid");
+  return UnaryOp<true>(
+      a, t::Sigmoid(a.value()),
+      [](float, float y) { return y * (1.0f - y); }, "bwd:Sigmoid");
 }
 
 Variable Tanh(const Variable& a) {
   SES_OP_FWD("Tanh");
-  t::Tensor y = t::Tanh(a.value());
-  if (!GradEnabled()) return Variable(MakeTapeFreeNode(std::move(y)));
-  t::Tensor factor(y.rows(), y.cols());
-  for (int64_t i = 0; i < y.size(); ++i) factor[i] = 1.0f - y[i] * y[i];
-  return UnaryWithFactor(a, std::move(y), std::move(factor), "bwd:Tanh");
+  return UnaryOp<true>(
+      a, t::Tanh(a.value()), [](float, float y) { return 1.0f - y * y; },
+      "bwd:Tanh");
 }
 
 Variable Relu(const Variable& a) {
   SES_OP_FWD("Relu");
-  if (!GradEnabled()) return Variable(MakeTapeFreeNode(t::Relu(a.value())));
-  const t::Tensor& x = a.value();
-  t::Tensor y(x.rows(), x.cols());
-  t::Tensor factor(x.rows(), x.cols());
-  for (int64_t i = 0; i < x.size(); ++i) {
-    y[i] = x[i] > 0.0f ? x[i] : 0.0f;
-    factor[i] = x[i] > 0.0f ? 1.0f : 0.0f;
-  }
-  return UnaryWithFactor(a, std::move(y), std::move(factor), "bwd:Relu");
+  return UnaryOp<false>(
+      a, t::Relu(a.value()),
+      [](float x, float) { return x > 0.0f ? 1.0f : 0.0f; }, "bwd:Relu");
 }
 
 Variable LeakyRelu(const Variable& a, float slope) {
   SES_OP_FWD("LeakyRelu");
-  if (!GradEnabled())
-    return Variable(MakeTapeFreeNode(t::LeakyRelu(a.value(), slope)));
-  const t::Tensor& x = a.value();
-  t::Tensor y(x.rows(), x.cols());
-  t::Tensor factor(x.rows(), x.cols());
-  for (int64_t i = 0; i < x.size(); ++i) {
-    y[i] = x[i] > 0.0f ? x[i] : slope * x[i];
-    factor[i] = x[i] > 0.0f ? 1.0f : slope;
-  }
-  return UnaryWithFactor(a, std::move(y), std::move(factor), "bwd:LeakyRelu");
+  return UnaryOp<false>(
+      a, t::LeakyRelu(a.value(), slope),
+      [slope](float x, float) { return x > 0.0f ? 1.0f : slope; },
+      "bwd:LeakyRelu");
 }
 
 Variable Elu(const Variable& a, float alpha) {
   SES_OP_FWD("Elu");
-  if (!GradEnabled())
-    return Variable(MakeTapeFreeNode(t::Elu(a.value(), alpha)));
-  const t::Tensor& x = a.value();
-  t::Tensor y(x.rows(), x.cols());
-  t::Tensor factor(x.rows(), x.cols());
-  for (int64_t i = 0; i < x.size(); ++i) {
-    if (x[i] > 0.0f) {
-      y[i] = x[i];
-      factor[i] = 1.0f;
-    } else {
-      y[i] = alpha * (std::exp(x[i]) - 1.0f);
-      factor[i] = y[i] + alpha;  // d/dx elu = elu(x) + alpha for x <= 0
-    }
-  }
-  return UnaryWithFactor(a, std::move(y), std::move(factor), "bwd:Elu");
+  // d/dx elu = elu(x) + alpha for x <= 0.
+  return UnaryOp<true>(
+      a, t::Elu(a.value(), alpha),
+      [alpha](float x, float y) { return x > 0.0f ? 1.0f : y + alpha; },
+      "bwd:Elu");
 }
 
 Variable Exp(const Variable& a) {
   SES_OP_FWD("Exp");
-  t::Tensor y = t::Exp(a.value());
-  if (!GradEnabled()) return Variable(MakeTapeFreeNode(std::move(y)));
-  t::Tensor factor = y;
-  return UnaryWithFactor(a, std::move(y), std::move(factor), "bwd:Exp");
+  return UnaryOp<true>(
+      a, t::Exp(a.value()), [](float, float y) { return y; }, "bwd:Exp");
 }
 
 Variable Log(const Variable& a) {
   SES_OP_FWD("Log");
-  const t::Tensor& x = a.value();
-  t::Tensor y = t::Log(x);
-  if (!GradEnabled()) return Variable(MakeTapeFreeNode(std::move(y)));
-  t::Tensor factor(x.rows(), x.cols());
-  for (int64_t i = 0; i < x.size(); ++i)
-    factor[i] = 1.0f / std::max(x[i], 1e-12f);
-  return UnaryWithFactor(a, std::move(y), std::move(factor), "bwd:Log");
+  return UnaryOp<false>(
+      a, t::Log(a.value()),
+      [](float x, float) { return 1.0f / std::max(x, 1e-12f); }, "bwd:Log");
 }
 
 Variable Sqrt(const Variable& a, float eps) {
   SES_OP_FWD("Sqrt");
-  t::Tensor y = t::Sqrt(a.value());
-  if (!GradEnabled()) return Variable(MakeTapeFreeNode(std::move(y)));
-  t::Tensor factor(y.rows(), y.cols());
-  for (int64_t i = 0; i < y.size(); ++i)
-    factor[i] = 0.5f / std::max(y[i], eps);
-  return UnaryWithFactor(a, std::move(y), std::move(factor), "bwd:Sqrt");
+  return UnaryOp<true>(
+      a, t::Sqrt(a.value()),
+      [eps](float, float y) { return 0.5f / std::max(y, eps); }, "bwd:Sqrt");
 }
 
 Variable Pow(const Variable& a, float p) {
   SES_OP_FWD("Pow");
   const t::Tensor& x = a.value();
+  // Negative powers keep the base at least 1e-12 away from zero.
+  const auto base = [p](float v) {
+    if (p < 0.0f && std::fabs(v) < 1e-12f) return v >= 0.0f ? 1e-12f : -1e-12f;
+    return v;
+  };
   t::Tensor y(x.rows(), x.cols());
-  if (!GradEnabled()) {
-    for (int64_t i = 0; i < x.size(); ++i) {
-      float base = x[i];
-      if (p < 0.0f && std::fabs(base) < 1e-12f)
-        base = base >= 0.0f ? 1e-12f : -1e-12f;
-      y[i] = std::pow(base, p);
-    }
-    return Variable(MakeTapeFreeNode(std::move(y)));
+  const int64_t n = x.size();
+  // The two exponents in use (mean and symmetric degree normalisation, the
+  // cosine denominator) are exact: one division or square root, and a
+  // derivative from y alone, p·y/base = -y² or -y³/2.
+  if (p == -1.0f) {
+    for (int64_t i = 0; i < n; ++i) y[i] = 1.0f / base(x[i]);
+    return UnaryOp<true>(
+        a, std::move(y), [](float, float v) { return -v * v; }, "bwd:Pow");
   }
-  t::Tensor factor(x.rows(), x.cols());
-  for (int64_t i = 0; i < x.size(); ++i) {
-    float base = x[i];
-    if (p < 0.0f && std::fabs(base) < 1e-12f)
-      base = base >= 0.0f ? 1e-12f : -1e-12f;
-    y[i] = std::pow(base, p);
-    factor[i] = p * std::pow(base, p - 1.0f);
+  if (p == -0.5f) {
+    for (int64_t i = 0; i < n; ++i) y[i] = 1.0f / std::sqrt(base(x[i]));
+    return UnaryOp<true>(
+        a, std::move(y), [](float, float v) { return -0.5f * v * v * v; },
+        "bwd:Pow");
   }
-  return UnaryWithFactor(a, std::move(y), std::move(factor), "bwd:Pow");
+  for (int64_t i = 0; i < n; ++i) y[i] = std::pow(base(x[i]), p);
+  return UnaryOp<false>(
+      a, std::move(y),
+      [p, base](float v, float) { return p * std::pow(base(v), p - 1.0f); },
+      "bwd:Pow");
 }
 
 Variable ScaleBy(const Variable& a, const Variable& scalar) {
@@ -351,7 +348,17 @@ Variable Dropout(const Variable& a, float p, bool training, util::Rng* rng) {
   for (int64_t i = 0; i < x.size(); ++i)
     mask[i] = rng->Bernoulli(keep) ? 1.0f / keep : 0.0f;
   t::Tensor y = t::Mul(x, mask);
-  return UnaryWithFactor(a, std::move(y), std::move(mask), "bwd:Dropout");
+  NodePtr pa = a.node();
+  auto node = MakeOpNode(
+      std::move(y), {pa},
+      [pa, mask = std::move(mask)](const t::Tensor& g) {
+        if (!pa->requires_grad) return;
+        const float* pm = mask.data();
+        AccumulateScaled(pa->EnsureGrad(), g,
+                         [pm](int64_t i) { return pm[i]; });
+      },
+      "bwd:Dropout");
+  return Variable(node);
 }
 
 Variable SumAll(const Variable& a) {
@@ -458,11 +465,14 @@ Variable ConcatRows(const Variable& a, const Variable& b) {
   auto node = MakeOpNode(
       t::ConcatRows(pa->value, pb->value), {pa, pb},
       [pa, pb](const t::Tensor& g) {
-        const int64_t ra = pa->value.rows();
-        if (pa->requires_grad)
-          pa->EnsureGrad().AddInPlace(t::SliceRows(g, 0, ra));
-        if (pb->requires_grad)
-          pb->EnsureGrad().AddInPlace(t::SliceRows(g, ra, g.rows()));
+        const auto add_block = [&g](const NodePtr& p, int64_t offset) {
+          t::Tensor& dst = p->EnsureGrad();
+          const float* pg = g.data() + offset;
+          float* pd = dst.data();
+          for (int64_t i = 0; i < dst.size(); ++i) pd[i] += pg[i];
+        };
+        if (pa->requires_grad) add_block(pa, 0);
+        if (pb->requires_grad) add_block(pb, pa->value.size());
       },
       "bwd:ConcatRows");
   return Variable(node);

@@ -14,35 +14,35 @@ namespace t = ses::tensor;
 
 namespace {
 
-/// Shared SpMM backward: dw[e] += x[src[e]]·g[dst[e]], dx[src[e]] += w[e] *
-/// g[dst[e]]. Used by both SpMM and the fused SpMMBiasAct (whose epilogue
-/// gradient is folded into `g` by the caller).
+/// Shared SpMM backward: dw[e] += x[src[e]]·g[dst[e]] and dx = Aᵀg, i.e.
+/// dx[s] += sum over the edges e leaving s of w[e]·g[dst[e]]. Used by both
+/// SpMM and the fused SpMMBiasAct (whose epilogue gradient is folded into
+/// `g` by the caller). Both run on the active tier's kernels: dw as an
+/// SDDMM with one float dot per edge, dx as the forward's CSR SpMM over the
+/// transposed plan, whose rows keep edge order (DESIGN.md §14.4).
 void AccumulateSpmmGrads(const EdgeList& edges, const NodePtr& pw,
                          const NodePtr& px, int64_t f, const t::Tensor& g) {
-  const int64_t e_count = edges.size();
+  const kernels::Dispatch& d = kernels::GetDispatch();
+  const double e_count = static_cast<double>(edges.size());
+  const double n = static_cast<double>(edges.num_nodes);
   if (pw->requires_grad) {
-    t::Tensor& dw = pw->EnsureGrad();
-    const t::Tensor& xv = px->value;
-#pragma omp parallel for schedule(static) \
-    if (kernels::ShouldParallelize(2.0 * static_cast<double>(e_count) * f))
-    for (int64_t e = 0; e < e_count; ++e) {
-      const float* xrow = xv.RowPtr(edges.src[static_cast<size_t>(e)]);
-      const float* grow = g.RowPtr(edges.dst[static_cast<size_t>(e)]);
-      double acc = 0.0;
-      for (int64_t c = 0; c < f; ++c) acc += xrow[c] * grow[c];
-      dw[e] += static_cast<float>(acc);
-    }
+    // One multiply-add per edge element; per edge two indices, both rows
+    // read and the weight gradient updated.
+    obs::KernelScope kscope("edge_dot", d.spmm_variant, 2.0 * e_count * f,
+                            e_count * (24.0 + 8.0 * f));
+    d.edge_dot(edges.size(), edges.src.data(), edges.dst.data(),
+               px->value.data(), g.data(), f, pw->EnsureGrad().data());
   }
   if (px->requires_grad) {
-    t::Tensor& dx = px->EnsureGrad();
-    const t::Tensor& w = pw->value;
-    for (int64_t e = 0; e < e_count; ++e) {
-      const float we = w[e];
-      if (we == 0.0f) continue;
-      const float* grow = g.RowPtr(edges.dst[static_cast<size_t>(e)]);
-      float* drow = dx.RowPtr(edges.src[static_cast<size_t>(e)]);
-      for (int64_t c = 0; c < f; ++c) drow[c] += we * grow[c];
+    SES_CHECK(px->value.rows() == edges.num_nodes);
+    t::Tensor dx(edges.num_nodes, f);
+    {
+      obs::KernelScope kscope("spmm_grad", d.spmm_variant, 2.0 * e_count * f,
+                              e_count * (20.0 + 4.0 * f) + 4.0 * n * f);
+      edges.transposed_plan()->Run(pw->value.data(), g.data(), f, dx.data(),
+                                   /*bias=*/nullptr, /*relu=*/false);
     }
+    px->EnsureGrad().AddInPlace(dx);
   }
 }
 

@@ -17,19 +17,29 @@ namespace ses::autograd {
 /// Fill `src`/`dst`/`num_nodes` once after construction and treat the list
 /// as frozen: `plan()` memoizes the CSR-by-destination view against the
 /// current arrays, and every SpMM over this list runs the CSR kernel over
-/// it — taped and InferenceGuard forwards alike.
+/// it — taped and InferenceGuard forwards alike. The SpMM backward runs the
+/// same kernel over `transposed_plan()`.
 struct EdgeList {
   std::vector<int64_t> src;
   std::vector<int64_t> dst;
   int64_t num_nodes = 0;
-  /// Lazily-built memoized kernel plan (copying an EdgeList resets it).
+  /// Lazily-built memoized kernel plans (copying an EdgeList resets them).
   kernels::SpmmPlanCell plan_cell;
+  kernels::SpmmPlanCell transposed_plan_cell;
 
   int64_t size() const { return static_cast<int64_t>(src.size()); }
 
   /// The memoized per-graph SpMM plan; built on first use, thread-safe.
   std::shared_ptr<const kernels::SpmmPlan> plan() const {
     return plan_cell.Get(src.data(), dst.data(), size(), num_nodes);
+  }
+
+  /// The memoized plan of the reversed edges (CSR by source: row s lists
+  /// the edges leaving s, in edge order), for the gradient dx = Aᵀg. Built
+  /// on the first backward only, so tape-free serving never pays for it.
+  std::shared_ptr<const kernels::SpmmPlan> transposed_plan() const {
+    return transposed_plan_cell.Get(dst.data(), src.data(), size(),
+                                    num_nodes);
   }
 };
 

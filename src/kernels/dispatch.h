@@ -121,6 +121,14 @@ struct Dispatch {
   void (*spmm_csr)(int64_t rows, const int64_t* row_ptr, const int64_t* col,
                    const int64_t* perm, const float* w, const float* x,
                    int64_t f, float* out, const float* bias, bool relu);
+  /// out[e] += x[src[e], :] · y[dst[e], :] for every e in [0, n_edges)
+  /// (SDDMM over an edge list; x and y have f columns). Each edge's dot is
+  /// a float sum: in column order at the scalar tier, in tier-wide lanes
+  /// then a fixed reduction tree at SIMD tiers. OpenMP over edges behind
+  /// ShouldParallelize(2·n_edges·f); no edge's sum depends on the thread
+  /// count.
+  void (*edge_dot)(int64_t n_edges, const int64_t* src, const int64_t* dst,
+                   const float* x, const float* y, int64_t f, float* out);
 };
 
 /// Table for one specific tier (bench sweeps, parity tests). Asking for an

@@ -12,7 +12,7 @@
 ///
 /// `Ops` supplies two kinds of primitive:
 ///  - row primitives — Axpy, Add, BinAdd/BinSub/BinMul, Relu —
-///    that read and write memory;
+///    that read and write memory, and Dot, which returns a row dot product;
 ///  - register-tile primitives for MatMul and CSR SpMM, on `Ops::Vec` (a
 ///    vector of `kLanes` floats):
 ///      Tail TailMask(n)         the first n lanes, 1 <= n <= kLanes
@@ -222,8 +222,24 @@ void MatMulImpl(const float* a, const float* b, float* c, int64_t m, int64_t k,
 
 inline void GatherRowsImpl(const float* a, int64_t cols, const int64_t* index,
                            int64_t n, float* out) {
+  // One-column gathers (per-edge normalisers) are one load each; a row copy
+  // per element would cost a library call per element.
+  if (cols == 1) {
+    for (int64_t i = 0; i < n; ++i) out[i] = a[index[i]];
+    return;
+  }
   for (int64_t i = 0; i < n; ++i)
     std::copy(a + index[i] * cols, a + (index[i] + 1) * cols, out + i * cols);
+}
+
+template <class Ops>
+void EdgeDotImpl(int64_t n_edges, const int64_t* src, const int64_t* dst,
+                 const float* x, const float* y, int64_t f, float* out) {
+  if (f == 0) return;
+  const bool par = ShouldParallelize(2.0 * static_cast<double>(n_edges) * f);
+  ParallelFor(par, n_edges, [=](int64_t e) {
+    out[e] += Ops::Dot(x + src[e] * f, y + dst[e] * f, f);
+  });
 }
 
 /// One CSR row's output segment dst[0..w) in kVecs Vecs (the last one

@@ -105,6 +105,21 @@ struct OpsAvx2 {
       _mm256_storeu_ps(out + i, _mm256_max_ps(_mm256_loadu_ps(a + i), zero));
     for (; i < n; ++i) out[i] = a[i] > 0.0f ? a[i] : 0.0f;
   }
+  static inline float Dot(const float* a, const float* b, int64_t n) {
+    __m256 acc = _mm256_setzero_ps();
+    int64_t i = 0;
+    for (; i + 8 <= n; i += 8) acc = Fma(acc, Load(a + i), Load(b + i));
+    if (i < n) {
+      const Tail t = TailMask(n - i);
+      acc = Fma(acc, LoadTail(a + i, t), LoadTail(b + i, t));
+    }
+    // Fixed reduction tree: halves, then pairs, then the last two lanes.
+    __m128 s = _mm_add_ps(_mm256_castps256_ps128(acc),
+                          _mm256_extractf128_ps(acc, 1));
+    s = _mm_add_ps(s, _mm_movehl_ps(s, s));
+    s = _mm_add_ss(s, _mm_shuffle_ps(s, s, 1));
+    return _mm_cvtss_f32(s);
+  }
 };
 
 using Ops = OpsAvx2;
@@ -148,6 +163,10 @@ void SpmmCsr(int64_t rows, const int64_t* row_ptr, const int64_t* col,
              float* out, const float* bias, bool relu) {
   SpmmCsrImpl<Ops>(rows, row_ptr, col, perm, w, x, f, out, bias, relu);
 }
+void EdgeDot(int64_t n_edges, const int64_t* src, const int64_t* dst,
+             const float* x, const float* y, int64_t f, float* out) {
+  EdgeDotImpl<Ops>(n_edges, src, dst, x, y, f, out);
+}
 
 }  // namespace
 
@@ -169,6 +188,7 @@ const Dispatch kDispatchAvx2 = {
     &MatMul,
     &GatherRows,
     &SpmmCsr,
+    &EdgeDot,
 };
 
 }  // namespace ses::kernels::detail

@@ -48,8 +48,12 @@ struct OpsAvx512 {
         a, b, c, _mm512_cmp_ps_mask(a, _mm512_setzero_ps(), _CMP_NEQ_UQ));
   }
   static inline Vec AddV(Vec a, Vec b) { return _mm512_add_ps(a, b); }
+  // The ReLUs use the zero-masking max with a full or tail mask: it equals
+  // the plain max on live lanes, and its zero pass-through (unlike the
+  // undefined one of `_mm512_max_ps`) leaves nothing for
+  // -Wmaybe-uninitialized to trace.
   static inline Vec ReluV(Vec v) {
-    return _mm512_max_ps(v, _mm512_setzero_ps());
+    return _mm512_maskz_max_ps(0xFFFF, v, _mm512_setzero_ps());
   }
 
   static inline void Axpy(float* dst, const float* src, int64_t n, float a) {
@@ -121,12 +125,32 @@ struct OpsAvx512 {
     const __m512 zero = _mm512_setzero_ps();
     int64_t i = 0;
     for (; i + 16 <= n; i += 16)
-      _mm512_storeu_ps(out + i, _mm512_max_ps(_mm512_loadu_ps(a + i), zero));
+      _mm512_storeu_ps(out + i, _mm512_maskz_max_ps(
+                                    0xFFFF, _mm512_loadu_ps(a + i), zero));
     if (i < n) {
       const __mmask16 m = TailMask(n - i);
       _mm512_mask_storeu_ps(
-          out + i, m, _mm512_max_ps(_mm512_maskz_loadu_ps(m, a + i), zero));
+          out + i, m,
+          _mm512_maskz_max_ps(m, _mm512_maskz_loadu_ps(m, a + i), zero));
     }
+  }
+  static inline float Dot(const float* a, const float* b, int64_t n) {
+    __m512 acc = _mm512_setzero_ps();
+    int64_t i = 0;
+    for (; i + 16 <= n; i += 16) acc = Fma(acc, Load(a + i), Load(b + i));
+    if (i < n) {
+      const Tail t = TailMask(n - i);
+      acc = Fma(acc, LoadTail(a + i, t), LoadTail(b + i, t));
+    }
+    // Fixed reduction tree of full-width shuffles: 256-bit halves, 128-bit
+    // quarters, pairs, neighbours. Zero-masking forms with a full mask, as
+    // in the ReLUs (`_mm512_reduce_add_ps` has the undefined pass-through).
+    constexpr __mmask16 kAll = 0xFFFF;
+    acc = _mm512_add_ps(acc, _mm512_maskz_shuffle_f32x4(kAll, acc, acc, 0x4E));
+    acc = _mm512_add_ps(acc, _mm512_maskz_shuffle_f32x4(kAll, acc, acc, 0xB1));
+    acc = _mm512_add_ps(acc, _mm512_maskz_permute_ps(kAll, acc, 0x4E));
+    acc = _mm512_add_ps(acc, _mm512_maskz_permute_ps(kAll, acc, 0xB1));
+    return _mm512_cvtss_f32(acc);
   }
 };
 
@@ -169,6 +193,10 @@ void SpmmCsr(int64_t rows, const int64_t* row_ptr, const int64_t* col,
              float* out, const float* bias, bool relu) {
   SpmmCsrImpl<Ops>(rows, row_ptr, col, perm, w, x, f, out, bias, relu);
 }
+void EdgeDot(int64_t n_edges, const int64_t* src, const int64_t* dst,
+             const float* x, const float* y, int64_t f, float* out) {
+  EdgeDotImpl<Ops>(n_edges, src, dst, x, y, f, out);
+}
 
 }  // namespace
 
@@ -190,6 +218,7 @@ const Dispatch kDispatchAvx512 = {
     &MatMul,
     &GatherRows,
     &SpmmCsr,
+    &EdgeDot,
 };
 
 }  // namespace ses::kernels::detail

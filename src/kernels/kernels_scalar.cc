@@ -40,6 +40,10 @@ void SpmmCsr(int64_t rows, const int64_t* row_ptr, const int64_t* col,
              float* out, const float* bias, bool relu) {
   SpmmCsrImpl<OpsScalar>(rows, row_ptr, col, perm, w, x, f, out, bias, relu);
 }
+void EdgeDot(int64_t n_edges, const int64_t* src, const int64_t* dst,
+             const float* x, const float* y, int64_t f, float* out) {
+  EdgeDotImpl<OpsScalar>(n_edges, src, dst, x, y, f, out);
+}
 
 }  // namespace
 
@@ -61,6 +65,7 @@ const Dispatch kDispatchScalar = {
     &MatMul,
     &GatherRows,
     &SpmmCsr,
+    &EdgeDot,
 };
 
 }  // namespace ses::kernels::detail

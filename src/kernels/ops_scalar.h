@@ -37,6 +37,11 @@ struct OpsScalar {
   static inline void Relu(const float* a, float* out, int64_t n) {
     for (int64_t i = 0; i < n; ++i) out[i] = a[i] > 0.0f ? a[i] : 0.0f;
   }
+  static inline float Dot(const float* a, const float* b, int64_t n) {
+    float acc = 0.0f;
+    for (int64_t i = 0; i < n; ++i) acc += a[i] * b[i];
+    return acc;
+  }
 
   // Register-tile primitives. A Vec is four floats in a GCC vector type:
   // element-wise IEEE multiply and add, exactly the scalar operations, in

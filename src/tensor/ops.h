@@ -20,13 +20,15 @@ namespace ses::tensor {
 /// historical spelling working for existing callers.
 inline constexpr int64_t kOmpWorkThreshold = kernels::kOmpWorkThreshold;
 
-/// C = A * B. Cache-blocked, OpenMP-parallel over rows.
+/// C = A * B. Register-tiled, OpenMP-parallel over row blocks.
 Tensor MatMul(const Tensor& a, const Tensor& b);
 
-/// C = A^T * B (without materializing A^T).
+/// C = A^T * B: packs A^T once, then MatMul's kernel (bitwise equal to
+/// MatMul(Transpose(a), b) at every tier).
 Tensor MatMulTransposedA(const Tensor& a, const Tensor& b);
 
-/// C = A * B^T (without materializing B^T).
+/// C = A * B^T: packs B^T once, then MatMul's kernel (bitwise equal to
+/// MatMul(a, Transpose(b)) at every tier).
 Tensor MatMulTransposedB(const Tensor& a, const Tensor& b);
 
 /// Transpose.

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <tuple>
 
 #include "autograd/grad_check.h"
 #include "autograd/ops.h"
@@ -479,6 +480,57 @@ TEST(PairDotTest, InferenceGuardRecordsNoTape) {
   EXPECT_EQ(ag::TapeNodesCreated(), before);
   EXPECT_FALSE(y.requires_grad());
   EXPECT_TRUE(BitwiseEqual(y.value(), taped));
+}
+
+// ---------------------------------------------------------------------------
+// The training backward's rebuilt paths: the transposed MatMuls, the
+// one-pass element-wise gradients and Pow's exact exponents.
+
+TEST(BackwardPathTest, MatMulGradientOnRaggedShapesWithZeroHeavyA) {
+  // m % 4 != 0 leaves a partial row tile, n = 17 and 5 leave ragged lanes at
+  // every tier, and every other A entry is zero (the zero-skip path).
+  ses::util::Rng rng(50);
+  for (const auto& [m, k, n] : {std::tuple<int, int, int>{7, 9, 17},
+                                std::tuple<int, int, int>{5, 6, 5}}) {
+    t::Tensor at = t::Tensor::Randn(m, k, &rng);
+    for (int64_t e = 0; e < at.size(); e += 2) at[e] = 0.0f;
+    auto a = ag::Variable::Parameter(at);
+    auto b = Param(k, n, &rng);
+    auto result = ag::CheckGradients(
+        [&] { return ag::MeanAll(ag::Sigmoid(ag::MatMul(a, b))); },
+        {a, b});
+    EXPECT_TRUE(result.ok) << m << "x" << k << "x" << n << " rel err "
+                           << result.max_rel_error;
+  }
+}
+
+TEST(BackwardPathTest, MulGradientOnDistinctAndSharedOperands) {
+  ses::util::Rng rng(51);
+  auto a = Param(6, 5, &rng);
+  auto b = Param(6, 5, &rng);
+  auto distinct = ag::CheckGradients(
+      [&] { return ag::MeanAll(ag::Sigmoid(ag::Mul(a, b))); }, {a, b});
+  EXPECT_TRUE(distinct.ok) << "rel err " << distinct.max_rel_error;
+  auto shared = ag::CheckGradients(
+      [&] { return ag::MeanAll(ag::Mul(ag::Mul(a, a), b)); }, {a, b});
+  EXPECT_TRUE(shared.ok) << "rel err " << shared.max_rel_error;
+}
+
+TEST(BackwardPathTest, PowGradientAndValuesAtTheExponentsInUse) {
+  ses::util::Rng rng(52);
+  auto a = ag::Variable::Parameter(t::Tensor::Uniform(5, 4, 0.3f, 3.0f, &rng));
+  for (const float p : {-1.0f, -0.5f, 1.5f}) {
+    auto result = ag::CheckGradients(
+        [&] { return ag::MeanAll(ag::Sigmoid(ag::Pow(a, p))); }, {a});
+    EXPECT_TRUE(result.ok) << "p=" << p << " rel err " << result.max_rel_error;
+  }
+  // -1 and -0.5 are one division and one square root, exactly.
+  const t::Tensor inv = ag::Pow(a, -1.0f).value();
+  const t::Tensor rsqrt = ag::Pow(a, -0.5f).value();
+  for (int64_t i = 0; i < a.value().size(); ++i) {
+    EXPECT_EQ(inv[i], 1.0f / a.value()[i]);
+    EXPECT_EQ(rsqrt[i], 1.0f / std::sqrt(a.value()[i]));
+  }
 }
 
 }  // namespace

@@ -1,12 +1,18 @@
 #include <gtest/gtest.h>
 #include <cmath>
+#include <cstring>
 
 #include <set>
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 #include "autograd/grad_check.h"
 #include "core/mask_generator.h"
 #include "core/pairs.h"
 #include "core/ses_model.h"
+#include "data/scale.h"
 #include "data/synthetic.h"
 #include "graph/sampling.h"
 #include "metrics/metrics.h"
@@ -237,6 +243,39 @@ TEST(SesModelTest, DeterministicGivenSeed) {
   a.Fit(ds, cfg);
   b.Fit(ds, cfg);
   EXPECT_FLOAT_EQ(a.Logits(ds).MaxAbsDiff(b.Logits(ds)), 0.0f);
+}
+
+TEST(SesModelTest, FitIsBitwiseIdenticalAtOneAndFourThreads) {
+#ifndef _OPENMP
+  GTEST_SKIP() << "built without OpenMP";
+#else
+  // Large enough that every kernel of the forward and the backward takes
+  // its OpenMP path; every output row and edge keeps one summation order
+  // whatever the team size.
+  ses::data::ScaleGraphOptions graph;
+  graph.num_nodes = 2000;
+  graph.seed = 3;
+  const ses::data::Dataset ds = ses::data::MakeScaleGraph(graph);
+  ses::models::TrainConfig cfg;
+  cfg.epochs = 2;
+  cfg.hidden = 32;
+  cfg.seed = 3;
+  c::SesOptions opt;
+  opt.epl_epochs = 1;
+  const int threads = omp_get_max_threads();
+  t::Tensor logits[2];
+  for (const int n : {1, 4}) {
+    omp_set_num_threads(n);
+    c::SesModel model(opt);
+    model.Fit(ds, cfg);
+    logits[n == 4] = model.Logits(ds);
+  }
+  omp_set_num_threads(threads);
+  ASSERT_TRUE(logits[0].SameShape(logits[1]));
+  EXPECT_EQ(std::memcmp(logits[0].data(), logits[1].data(),
+                        logits[0].size() * sizeof(float)),
+            0);
+#endif
 }
 
 TEST(SesModelTest, EdgeScoresAlignWithGraph) {

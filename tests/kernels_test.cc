@@ -10,7 +10,11 @@
 //  - the fused GCN epilogue (aggregate + bias + ReLU) against the unfused
 //    chain — bitwise at scalar tier, tolerance-gated at SIMD tiers,
 //  - SpMMBiasAct gradients (analytic vs the unfused chain, plus numeric),
-//  - per-graph plan memoization.
+//  - the training backward's kernels at every tier: the transposed MatMuls
+//    against transpose-then-MatMul, the per-edge dot against a column-order
+//    loop, and the SpMM gradients (dx over the transposed CSR) against an
+//    edge-order scatter,
+//  - per-graph plan memoization, forward and transposed.
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -65,6 +69,34 @@ double MaxAbsDiff(const float* a, const float* b, int64_t n) {
   }
   return m;
 }
+
+/// Pins SES_KERNEL_VARIANT to `value` for its lifetime, then restores the
+/// previous value (or its absence) and re-resolves the active tier. A test
+/// that forces a tier must not drop the pin of a pinned-tier run of this
+/// suite for every test after it.
+class ScopedKernelVariant {
+ public:
+  explicit ScopedKernelVariant(const char* value) {
+    const char* prev = std::getenv("SES_KERNEL_VARIANT");
+    had_prev_ = prev != nullptr;
+    if (had_prev_) prev_ = prev;
+    ::setenv("SES_KERNEL_VARIANT", value, 1);
+    k::ResetActiveTierForTest();
+  }
+  ~ScopedKernelVariant() {
+    if (had_prev_)
+      ::setenv("SES_KERNEL_VARIANT", prev_.c_str(), 1);
+    else
+      ::unsetenv("SES_KERNEL_VARIANT");
+    k::ResetActiveTierForTest();
+  }
+  ScopedKernelVariant(const ScopedKernelVariant&) = delete;
+  ScopedKernelVariant& operator=(const ScopedKernelVariant&) = delete;
+
+ private:
+  bool had_prev_ = false;
+  std::string prev_;
+};
 
 bool BitwiseEqual(const float* a, const float* b, int64_t n) {
   return std::memcmp(a, b, static_cast<size_t>(n) * sizeof(float)) == 0;
@@ -147,8 +179,7 @@ TEST(DispatchTest, ScalarTierAlwaysSupportedAndActiveTierValid) {
 
 TEST(DispatchTest, ForcedVariantSelectsTierAndBadValuesFallBack) {
   // Forcing scalar always works.
-  ::setenv("SES_KERNEL_VARIANT", "scalar", 1);
-  k::ResetActiveTierForTest();
+  const ScopedKernelVariant pin("scalar");
   EXPECT_EQ(k::ActiveTier(), k::SimdTier::kScalar);
   // Unknown value falls back to the best supported tier (logged, not fatal).
   ::setenv("SES_KERNEL_VARIANT", "quantum", 1);
@@ -160,8 +191,6 @@ TEST(DispatchTest, ForcedVariantSelectsTierAndBadValuesFallBack) {
     k::ResetActiveTierForTest();
     EXPECT_EQ(k::ActiveTier(), k::BestSupportedTier());
   }
-  ::unsetenv("SES_KERNEL_VARIANT");
-  k::ResetActiveTierForTest();
 }
 
 TEST(DispatchTest, VariantLabelsCarryTierSuffix) {
@@ -295,6 +324,70 @@ TEST(KernelParityTest, MatMulIsBitwiseEqualToTheRowAxpyLoopAtEveryTier) {
   }
 }
 
+TEST(KernelParityTest, TransposedMatMulsEqualTransposeThenMatMulAtEveryTier) {
+  // Ragged shapes (m % 4 != 0, widths off every lane count) and a zero-heavy
+  // operand: the packed transposes must reach the tier's own MatMul kernel
+  // with nothing reordered, so the results agree bit for bit.
+  util::Rng rng(14);
+  for (const k::SimdTier tier : SupportedTiers()) {
+    const ScopedKernelVariant pin(k::TierName(tier));
+    const k::Dispatch& d = k::DispatchFor(tier);
+    for (const int64_t m : {1, 5, 7}) {
+      for (const int64_t n : kWidths) {
+        const int64_t kk = 19;
+        t::Tensor a = t::Tensor::Randn(kk, m, &rng);  // A^T is m x kk
+        t::Tensor b = t::Tensor::Randn(kk, n, &rng);
+        for (int64_t e = 0; e < a.size(); e += 2) a[e] = 0.0f;
+        t::Tensor want_at = t::Tensor::Zeros(m, n);
+        d.matmul(t::Transpose(a).data(), b.data(), want_at.data(), m, kk, n);
+        const t::Tensor got_at = t::MatMulTransposedA(a, b);
+        EXPECT_TRUE(BitwiseEqual(got_at.data(), want_at.data(), m * n))
+            << k::TierName(tier) << " at m=" << m << " n=" << n;
+
+        const t::Tensor lhs = t::Transpose(a);       // m x kk, zero-heavy
+        const t::Tensor rhs = t::Transpose(b);       // n x kk
+        t::Tensor want_bt = t::Tensor::Zeros(m, n);
+        d.matmul(lhs.data(), b.data(), want_bt.data(), m, kk, n);
+        const t::Tensor got_bt = t::MatMulTransposedB(lhs, rhs);
+        EXPECT_TRUE(BitwiseEqual(got_bt.data(), want_bt.data(), m * n))
+            << k::TierName(tier) << " bt m=" << m << " n=" << n;
+      }
+    }
+  }
+}
+
+TEST(KernelParityTest, EdgeDotMatchesColumnOrderDotAtEveryTier) {
+  // out[e] += x[src[e]] · y[dst[e]]: bitwise the column-order float loop at
+  // scalar tier, within the reduction tolerance at SIMD tiers; out starts
+  // nonzero because the kernel accumulates.
+  const TestGraph g = MakeMessyGraph(/*nodes=*/29, /*edges=*/150, 19);
+  const int64_t e = static_cast<int64_t>(g.src.size());
+  util::Rng rng(23);
+  const t::Tensor init = t::Tensor::Randn(e, 1, &rng);
+  for (const int64_t f : kWidths) {
+    const t::Tensor x = t::Tensor::Randn(g.nodes, f, &rng);
+    const t::Tensor y = t::Tensor::Randn(g.nodes, f, &rng);
+    t::Tensor want = init;
+    for (int64_t i = 0; i < e; ++i) {
+      float acc = 0.0f;
+      for (int64_t c = 0; c < f; ++c)
+        acc += x.At(g.src[i], c) * y.At(g.dst[i], c);
+      want[i] += acc;
+    }
+    for (const k::SimdTier tier : SupportedTiers()) {
+      t::Tensor got = init;
+      k::DispatchFor(tier).edge_dot(e, g.src.data(), g.dst.data(), x.data(),
+                                    y.data(), f, got.data());
+      if (tier == k::SimdTier::kScalar) {
+        EXPECT_TRUE(BitwiseEqual(got.data(), want.data(), e)) << "f=" << f;
+      } else {
+        EXPECT_LE(MaxAbsDiff(got.data(), want.data(), e), Tolerance(f))
+            << k::TierName(tier) << " f=" << f;
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // SpMM parity: the CSR kernel at every tier against the edge-order reference
 // loop, across all widths, with empty rows / duplicates / zero weights. The
@@ -415,8 +508,7 @@ TEST(SpmmNanTest, NonzeroWeightPropagatesNaNInEveryVariant) {
 // Fused op (autograd level): forward equivalence and gradients.
 
 TEST(SpmmBiasActTest, FusedForwardIsBitwiseEqualToUnfusedChainAtScalarTier) {
-  ::setenv("SES_KERNEL_VARIANT", "scalar", 1);
-  k::ResetActiveTierForTest();
+  const ScopedKernelVariant pin("scalar");
   const TestGraph g = MakeMessyGraph(40, 200, 9);
   auto edges = std::make_shared<ag::EdgeList>();
   edges->src = g.src;
@@ -441,8 +533,6 @@ TEST(SpmmBiasActTest, FusedForwardIsBitwiseEqualToUnfusedChainAtScalarTier) {
   auto ref = ag::SpMM(ep, w, x);
   EXPECT_TRUE(BitwiseEqual(plain.value().data(), ref.value().data(),
                            ref.value().size()));
-  ::unsetenv("SES_KERNEL_VARIANT");
-  k::ResetActiveTierForTest();
 }
 
 TEST(SpmmBiasActTest, FusedGradientsMatchUnfusedChain) {
@@ -498,6 +588,100 @@ TEST(SpmmBiasActTest, NumericGradientCheck) {
 }
 
 // ---------------------------------------------------------------------------
+// SpMM gradients: dx = A^T g runs the CSR kernel over the transposed plan,
+// dw the per-edge dot.
+
+/// The messy graph plus one isolated node (no edge touches the last node)
+/// and two zero weights, as an edge list with its weights.
+struct GradGraph {
+  ag::EdgeListPtr edges;
+  t::Tensor w;
+};
+
+GradGraph MakeGradGraph(int64_t nodes, int64_t edges, uint64_t seed) {
+  const TestGraph g = MakeMessyGraph(nodes, edges, seed);
+  auto list = std::make_shared<ag::EdgeList>();
+  list->src = g.src;
+  list->dst = g.dst;
+  list->num_nodes = g.nodes + 1;
+  util::Rng rng(seed + 1);
+  t::Tensor w = t::Tensor::Randn(list->size(), 1, &rng);
+  w[0] = 0.0f;
+  w[3] = 0.0f;
+  return {list, std::move(w)};
+}
+
+TEST(SpmmGradTest, BackwardMatchesEdgeOrderReferenceAtEveryTier) {
+  // dx row s is the sum over the edges leaving s, in edge order, from +0,
+  // with the tier's rounding (separate multiply and add at scalar, fmaf at
+  // SIMD tiers), zero weights skipped; it is then added to the fresh
+  // gradient. dw is the per-edge dot of dispatch's edge_dot.
+  const GradGraph gg = MakeGradGraph(/*nodes=*/31, /*edges=*/180, 27);
+  const ag::EdgeList& el = *gg.edges;
+  const int64_t n = el.num_nodes;
+  util::Rng rng(29);
+  for (const int64_t f : kWidths) {
+    const t::Tensor xt = t::Tensor::Randn(n, f, &rng);
+    const t::Tensor seed = t::Tensor::Randn(n, f, &rng);
+    for (const k::SimdTier tier : SupportedTiers()) {
+      const ScopedKernelVariant pin(k::TierName(tier));
+      auto w = ag::Variable::Parameter(gg.w);
+      auto x = ag::Variable::Parameter(xt);
+      ag::Backward(ag::SpMM(gg.edges, w, x), seed);
+
+      t::Tensor dx_sum = t::Tensor::Zeros(n, f);
+      for (int64_t e = 0; e < el.size(); ++e) {
+        const float we = gg.w[e];
+        if (we == 0.0f) continue;
+        float* row = dx_sum.RowPtr(el.src[static_cast<size_t>(e)]);
+        const float* grow = seed.RowPtr(el.dst[static_cast<size_t>(e)]);
+        for (int64_t c = 0; c < f; ++c)
+          row[c] = tier == k::SimdTier::kScalar
+                       ? row[c] + we * grow[c]
+                       : std::fmaf(we, grow[c], row[c]);
+      }
+      t::Tensor want_dx = t::Tensor::Zeros(n, f);
+      want_dx.AddInPlace(dx_sum);
+      EXPECT_TRUE(BitwiseEqual(x.grad().data(), want_dx.data(), n * f))
+          << k::TierName(tier) << " dx f=" << f;
+      for (int64_t c = 0; c < f; ++c)
+        EXPECT_EQ(x.grad().At(n - 1, c), 0.0f) << "isolated node, f=" << f;
+
+      t::Tensor want_dw = t::Tensor::Zeros(el.size(), 1);
+      k::DispatchFor(tier).edge_dot(el.size(), el.src.data(), el.dst.data(),
+                                    xt.data(), seed.data(), f,
+                                    want_dw.data());
+      EXPECT_TRUE(BitwiseEqual(w.grad().data(), want_dw.data(), el.size()))
+          << k::TierName(tier) << " dw f=" << f;
+    }
+  }
+}
+
+TEST(SpmmGradTest, NumericGradientsOnAMessyGraphWithZeroWeights) {
+  // Isolated node, empty rows, duplicate edges, a self loop, zero weights.
+  const GradGraph gg = MakeGradGraph(/*nodes=*/11, /*edges=*/36, 31);
+  util::Rng rng(37);
+  const int64_t n = gg.edges->num_nodes;
+  auto w = ag::Variable::Parameter(gg.w);
+  auto x = ag::Variable::Parameter(t::Tensor::Randn(n, 5, &rng));
+  auto b = ag::Variable::Parameter(t::Tensor::Randn(1, 5, &rng));
+  const auto plain = ag::CheckGradients(
+      [&] { return ag::MeanAll(ag::Sigmoid(ag::SpMM(gg.edges, w, x))); },
+      {w, x});
+  EXPECT_TRUE(plain.ok) << "SpMM rel err " << plain.max_rel_error;
+  for (const bool relu : {false, true}) {
+    const auto fused = ag::CheckGradients(
+        [&] {
+          return ag::MeanAll(
+              ag::Sigmoid(ag::SpMMBiasAct(gg.edges, w, x, b, relu)));
+        },
+        {w, x, b});
+    EXPECT_TRUE(fused.ok) << "SpMMBiasAct relu=" << relu << " rel err "
+                          << fused.max_rel_error;
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Plan memoization.
 
 TEST(SpmmPlanTest, EdgeListPlanMemoizesAndRebuildsOnResize) {
@@ -516,6 +700,29 @@ TEST(SpmmPlanTest, EdgeListPlanMemoizesAndRebuildsOnResize) {
   const auto p3 = edges->plan();
   EXPECT_NE(p3.get(), p1.get()) << "a resized edge list must rebuild";
   EXPECT_EQ(p3->csr.nnz(), 4);
+  EXPECT_EQ(p3->csr.rows, 4);
+}
+
+TEST(SpmmPlanTest, TransposedPlanMemoizesAndRebuildsOnResize) {
+  auto edges = std::make_shared<ag::EdgeList>();
+  edges->src = {2, 0, 2, 1, 2};
+  edges->dst = {0, 1, 1, 2, 2};
+  edges->num_nodes = 3;
+  const auto p1 = edges->transposed_plan();
+  const auto p2 = edges->transposed_plan();
+  EXPECT_EQ(p1.get(), p2.get()) << "same graph must reuse the memoized plan";
+  EXPECT_NE(p1.get(), edges->plan().get());
+  // Rows are sources; each row lists its out-edges in edge order.
+  EXPECT_EQ(p1->csr.rows, 3);
+  EXPECT_EQ(p1->csr.row_ptr, (std::vector<int64_t>{0, 1, 2, 5}));
+  EXPECT_EQ(p1->csr.col, (std::vector<int64_t>{1, 2, 0, 1, 2}));
+  EXPECT_EQ(p1->csr.perm, (std::vector<int64_t>{1, 3, 0, 2, 4}));
+  edges->src.push_back(3);
+  edges->dst.push_back(0);
+  edges->num_nodes = 4;
+  const auto p3 = edges->transposed_plan();
+  EXPECT_NE(p3.get(), p1.get()) << "a resized edge list must rebuild";
+  EXPECT_EQ(p3->csr.nnz(), 6);
   EXPECT_EQ(p3->csr.rows, 4);
 }
 
@@ -538,14 +745,13 @@ TEST(BackboneParityTest, ScalarAndSimdLogitsAgreeOnSyntheticBenchmarks) {
           backbone, ds.num_features(), 16, ds.num_classes, &rng);
       util::Rng fwd_rng(1);
 
-      ::setenv("SES_KERNEL_VARIANT", "scalar", 1);
-      k::ResetActiveTierForTest();
-      const t::Tensor scalar_logits =
-          enc->Forward(input, edges, {}, 0.0f, false, &fwd_rng)
-              .logits.value();
-
-      ::unsetenv("SES_KERNEL_VARIANT");
-      k::ResetActiveTierForTest();
+      t::Tensor scalar_logits;
+      {
+        const ScopedKernelVariant pin("scalar");
+        scalar_logits = enc->Forward(input, edges, {}, 0.0f, false, &fwd_rng)
+                            .logits.value();
+      }
+      // The process's own tier: the best one, or the pinned one.
       const t::Tensor simd_logits =
           enc->Forward(input, edges, {}, 0.0f, false, &fwd_rng)
               .logits.value();
@@ -557,8 +763,6 @@ TEST(BackboneParityTest, ScalarAndSimdLogitsAgreeOnSyntheticBenchmarks) {
           << backbone << " on " << dataset;
     }
   }
-  ::unsetenv("SES_KERNEL_VARIANT");
-  k::ResetActiveTierForTest();
 }
 
 }  // namespace

@@ -263,13 +263,17 @@ TEST(MetricsServerTest, LargeScrapeBodySurvivesPartialSends) {
   // must arrive complete and match its Content-Length exactly — a truncated
   // scrape silently drops whole metric families.
   auto& registry = MetricsRegistry::Get();
-  for (int i = 0; i < 4000; ++i)
+  for (int i = 0; i < 4000; ++i) {
+    // append(), not `literal + std::string`: GCC 12 reports a false
+    // -Wrestrict on the inlined operator+.
+    std::string kernel = "k";
+    kernel.append(std::to_string(i));
+    std::string variant = "a_rather_long_variant_label_value_";
+    variant.append(std::to_string(i));
     registry
-        .GetCounter("ses.test.big",
-                    {{"kernel", "k" + std::to_string(i)},
-                     {"variant", "a_rather_long_variant_label_value_" +
-                                     std::to_string(i)}})
+        .GetCounter("ses.test.big", {{"kernel", kernel}, {"variant", variant}})
         .Add(i);
+  }
 
   obs::MetricsServer server;
   ASSERT_TRUE(server.Start(0));

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "tensor/ops.h"
 #include "tensor/sparse.h"
@@ -110,12 +111,54 @@ TEST_P(MatMulShapeTest, IdentityIsNeutral) {
   EXPECT_LT(t::MatMul(t::Tensor::Eye(m), a).MaxAbsDiff(a), 1e-6f);
 }
 
+TEST_P(MatMulShapeTest, TransposedVariantsAreBitwiseTransposeThenMatMul) {
+  // The transposed products pack the transposed operand and run MatMul's
+  // kernel, so at the active tier they equal MatMul of the explicit
+  // transpose exactly, zero-skips included.
+  auto [m, k, n] = GetParam();
+  ses::util::Rng rng(m * 7 + k * 3 + n);
+  t::Tensor a = t::Tensor::Randn(k, m, &rng);
+  t::Tensor b = t::Tensor::Randn(k, n, &rng);
+  for (int64_t e = 0; e < a.size(); e += 3) a[e] = 0.0f;
+  const t::Tensor at = t::MatMulTransposedA(a, b);
+  const t::Tensor at_ref = t::MatMul(t::Transpose(a), b);
+  ASSERT_TRUE(at.SameShape(at_ref));
+  EXPECT_EQ(std::memcmp(at.data(), at_ref.data(), at.size() * sizeof(float)),
+            0);
+  const t::Tensor lhs = t::Transpose(a);
+  const t::Tensor bt = t::MatMulTransposedB(lhs, t::Transpose(b));
+  const t::Tensor bt_ref = t::MatMul(lhs, b);
+  ASSERT_TRUE(bt.SameShape(bt_ref));
+  EXPECT_EQ(std::memcmp(bt.data(), bt_ref.data(), bt.size() * sizeof(float)),
+            0);
+}
+
+TEST(TensorOpsTest, TransposeRoundTripsAcrossTileEdges) {
+  ses::util::Rng rng(15);
+  const t::Tensor a = t::Tensor::Randn(70, 33, &rng);
+  const t::Tensor at = t::Transpose(a);
+  ASSERT_EQ(at.rows(), 33);
+  ASSERT_EQ(at.cols(), 70);
+  for (int64_t r = 0; r < a.rows(); ++r)
+    for (int64_t c = 0; c < a.cols(); ++c) EXPECT_EQ(at.At(c, r), a.At(r, c));
+}
+
+TEST(TensorOpsTest, ScatterAddRowsOneColumnAccumulatesDuplicates) {
+  const t::Tensor a{{1.0f}, {2.0f}, {4.0f}, {8.0f}};
+  t::Tensor out{{0.5f}, {0.0f}, {0.0f}};
+  t::ScatterAddRows(a, {2, 0, 2, 2}, &out);
+  EXPECT_EQ(out[0], 2.5f);
+  EXPECT_EQ(out[1], 0.0f);
+  EXPECT_EQ(out[2], 13.0f);
+}
+
 INSTANTIATE_TEST_SUITE_P(Shapes, MatMulShapeTest,
                          ::testing::Values(std::make_tuple(1, 1, 1),
                                            std::make_tuple(3, 4, 5),
                                            std::make_tuple(8, 2, 8),
                                            std::make_tuple(16, 33, 7),
-                                           std::make_tuple(64, 64, 64)));
+                                           std::make_tuple(64, 64, 64),
+                                           std::make_tuple(7, 19, 17)));
 
 TEST(TensorOpsTest, SoftmaxRowsSumToOne) {
   ses::util::Rng rng(9);
