@@ -544,7 +544,7 @@ stage_kernels_dispatch() {
   # without AVX-512 must say so in the log.
   local parity_filter='DispatchTest.*:KernelParityTest.*:SpmmParityTest.*'
   parity_filter+=':SpmmNanTest.*:SpmmBiasActTest.*:SpmmGradTest.*'
-  parity_filter+=':BackboneParityTest.*'
+  parity_filter+=':SparseOpTest.*:BackboneParityTest.*'
   local variant
   for variant in scalar avx2 avx512; do
     local supported=1

@@ -1,5 +1,6 @@
 #include "autograd/sparse_ops.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "kernels/dispatch.h"
@@ -14,6 +15,54 @@ namespace t = ses::tensor;
 
 namespace {
 
+/// out[e] += x[src[e], :] · y[dst[e], :] for every e in [0, n): the SDDMM
+/// at the active tier (Dispatch::edge_dot), under one KernelScope.
+void EdgeDot(int64_t n, const int64_t* src, const int64_t* dst,
+             const t::Tensor& x, const t::Tensor& y, float* out) {
+  const kernels::Dispatch& d = kernels::GetDispatch();
+  const int64_t f = x.cols();
+  const double e = static_cast<double>(n);
+  // One multiply-add per edge element; per edge two indices, both rows
+  // read and the output updated.
+  obs::KernelScope kscope("edge_dot", d.spmm_variant, 2.0 * e * f,
+                          e * (24.0 + 8.0 * f));
+  d.edge_dot(n, src, dst, x.data(), y.data(), f, out);
+}
+
+/// The gradient SpMM: plan's rows x f product of weights w and x, in a
+/// fresh buffer the caller adds to a gradient.
+t::Tensor GradSpmm(const kernels::SpmmPlan& plan, const float* w,
+                   const t::Tensor& x) {
+  const int64_t f = x.cols();
+  const double nnz = static_cast<double>(plan.csr.nnz());
+  t::Tensor out(plan.csr.rows, f);
+  obs::KernelScope kscope(
+      "spmm_grad", kernels::GetDispatch().spmm_variant, 2.0 * nnz * f,
+      nnz * (20.0 + 4.0 * f) + 4.0 * static_cast<double>(plan.csr.rows) * f);
+  plan.Run(w, x.data(), f, out.data(), /*bias=*/nullptr, /*relu=*/false);
+  return out;
+}
+
+/// GradSpmm over a view of (src, dst) built for this call:
+///   out[dst[e], :] += w[e] * x[src[e], :],  out is n x x.cols().
+/// The view is dropped on return: memoizing one per pair list raised Fit's
+/// peak RSS for no speed-up (DESIGN.md §14.3).
+t::Tensor GradSpmm(const int64_t* src, const int64_t* dst, int64_t e_count,
+                   int64_t n, const float* w, const t::Tensor& x) {
+  return GradSpmm(kernels::SpmmPlan{kernels::BuildCsrByDst(src, dst, e_count,
+                                                           n)},
+                  w, x);
+}
+
+/// Row index of every nonzero of a CSR matrix, in entry order.
+std::vector<int64_t> RowOfEntries(const t::SparseMatrix& m) {
+  std::vector<int64_t> row(static_cast<size_t>(m.nnz()));
+  for (int64_t r = 0; r < m.rows; ++r)
+    std::fill(row.begin() + m.row_ptr[static_cast<size_t>(r)],
+              row.begin() + m.row_ptr[static_cast<size_t>(r) + 1], r);
+  return row;
+}
+
 /// Shared SpMM backward: dw[e] += x[src[e]]·g[dst[e]] and dx = Aᵀg, i.e.
 /// dx[s] += sum over the edges e leaving s of w[e]·g[dst[e]]. Used by both
 /// SpMM and the fused SpMMBiasAct (whose epilogue gradient is folded into
@@ -21,28 +70,14 @@ namespace {
 /// SDDMM with one float dot per edge, dx as the forward's CSR SpMM over the
 /// transposed plan, whose rows keep edge order (DESIGN.md §14.4).
 void AccumulateSpmmGrads(const EdgeList& edges, const NodePtr& pw,
-                         const NodePtr& px, int64_t f, const t::Tensor& g) {
-  const kernels::Dispatch& d = kernels::GetDispatch();
-  const double e_count = static_cast<double>(edges.size());
-  const double n = static_cast<double>(edges.num_nodes);
-  if (pw->requires_grad) {
-    // One multiply-add per edge element; per edge two indices, both rows
-    // read and the weight gradient updated.
-    obs::KernelScope kscope("edge_dot", d.spmm_variant, 2.0 * e_count * f,
-                            e_count * (24.0 + 8.0 * f));
-    d.edge_dot(edges.size(), edges.src.data(), edges.dst.data(),
-               px->value.data(), g.data(), f, pw->EnsureGrad().data());
-  }
+                         const NodePtr& px, const t::Tensor& g) {
+  if (pw->requires_grad)
+    EdgeDot(edges.size(), edges.src.data(), edges.dst.data(), px->value, g,
+            pw->EnsureGrad().data());
   if (px->requires_grad) {
     SES_CHECK(px->value.rows() == edges.num_nodes);
-    t::Tensor dx(edges.num_nodes, f);
-    {
-      obs::KernelScope kscope("spmm_grad", d.spmm_variant, 2.0 * e_count * f,
-                              e_count * (20.0 + 4.0 * f) + 4.0 * n * f);
-      edges.transposed_plan()->Run(pw->value.data(), g.data(), f, dx.data(),
-                                   /*bias=*/nullptr, /*relu=*/false);
-    }
-    px->EnsureGrad().AddInPlace(dx);
+    px->EnsureGrad().AddInPlace(
+        GradSpmm(*edges.transposed_plan(), pw->value.data(), g));
   }
 }
 
@@ -71,8 +106,8 @@ Variable SpMM(const EdgeListPtr& edges, const Variable& edge_weight,
   }
   auto node = MakeOpNode(
       std::move(out), {pw, px},
-      [edges, pw, px, f](const t::Tensor& g) {
-        AccumulateSpmmGrads(*edges, pw, px, f, g);
+      [edges, pw, px](const t::Tensor& g) {
+        AccumulateSpmmGrads(*edges, pw, px, g);
       },
       "bwd:SpMM");
   return Variable(node);
@@ -133,7 +168,7 @@ Variable SpMMBiasAct(const EdgeListPtr& edges, const Variable& edge_weight,
           t::Tensor& acc = pb->EnsureGrad();
           for (int64_t c = 0; c < f; ++c) acc[c] += db[c];
         }
-        AccumulateSpmmGrads(*edges, pw, px, f, *gp);
+        AccumulateSpmmGrads(*edges, pw, px, *gp);
       },
       "bwd:SpMMBiasAct");
   return Variable(node);
@@ -146,7 +181,8 @@ Variable PairDot(const Variable& h, const EdgeListPtr& pairs) {
   NodePtr ph = h.node();
   const t::Tensor& hv = ph->value;
   const int64_t e_count = pairs->size();
-  const int64_t n = hv.rows(), d = hv.cols();
+  const int64_t n = hv.rows();
+  SES_CHECK(pairs->num_nodes == n);
   const int64_t* src = pairs->src.data();
   const int64_t* dst = pairs->dst.data();
   bool in_range = true;
@@ -155,49 +191,19 @@ Variable PairDot(const Variable& h, const EdgeListPtr& pairs) {
   SES_CHECK(in_range);
 
   t::Tensor out(e_count, 1);
-  {
-    // One multiply-add per pair element; per pair two indices, both
-    // endpoint rows read and one output written.
-    obs::KernelScope kscope(
-        "pair_dot", "fused", 2.0 * static_cast<double>(e_count) * d,
-        static_cast<double>(e_count) * (20.0 + 8.0 * d));
-#pragma omp parallel for schedule(static) \
-    if (kernels::ShouldParallelize(2.0 * static_cast<double>(e_count) * d))
-    for (int64_t e = 0; e < e_count; ++e) {
-      const float* a = hv.RowPtr(src[e]);
-      const float* b = hv.RowPtr(dst[e]);
-      // Float product, double accumulation in column order: t::SumRows over
-      // t::Mul, element for element.
-      double acc = 0.0;
-      for (int64_t c = 0; c < d; ++c) acc += a[c] * b[c];
-      out[e] = static_cast<float>(acc);
-    }
-  }
+  EdgeDot(e_count, src, dst, hv, hv, out.data());
   auto node = MakeOpNode(
       std::move(out), {ph},
-      [pairs, ph, d](const t::Tensor& g) {
+      [pairs, ph](const t::Tensor& g) {
         if (!ph->requires_grad) return;
-        const t::Tensor& hv = ph->value;
+        // dh = A_g·h + A_gᵀ·h, with A_g[dst[e], src[e]] = g[e]: each pair
+        // sends g[e] times one endpoint's row to the other endpoint.
+        const EdgeList& p = *pairs;
         t::Tensor& dh = ph->EnsureGrad();
-        const int64_t e_count = pairs->size();
-        obs::KernelScope kscope(
-            "pair_dot", "fused_grad", 4.0 * static_cast<double>(e_count) * d,
-            static_cast<double>(e_count) * (36.0 + 24.0 * d));
-        // The accumulation order of the GatherRows/Mul/SumRows chain under
-        // Backward's reverse creation order: GatherRows(h, dst) scatters
-        // before GatherRows(h, src), each in pair order. `0.0f + ...`
-        // reproduces the signed zeros of that chain's zero-initialised
-        // E x d intermediate gradients.
-        const auto scatter = [&](const int64_t* to, const int64_t* from) {
-          for (int64_t e = 0; e < e_count; ++e) {
-            const float ge = g[e];
-            const float* hrow = hv.RowPtr(from[e]);
-            float* drow = dh.RowPtr(to[e]);
-            for (int64_t c = 0; c < d; ++c) drow[c] += 0.0f + ge * hrow[c];
-          }
-        };
-        scatter(pairs->dst.data(), pairs->src.data());
-        scatter(pairs->src.data(), pairs->dst.data());
+        dh.AddInPlace(GradSpmm(p.src.data(), p.dst.data(), p.size(),
+                               p.num_nodes, g.data(), ph->value));
+        dh.AddInPlace(GradSpmm(p.dst.data(), p.src.data(), p.size(),
+                               p.num_nodes, g.data(), ph->value));
       },
       "bwd:PairDot");
   return Variable(node);
@@ -262,70 +268,36 @@ Variable SparseMaskedLinear(const std::shared_ptr<const tensor::SparseMatrix>& x
   NodePtr pm = mask.defined() ? mask.node() : nullptr;
   SES_CHECK(pw->value.rows() == x->cols);
   if (pm) SES_CHECK(pm->value.rows() == x->nnz() && pm->value.cols() == 1);
-  const int64_t h = pw->value.cols();
 
-  t::Tensor out(x->rows, h);
-  {
-    // Masked CSR x dense-weight product: 2·nnz·h FLOPs (+1 mask multiply per
-    // entry); traffic = CSR entry + mask + one W row per nonzero, output
-    // written once.
-    obs::KernelScope kscope(
-        "spmm", "masked_linear",
-        static_cast<double>(x->nnz()) * (2.0 * h + 1.0),
-        static_cast<double>(x->nnz()) * (16.0 + 4.0 * h) +
-            4.0 * static_cast<double>(x->rows) * h);
-    const t::Tensor& wv = pw->value;
-#pragma omp parallel for schedule(dynamic, 64) \
-    if (kernels::ShouldParallelize(2.0 * static_cast<double>(x->nnz()) * h))
-    for (int64_t r = 0; r < x->rows; ++r) {
-      float* dst = out.RowPtr(r);
-      for (int64_t e = x->row_ptr[static_cast<size_t>(r)];
-           e < x->row_ptr[static_cast<size_t>(r) + 1]; ++e) {
-        float v = x->values[static_cast<size_t>(e)];
-        if (pm) v *= pm->value[e];
-        if (v == 0.0f) continue;
-        const float* wrow = wv.RowPtr(x->col_idx[static_cast<size_t>(e)]);
-        for (int64_t c = 0; c < h; ++c) dst[c] += v * wrow[c];
-      }
-    }
+  // Entry weights: values ⊙ mask, or the matrix's own values unmasked.
+  t::Tensor masked;
+  if (pm) {
+    masked = t::Tensor(x->nnz(), 1);
+    for (int64_t e = 0; e < x->nnz(); ++e)
+      masked[e] = x->values[static_cast<size_t>(e)] * pm->value[e];
   }
+  t::Tensor out = x->MatMul(pw->value, pm ? masked.data() : nullptr);
   std::vector<NodePtr> parents{pw};
   if (pm) parents.push_back(pm);
   auto node = MakeOpNode(
       std::move(out), std::move(parents),
-      [x, pw, pm, h](const t::Tensor& g) {
+      [x, pw, pm, masked = std::move(masked)](const t::Tensor& g) {
+        const std::vector<int64_t> row = RowOfEntries(*x);
         if (pw->requires_grad) {
-          // dW[j, :] += (mask*x)[i, j] * g[i, :]
-          t::Tensor& dw = pw->EnsureGrad();
-          for (int64_t r = 0; r < x->rows; ++r) {
-            const float* grow = g.RowPtr(r);
-            for (int64_t e = x->row_ptr[static_cast<size_t>(r)];
-                 e < x->row_ptr[static_cast<size_t>(r) + 1]; ++e) {
-              float v = x->values[static_cast<size_t>(e)];
-              if (pm) v *= pm->value[e];
-              if (v == 0.0f) continue;
-              float* dwrow = dw.RowPtr(x->col_idx[static_cast<size_t>(e)]);
-              for (int64_t c = 0; c < h; ++c) dwrow[c] += v * grow[c];
-            }
-          }
+          // dW[j, :] += (mask*x)[i, j] * g[i, :]: the SpMM over the
+          // column-grouped view of x.
+          pw->EnsureGrad().AddInPlace(
+              GradSpmm(row.data(), x->col_idx.data(), x->nnz(), x->cols,
+                       pm ? masked.data() : x->values.data(), g));
         }
         if (pm && pm->requires_grad) {
-          // dmask[e] = x_val[e] * dot(W[col(e), :], g[row(e), :])
+          // dmask[e] += x_val[e] * (W[col(e), :] · g[row(e), :])
+          t::Tensor dots(x->nnz(), 1);
+          EdgeDot(x->nnz(), x->col_idx.data(), row.data(), pw->value, g,
+                  dots.data());
           t::Tensor& dm = pm->EnsureGrad();
-          const t::Tensor& wv = pw->value;
-#pragma omp parallel for schedule(dynamic, 64) \
-    if (kernels::ShouldParallelize(2.0 * static_cast<double>(x->nnz()) * h))
-          for (int64_t r = 0; r < x->rows; ++r) {
-            const float* grow = g.RowPtr(r);
-            for (int64_t e = x->row_ptr[static_cast<size_t>(r)];
-                 e < x->row_ptr[static_cast<size_t>(r) + 1]; ++e) {
-              const float* wrow = wv.RowPtr(x->col_idx[static_cast<size_t>(e)]);
-              double acc = 0.0;
-              for (int64_t c = 0; c < h; ++c) acc += wrow[c] * grow[c];
-              dm[e] += x->values[static_cast<size_t>(e)] *
-                       static_cast<float>(acc);
-            }
-          }
+          for (int64_t e = 0; e < x->nnz(); ++e)
+            dm[e] += x->values[static_cast<size_t>(e)] * dots[e];
         }
       },
       "bwd:SparseMaskedLinear");
@@ -342,79 +314,41 @@ Variable FeatureMaskAtNnz(const Variable& h, const Variable& w2,
   SES_CHECK(pw->value.rows() == ph->value.cols());
   SES_CHECK(pw->value.cols() == pattern->cols);
   SES_CHECK(pb->value.size() == pattern->cols);
-  const int64_t hd = ph->value.cols();
   const int64_t nnz = pattern->nnz();
+  const int64_t* col = pattern->col_idx.data();
 
-  // Pre-compute row index per nonzero.
-  auto row_of = std::make_shared<std::vector<int64_t>>(static_cast<size_t>(nnz));
-  for (int64_t r = 0; r < pattern->rows; ++r)
-    for (int64_t e = pattern->row_ptr[static_cast<size_t>(r)];
-         e < pattern->row_ptr[static_cast<size_t>(r) + 1]; ++e)
-      (*row_of)[static_cast<size_t>(e)] = r;
-
+  // z[e] = h[row(e), :] · W2ᵀ[col(e), :] + b[col(e)], then the sigmoid.
+  std::vector<int64_t> row = RowOfEntries(*pattern);
+  t::Tensor w2t = t::Transpose(pw->value);
   t::Tensor y(nnz, 1);
-  {
-    // Per-nonzero sigmoid(h[i]·W2[:,j] + b[j]): a length-hd dot product per
-    // entry; W2 column access is strided, billed once per entry.
-    obs::KernelScope kscope(
-        "spmm", "feature_mask", 2.0 * static_cast<double>(nnz) * hd,
-        static_cast<double>(nnz) * (16.0 + 8.0 * hd));
-    const t::Tensor& hv = ph->value;
-    const t::Tensor& wv = pw->value;
-    const t::Tensor& bv = pb->value;
-#pragma omp parallel for schedule(static) \
-    if (kernels::ShouldParallelize(2.0 * static_cast<double>(nnz) * hd))
-    for (int64_t e = 0; e < nnz; ++e) {
-      const int64_t i = (*row_of)[static_cast<size_t>(e)];
-      const int64_t j = pattern->col_idx[static_cast<size_t>(e)];
-      const float* hrow = hv.RowPtr(i);
-      double acc = bv[j];
-      for (int64_t c = 0; c < hd; ++c) acc += hrow[c] * wv.At(c, j);
-      const float z = static_cast<float>(acc);
-      y[e] = z >= 0.0f ? 1.0f / (1.0f + std::exp(-z))
-                       : std::exp(z) / (1.0f + std::exp(z));
-    }
+  EdgeDot(nnz, row.data(), col, ph->value, w2t, y.data());
+  const t::Tensor& bv = pb->value;
+  for (int64_t e = 0; e < nnz; ++e) {
+    const float z = y[e] + bv[col[e]];
+    y[e] = z >= 0.0f ? 1.0f / (1.0f + std::exp(-z))
+                     : std::exp(z) / (1.0f + std::exp(z));
   }
   if (!GradEnabled()) return Variable(MakeTapeFreeNode(std::move(y)));
   t::Tensor y_copy = y;
   auto node = MakeOpNode(
       std::move(y), {ph, pw, pb},
-      [pattern, ph, pw, pb, row_of, hd, y = std::move(y_copy)](
-          const t::Tensor& g) {
+      [pattern, ph, pw, pb, row = std::move(row), w2t = std::move(w2t),
+       y = std::move(y_copy)](const t::Tensor& g) {
         const int64_t nnz = pattern->nnz();
+        const int64_t* col = pattern->col_idx.data();
         // dz[e] = g[e] * y[e] * (1 - y[e])
-        std::vector<float> dz(static_cast<size_t>(nnz));
-        for (int64_t e = 0; e < nnz; ++e)
-          dz[static_cast<size_t>(e)] = g[e] * y[e] * (1.0f - y[e]);
-        const t::Tensor& hv = ph->value;
-        const t::Tensor& wv = pw->value;
-        if (ph->requires_grad) {
-          t::Tensor& dh = ph->EnsureGrad();
-          for (int64_t e = 0; e < nnz; ++e) {
-            const float d = dz[static_cast<size_t>(e)];
-            if (d == 0.0f) continue;
-            const int64_t i = (*row_of)[static_cast<size_t>(e)];
-            const int64_t j = pattern->col_idx[static_cast<size_t>(e)];
-            float* drow = dh.RowPtr(i);
-            for (int64_t c = 0; c < hd; ++c) drow[c] += d * wv.At(c, j);
-          }
-        }
-        if (pw->requires_grad) {
-          t::Tensor& dw = pw->EnsureGrad();
-          for (int64_t e = 0; e < nnz; ++e) {
-            const float d = dz[static_cast<size_t>(e)];
-            if (d == 0.0f) continue;
-            const int64_t i = (*row_of)[static_cast<size_t>(e)];
-            const int64_t j = pattern->col_idx[static_cast<size_t>(e)];
-            const float* hrow = hv.RowPtr(i);
-            for (int64_t c = 0; c < hd; ++c) dw.At(c, j) += d * hrow[c];
-          }
-        }
+        t::Tensor dz(nnz, 1);
+        for (int64_t e = 0; e < nnz; ++e) dz[e] = g[e] * y[e] * (1.0f - y[e]);
+        // dh = pattern(dz) · W2ᵀ;  dW2 = (patternᵀ(dz) · h)ᵀ, the SpMM over
+        // the column-grouped view.
+        if (ph->requires_grad)
+          ph->EnsureGrad().AddInPlace(pattern->MatMul(w2t, dz.data()));
+        if (pw->requires_grad)
+          pw->EnsureGrad().AddInPlace(t::Transpose(GradSpmm(
+              row.data(), col, nnz, pattern->cols, dz.data(), ph->value)));
         if (pb->requires_grad) {
           t::Tensor& db = pb->EnsureGrad();
-          for (int64_t e = 0; e < nnz; ++e)
-            db[pattern->col_idx[static_cast<size_t>(e)]] +=
-                dz[static_cast<size_t>(e)];
+          for (int64_t e = 0; e < nnz; ++e) db[col[e]] += dz[e];
         }
       },
       "bwd:FeatureMaskAtNnz");

@@ -67,13 +67,12 @@ Variable SpMMBiasAct(const EdgeListPtr& edges, const Variable& edge_weight,
 
 /// Per-pair row dot product (SDDMM over an explicit pair list):
 ///   out[e] = sum_c h[src[e], c] * h[dst[e], c]          (E x 1)
-/// Reads the N x d `h` directly and never materialises an E x d tensor; the
-/// backward scatters g[e] * h[other endpoint] straight into h's gradient.
-/// Forward and gradient are bitwise-identical to
-/// SumRows(Mul(GatherRows(h, src), GatherRows(h, dst))): float products
-/// summed per row in double in column order, and the gradient scattered
-/// dst side first, then src side, each in pair order (DESIGN.md §14.3). Pair
-/// indices are validated once per call; `pairs->num_nodes` is not consulted.
+/// Reads the N x d `h` directly and never materialises an E x d tensor.
+/// The forward is Dispatch::edge_dot; the backward, dh += A_g·h + A_gᵀ·h
+/// with the upstream gradient g as the pair weights, is two CSR SpMMs over
+/// views of the pair list built per call (DESIGN.md §14.3).
+/// `pairs->num_nodes` must equal h's row count, and every pair index must
+/// lie in [0, num_nodes); both are checked once per call.
 Variable PairDot(const Variable& h, const EdgeListPtr& pairs);
 
 /// Numerically-stable softmax over incoming edges grouped by destination:
@@ -85,7 +84,9 @@ Variable EdgeSoftmax(const EdgeListPtr& edges, const Variable& scores);
 /// per-nonzero feature mask:
 ///   out[i, :] = sum_{e in row i} mask[e] * x_val[e] * W[col(e), :]
 /// `mask` may be undefined (treated as all-ones). Gradients flow to `W` and,
-/// when defined, to `mask` (nnz x 1) — never densifying N x F.
+/// when defined, to `mask` (nnz x 1) — never densifying N x F. The forward
+/// and dW are CSR SpMMs (over x, and over x grouped by column), dmask an
+/// edge_dot.
 Variable SparseMaskedLinear(const std::shared_ptr<const tensor::SparseMatrix>& x,
                             const Variable& mask, const Variable& w);
 
@@ -93,7 +94,8 @@ Variable SparseMaskedLinear(const std::shared_ptr<const tensor::SparseMatrix>& x
 ///   m[e] = sigmoid( h[row(e), :] . w2[:, col(e)] + b2[col(e)] )
 /// for each nonzero e of `pattern`. Output is nnz x 1. This computes Eq. (3)
 /// restricted to the entries that E_feat = M_f ⊙ X can ever expose, turning
-/// an O(N*F*H) dense MLP head into O(nnz*H).
+/// an O(N*F*H) dense MLP head into O(nnz*H): an edge_dot against w2ᵀ, and
+/// CSR SpMMs for dh and dw2.
 Variable FeatureMaskAtNnz(const Variable& h, const Variable& w2,
                           const Variable& b2,
                           const std::shared_ptr<const tensor::SparseMatrix>& pattern);

@@ -14,11 +14,9 @@ std::vector<float> Explainer::ExplainFeaturesNnz(
 }
 
 ag::Variable SubgraphLogProbs(
-    const models::Encoder& encoder, const data::Dataset& ds,
-    const graph::Subgraph& sub, const ag::EdgeListPtr& sub_edges,
+    const models::Encoder& encoder, const ag::EdgeListPtr& sub_edges,
     const ag::Variable& edge_mask, const ag::Variable& nnz_mask,
     const std::shared_ptr<const tensor::SparseMatrix>& sub_features) {
-  (void)ds;
   util::Rng rng(0);
   nn::FeatureInput input = nn::FeatureInput::Sparse(sub_features, nnz_mask);
   auto out = encoder.Forward(input, sub_edges, edge_mask, 0.0f,

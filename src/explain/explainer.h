@@ -42,8 +42,7 @@ class Explainer {
 /// node-induced subgraph with optional differentiable edge / feature masks
 /// and returns log-probabilities for the subgraph nodes.
 autograd::Variable SubgraphLogProbs(
-    const models::Encoder& encoder, const data::Dataset& ds,
-    const graph::Subgraph& sub, const autograd::EdgeListPtr& sub_edges,
+    const models::Encoder& encoder, const autograd::EdgeListPtr& sub_edges,
     const autograd::Variable& edge_mask, const autograd::Variable& nnz_mask,
     const std::shared_ptr<const tensor::SparseMatrix>& sub_features);
 

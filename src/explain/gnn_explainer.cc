@@ -66,8 +66,8 @@ void GnnExplainer::Run(const data::Dataset& ds,
     for (int64_t epoch = 0; epoch < options_.epochs; ++epoch) {
       edge_mask = ag::Sigmoid(edge_logits);
       feat_mask = ag::Sigmoid(feat_logits);
-      ag::Variable logp = SubgraphLogProbs(*encoder_, ds, sub, sub_edges,
-                                           edge_mask, feat_mask, sub_features);
+      ag::Variable logp = SubgraphLogProbs(*encoder_, sub_edges, edge_mask,
+                                           feat_mask, sub_features);
       ag::Variable loss = ag::NllLoss(logp, target_labels, center);
       loss = ag::Add(loss, ag::Scale(ag::MeanAll(edge_mask),
                                      options_.lambda_size));

@@ -33,7 +33,7 @@ Tensor SparseMatrix::ToDense() const {
   return out;
 }
 
-Tensor SparseMatrix::MatMul(const Tensor& dense) const {
+Tensor SparseMatrix::MatMul(const Tensor& dense, const float* weights) const {
   SES_CHECK(cols == dense.rows());
   const int64_t f = dense.cols();
   const kernels::Dispatch& d = kernels::GetDispatch();
@@ -49,8 +49,8 @@ Tensor SparseMatrix::MatMul(const Tensor& dense) const {
           4.0 * static_cast<double>(rows) * f);
   Tensor out(rows, dense.cols());
   d.spmm_csr(rows, row_ptr.data(), col_idx.data(), /*perm=*/nullptr,
-             values.data(), dense.data(), f, out.data(), /*bias=*/nullptr,
-             /*relu=*/false);
+             weights != nullptr ? weights : values.data(), dense.data(), f,
+             out.data(), /*bias=*/nullptr, /*relu=*/false);
   return out;
 }
 

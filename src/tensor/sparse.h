@@ -26,8 +26,10 @@ struct SparseMatrix {
   /// Materializes as dense.
   Tensor ToDense() const;
 
-  /// Dense product: this * dense (rows x dense.cols()).
-  Tensor MatMul(const Tensor& dense) const;
+  /// Dense product: this * dense (rows x dense.cols()), on the CSR SpMM
+  /// kernel. With `weights` (nnz floats), entry e counts as weights[e]
+  /// instead of values[e].
+  Tensor MatMul(const Tensor& dense, const float* weights = nullptr) const;
 
   /// Identity pattern (used for PolBlogs' unit-matrix features).
   static SparseMatrix Identity(int64_t n);

@@ -14,10 +14,14 @@
 //    against transpose-then-MatMul, the per-edge dot against a column-order
 //    loop, and the SpMM gradients (dx over the transposed CSR) against an
 //    edge-order scatter,
+//  - the sparse autograd ops on those kernels (PairDot, SparseMaskedLinear,
+//    FeatureMaskAtNnz): bitwise against reference loops at every tier, and
+//    finite-difference gradients on messy patterns,
 //  - per-graph plan memoization, forward and transposed.
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -32,6 +36,7 @@
 #include "models/encoders.h"
 #include "models/node_classifier.h"
 #include "tensor/ops.h"
+#include "tensor/sparse.h"
 #include "util/rng.h"
 
 namespace {
@@ -359,24 +364,28 @@ TEST(KernelParityTest, TransposedMatMulsEqualTransposeThenMatMulAtEveryTier) {
 TEST(KernelParityTest, EdgeDotMatchesColumnOrderDotAtEveryTier) {
   // out[e] += x[src[e]] · y[dst[e]]: bitwise the column-order float loop at
   // scalar tier, within the reduction tolerance at SIMD tiers; out starts
-  // nonzero because the kernel accumulates.
+  // nonzero because the kernel accumulates. x and y have different row
+  // counts, as in the sparse ops' node-row x feature-row products.
   const TestGraph g = MakeMessyGraph(/*nodes=*/29, /*edges=*/150, 19);
   const int64_t e = static_cast<int64_t>(g.src.size());
+  const int64_t y_rows = 41;
+  std::vector<int64_t> dst(g.dst.size());
+  for (int64_t i = 0; i < e; ++i) dst[i] = (g.dst[i] * 7 + i) % y_rows;
   util::Rng rng(23);
   const t::Tensor init = t::Tensor::Randn(e, 1, &rng);
   for (const int64_t f : kWidths) {
     const t::Tensor x = t::Tensor::Randn(g.nodes, f, &rng);
-    const t::Tensor y = t::Tensor::Randn(g.nodes, f, &rng);
+    const t::Tensor y = t::Tensor::Randn(y_rows, f, &rng);
     t::Tensor want = init;
     for (int64_t i = 0; i < e; ++i) {
       float acc = 0.0f;
       for (int64_t c = 0; c < f; ++c)
-        acc += x.At(g.src[i], c) * y.At(g.dst[i], c);
+        acc += x.At(g.src[i], c) * y.At(dst[i], c);
       want[i] += acc;
     }
     for (const k::SimdTier tier : SupportedTiers()) {
       t::Tensor got = init;
-      k::DispatchFor(tier).edge_dot(e, g.src.data(), g.dst.data(), x.data(),
+      k::DispatchFor(tier).edge_dot(e, g.src.data(), dst.data(), x.data(),
                                     y.data(), f, got.data());
       if (tier == k::SimdTier::kScalar) {
         EXPECT_TRUE(BitwiseEqual(got.data(), want.data(), e)) << "f=" << f;
@@ -679,6 +688,257 @@ TEST(SpmmGradTest, NumericGradientsOnAMessyGraphWithZeroWeights) {
     EXPECT_TRUE(fused.ok) << "SpMMBiasAct relu=" << relu << " rel err "
                           << fused.max_rel_error;
   }
+}
+
+// ---------------------------------------------------------------------------
+// The sparse autograd ops on the dispatched kernels: PairDot (edge_dot
+// forward, two CSR SpMMs backward), SparseMaskedLinear (CSR SpMM forward and
+// dW, edge_dot dmask) and FeatureMaskAtNnz (edge_dot forward, CSR SpMM
+// gradients).
+
+/// a + b·c with the tier's rounding: a separate multiply and add at the
+/// scalar tier, one std::fmaf at SIMD tiers.
+float MulAdd(k::SimdTier tier, float a, float b, float c) {
+  return tier == k::SimdTier::kScalar ? a + b * c : std::fmaf(b, c, a);
+}
+
+/// A rows x cols CSR pattern (cols >= 5, coprime with 3): an empty row (2),
+/// an unused column (4), rows of up to five distinct columns and every fifth
+/// value stored as 0.
+std::shared_ptr<const t::SparseMatrix> MakeMessyPattern(int64_t rows,
+                                                        int64_t cols,
+                                                        uint64_t seed) {
+  auto m = std::make_shared<t::SparseMatrix>();
+  m->rows = rows;
+  m->cols = cols;
+  m->row_ptr.push_back(0);
+  util::Rng rng(seed);
+  for (int64_t r = 0; r < rows; ++r) {
+    const int64_t count = r == 2 ? 0 : static_cast<int64_t>(rng.UniformInt(6));
+    const int64_t start = static_cast<int64_t>(rng.UniformInt(cols));
+    for (int64_t i = 0; i < count && i < cols - 1; ++i) {
+      const int64_t c = (start + 3 * i) % cols;
+      if (c == 4) continue;
+      m->col_idx.push_back(c);
+      const float v = static_cast<float>(rng.Normal());
+      m->values.push_back(m->col_idx.size() % 5 == 0 ? 0.0f : v);
+    }
+    m->row_ptr.push_back(m->nnz());
+  }
+  return m;
+}
+
+TEST(SparseOpTest, PairDotMatchesEdgeOrderReferenceAtEveryTier) {
+  // Forward: each pair's dot is the tier's edge_dot, the column-order float
+  // dot at scalar tier. Backward: the pairs grouped by dst, then by src,
+  // each group summed from +0 in pair order with zero weights skipped and
+  // added to the fresh gradient in that order.
+  const GradGraph gg = MakeGradGraph(/*nodes=*/31, /*edges=*/180, 53);
+  const ag::EdgeList& pl = *gg.edges;
+  const int64_t n = pl.num_nodes;
+  const int64_t e_count = pl.size();
+  const t::Tensor& upstream = gg.w;  // holds two zero weights
+  util::Rng rng(59);
+  for (const int64_t f : kWidths) {
+    const t::Tensor hv = t::Tensor::Randn(n, f, &rng);
+    for (const k::SimdTier tier : SupportedTiers()) {
+      const ScopedKernelVariant pin(k::TierName(tier));
+      auto h = ag::Variable::Parameter(hv);
+      const ag::Variable out = ag::PairDot(h, gg.edges);
+      t::Tensor want_out(e_count, 1);
+      if (tier == k::SimdTier::kScalar) {
+        for (int64_t e = 0; e < e_count; ++e) {
+          float acc = 0.0f;
+          for (int64_t c = 0; c < f; ++c)
+            acc += hv.At(pl.src[e], c) * hv.At(pl.dst[e], c);
+          want_out[e] += acc;
+        }
+      } else {
+        k::DispatchFor(tier).edge_dot(e_count, pl.src.data(), pl.dst.data(),
+                                      hv.data(), hv.data(), f,
+                                      want_out.data());
+      }
+      EXPECT_TRUE(BitwiseEqual(out.value().data(), want_out.data(), e_count))
+          << k::TierName(tier) << " forward f=" << f;
+
+      ag::Backward(out, upstream);
+      t::Tensor by_dst = t::Tensor::Zeros(n, f);
+      t::Tensor by_src = t::Tensor::Zeros(n, f);
+      for (int64_t e = 0; e < e_count; ++e) {
+        const float ge = upstream[e];
+        if (ge == 0.0f) continue;
+        float* to_dst = by_dst.RowPtr(pl.dst[e]);
+        float* to_src = by_src.RowPtr(pl.src[e]);
+        for (int64_t c = 0; c < f; ++c) {
+          to_dst[c] = MulAdd(tier, to_dst[c], ge, hv.At(pl.src[e], c));
+          to_src[c] = MulAdd(tier, to_src[c], ge, hv.At(pl.dst[e], c));
+        }
+      }
+      t::Tensor want_dh = t::Tensor::Zeros(n, f);
+      want_dh.AddInPlace(by_dst);
+      want_dh.AddInPlace(by_src);
+      EXPECT_TRUE(BitwiseEqual(h.grad().data(), want_dh.data(), n * f))
+          << k::TierName(tier) << " backward f=" << f;
+    }
+  }
+}
+
+TEST(SparseOpTest, SparseMaskedLinearForwardIsTheRowLoopAtEveryTier) {
+  // The reference is the op's former row loop: entry weight value ⊙ mask,
+  // zero weights skipped, out[r] += v·W[col] from a zeroed row, with the
+  // tier's rounding. Unmasked, the weights are the values themselves.
+  const auto x = MakeMessyPattern(/*rows=*/23, /*cols=*/19, 71);
+  ASSERT_GE(x->nnz(), 7);
+  util::Rng rng(73);
+  t::Tensor mask = t::Tensor::Uniform(x->nnz(), 1, 0.1f, 1.0f, &rng);
+  mask[1] = 0.0f;
+  mask[6] = 0.0f;
+  for (const int64_t f : kWidths) {
+    const t::Tensor wv = t::Tensor::Randn(x->cols, f, &rng);
+    for (const k::SimdTier tier : SupportedTiers()) {
+      const ScopedKernelVariant pin(k::TierName(tier));
+      for (const bool masked : {false, true}) {
+        const ag::Variable out = ag::SparseMaskedLinear(
+            x, masked ? ag::Variable::Constant(mask) : ag::Variable(),
+            ag::Variable::Constant(wv));
+        t::Tensor want(x->rows, f);
+        for (int64_t r = 0; r < x->rows; ++r) {
+          float* dst = want.RowPtr(r);
+          for (int64_t e = x->row_ptr[r]; e < x->row_ptr[r + 1]; ++e) {
+            float v = x->values[e];
+            if (masked) v *= mask[e];
+            if (v == 0.0f) continue;
+            const float* wrow = wv.RowPtr(x->col_idx[e]);
+            for (int64_t c = 0; c < f; ++c)
+              dst[c] = MulAdd(tier, dst[c], v, wrow[c]);
+          }
+        }
+        EXPECT_TRUE(
+            BitwiseEqual(out.value().data(), want.data(), x->rows * f))
+            << k::TierName(tier) << " masked=" << masked << " f=" << f;
+      }
+    }
+  }
+}
+
+TEST(SparseOpTest, FeatureMaskAtNnzForwardMatchesDotPlusBiasAtEveryTier) {
+  // sigmoid(h[row] · W2[:, col] + b[col]): the dot in column order in float
+  // (bitwise at scalar tier), then the bias, then the sigmoid.
+  const auto pattern = MakeMessyPattern(/*rows=*/23, /*cols=*/19, 79);
+  util::Rng rng(83);
+  for (const int64_t hd : kWidths) {
+    const t::Tensor hv = t::Tensor::Randn(pattern->rows, hd, &rng);
+    const t::Tensor w2 = t::Tensor::Randn(hd, pattern->cols, &rng);
+    const t::Tensor b2 = t::Tensor::Randn(1, pattern->cols, &rng);
+    t::Tensor want(pattern->nnz(), 1);
+    for (int64_t r = 0; r < pattern->rows; ++r) {
+      for (int64_t e = pattern->row_ptr[r]; e < pattern->row_ptr[r + 1];
+           ++e) {
+        const int64_t j = pattern->col_idx[e];
+        float acc = 0.0f;
+        for (int64_t c = 0; c < hd; ++c) acc += hv.At(r, c) * w2.At(c, j);
+        const float z = acc + b2[j];
+        want[e] = z >= 0.0f ? 1.0f / (1.0f + std::exp(-z))
+                            : std::exp(z) / (1.0f + std::exp(z));
+      }
+    }
+    for (const k::SimdTier tier : SupportedTiers()) {
+      const ScopedKernelVariant pin(k::TierName(tier));
+      const ag::Variable m = ag::FeatureMaskAtNnz(
+          ag::Variable::Constant(hv), ag::Variable::Constant(w2),
+          ag::Variable::Constant(b2), pattern);
+      if (tier == k::SimdTier::kScalar) {
+        EXPECT_TRUE(
+            BitwiseEqual(m.value().data(), want.data(), pattern->nnz()))
+            << "hd=" << hd;
+      } else {
+        EXPECT_LE(MaxAbsDiff(m.value().data(), want.data(), pattern->nnz()),
+                  Tolerance(hd))
+            << k::TierName(tier) << " hd=" << hd;
+      }
+    }
+  }
+}
+
+TEST(SparseOpTest, GradientsMatchFiniteDifferencesAtEveryTier) {
+  // A pair list with an isolated node, duplicates and a self pair; a
+  // pattern with an empty row, an unused column and stored zeros; a mask
+  // with zeros.
+  const GradGraph gg = MakeGradGraph(/*nodes=*/9, /*edges=*/24, 89);
+  const auto pattern = MakeMessyPattern(/*rows=*/6, /*cols=*/7, 97);
+  ASSERT_GE(pattern->nnz(), 4);
+  util::Rng rng(101);
+  const int64_t n = gg.edges->num_nodes;
+  for (const k::SimdTier tier : SupportedTiers()) {
+    const ScopedKernelVariant pin(k::TierName(tier));
+    const char* name = k::TierName(tier);
+
+    auto h = ag::Variable::Parameter(t::Tensor::Randn(n, 5, &rng));
+    const auto pair_w = ag::Variable::Constant(gg.w);
+    const auto pair_dot = ag::CheckGradients(
+        [&] {
+          return ag::MeanAll(ag::Sigmoid(ag::Mul(ag::PairDot(h, gg.edges),
+                                                 pair_w)));
+        },
+        {h});
+    EXPECT_TRUE(pair_dot.ok) << name << " PairDot rel err "
+                             << pair_dot.max_rel_error;
+
+    t::Tensor mask_v = t::Tensor::Uniform(pattern->nnz(), 1, 0.2f, 1.0f, &rng);
+    mask_v[0] = 0.0f;
+    mask_v[3] = 0.0f;
+    auto mask = ag::Variable::Parameter(mask_v);
+    auto w = ag::Variable::Parameter(t::Tensor::Randn(pattern->cols, 4, &rng));
+    const auto linear = ag::CheckGradients(
+        [&] {
+          return ag::MeanAll(
+              ag::Sigmoid(ag::SparseMaskedLinear(pattern, mask, w)));
+        },
+        {mask, w});
+    EXPECT_TRUE(linear.ok) << name << " SparseMaskedLinear rel err "
+                           << linear.max_rel_error;
+    const auto unmasked = ag::CheckGradients(
+        [&] {
+          return ag::MeanAll(
+              ag::Sigmoid(ag::SparseMaskedLinear(pattern, {}, w)));
+        },
+        {w});
+    EXPECT_TRUE(unmasked.ok) << name << " unmasked rel err "
+                             << unmasked.max_rel_error;
+
+    auto hf = ag::Variable::Parameter(
+        t::Tensor::Randn(pattern->rows, 5, &rng));
+    auto w2 = ag::Variable::Parameter(
+        t::Tensor::Randn(5, pattern->cols, &rng));
+    auto b2 = ag::Variable::Parameter(
+        t::Tensor::Randn(1, pattern->cols, &rng));
+    const auto feature = ag::CheckGradients(
+        [&] {
+          auto m = ag::FeatureMaskAtNnz(hf, w2, b2, pattern);
+          return ag::MeanAll(ag::Mul(m, m));
+        },
+        {hf, w2, b2});
+    EXPECT_TRUE(feature.ok) << name << " FeatureMaskAtNnz rel err "
+                            << feature.max_rel_error;
+  }
+}
+
+TEST(SparseOpTest, PairDotTakesAnEmptyPairListAndChecksNumNodes) {
+  util::Rng rng(103);
+  auto h = ag::Variable::Parameter(t::Tensor::Randn(4, 3, &rng));
+  auto empty = std::make_shared<ag::EdgeList>();
+  empty->num_nodes = 4;
+  const ag::Variable out = ag::PairDot(h, empty);
+  EXPECT_EQ(out.value().rows(), 0);
+  ag::Backward(out, t::Tensor(0, 1));
+  const t::Tensor zeros = t::Tensor::Zeros(4, 3);
+  EXPECT_TRUE(BitwiseEqual(h.grad().data(), zeros.data(), 12));
+
+  auto mismatched = std::make_shared<ag::EdgeList>();
+  mismatched->src = {0, 1};
+  mismatched->dst = {1, 2};
+  mismatched->num_nodes = 5;
+  EXPECT_THROW(ag::PairDot(h, mismatched), std::logic_error);
 }
 
 // ---------------------------------------------------------------------------

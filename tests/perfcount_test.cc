@@ -1,6 +1,6 @@
 // Tests for the kernel observatory: KernelScope work accounting (exact
-// declared FLOP counts for the annotated tensor kernels), inclusive /
-// exclusive attribution across nested and cross-thread scopes, the
+// declared FLOP counts for the annotated tensor and autograd kernels),
+// inclusive / exclusive attribution across nested and cross-thread scopes, the
 // clock-only perf fallback (SES_PERF_DISABLE), roofline placement math, and
 // the folded-stack flamegraph export.
 #include <algorithm>
@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "autograd/sparse_ops.h"
 #include "kernels/dispatch.h"
 #include "obs/obs.h"
 #include "tensor/ops.h"
@@ -94,6 +95,22 @@ TEST_F(KernelScopeTest, SpmmDeclaresTwoFlopsPerNnzPerFeature) {
   EXPECT_DOUBLE_EQ(s->flops, 40.0);
 }
 
+TEST_F(KernelScopeTest, PairDotDeclaresTwoFlopsPerPairPerFeature) {
+  // E = 4 pairs of width d = 6 on edge_dot: one call, 2 * 4 * 6 = 48 FLOPs.
+  auto pairs = std::make_shared<autograd::EdgeList>();
+  pairs->src = {0, 1, 2, 2};
+  pairs->dst = {1, 2, 0, 2};
+  pairs->num_nodes = 3;
+  t::Tensor h(3, 6);
+  for (int64_t i = 0; i < h.size(); ++i) h[i] = 1.0f;
+  (void)autograd::PairDot(autograd::Variable::Constant(h), pairs);
+  const auto stats = obs::SnapshotKernelStats();
+  const obs::KernelStats* s = Find(stats, "edge_dot", CsrSpmmVariant());
+  ASSERT_NE(s, nullptr);
+  EXPECT_EQ(s->calls, 1u);
+  EXPECT_DOUBLE_EQ(s->flops, 48.0);
+}
+
 TEST_F(KernelScopeTest, AggregatesAccumulateAcrossCalls) {
   t::Tensor a(2, 2), b(2, 2);
   for (int i = 0; i < 3; ++i) (void)t::MatMul(a, b);
@@ -111,7 +128,7 @@ TEST_F(KernelScopeTest, NestedScopesSplitInclusiveAndExclusiveTime) {
       obs::KernelScope inner("nest_inner", "v", 100.0, 0.0);
       // Some measurable work so the inner span has nonzero width.
       volatile double sink = 0;
-      for (int i = 0; i < 50000; ++i) sink += i;
+      for (int i = 0; i < 50000; ++i) sink = sink + i;
     }
   }
   const auto stats = obs::SnapshotKernelStats();
@@ -139,7 +156,7 @@ TEST_F(KernelScopeTest, ScopeOnAnotherThreadDoesNotDebitTheParent) {
     std::thread worker([] {
       obs::KernelScope inner("xthread_inner", "v", 5.0, 0.0);
       volatile double sink = 0;
-      for (int i = 0; i < 10000; ++i) sink += i;
+      for (int i = 0; i < 10000; ++i) sink = sink + i;
     });
     worker.join();
   }
@@ -323,7 +340,7 @@ TEST(FlamegraphTest, NestedSpansFoldIntoStacksWithSelfTimeWeights) {
     {
       obs::KernelScope inner("fg_kernel", "fast", 10.0, 0.0);
       volatile double sink = 0;
-      for (int i = 0; i < 20000; ++i) sink += i;
+      for (int i = 0; i < 20000; ++i) sink = sink + i;
     }
   }
   std::ostringstream out;
