@@ -3,7 +3,8 @@
 # workflow (.github/workflows/ci.yml) can fan them out as separate jobs and a
 # developer can reproduce exactly one job locally:
 #
-#   scripts/ci.sh release   # Release build + FULL ctest suite (tier1 + slow)
+#   scripts/ci.sh release   # Release build with warnings as errors + FULL
+#                           # ctest suite (tier1 + slow)
 #   scripts/ci.sh asan      # ASan build + tier1 ctest + serving smoke with a
 #                           # live /metrics scrape and access-log/trace join
 #   scripts/ci.sh tsan      # TSan build (OpenMP off) + tier1 ctest + batch-
@@ -133,7 +134,10 @@ ensure_ubsan() {
 
 # ---------------------------------------------------------------------------
 stage_release() {
-  build_variant "release" build -DCMAKE_BUILD_TYPE=Release
+  # -Werror on top of the project's -Wall -Wextra: the Release build is
+  # warning-clean, and a new warning fails this stage instead of scrolling by.
+  build_variant "release" build -DCMAKE_BUILD_TYPE=Release \
+    -DCMAKE_CXX_FLAGS=-Werror
   echo "=== [release] full ctest suite (tier1 + slow) ==="
   ctest --test-dir build --output-on-failure -j "${JOBS}"
 }

@@ -27,7 +27,7 @@ struct PosNegPairs {
 /// (Â^(k) = M̂_s · A^(k)), keep the top `sample_ratio` fraction as the
 /// positive set S^p(i), and draw an equal number of negatives S^n(i) from
 /// P_n(i). `structure_mask` holds one weight per k-hop pair in the order of
-/// khop.PairEdges().
+/// the k-hop CSR table: node i's pairs start at khop.PairOffset(i).
 PosNegPairs ConstructPairs(const graph::KHopAdjacency& khop,
                            const tensor::Tensor& structure_mask,
                            const graph::NegativeSets& negatives,

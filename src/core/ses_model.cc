@@ -323,6 +323,10 @@ SesModel::SesModel(SesOptions options) : options_(std::move(options)) {}
 
 void SesModel::Fit(const data::Dataset& ds, const models::TrainConfig& config) {
   SES_TRACE_SPAN("ses/fit");
+  // Set-up: models, the k-hop table, negative sampling, the pair lists and
+  // the sub-loss targets; everything before phase 1.
+  std::optional<obs::ScopedSpan> setup_span;
+  setup_span.emplace("ses/setup");
   config_ = config;
   util::Rng rng(config.seed + 7);
   encoder_ = models::MakeEncoder(options_.backbone, ds.num_features(),
@@ -338,6 +342,8 @@ void SesModel::Fit(const data::Dataset& ds, const models::TrainConfig& config) {
     train_labels[static_cast<size_t>(i)] = ds.labels[static_cast<size_t>(i)];
   graph::NegativeSets negatives =
       graph::SampleNegativeSets(*khop_, train_labels, &rng);
+  // The k-hop pair list (Idx, Eq. 5), built once and freed when Fit returns.
+  const ag::EdgeListPtr khop_pairs = khop_->PairEdges();
 
   // Negative pair list aligned one-to-one with P_n.
   const int64_t nk = khop_->num_pairs();
@@ -369,7 +375,7 @@ void SesModel::Fit(const data::Dataset& ds, const models::TrainConfig& config) {
   std::vector<int64_t> sub_keep;
   std::vector<float> sub_target_values;
   {
-    const auto& kp = *khop_->PairEdges();
+    const auto& kp = *khop_pairs;
     for (int64_t e = 0; e < nk; ++e) {
       const int64_t i = kp.src[static_cast<size_t>(e)];
       const int64_t j = kp.dst[static_cast<size_t>(e)];
@@ -394,7 +400,7 @@ void SesModel::Fit(const data::Dataset& ds, const models::TrainConfig& config) {
   for (size_t i = 0; i < sub_target_values.size(); ++i)
     sub_target[static_cast<int64_t>(i)] = sub_target_values[i];
 
-  const ag::EdgeListPtr khop_support = WithSelfLoops(*khop_->PairEdges());
+  const ag::EdgeListPtr khop_support = WithSelfLoops(*khop_pairs);
   nn::FeatureInput plain_input = models::MakeInput(ds);
 
   std::vector<ag::Variable> params = encoder_->Parameters();
@@ -415,6 +421,8 @@ void SesModel::Fit(const data::Dataset& ds, const models::TrainConfig& config) {
   robust::HealthMonitor health(
       {config.max_bad_steps, config.rollback_lr_decay});
   const int64_t ckpt_every = std::max<int64_t>(1, config.checkpoint_every);
+
+  setup_span.reset();
 
   // ---------------------------------------------------------------- phase 1
   util::Timer timer;
@@ -504,7 +512,7 @@ void SesModel::Fit(const data::Dataset& ds, const models::TrainConfig& config) {
 
       // Masks from H (Eqs. 3-5).
       ag::Variable m_s = mask_generator_->StructureMask(out.hidden,
-                                                        khop_->PairEdges());
+                                                        khop_pairs);
       ag::Variable m_sneg =
           mask_generator_->StructureMask(out.hidden, neg_pairs);
       ag::Variable stacked = ag::ConcatRows(m_s, m_sneg);
@@ -663,7 +671,7 @@ void SesModel::Fit(const data::Dataset& ds, const models::TrainConfig& config) {
       masks_.feature_nnz =
           mask_generator_->FeatureMask(out.hidden, ds.features).value();
     masks_.structure_khop =
-        mask_generator_->StructureMask(out.hidden, khop_->PairEdges()).value();
+        mask_generator_->StructureMask(out.hidden, khop_pairs).value();
     // Mask over the 1-hop support (self-loop entries fixed at 1).
     ag::Variable adj_mask =
         mask_generator_->StructureMask(out.hidden, adj_edges_);

@@ -56,7 +56,8 @@ struct SesOptions {
 struct FrozenMasks {
   /// M_f at the nonzeros of X, CSR order (empty => no feature mask).
   tensor::Tensor feature_nnz;
-  /// M̂_s restricted to k-hop pairs (khop.PairEdges() order).
+  /// M̂_s restricted to k-hop pairs, one weight per entry of the k-hop CSR
+  /// table: node i's pairs start at khop.PairOffset(i).
   tensor::Tensor structure_khop;
   /// M̂_s restricted to the 1-hop message-passing edges incl. self-loops
   /// (DirectedEdges(true) order; self-loop entries 1).

@@ -1,49 +1,50 @@
 #include "graph/khop.h"
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
-#include <queue>
 
+#include "obs/trace.h"
 #include "util/logging.h"
 
 namespace ses::graph {
 
 KHopAdjacency::KHopAdjacency(const Graph& g, int64_t k, int64_t max_neighbors)
     : k_(k), num_nodes_(g.num_nodes()) {
+  SES_TRACE_SPAN("graph/khop");
   SES_CHECK(k >= 1);
+  // BFS discovers nodes closest-first, so the capped ball is the prefix of
+  // the full ball's discovery order: the walk stops as soon as it has
+  // max_neighbors nodes, and nothing past the cap is ever visited.
+  const size_t cap = max_neighbors > 0 ? static_cast<size_t>(max_neighbors)
+                                       : std::numeric_limits<size_t>::max();
   nbr_ptr_.assign(static_cast<size_t>(num_nodes_) + 1, 0);
   std::vector<std::vector<int64_t>> balls(static_cast<size_t>(num_nodes_));
 
 #pragma omp parallel
   {
     std::vector<int64_t> dist(static_cast<size_t>(num_nodes_), -1);
-    std::vector<int64_t> touched;
+    std::vector<int64_t> order;  // BFS queue == discovery order, i first
 #pragma omp for schedule(dynamic, 64)
     for (int64_t i = 0; i < num_nodes_; ++i) {
-      touched.clear();
-      std::queue<int64_t> frontier;
-      frontier.push(i);
+      order.assign(1, i);
       dist[static_cast<size_t>(i)] = 0;
-      touched.push_back(i);
-      std::vector<int64_t>& ball = balls[static_cast<size_t>(i)];
-      while (!frontier.empty()) {
-        const int64_t u = frontier.front();
-        frontier.pop();
-        if (dist[static_cast<size_t>(u)] >= k) continue;
+      for (size_t head = 0; head < order.size() && order.size() - 1 < cap;
+           ++head) {
+        const int64_t u = order[head];
+        const int64_t du = dist[static_cast<size_t>(u)];
+        if (du >= k) break;  // every later node is at least as far
         for (int64_t v : g.Neighbors(u)) {
-          if (dist[static_cast<size_t>(v)] < 0) {
-            dist[static_cast<size_t>(v)] = dist[static_cast<size_t>(u)] + 1;
-            touched.push_back(v);
-            ball.push_back(v);  // BFS order == closest-first
-            frontier.push(v);
-          }
+          if (dist[static_cast<size_t>(v)] >= 0) continue;
+          dist[static_cast<size_t>(v)] = du + 1;
+          order.push_back(v);
+          if (order.size() - 1 == cap) break;
         }
       }
-      if (max_neighbors > 0 &&
-          static_cast<int64_t>(ball.size()) > max_neighbors)
-        ball.resize(static_cast<size_t>(max_neighbors));
+      std::vector<int64_t>& ball = balls[static_cast<size_t>(i)];
+      ball.assign(order.begin() + 1, order.end());
       std::sort(ball.begin(), ball.end());
-      for (int64_t v : touched) dist[static_cast<size_t>(v)] = -1;
+      for (int64_t v : order) dist[static_cast<size_t>(v)] = -1;
     }
   }
 
@@ -54,19 +55,19 @@ KHopAdjacency::KHopAdjacency(const Graph& g, int64_t k, int64_t max_neighbors)
   nbr_idx_.reserve(static_cast<size_t>(nbr_ptr_.back()));
   for (const auto& ball : balls)
     nbr_idx_.insert(nbr_idx_.end(), ball.begin(), ball.end());
+}
 
+autograd::EdgeListPtr KHopAdjacency::PairEdges() const {
   auto edges = std::make_shared<autograd::EdgeList>();
   edges->num_nodes = num_nodes_;
   edges->src.reserve(nbr_idx_.size());
-  edges->dst.reserve(nbr_idx_.size());
-  for (int64_t i = 0; i < num_nodes_; ++i) {
-    for (int64_t e = nbr_ptr_[static_cast<size_t>(i)];
-         e < nbr_ptr_[static_cast<size_t>(i) + 1]; ++e) {
-      edges->src.push_back(i);
-      edges->dst.push_back(nbr_idx_[static_cast<size_t>(e)]);
-    }
-  }
-  pair_edges_ = std::move(edges);
+  for (int64_t i = 0; i < num_nodes_; ++i)
+    edges->src.insert(edges->src.end(),
+                      static_cast<size_t>(nbr_ptr_[static_cast<size_t>(i) + 1] -
+                                          nbr_ptr_[static_cast<size_t>(i)]),
+                      i);
+  edges->dst = nbr_idx_;
+  return edges;
 }
 
 std::span<const int64_t> KHopAdjacency::Neighbors(int64_t i) const {

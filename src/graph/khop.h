@@ -10,14 +10,15 @@
 namespace ses::graph {
 
 /// The k-hop relational structure A^(k) of the paper (Table 2): for each node
-/// i, the set P_r(i) of nodes within k hops (i excluded). Stored as a CSR
-/// neighbor table plus the corresponding directed edge list whose entries
-/// line up with the paper's Idx matrix (Eq. 5): edge e goes
-/// src[e] = center i -> dst[e] = k-hop neighbor j.
+/// i, the set P_r(i) of nodes within k hops (i excluded), stored once as a
+/// CSR neighbor table. Its flattened entries line up with the paper's Idx
+/// matrix (Eq. 5): entry e is the pair center i -> k-hop neighbor j.
 class KHopAdjacency {
  public:
   /// BFS expansion of every node's k-hop ball. `max_neighbors`, when > 0,
-  /// caps |P_r(i)| (closest-first) to bound N_k on dense graphs.
+  /// caps |P_r(i)| (closest-first) to bound N_k on dense graphs. It bounds
+  /// the build's cost as well: each node's BFS stops as soon as its ball
+  /// holds max_neighbors nodes, so the full k-hop balls are never walked.
   KHopAdjacency(const Graph& g, int64_t k, int64_t max_neighbors = 0);
 
   int64_t k() const { return k_; }
@@ -33,8 +34,11 @@ class KHopAdjacency {
 
   /// Directed pair list (i -> j, one entry per k-hop pair). Entry order
   /// matches the flattened CSR: pairs of node 0 first, then node 1, ...
-  /// This is the Idx matrix the structure mask M_s is indexed by.
-  autograd::EdgeListPtr PairEdges() const { return pair_edges_; }
+  /// This is the Idx matrix the structure mask M_s is indexed by. Every call
+  /// builds a fresh list (2 · N_k indices, with its own memoized kernel
+  /// plans), so a caller that needs it more than once builds it once and
+  /// keeps it for as long as it needs it.
+  autograd::EdgeListPtr PairEdges() const;
 
   /// Offset of node i's first pair in the flattened pair list.
   int64_t PairOffset(int64_t i) const {
@@ -46,7 +50,6 @@ class KHopAdjacency {
   int64_t num_nodes_ = 0;
   std::vector<int64_t> nbr_ptr_;
   std::vector<int64_t> nbr_idx_;
-  autograd::EdgeListPtr pair_edges_;
 };
 
 /// Indices 0..n-1 ordered so the k highest `scores[offset + i]` come first

@@ -5,6 +5,19 @@
 
 namespace ses::nn {
 
+namespace {
+
+// `tag` followed by the decimal `index`. Appending, rather than
+// `"p" + std::to_string(i)`, keeps GCC 12's -Wrestrict false positive on
+// operator+(const char*, std::string&&) out of the build.
+std::string IndexedName(char tag, size_t index) {
+  std::string name(1, tag);
+  name += std::to_string(index);
+  return name;
+}
+
+}  // namespace
+
 std::vector<autograd::Variable> Module::Parameters() const {
   std::vector<autograd::Variable> all = params_;
   for (const Module* child : children_) {
@@ -38,11 +51,11 @@ std::vector<std::string> Module::ParameterNames() const {
   std::vector<std::string> names;
   names.reserve(params_.size());
   for (size_t i = 0; i < params_.size(); ++i)
-    names.push_back(param_names_[i].empty() ? "p" + std::to_string(i)
+    names.push_back(param_names_[i].empty() ? IndexedName('p', i)
                                             : param_names_[i]);
   for (size_t c = 0; c < children_.size(); ++c) {
     const std::string prefix = child_prefixes_[c].empty()
-                                   ? "m" + std::to_string(c)
+                                   ? IndexedName('m', c)
                                    : child_prefixes_[c];
     for (const std::string& sub : children_[c]->ParameterNames())
       names.push_back(prefix + "." + sub);

@@ -19,7 +19,7 @@ std::string SanitizePrometheusName(const std::string& name, bool label) {
                     (c >= '0' && c <= '9') || c == '_' || (!label && c == ':');
     out += ok ? c : '_';
   }
-  if (out.empty()) out = "_";
+  if (out.empty()) out.push_back('_');
   if (out[0] >= '0' && out[0] <= '9') out.insert(out.begin(), '_');
   return out;
 }

@@ -3,6 +3,8 @@
 #include <cstring>
 
 #include <set>
+#include <string>
+#include <vector>
 
 #ifdef _OPENMP
 #include <omp.h>
@@ -16,6 +18,7 @@
 #include "data/synthetic.h"
 #include "graph/sampling.h"
 #include "metrics/metrics.h"
+#include "obs/trace.h"
 
 namespace ag = ses::autograd;
 namespace c = ses::core;
@@ -276,6 +279,34 @@ TEST(SesModelTest, FitIsBitwiseIdenticalAtOneAndFourThreads) {
                         logits[0].size() * sizeof(float)),
             0);
 #endif
+}
+
+TEST(SesModelTest, TracedFitRecordsKHopBuildInsideSetupSpan) {
+  auto ds = SmallDataset();
+  ses::models::TrainConfig cfg;
+  cfg.epochs = 2;
+  cfg.hidden = 16;
+  c::SesOptions opt;
+  opt.epl_epochs = 1;
+  c::SesModel model(opt);
+  ses::obs::EnableTracing(true);
+  ses::obs::ResetTracing();
+  model.Fit(ds, cfg);
+  ses::obs::EnableTracing(false);
+
+  std::vector<ses::obs::TraceEvent> setup, khop;
+  for (const auto& ev : ses::obs::SnapshotEvents()) {
+    if (std::string(ev.label) == "ses/setup") setup.push_back(ev);
+    if (std::string(ev.label) == "graph/khop") khop.push_back(ev);
+  }
+  ses::obs::ResetTracing();
+  ASSERT_EQ(setup.size(), 1u);
+  ASSERT_EQ(khop.size(), 1u);
+  EXPECT_EQ(khop[0].tid, setup[0].tid);
+  EXPECT_EQ(khop[0].depth, setup[0].depth + 1);
+  EXPECT_LE(setup[0].start_ns, khop[0].start_ns);
+  EXPECT_GE(setup[0].start_ns + setup[0].dur_ns,
+            khop[0].start_ns + khop[0].dur_ns);
 }
 
 TEST(SesModelTest, EdgeScoresAlignWithGraph) {

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
+#include <algorithm>
 #include <cmath>
 
 #include <set>
+#include <string>
+#include <vector>
 
 #include "data/synthetic.h"
 #include "graph/graph.h"
@@ -169,6 +172,77 @@ TEST(KHopTest, MaxNeighborsCapRespected) {
   g::KHopAdjacency capped(graph, 2, /*max_neighbors=*/10);
   for (int64_t v = 0; v < graph.num_nodes(); ++v)
     EXPECT_LE(capped.Neighbors(v).size(), 10u);
+}
+
+// The k-hop construction before its BFS stopped at the cap: walk each node's
+// whole k-hop ball, keep the first `cap` nodes in discovery order, then sort.
+std::vector<std::vector<int64_t>> FullBallThenTruncate(const g::Graph& graph,
+                                                       int64_t k,
+                                                       int64_t cap) {
+  std::vector<std::vector<int64_t>> balls(
+      static_cast<size_t>(graph.num_nodes()));
+  std::vector<int64_t> dist(static_cast<size_t>(graph.num_nodes()), -1);
+  for (int64_t i = 0; i < graph.num_nodes(); ++i) {
+    std::vector<int64_t> queue = {i};
+    dist[static_cast<size_t>(i)] = 0;
+    std::vector<int64_t>& ball = balls[static_cast<size_t>(i)];
+    for (size_t head = 0; head < queue.size(); ++head) {
+      const int64_t u = queue[head];
+      if (dist[static_cast<size_t>(u)] >= k) continue;
+      for (int64_t v : graph.Neighbors(u)) {
+        if (dist[static_cast<size_t>(v)] >= 0) continue;
+        dist[static_cast<size_t>(v)] = dist[static_cast<size_t>(u)] + 1;
+        queue.push_back(v);
+        ball.push_back(v);
+      }
+    }
+    if (cap > 0 && static_cast<int64_t>(ball.size()) > cap)
+      ball.resize(static_cast<size_t>(cap));
+    std::sort(ball.begin(), ball.end());
+    for (int64_t v : queue) dist[static_cast<size_t>(v)] = -1;
+  }
+  return balls;
+}
+
+// A hub joined to 40 leaves that form a ring, plus a path hanging off the
+// last leaf: the hub's 40 equidistant neighbours put ties at every cap
+// boundary, for the hub and for every leaf that reaches the others through
+// it.
+g::Graph MakeHubWithRing() {
+  std::vector<std::pair<int64_t, int64_t>> edges;
+  for (int64_t leaf = 1; leaf <= 40; ++leaf) {
+    edges.emplace_back(0, leaf);
+    edges.emplace_back(leaf, leaf % 40 + 1);
+  }
+  for (int64_t v = 40; v < 46; ++v) edges.emplace_back(v, v + 1);
+  return g::Graph::FromUndirectedEdges(47, edges);
+}
+
+TEST(KHopTest, CappedBallIsTheClosestFirstPrefixOfTheFullBall) {
+  ses::util::Rng rng(10);
+  const g::Graph graphs[] = {ses::data::MakeBarabasiAlbert(300, 4, &rng),
+                             MakeHubWithRing()};
+  for (const g::Graph& graph : graphs) {
+    for (const int64_t k : {1, 2, 3}) {
+      for (const int64_t cap : {0, 1, 5, 32}) {
+        SCOPED_TRACE("n=" + std::to_string(graph.num_nodes()) +
+                     " k=" + std::to_string(k) +
+                     " cap=" + std::to_string(cap));
+        const auto want = FullBallThenTruncate(graph, k, cap);
+        const g::KHopAdjacency khop(graph, k, cap);
+        int64_t pairs = 0;
+        for (int64_t v = 0; v < graph.num_nodes(); ++v) {
+          const auto got = khop.Neighbors(v);
+          EXPECT_EQ(std::vector<int64_t>(got.begin(), got.end()),
+                    want[static_cast<size_t>(v)])
+              << "node " << v;
+          EXPECT_EQ(khop.PairOffset(v), pairs);
+          pairs += static_cast<int64_t>(want[static_cast<size_t>(v)].size());
+        }
+        EXPECT_EQ(khop.num_pairs(), pairs);
+      }
+    }
+  }
 }
 
 TEST(NegativeSamplingTest, DisjointFromKHopBall) {
