@@ -33,8 +33,6 @@ namespace ses::bench {
 ///   --access-log=PATH     one JSONL line per inference request, trace-id
 ///                         joinable against the Chrome trace (implies
 ///                         tracing)
-///   --flame-out=PATH      write the span buffers as folded stacks for
-///                         flamegraph.pl / speedscope (implies tracing)
 ///   --metrics-port=N      serve live /metrics (Prometheus), /healthz and
 ///                         /spans on localhost:N for the whole run (0 picks
 ///                         an ephemeral port)
@@ -46,13 +44,12 @@ class ObsSession {
  public:
   explicit ObsSession(const util::FlagParser& flags)
       : trace_path_(flags.GetString("trace-out", "")),
-        metrics_path_(flags.GetString("metrics-out", "")),
-        flame_path_(flags.GetString("flame-out", "")) {
+        metrics_path_(flags.GetString("metrics-out", "")) {
     const std::string telemetry_path = flags.GetString("telemetry-out", "");
     const std::string access_log_path = flags.GetString("access-log", "");
     const int64_t metrics_port = flags.GetInt("metrics-port", -1);
     const bool any_artifact = !trace_path_.empty() || !metrics_path_.empty() ||
-                              !access_log_path.empty() || !flame_path_.empty();
+                              !access_log_path.empty();
     if (any_artifact) {
       obs::EnableTracing(true);
       obs::EnableKernelProfiling(true);
@@ -103,9 +100,6 @@ class ObsSession {
     if (!trace_path_.empty() && obs::WriteChromeTrace(trace_path_))
       std::printf("trace written to %s (open in chrome://tracing)\n",
                   trace_path_.c_str());
-    if (!flame_path_.empty() && obs::WriteFoldedStacks(flame_path_))
-      std::printf("folded stacks written to %s (flamegraph.pl --countname ns)\n",
-                  flame_path_.c_str());
     if (!metrics_path_.empty()) {
       PrintSpanAggregates();
       WriteSpanAggregates(metrics_path_);
@@ -135,10 +129,8 @@ class ObsSession {
   /// writes the registry alone, in Prometheus exposition format.
   static void WriteSpanAggregates(const std::string& path) {
     const bool jsonl =
-        path.size() >= 5 && (path.rfind(".jsonl") == path.size() - 6 ||
-                             path.rfind(".json") == path.size() - 5);
-    const bool prom =
-        path.size() >= 5 && path.rfind(".prom") == path.size() - 5;
+        util::EndsWith(path, ".jsonl") || util::EndsWith(path, ".json");
+    const bool prom = util::EndsWith(path, ".prom");
     std::ofstream out(path);
     if (!out) {
       std::fprintf(stderr, "cannot open metrics output %s\n", path.c_str());
@@ -167,7 +159,6 @@ class ObsSession {
 
   std::string trace_path_;
   std::string metrics_path_;
-  std::string flame_path_;
   std::unique_ptr<obs::MetricsServer> server_;
   bool finished_ = false;
 };

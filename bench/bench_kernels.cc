@@ -16,7 +16,7 @@
 //
 // Flags: --out=PATH, --reps=N (per-kernel repetitions), --smoke (tiny
 // shapes + short calibration for CI), plus the usual ObsSession flags
-// (--trace-out, --flame-out, --metrics-port, ...).
+// (--trace-out, --metrics-port, ...).
 #include <algorithm>
 #include <cstdio>
 #include <fstream>

@@ -19,9 +19,6 @@
 //       the whole run (plus /healthz and /spans); pass 0 for an ephemeral
 //       port — watch training health gauges update with
 //         watch -n1 'curl -s localhost:9100/metrics | grep ses.health'
-//   ./build/examples/quickstart --flame-out=stacks.folded
-//       writes folded stacks (one "a;b;c <self_ns>" line per call path) on
-//       exit — render with `flamegraph.pl --countname ns stacks.folded`
 //
 // Any of the flags above also turns on per-kernel accounting, so the trace
 // spans carry FLOP/byte/counter args and /metrics exposes the ses.kernel.*
@@ -53,13 +50,10 @@ int main(int argc, char** argv) try {
   const std::string trace_out = flags.GetString("trace-out", "");
   const std::string telemetry_out = flags.GetString("telemetry-out", "");
   const std::string metrics_out = flags.GetString("metrics-out", "");
-  const std::string flame_out = flags.GetString("flame-out", "");
   const int64_t metrics_port = flags.GetInt("metrics-port", -1);
-  // Flamegraphs are reconstructed from the span buffer, so --flame-out
-  // implies tracing just like --trace-out does.
-  if (!trace_out.empty() || !flame_out.empty()) obs::EnableTracing(true);
+  if (!trace_out.empty()) obs::EnableTracing(true);
   if (!trace_out.empty() || !telemetry_out.empty() || !metrics_out.empty() ||
-      !flame_out.empty() || metrics_port >= 0)
+      metrics_port >= 0)
     obs::EnableKernelProfiling(true);
   if (!telemetry_out.empty()) {
     obs::Telemetry::Get().OpenJsonl(telemetry_out);
@@ -168,9 +162,6 @@ int main(int argc, char** argv) try {
   if (!trace_out.empty() && obs::WriteChromeTrace(trace_out))
     std::printf("chrome trace written to %s (open in chrome://tracing)\n",
                 trace_out.c_str());
-  if (!flame_out.empty() && obs::WriteFoldedStacks(flame_out))
-    std::printf("folded stacks written to %s (flamegraph.pl --countname ns)\n",
-                flame_out.c_str());
   if (!metrics_out.empty() &&
       obs::MetricsRegistry::Get().WriteSnapshot(metrics_out))
     std::printf("metrics snapshot written to %s\n", metrics_out.c_str());

@@ -1,21 +1,14 @@
 #include "core/ses_model.h"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 #include <memory>
 #include <optional>
 
-#include "nn/optim.h"
-#include "obs/metrics.h"
-#include "obs/model_health.h"
-#include "obs/telemetry.h"
+#include "models/train_loop.h"
 #include "obs/trace.h"
 #include "robust/checkpoint.h"
 #include "robust/fault.h"
-#include "robust/health.h"
 #include "tensor/ops.h"
-#include "tensor/workspace.h"
 #include "util/logging.h"
 #include "util/timer.h"
 
@@ -49,26 +42,6 @@ ag::Variable MaskWithSelfLoops(const ag::Variable& mask, int64_t num_nodes) {
 
 // ------------------------------------------------- checkpoint plumbing
 
-/// Copies the current parameter values (registered order) out of the live
-/// Variable handles.
-std::vector<t::Tensor> SnapshotParams(const std::vector<ag::Variable>& params) {
-  std::vector<t::Tensor> values;
-  values.reserve(params.size());
-  for (const auto& p : params) values.push_back(p.value());
-  return values;
-}
-
-/// Positional, shape-checked restore of checkpointed values into the live
-/// parameter handles.
-void RestoreParams(std::vector<ag::Variable> params,
-                   const std::vector<t::Tensor>& values) {
-  SES_CHECK(params.size() == values.size());
-  for (size_t i = 0; i < params.size(); ++i) {
-    SES_CHECK(values[i].SameShape(params[i].value()));
-    params[i].mutable_value() = values[i];
-  }
-}
-
 std::vector<double> FlattenHistory(
     const std::vector<std::array<double, 3>>& history) {
   std::vector<double> flat;
@@ -86,64 +59,16 @@ std::vector<std::array<double, 3>> UnflattenHistory(
   return history;
 }
 
-/// Mirrors the robustness and serving counters into a telemetry record.
-void FillRobustCounters(obs::EpochRecord* record) {
-  t::workspace::SyncMetricsRegistry();
-  auto& registry = obs::MetricsRegistry::Get();
-  record->nan_skips = registry.GetCounter("ses.train.nan_skips").Value();
-  record->rollbacks = registry.GetCounter("ses.train.rollbacks").Value();
-  record->ckpt_writes = registry.GetCounter("ses.ckpt.writes").Value();
-  record->pool_hits = registry.GetCounter("ses.pool.hits").Value();
-  record->pool_misses = registry.GetCounter("ses.pool.misses").Value();
-  record->infer_cache_hits =
-      registry.GetCounter("ses.infer.cache_hits").Value();
-}
-
-/// Feeds one training forward's health signals (dead hidden units, GAT
-/// attention entropy) to the ModelHealthMonitor. No-op while disabled.
-void ObserveForwardHealth(const models::Encoder& encoder,
-                          const models::Encoder::Output& out,
-                          const ag::EdgeListPtr& edges) {
-  auto& monitor = obs::ModelHealthMonitor::Get();
-  if (!monitor.enabled()) return;
-  const t::Tensor& hidden = out.hidden.value();
-  monitor.ObserveActivations(hidden.data(), hidden.rows(), hidden.cols());
-  const t::Tensor att = encoder.LastAttention();
-  if (att.size() > 0 && att.size() == edges->size())
-    monitor.ObserveAttention(att.data(), edges->dst.data(), edges->size());
-}
-
-/// Copies a finalized health window into the telemetry record.
-void FillHealth(const obs::ModelHealthMonitor::EpochHealth& health,
-                obs::EpochRecord* record) {
-  for (const auto& p : health.params) {
-    if (p.grad_norm >= 0.0)
-      record->layer_grad_norms.emplace_back(p.name, p.grad_norm);
-    if (p.update_ratio >= 0.0)
-      record->update_ratios.emplace_back(p.name, p.update_ratio);
-  }
-  record->dead_fraction = health.dead_fraction;
-  record->attn_entropy = health.attn_entropy;
-}
-
-/// Recovery context threaded through the phase-2 loop. `base` carries the
-/// state a resumed run cannot recompute (frozen masks, pair lists, phase-1
-/// loss history) into every phase-2 checkpoint write.
-struct Phase2Context {
-  robust::CheckpointManager* mgr = nullptr;
-  robust::FaultPlan* faults = nullptr;
-  const robust::TrainingCheckpoint* resume = nullptr;
-  robust::TrainingCheckpoint base;
-};
-
-/// Phase 2 (Eq. 13) with optional checkpoint/restore + fault injection. The
-/// public EnhancedPredictiveLearning entry point (the +{epl} ablation) calls
-/// this with a null context.
+/// Phase 2 (Eq. 13). SesModel::Fit passes its checkpointing in `recovery`
+/// and, when it resumes inside phase 2, the checkpoint in `resume`; the
+/// public EnhancedPredictiveLearning entry point (the +{epl} ablation)
+/// passes neither.
 void Phase2LoopImpl(models::Encoder* encoder, const data::Dataset& ds,
                     const FrozenMasks& masks, const PosNegPairs& pairs,
                     const SesOptions& options,
                     const models::TrainConfig& config, util::Rng* rng,
-                    Phase2Context* ctx) {
+                    const std::string& model, models::Recovery recovery = {},
+                    const robust::TrainingCheckpoint* resume = nullptr) {
   SES_TRACE_SPAN("ses/phase2");
   auto adj_edges = ds.graph.DirectedEdges(/*add_self_loops=*/true);
   nn::FeatureInput input =
@@ -155,52 +80,12 @@ void Phase2LoopImpl(models::Encoder* encoder, const data::Dataset& ds,
   if (options.use_structure_mask && masks.structure_adj.size() > 0)
     adj_mask = ag::Variable::Constant(masks.structure_adj);
 
-  nn::Adam optimizer(encoder->Parameters(), config.lr, 0.9f, 0.999f, 1e-8f,
-                     config.weight_decay);
-  optimizer.set_max_grad_norm(config.max_grad_norm);
-  robust::HealthMonitor health(
-      {config.max_bad_steps, config.rollback_lr_decay});
-  models::ParameterSnapshot best;
-  double best_val = -1.0;
+  models::TrainLoop loop(model, "phase2", encoder->Parameters(),
+                         encoder->ParameterNames(), config, rng,
+                         std::move(recovery));
   int64_t start_epoch = 0;
-
-  auto make_checkpoint = [&](int64_t next_epoch) {
-    robust::TrainingCheckpoint c = ctx->base;
-    c.next_epoch = next_epoch;
-    c.params = SnapshotParams(encoder->Parameters());
-    c.optim.step_count = optimizer.step_count();
-    c.optim.m = optimizer.moment1();
-    c.optim.v = optimizer.moment2();
-    c.rng = rng->State();
-    c.best_val = best_val;
-    c.lr = optimizer.lr();
-    if (!best.empty()) c.tensor_lists["best_encoder"] = best.values();
-    return c;
-  };
-  auto restore_checkpoint = [&](const robust::TrainingCheckpoint& c) {
-    RestoreParams(encoder->Parameters(), c.params);
-    optimizer.RestoreState(c.optim.step_count, c.optim.m, c.optim.v);
-    optimizer.set_lr(c.lr);
-    rng->SetState(c.rng);
-    best_val = c.best_val;
-    if (auto it = c.tensor_lists.find("best_encoder");
-        it != c.tensor_lists.end())
-      best.set_values(it->second);
-    else
-      best.set_values({});
-  };
-  auto write_checkpoint = [&](int64_t next_epoch) {
-    if (ctx == nullptr || ctx->mgr == nullptr) return;
-    const std::string path = ctx->mgr->Write(make_checkpoint(next_epoch));
-    if (ctx->faults)
-      ctx->faults->MaybeCorruptCheckpoint("phase2", next_epoch, path);
-  };
-
-  if (ctx && ctx->resume) {
-    restore_checkpoint(*ctx->resume);
-    start_epoch = ctx->resume->next_epoch;
-    SES_LOG_INFO << "resuming phase 2 at epoch " << start_epoch
-                 << " from checkpoint";
+  if (resume) {
+    start_epoch = loop.Resume(*resume);
   } else {
     // Baseline: the phase-1 encoder itself (under masked inference). Phase 2
     // keeps whatever validates best, so it can refine but never regress.
@@ -208,26 +93,18 @@ void Phase2LoopImpl(models::Encoder* encoder, const data::Dataset& ds,
       ag::InferenceGuard no_grad;
       auto initial = encoder->Forward(input, adj_edges, adj_mask, 0.0f,
                                       /*training=*/false, rng);
-      best_val =
-          models::Accuracy(initial.logits.value(), ds.labels, ds.val_idx);
-      best.Capture(*encoder);
+      loop.OfferBest(
+          models::Accuracy(initial.logits.value(), ds.labels, ds.val_idx));
     }
     // Phase-boundary checkpoint: a kill inside phase 2 must never have to
     // replay phase 1.
-    write_checkpoint(0);
+    loop.WriteCheckpoint(0);
   }
 
-  const int64_t ckpt_every = std::max<int64_t>(1, config.checkpoint_every);
-  auto& health_monitor = obs::ModelHealthMonitor::Get();
-  const std::vector<std::string> param_names = encoder->ParameterNames();
-  for (int64_t epoch = start_epoch; epoch < options.epl_epochs; ++epoch) {
-    SES_TRACE_SPAN("ses/phase2_epoch");
-    if (ctx && ctx->faults) ctx->faults->MaybeCrash("phase2", epoch);
-    util::Timer epoch_timer;
-    health_monitor.BeginEpoch("SES");
+  loop.Run(start_epoch, options.epl_epochs, "ses/phase2_epoch", [&](int64_t) {
     auto out = encoder->Forward(input, adj_edges, adj_mask, config.dropout,
                                 /*training=*/true, rng);
-    ObserveForwardHealth(*encoder, out, adj_edges);
+    models::ObserveForwardHealth(*encoder, out, *adj_edges);
     ag::Variable loss;
     if (options.use_triplet && pairs.size() > 0) {
       // Eq. 11: gather anchor / positive / negative rows of Ẑ.
@@ -247,74 +124,11 @@ void Phase2LoopImpl(models::Encoder* encoder, const data::Dataset& ds,
       loss = ag::NllLoss(ag::LogSoftmaxRows(out.logits), ds.labels,
                          ds.train_idx);
     }
-    if (ctx && ctx->faults && ctx->faults->TakeNanLoss("phase2", epoch))
-      loss.mutable_value()[0] = std::numeric_limits<float>::quiet_NaN();
-    ag::Backward(loss);
-    if (ctx && ctx->faults && ctx->faults->TakeNanGrad("phase2", epoch)) {
-      auto params = encoder->Parameters();
-      if (!params.empty()) {
-        params[0].mutable_grad()[0] = std::numeric_limits<float>::quiet_NaN();
-      }
-    }
-    const double grad_norm = optimizer.GradNorm();
-    const double loss_value = loss.value()[0];
-    if (health_monitor.enabled())
-      obs::ObserveParamsPreStep(param_names, encoder->Parameters());
-    bool stepped = false;
-    switch (health.Observe(loss_value, grad_norm)) {
-      case robust::HealthMonitor::Action::kProceed:
-        optimizer.Step();
-        stepped = true;
-        if (health_monitor.enabled())
-          obs::ObserveParamsPostStep(param_names, encoder->Parameters());
-        break;
-      case robust::HealthMonitor::Action::kRollback:
-        if (ctx && ctx->mgr) {
-          auto good = ctx->mgr->LoadLatest();
-          if (good && good->phase == "phase2") {
-            optimizer.ZeroGrad();
-            restore_checkpoint(*good);
-            optimizer.set_lr(optimizer.lr() * config.rollback_lr_decay);
-            health.NoteRollback();
-            SES_LOG_WARN << "phase-2 rollback to epoch " << good->next_epoch
-                         << " with lr " << optimizer.lr();
-            epoch = good->next_epoch - 1;
-            continue;
-          }
-        }
-        [[fallthrough]];
-      case robust::HealthMonitor::Action::kSkip:
-        optimizer.ZeroGrad();
-        break;
-    }
-    if (stepped && !ds.val_idx.empty()) {
-      const double val =
-          models::Accuracy(out.logits.value(), ds.labels, ds.val_idx);
-      if (val > best_val) {
-        best_val = val;
-        best.Capture(*encoder);
-      }
-    }
-    obs::ModelHealthMonitor::EpochHealth epoch_health;
-    if (health_monitor.enabled()) epoch_health = health_monitor.EndEpoch();
-    if (obs::Telemetry::Get().active()) {
-      obs::EpochRecord record;
-      record.model = "SES";
-      record.phase = "phase2";
-      record.epoch = epoch;
-      record.loss = loss_value;
-      record.grad_norm = grad_norm;
-      record.epoch_seconds = epoch_timer.ElapsedSeconds();
-      record.val_metric = best_val;
-      FillRobustCounters(&record);
-      FillHealth(epoch_health, &record);
-      obs::Telemetry::Get().Emit(record);
-    }
-    if (config.verbose)
-      SES_LOG_INFO << "phase-2 epoch " << epoch << " loss " << loss_value;
-    if ((epoch + 1) % ckpt_every == 0) write_checkpoint(epoch + 1);
-  }
-  if (!best.empty()) best.Restore(encoder);
+    if (loop.Step(loss) == models::TrainLoop::Verdict::kStepped &&
+        !ds.val_idx.empty())
+      loop.OfferBest(
+          models::Accuracy(out.logits.value(), ds.labels, ds.val_idx));
+  });
 }
 
 }  // namespace
@@ -403,14 +217,13 @@ void SesModel::Fit(const data::Dataset& ds, const models::TrainConfig& config) {
   const ag::EdgeListPtr khop_support = WithSelfLoops(*khop_pairs);
   nn::FeatureInput plain_input = models::MakeInput(ds);
 
+  // Phase 1 trains the encoder and the mask generator together; names
+  // align with the parameters (encoder then mask generator).
   std::vector<ag::Variable> params = encoder_->Parameters();
-  {
-    auto mg = mask_generator_->Parameters();
-    params.insert(params.end(), mg.begin(), mg.end());
-  }
-  nn::Adam optimizer(params, config.lr, 0.9f, 0.999f, 1e-8f,
-                     config.weight_decay);
-  optimizer.set_max_grad_norm(config.max_grad_norm);
+  std::vector<std::string> param_names = encoder_->ParameterNames();
+  for (const auto& p : mask_generator_->Parameters()) params.push_back(p);
+  for (const std::string& n : mask_generator_->ParameterNames())
+    param_names.push_back("maskgen." + n);
 
   // ------------------------------------------------- fault-tolerance wiring
   std::unique_ptr<robust::CheckpointManager> ckpt_mgr;
@@ -418,57 +231,13 @@ void SesModel::Fit(const data::Dataset& ds, const models::TrainConfig& config) {
     ckpt_mgr = std::make_unique<robust::CheckpointManager>(
         config.checkpoint_dir, config.checkpoint_keep);
   robust::FaultPlan faults = robust::FaultPlan::FromEnv();
-  robust::HealthMonitor health(
-      {config.max_bad_steps, config.rollback_lr_decay});
-  const int64_t ckpt_every = std::max<int64_t>(1, config.checkpoint_every);
-
-  setup_span.reset();
-
-  // ---------------------------------------------------------------- phase 1
-  util::Timer timer;
-  loss_history_.clear();
-  mask_snapshots_.clear();
-  models::ParameterSnapshot best;
-  models::ParameterSnapshot best_masks;
-  double best_val = -1.0;
-
-  // Everything the phase-1 loop mutates between epochs goes into (or comes
-  // back out of) one checkpoint, so a killed-and-resumed run replays the
-  // remaining epochs bitwise identically to an uninterrupted one.
-  auto make_phase1_checkpoint = [&](int64_t next_epoch) {
-    robust::TrainingCheckpoint c;
-    c.model = name();
-    c.phase = "phase1";
-    c.next_epoch = next_epoch;
-    c.params = SnapshotParams(params);
-    c.optim.step_count = optimizer.step_count();
-    c.optim.m = optimizer.moment1();
-    c.optim.v = optimizer.moment2();
-    c.rng = rng.State();
-    c.best_val = best_val;
-    c.lr = optimizer.lr();
-    if (!best.empty()) {
-      c.tensor_lists["best_encoder"] = best.values();
-      c.tensor_lists["best_masks"] = best_masks.values();
-    }
-    c.double_lists["loss_history"] = FlattenHistory(loss_history_);
-    c.tensor_lists["mask_snapshots"] = mask_snapshots_;
-    return c;
+  // The phase-1 history (Fig. 7) rides in every checkpoint of both phases,
+  // so a resumed run reports what an uninterrupted one does.
+  auto save_history = [this](robust::TrainingCheckpoint* c) {
+    c->double_lists["loss_history"] = FlattenHistory(loss_history_);
+    c->tensor_lists["mask_snapshots"] = mask_snapshots_;
   };
-  auto restore_phase1_checkpoint = [&](const robust::TrainingCheckpoint& c) {
-    RestoreParams(params, c.params);
-    optimizer.RestoreState(c.optim.step_count, c.optim.m, c.optim.v);
-    optimizer.set_lr(c.lr);
-    rng.SetState(c.rng);
-    best_val = c.best_val;
-    if (auto it = c.tensor_lists.find("best_encoder");
-        it != c.tensor_lists.end()) {
-      best.set_values(it->second);
-      best_masks.set_values(c.tensor_lists.at("best_masks"));
-    } else {
-      best.set_values({});
-      best_masks.set_values({});
-    }
+  auto restore_history = [this](const robust::TrainingCheckpoint& c) {
     if (auto it = c.double_lists.find("loss_history");
         it != c.double_lists.end())
       loss_history_ = UnflattenHistory(it->second);
@@ -476,37 +245,35 @@ void SesModel::Fit(const data::Dataset& ds, const models::TrainConfig& config) {
         it != c.tensor_lists.end())
       mask_snapshots_ = it->second;
   };
+  models::TrainLoop phase1(name(), "phase1", std::move(params),
+                           std::move(param_names), config, &rng,
+                           {ckpt_mgr.get(), &faults, save_history,
+                            restore_history});
 
+  setup_span.reset();
+
+  // ---------------------------------------------------------------- phase 1
+  util::Timer timer;
+  loss_history_.clear();
+  mask_snapshots_.clear();
   int64_t start_epoch = 0;
   std::optional<robust::TrainingCheckpoint> resumed;
   if (ckpt_mgr && config.auto_resume) resumed = ckpt_mgr->LoadLatest();
   const bool resume_phase2 = resumed && resumed->phase == "phase2";
-  if (resumed && resumed->phase == "phase1") {
-    restore_phase1_checkpoint(*resumed);
-    start_epoch = resumed->next_epoch;
-    SES_LOG_INFO << name() << " resuming phase 1 at epoch " << start_epoch
-                 << " from " << config.checkpoint_dir;
-  }
+  if (resumed && resumed->phase == "phase1")
+    start_epoch = phase1.Resume(*resumed);
 
   if (!resume_phase2) {
+    SES_TRACE_SPAN("ses/phase1");
     const float alpha = options_.alpha;
-    std::optional<obs::ScopedSpan> phase1_span;
-    phase1_span.emplace("ses/phase1");
-    auto& health_monitor = obs::ModelHealthMonitor::Get();
-    // Names aligned with `params` (encoder then mask generator).
-    std::vector<std::string> param_names = encoder_->ParameterNames();
-    for (const std::string& n : mask_generator_->ParameterNames())
-      param_names.push_back("maskgen." + n);
-    util::Timer block_timer;  // verbose reporting: time per 20-epoch block
-    for (int64_t epoch = start_epoch; epoch < config.epochs; ++epoch) {
-      SES_TRACE_SPAN("ses/phase1_epoch");
-      faults.MaybeCrash("phase1", epoch);
-      util::Timer epoch_timer;
-      health_monitor.BeginEpoch(name());
+    // Run ends by restoring the best-validation encoder AND the matching
+    // mask generator, so the frozen masks are coherent with the encoder's H.
+    phase1.Run(start_epoch, config.epochs, "ses/phase1_epoch",
+               [&](int64_t epoch) {
       // Plain pass: Z and H (Eq. 2).
       auto out = encoder_->Forward(plain_input, adj_edges_, {}, config.dropout,
                                    /*training=*/true, &rng);
-      ObserveForwardHealth(*encoder_, out, adj_edges_);
+      models::ObserveForwardHealth(*encoder_, out, *adj_edges_);
       ag::Variable l_xent = ag::NllLoss(ag::LogSoftmaxRows(out.logits),
                                         ds.labels, ds.train_idx);
 
@@ -560,43 +327,8 @@ void SesModel::Fit(const data::Dataset& ds, const models::TrainConfig& config) {
         loss =
             ag::Add(ag::Scale(l_sub, alpha), ag::Scale(l_xent, 1.0f - alpha));
       }
-      if (faults.TakeNanLoss("phase1", epoch))
-        loss.mutable_value()[0] = std::numeric_limits<float>::quiet_NaN();
-      ag::Backward(loss);
-      if (faults.TakeNanGrad("phase1", epoch) && !params.empty())
-        params[0].mutable_grad()[0] = std::numeric_limits<float>::quiet_NaN();
-      const double grad_norm = optimizer.GradNorm();
-      const double loss_value = loss.value()[0];
-      if (health_monitor.enabled())
-        obs::ObserveParamsPreStep(param_names, params);
-      bool stepped = false;
-      switch (health.Observe(loss_value, grad_norm)) {
-        case robust::HealthMonitor::Action::kProceed:
-          optimizer.Step();
-          stepped = true;
-          if (health_monitor.enabled())
-            obs::ObserveParamsPostStep(param_names, params);
-          break;
-        case robust::HealthMonitor::Action::kRollback:
-          if (ckpt_mgr) {
-            auto good = ckpt_mgr->LoadLatest();
-            if (good && good->phase == "phase1") {
-              optimizer.ZeroGrad();
-              restore_phase1_checkpoint(*good);
-              optimizer.set_lr(optimizer.lr() * config.rollback_lr_decay);
-              health.NoteRollback();
-              SES_LOG_WARN << name() << " phase-1 rollback to epoch "
-                           << good->next_epoch << " with lr "
-                           << optimizer.lr();
-              epoch = good->next_epoch - 1;
-              continue;
-            }
-          }
-          [[fallthrough]];
-        case robust::HealthMonitor::Action::kSkip:
-          optimizer.ZeroGrad();
-          break;
-      }
+      const models::TrainLoop::Verdict verdict = phase1.Step(loss);
+      if (verdict == models::TrainLoop::Verdict::kRolledBack) return;
 
       // Bookkeeping for Fig. 7 and best-val selection.
       double val_loss = 0.0;
@@ -604,57 +336,18 @@ void SesModel::Fit(const data::Dataset& ds, const models::TrainConfig& config) {
         ag::Variable vl = ag::NllLoss(ag::LogSoftmaxRows(out.logits), ds.labels,
                                       ds.val_idx);
         val_loss = vl.value()[0];
-        if (stepped) {
-          const double val_acc = models::Accuracy(out.logits.value(), ds.labels,
-                                                  ds.val_idx);
-          if (val_acc > best_val) {
-            best_val = val_acc;
-            best.Capture(*encoder_);
-            best_masks.Capture(*mask_generator_);
-          }
-        }
+        if (verdict == models::TrainLoop::Verdict::kStepped)
+          phase1.OfferBest(
+              models::Accuracy(out.logits.value(), ds.labels, ds.val_idx));
       }
+      // Step may have poisoned the loss value in place (fault injection).
       loss_history_.push_back(
-          {static_cast<double>(epoch), loss_value, val_loss});
+          {static_cast<double>(epoch), loss.value()[0], val_loss});
       if (options_.use_feature_mask &&
           (epoch == 0 || epoch == config.epochs / 2 ||
            epoch == config.epochs - 1))
         mask_snapshots_.push_back(m_f.value());
-      obs::ModelHealthMonitor::EpochHealth epoch_health;
-      if (health_monitor.enabled()) epoch_health = health_monitor.EndEpoch();
-      if (obs::Telemetry::Get().active()) {
-        obs::EpochRecord record;
-        record.model = name();
-        record.phase = "phase1";
-        record.epoch = epoch;
-        record.loss = loss_value;
-        record.grad_norm = grad_norm;
-        record.epoch_seconds = epoch_timer.ElapsedSeconds();
-        record.val_metric = best_val;
-        FillRobustCounters(&record);
-        FillHealth(epoch_health, &record);
-        obs::Telemetry::Get().Emit(record);
-      }
-      if (config.verbose && epoch % 20 == 0) {
-        SES_LOG_INFO << name() << " phase-1 epoch " << epoch << " loss "
-                     << loss_value << " ("
-                     << util::FormatDuration(block_timer.ElapsedSeconds())
-                     << " for last block)";
-        block_timer.Reset();
-      }
-      if (ckpt_mgr && (epoch + 1) % ckpt_every == 0) {
-        const std::string path =
-            ckpt_mgr->Write(make_phase1_checkpoint(epoch + 1));
-        faults.MaybeCorruptCheckpoint("phase1", epoch + 1, path);
-      }
-    }
-    phase1_span.reset();
-    // Restore the best-validation encoder AND the matching mask generator so
-    // the frozen masks are coherent with the restored encoder's H.
-    if (!best.empty()) {
-      best.Restore(encoder_.get());
-      best_masks.Restore(mask_generator_.get());
-    }
+    });
   }
   et_seconds_ = timer.ElapsedSeconds();
 
@@ -686,9 +379,6 @@ void SesModel::Fit(const data::Dataset& ds, const models::TrainConfig& config) {
   // ---------------------------------------------------------------- phase 2
   timer.Reset();
   PosNegPairs pairs;
-  Phase2Context ctx;
-  ctx.mgr = ckpt_mgr.get();
-  ctx.faults = &faults;
   if (resume_phase2) {
     const robust::TrainingCheckpoint& c = *resumed;
     masks_.feature_nnz = c.tensors.at("masks.feature_nnz");
@@ -697,31 +387,27 @@ void SesModel::Fit(const data::Dataset& ds, const models::TrainConfig& config) {
     pairs.anchor = c.int_lists.at("pairs.anchor");
     pairs.positive = c.int_lists.at("pairs.positive");
     pairs.negative = c.int_lists.at("pairs.negative");
-    if (auto it = c.double_lists.find("loss_history");
-        it != c.double_lists.end())
-      loss_history_ = UnflattenHistory(it->second);
-    if (auto it = c.tensor_lists.find("mask_snapshots");
-        it != c.tensor_lists.end())
-      mask_snapshots_ = it->second;
-    ctx.resume = &c;
+    restore_history(c);
     SES_LOG_INFO << name() << " skipping phase 1 (phase-2 checkpoint found in "
                  << config.checkpoint_dir << ")";
   } else {
     pairs = ConstructPairs(*khop_, masks_.structure_khop, negatives,
                            options_.sample_ratio, &rng);
   }
-  ctx.base.model = name();
-  ctx.base.phase = "phase2";
-  ctx.base.tensors["masks.feature_nnz"] = masks_.feature_nnz;
-  ctx.base.tensors["masks.structure_khop"] = masks_.structure_khop;
-  ctx.base.tensors["masks.structure_adj"] = masks_.structure_adj;
-  ctx.base.int_lists["pairs.anchor"] = pairs.anchor;
-  ctx.base.int_lists["pairs.positive"] = pairs.positive;
-  ctx.base.int_lists["pairs.negative"] = pairs.negative;
-  ctx.base.double_lists["loss_history"] = FlattenHistory(loss_history_);
-  ctx.base.tensor_lists["mask_snapshots"] = mask_snapshots_;
+  // Phase-2 checkpoints carry what a resumed run cannot recompute: the
+  // frozen masks, the pair lists and the phase-1 history.
+  auto save_phase2 = [&](robust::TrainingCheckpoint* c) {
+    c->tensors["masks.feature_nnz"] = masks_.feature_nnz;
+    c->tensors["masks.structure_khop"] = masks_.structure_khop;
+    c->tensors["masks.structure_adj"] = masks_.structure_adj;
+    c->int_lists["pairs.anchor"] = pairs.anchor;
+    c->int_lists["pairs.positive"] = pairs.positive;
+    c->int_lists["pairs.negative"] = pairs.negative;
+    save_history(c);
+  };
   Phase2LoopImpl(encoder_.get(), ds, masks_, pairs, options_, config, &rng,
-                 &ctx);
+                 name(), {ckpt_mgr.get(), &faults, save_phase2, nullptr},
+                 resume_phase2 ? &*resumed : nullptr);
   epl_seconds_ = timer.ElapsedSeconds();
 }
 
@@ -730,7 +416,7 @@ void SesModel::EnhancedPredictiveLearning(
     const FrozenMasks& masks, const PosNegPairs& pairs,
     const SesOptions& options, const models::TrainConfig& config,
     util::Rng* rng) {
-  Phase2LoopImpl(encoder, ds, masks, pairs, options, config, rng, nullptr);
+  Phase2LoopImpl(encoder, ds, masks, pairs, options, config, rng, "SES");
 }
 
 models::Encoder::Output SesModel::EvalForward(const data::Dataset& ds) const {

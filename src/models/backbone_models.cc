@@ -1,11 +1,8 @@
 #include "models/backbone_models.h"
 
 #include "autograd/ops.h"
-#include "nn/optim.h"
-#include "obs/model_health.h"
-#include "obs/telemetry.h"
+#include "models/train_loop.h"
 #include "util/logging.h"
-#include "util/timer.h"
 
 namespace ses::models {
 
@@ -29,72 +26,21 @@ void BackboneModel::Fit(const data::Dataset& ds, const TrainConfig& config) {
   encoder_ = MakeEncoder(backbone_, ds.num_features(), config.hidden,
                          ds.num_classes, &rng);
   edges_ = ds.graph.DirectedEdges(/*add_self_loops=*/true);
-  nn::Adam optimizer(encoder_->Parameters(), config.lr, 0.9f, 0.999f, 1e-8f,
-                     config.weight_decay);
-  optimizer.set_max_grad_norm(config.max_grad_norm);
+  // No checkpoints and no fault plan: the loop's guard only skips a
+  // non-finite step, which Adam would otherwise write into its moments.
+  TrainLoop loop(backbone_, "fit", encoder_->Parameters(),
+                 encoder_->ParameterNames(), config, &rng);
   nn::FeatureInput input = MakeInput(ds);
-
-  ParameterSnapshot best;
-  double best_val = -1.0;
-  auto& health_monitor = ses::obs::ModelHealthMonitor::Get();
-  const std::vector<std::string> param_names = encoder_->ParameterNames();
-  for (int64_t epoch = 0; epoch < config.epochs; ++epoch) {
-    util::Timer epoch_timer;
-    health_monitor.BeginEpoch(backbone_);
+  loop.Run(0, config.epochs, "backbone/fit_epoch", [&](int64_t) {
     auto out = encoder_->Forward(input, edges_, {}, config.dropout,
                                  /*training=*/true, &rng);
-    if (health_monitor.enabled()) {
-      const auto& hidden = out.hidden.value();
-      health_monitor.ObserveActivations(hidden.data(), hidden.rows(),
-                                        hidden.cols());
-      const tensor::Tensor att = encoder_->LastAttention();
-      if (att.size() > 0 && att.size() == edges_->size())
-        health_monitor.ObserveAttention(att.data(), edges_->dst.data(),
-                                        edges_->size());
-    }
-    ag::Variable loss = ag::NllLoss(ag::LogSoftmaxRows(out.logits), ds.labels,
-                                    ds.train_idx);
-    ag::Backward(loss);
-    const double grad_norm = optimizer.GradNorm();
-    if (health_monitor.enabled())
-      ses::obs::ObserveParamsPreStep(param_names, encoder_->Parameters());
-    optimizer.Step();
-    if (health_monitor.enabled())
-      ses::obs::ObserveParamsPostStep(param_names, encoder_->Parameters());
-    if (config.track_best_val && !ds.val_idx.empty()) {
-      const double val =
-          Accuracy(out.logits.value(), ds.labels, ds.val_idx);
-      if (val > best_val) {
-        best_val = val;
-        best.Capture(*encoder_);
-      }
-    }
-    ses::obs::ModelHealthMonitor::EpochHealth epoch_health;
-    if (health_monitor.enabled()) epoch_health = health_monitor.EndEpoch();
-    if (ses::obs::Telemetry::Get().active()) {
-      ses::obs::EpochRecord record;
-      record.model = backbone_;
-      record.phase = "fit";
-      record.epoch = epoch;
-      record.loss = loss.value()[0];
-      record.grad_norm = grad_norm;
-      record.epoch_seconds = epoch_timer.ElapsedSeconds();
-      record.val_metric = best_val;
-      for (const auto& p : epoch_health.params) {
-        if (p.grad_norm >= 0.0)
-          record.layer_grad_norms.emplace_back(p.name, p.grad_norm);
-        if (p.update_ratio >= 0.0)
-          record.update_ratios.emplace_back(p.name, p.update_ratio);
-      }
-      record.dead_fraction = epoch_health.dead_fraction;
-      record.attn_entropy = epoch_health.attn_entropy;
-      ses::obs::Telemetry::Get().Emit(record);
-    }
-    if (config.verbose && epoch % 20 == 0)
-      SES_LOG_INFO << backbone_ << " epoch " << epoch << " loss "
-                   << loss.value()[0];
-  }
-  if (!best.empty()) best.Restore(encoder_.get());
+    ObserveForwardHealth(*encoder_, out, *edges_);
+    const TrainLoop::Verdict verdict = loop.Step(ag::NllLoss(
+        ag::LogSoftmaxRows(out.logits), ds.labels, ds.train_idx));
+    if (verdict == TrainLoop::Verdict::kStepped && config.track_best_val &&
+        !ds.val_idx.empty())
+      loop.OfferBest(Accuracy(out.logits.value(), ds.labels, ds.val_idx));
+  });
 }
 
 Encoder::Output BackboneModel::EvalForward(const data::Dataset& ds) {

@@ -31,21 +31,13 @@ class BackboneModel : public NodeClassifier {
   TrainConfig config_;
 };
 
-/// Snapshots / restores parameter values of a module (used by every training
-/// loop that applies the best-validation-epoch protocol).
+/// Snapshots / restores parameter values of a module (best-validation
+/// selection for trainers outside TrainLoop).
 class ParameterSnapshot {
  public:
   void Capture(const nn::Module& module);
   void Restore(nn::Module* module) const;
   bool empty() const { return values_.empty(); }
-
-  /// Checkpoint support: raw access to the captured values (registered
-  /// parameter order), so snapshots can be round-tripped through a
-  /// robust::TrainingCheckpoint.
-  const std::vector<tensor::Tensor>& values() const { return values_; }
-  void set_values(std::vector<tensor::Tensor> values) {
-    values_ = std::move(values);
-  }
 
  private:
   std::vector<tensor::Tensor> values_;

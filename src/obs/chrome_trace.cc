@@ -47,10 +47,15 @@ void WriteChromeTrace(std::ostream& out) {
     first = false;
     out << "\n{\"name\":";
     WriteJsonString(out, ev.label);
-    // Chrome expects microseconds; keep nanosecond resolution as fractions.
+    // Chrome expects microseconds; three decimals keep the nanosecond
+    // stamps (a stream's default six significant digits would round them
+    // to 10 us one second into the run).
+    char stamps[80];
+    std::snprintf(stamps, sizeof(stamps), ",\"ts\":%.3f,\"dur\":%.3f",
+                  static_cast<double>(ev.start_ns) / 1e3,
+                  static_cast<double>(ev.dur_ns) / 1e3);
     out << ",\"cat\":\"ses\",\"ph\":\"X\",\"pid\":1,\"tid\":" << ev.tid
-        << ",\"ts\":" << static_cast<double>(ev.start_ns) / 1e3
-        << ",\"dur\":" << static_cast<double>(ev.dur_ns) / 1e3;
+        << stamps;
     // Spans recorded inside a RequestScope carry the request's trace-id, so
     // an access-log line can be joined to its spans in the trace viewer.
     // Kernel spans additionally carry their declared work and (when perf was

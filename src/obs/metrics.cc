@@ -6,6 +6,7 @@
 
 #include "obs/request.h"
 #include "util/logging.h"
+#include "util/string_util.h"
 
 namespace ses::obs {
 
@@ -314,13 +315,9 @@ bool MetricsRegistry::WriteSnapshot(const std::string& path) const {
     SES_LOG_ERROR << "cannot open metrics output file " << path;
     return false;
   }
-  const auto has_suffix = [&path](const std::string& suffix) {
-    return path.size() >= suffix.size() &&
-           path.rfind(suffix) == path.size() - suffix.size();
-  };
-  if (has_suffix(".jsonl") || has_suffix(".json"))
+  if (util::EndsWith(path, ".jsonl") || util::EndsWith(path, ".json"))
     WriteJsonl(out);
-  else if (has_suffix(".prom"))
+  else if (util::EndsWith(path, ".prom"))
     WritePrometheus(out);
   else
     WriteCsv(out);

@@ -24,15 +24,12 @@
 ///    (perfcount.h);
 ///  - CalibrateRoofline / PlaceOnRoofline: measured machine ceilings and
 ///    per-kernel roofline efficiency (roofline.h);
-///  - WriteFoldedStacks: flamegraph export of the span buffers
-///    (flamegraph.h);
 ///  - FlightRecorder: top-K slowest fully-attributed requests per rolling
 ///    window, served at /debug/slowest and auto-dumped when a request's
 ///    queue wait exceeds a budget (flight_recorder.h).
 
 #include "obs/chrome_trace.h"
 #include "obs/crash_flush.h"
-#include "obs/flamegraph.h"
 #include "obs/flight_recorder.h"
 #include "obs/health.h"
 #include "obs/metrics.h"

@@ -86,13 +86,7 @@ std::string EpochRecordToJson(const EpochRecord& record) {
   AppendNumber(out, record.epoch_seconds);
   out << ",\"val_metric\":";
   AppendNumber(out, record.val_metric);
-  out << ",\"nan_skips\":" << record.nan_skips
-      << ",\"rollbacks\":" << record.rollbacks
-      << ",\"ckpt_writes\":" << record.ckpt_writes
-      << ",\"pool_hits\":" << record.pool_hits
-      << ",\"pool_misses\":" << record.pool_misses
-      << ",\"infer_cache_hits\":" << record.infer_cache_hits
-      << ",\"layer_grad_norms\":";
+  out << ",\"layer_grad_norms\":";
   AppendNamedValues(out, record.layer_grad_norms);
   out << ",\"update_ratios\":";
   AppendNamedValues(out, record.update_ratios);

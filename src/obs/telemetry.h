@@ -11,26 +11,18 @@
 
 namespace ses::obs {
 
-/// One training-progress record, emitted once per epoch by instrumented
-/// trainers (SesModel::Fit phases 1 and 2).
+/// One training-progress record, emitted once per epoch by
+/// models::TrainLoop (SES phases 1 and 2, BackboneModel::Fit). Process-wide
+/// counters (NaN skips, rollbacks, checkpoint writes) live in the metrics
+/// registry, not here.
 struct EpochRecord {
   std::string model;     ///< e.g. "SES (GCN)"
-  std::string phase;     ///< "phase1" / "phase2"
+  std::string phase;     ///< "phase1" / "phase2" / "fit"
   int64_t epoch = 0;
   double loss = 0.0;
   double grad_norm = -1.0;      ///< global L2 norm of parameter grads; -1 if unset
   double epoch_seconds = 0.0;   ///< wall-time of this epoch
   double val_metric = -1.0;     ///< validation accuracy/loss; -1 if unset
-  /// Robustness counters (cumulative process-wide values at emit time,
-  /// mirrored from the ses.train.* / ses.ckpt.* metrics).
-  int64_t nan_skips = 0;   ///< optimizer steps skipped on NaN/Inf
-  int64_t rollbacks = 0;   ///< rollbacks to the last good checkpoint
-  int64_t ckpt_writes = 0; ///< checkpoints written
-  /// Serving/allocator counters (cumulative, mirrored from the ses.pool.* /
-  /// ses.infer.* metrics).
-  int64_t pool_hits = 0;         ///< workspace-pool buffer reuses
-  int64_t pool_misses = 0;       ///< workspace-pool allocator fallbacks
-  int64_t infer_cache_hits = 0;  ///< InferenceSession logits-memo hits
   /// Model-health fields (from ModelHealthMonitor; empty / -1 when the
   /// monitor is disabled).
   std::vector<std::pair<std::string, double>> layer_grad_norms;

@@ -16,6 +16,9 @@ std::string Join(const std::vector<std::string>& pieces, const std::string& sep)
 /// True if `s` starts with `prefix`.
 bool StartsWith(const std::string& s, const std::string& prefix);
 
+/// True if `s` ends with `suffix`.
+bool EndsWith(const std::string& s, const std::string& suffix);
+
 /// A malformed command-line flag value.
 class FlagError : public std::invalid_argument {
  public:

@@ -18,6 +18,9 @@
 #include "data/synthetic.h"
 #include "graph/sampling.h"
 #include "metrics/metrics.h"
+#include "models/backbone_models.h"
+#include "obs/model_health.h"
+#include "obs/telemetry.h"
 #include "obs/trace.h"
 
 namespace ag = ses::autograd;
@@ -307,6 +310,61 @@ TEST(SesModelTest, TracedFitRecordsKHopBuildInsideSetupSpan) {
   EXPECT_LE(setup[0].start_ns, khop[0].start_ns);
   EXPECT_GE(setup[0].start_ns + setup[0].dur_ns,
             khop[0].start_ns + khop[0].dur_ns);
+}
+
+/// Collects every epoch record a Fit emits through the telemetry callback,
+/// with the ModelHealthMonitor on so records carry health fields.
+std::vector<ses::obs::EpochRecord> EpochRecordsOf(
+    ses::models::NodeClassifier* model, const ses::data::Dataset& ds,
+    const ses::models::TrainConfig& cfg) {
+  std::vector<ses::obs::EpochRecord> records;
+  ses::obs::Telemetry::Get().SetCallback(
+      [&records](const ses::obs::EpochRecord& r) { records.push_back(r); });
+  ses::obs::ModelHealthMonitor::Get().SetEnabled(true);
+  model->Fit(ds, cfg);
+  ses::obs::ModelHealthMonitor::Get().ResetForTest();
+  ses::obs::Telemetry::Get().Close();
+  return records;
+}
+
+TEST(EpochReportTest, SesReportsPhase1ThenPhase2AndBackboneReportsFit) {
+  auto ds = SmallDataset();
+  ses::models::TrainConfig cfg;
+  cfg.epochs = 4;
+  cfg.hidden = 16;
+  cfg.seed = 2;
+  c::SesOptions opt;
+  opt.backbone = "GAT";
+  opt.epl_epochs = 3;
+  c::SesModel ses_model(opt);
+  const auto records = EpochRecordsOf(&ses_model, ds, cfg);
+  ASSERT_EQ(records.size(),
+            static_cast<size_t>(cfg.epochs + opt.epl_epochs));
+  for (size_t i = 0; i < records.size(); ++i) {
+    const auto& r = records[i];
+    const bool phase1 = i < static_cast<size_t>(cfg.epochs);
+    EXPECT_EQ(r.phase, phase1 ? "phase1" : "phase2") << i;
+    EXPECT_EQ(r.epoch, phase1 ? static_cast<int64_t>(i)
+                              : static_cast<int64_t>(i) - cfg.epochs)
+        << i;
+    EXPECT_TRUE(std::isfinite(r.loss)) << i;
+    EXPECT_TRUE(std::isfinite(r.grad_norm)) << i;
+    EXPECT_GE(r.grad_norm, 0.0) << i;
+    // The GAT backbone feeds its attention to the health monitor.
+    EXPECT_GE(r.attn_entropy, 0.0) << i;
+    EXPECT_LE(r.attn_entropy, 1.0) << i;
+    EXPECT_FALSE(r.layer_grad_norms.empty()) << i;
+  }
+
+  ses::models::BackboneModel backbone("GCN");
+  const auto fit_records = EpochRecordsOf(&backbone, ds, cfg);
+  ASSERT_EQ(fit_records.size(), static_cast<size_t>(cfg.epochs));
+  for (size_t i = 0; i < fit_records.size(); ++i) {
+    EXPECT_EQ(fit_records[i].phase, "fit");
+    EXPECT_EQ(fit_records[i].epoch, static_cast<int64_t>(i));
+    EXPECT_TRUE(std::isfinite(fit_records[i].loss)) << i;
+    EXPECT_TRUE(std::isfinite(fit_records[i].grad_norm)) << i;
+  }
 }
 
 TEST(SesModelTest, EdgeScoresAlignWithGraph) {

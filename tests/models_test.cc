@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "data/real_world.h"
 #include "data/synthetic.h"
 #include "models/asdgn.h"
@@ -7,10 +10,12 @@
 #include "models/fused_gat.h"
 #include "models/protgnn.h"
 #include "models/segnn.h"
+#include "models/train_loop.h"
 #include "models/unimp.h"
 #include "core/ses_model.h"
 #include "nn/linear.h"
 
+namespace ag = ses::autograd;
 namespace md = ses::models;
 
 namespace {
@@ -83,6 +88,39 @@ TEST(BackboneTest, BestValSnapshotNotWorseThanFinal) {
   const double val_without =
       md::Accuracy(without.Logits(ds), ds.labels, ds.val_idx);
   EXPECT_GE(val_with + 1e-9, val_without - 0.1);
+}
+
+// The loop's guard: a non-finite step leaves parameters and Adam state
+// untouched, and without a checkpoint a streak past max_bad_steps keeps
+// skipping instead of rolling back.
+TEST(TrainLoopTest, NonFiniteStepsAreSkippedAndBestValIsRestored) {
+  auto p = ag::Variable::Parameter(ses::tensor::Tensor::Ones(1, 2));
+  md::TrainConfig cfg;
+  cfg.lr = 0.1f;
+  cfg.weight_decay = 0.0f;
+  cfg.max_bad_steps = 2;
+  ses::util::Rng rng(0);
+  md::TrainLoop loop("toy", "fit", {p}, {"p"}, cfg, &rng);
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  std::vector<md::TrainLoop::Verdict> verdicts;
+  std::vector<float> values;
+  loop.Run(0, 6, "test/epoch", [&](int64_t epoch) {
+    ag::Variable loss = ag::MeanAll(ag::Mul(p, p));
+    if (epoch >= 2 && epoch <= 4) loss = ag::Scale(loss, nan);
+    verdicts.push_back(loop.Step(loss));
+    values.push_back(p.value()[0]);
+    // Epoch 1 validates best; the loop must end on its parameters.
+    if (verdicts.back() == md::TrainLoop::Verdict::kStepped)
+      loop.OfferBest(epoch == 1 ? 1.0 : 0.5);
+  });
+  using V = md::TrainLoop::Verdict;
+  EXPECT_EQ(verdicts, (std::vector<V>{V::kStepped, V::kStepped, V::kSkipped,
+                                      V::kSkipped, V::kSkipped, V::kStepped}));
+  EXPECT_LT(values[1], values[0]);
+  EXPECT_EQ(values[4], values[1]);  // three skips: no NaN reached the weights
+  EXPECT_LT(values[5], values[4]);
+  EXPECT_TRUE(std::isfinite(values[5]));
+  EXPECT_EQ(p.value()[0], values[1]);  // best-val parameters restored
 }
 
 TEST(AccuracyTest, ComputesFraction) {

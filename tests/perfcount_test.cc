@@ -2,8 +2,9 @@
 // declared FLOP counts for the annotated tensor and autograd kernels),
 // inclusive / exclusive attribution across nested and cross-thread scopes, the
 // clock-only perf fallback (SES_PERF_DISABLE), roofline placement math, and
-// the folded-stack flamegraph export.
+// kernel spans in the Chrome trace.
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <sstream>
 #include <string>
@@ -329,58 +330,56 @@ TEST(RooflineTest, UncalibratedModelYieldsAchievedRateOnly) {
 }
 
 // ---------------------------------------------------------------------------
-// Flamegraph export.
+// Kernel spans in the Chrome trace.
 
-TEST(FlamegraphTest, NestedSpansFoldIntoStacksWithSelfTimeWeights) {
+/// The trace-event line whose name is `name` ("" if none).
+std::string TraceEventLine(const std::string& trace, const std::string& name) {
+  std::istringstream lines(trace);
+  for (std::string line; std::getline(lines, line);)
+    if (line.find("{\"name\":\"" + name + "\"") == 0) return line;
+  return "";
+}
+
+/// Value of a numeric field ("ts", "dur") of one trace-event line, in ns.
+int64_t TraceFieldNs(const std::string& line, const std::string& field) {
+  const size_t at = line.find("\"" + field + "\":");
+  EXPECT_NE(at, std::string::npos) << field << " in " << line;
+  if (at == std::string::npos) return -1;
+  return std::llround(std::stod(line.substr(at + field.size() + 3)) * 1e3);
+}
+
+TEST(ChromeTraceTest, KernelSpanCarriesVariantAndNestsInItsParent) {
   obs::ResetTracing();
   obs::EnableTracing(true);
   obs::EnableKernelProfiling(true);
   {
-    SES_TRACE_SPAN("fg_root");
+    SES_TRACE_SPAN("ct_root");
     {
-      obs::KernelScope inner("fg_kernel", "fast", 10.0, 0.0);
+      obs::KernelScope inner("ct_kernel", "fast", 10.0, 0.0);
       volatile double sink = 0;
       for (int i = 0; i < 20000; ++i) sink = sink + i;
     }
   }
   std::ostringstream out;
-  obs::WriteFoldedStacks(out);
+  obs::WriteChromeTrace(out);
   obs::EnableKernelProfiling(false);
   obs::EnableTracing(false);
   obs::ResetTracing();
 
-  const std::string folded = out.str();
-  // Kernel spans appear as kernel:variant frames under their parent span.
-  EXPECT_NE(folded.find("fg_root;fg_kernel:fast "), std::string::npos)
-      << folded;
-  // Every line is "stack space weight" with a positive integer weight.
-  std::istringstream lines(folded);
-  int checked = 0;
-  for (std::string line; std::getline(lines, line);) {
-    if (line.rfind("fg_", 0) != 0) continue;  // other tests' spans
-    const size_t space = line.rfind(' ');
-    ASSERT_NE(space, std::string::npos);
-    EXPECT_GT(std::stoll(line.substr(space + 1)), 0) << line;
-    ++checked;
-  }
-  EXPECT_GE(checked, 1);
-}
-
-TEST(FlamegraphTest, SiblingSpansShareTheParentFrame) {
-  obs::ResetTracing();
-  obs::EnableTracing(true);
-  {
-    SES_TRACE_SPAN("sib_root");
-    { SES_TRACE_SPAN("sib_a"); }
-    { SES_TRACE_SPAN("sib_b"); }
-  }
-  std::ostringstream out;
-  obs::WriteFoldedStacks(out);
-  obs::EnableTracing(false);
-  obs::ResetTracing();
-  const std::string folded = out.str();
-  EXPECT_NE(folded.find("sib_root;sib_a "), std::string::npos) << folded;
-  EXPECT_NE(folded.find("sib_root;sib_b "), std::string::npos) << folded;
+  const std::string trace = out.str();
+  const std::string root = TraceEventLine(trace, "ct_root");
+  const std::string kernel = TraceEventLine(trace, "ct_kernel");
+  ASSERT_FALSE(root.empty()) << trace;
+  ASSERT_FALSE(kernel.empty()) << trace;
+  EXPECT_NE(kernel.find("\"args\":{\"variant\":\"fast\""), std::string::npos)
+      << kernel;
+  EXPECT_NE(kernel.find("\"flops\":10"), std::string::npos) << kernel;
+  const int64_t root_ts = TraceFieldNs(root, "ts");
+  const int64_t kernel_ts = TraceFieldNs(kernel, "ts");
+  EXPECT_GT(TraceFieldNs(kernel, "dur"), 0) << kernel;
+  EXPECT_LE(root_ts, kernel_ts);
+  EXPECT_LE(kernel_ts + TraceFieldNs(kernel, "dur"),
+            root_ts + TraceFieldNs(root, "dur"));
 }
 
 }  // namespace

@@ -516,4 +516,61 @@ TEST(FaultToleranceTest, CorruptedCheckpointFallsBackOnResume) {
   EXPECT_EQ(resumed.Logits(ds).MaxAbsDiff(reference), 0.0f);
 }
 
+TEST(FaultToleranceTest, Phase2NanLossIsSkippedAndCounted) {
+  auto ds = TinyDataset();
+  const int64_t skips_before = CounterValue("ses.train.nan_skips");
+  ScopedFaultSpec spec("nan_loss:phase=phase2,step=2");
+  ses::core::SesModel model(TinyOptions());
+  model.Fit(ds, TinyConfig());
+  EXPECT_EQ(CounterValue("ses.train.nan_skips"), skips_before + 1);
+  const t::Tensor logits = model.Logits(ds);
+  for (int64_t i = 0; i < logits.size(); ++i)
+    EXPECT_TRUE(std::isfinite(logits[i])) << "logit " << i;
+}
+
+TEST(FaultToleranceTest, RepeatedPhase2NansRollBackWithinPhase2) {
+  auto ds = TinyDataset();
+  ses::models::TrainConfig config = TinyConfig();
+  config.checkpoint_dir = ScratchDir("rollback_phase2");
+  config.max_bad_steps = 3;
+  const int64_t rollbacks_before = CounterValue("ses.train.rollbacks");
+  ScopedFaultSpec spec(
+      "nan_loss:phase=phase2,step=1;"
+      "nan_loss:phase=phase2,step=2;"
+      "nan_loss:phase=phase2,step=3");
+  ses::core::SesModel model(TinyOptions());
+  model.Fit(ds, config);
+  EXPECT_EQ(CounterValue("ses.train.rollbacks"), rollbacks_before + 1);
+  // The rollback target is a phase-2 checkpoint: phase 1 ran exactly once.
+  EXPECT_EQ(model.loss_history().size(),
+            static_cast<size_t>(config.epochs));
+  const t::Tensor logits = model.Logits(ds);
+  for (int64_t i = 0; i < logits.size(); ++i)
+    EXPECT_TRUE(std::isfinite(logits[i])) << "logit " << i;
+}
+
+TEST(FaultToleranceTest, CorruptedPhase2CheckpointFallsBackOnResume) {
+  auto ds = TinyDataset();
+  const t::Tensor reference = UninterruptedLogits(ds);
+
+  ses::models::TrainConfig config = TinyConfig();
+  config.checkpoint_dir = ScratchDir("corrupt_resume_phase2");
+  {
+    // Phase 2 checkpoints at its boundary (next_epoch 0) and after epoch 2
+    // (next_epoch 3); damage the newer one, then crash at epoch 4.
+    ScopedFaultSpec spec(
+        "corrupt_ckpt:phase=phase2,epoch=3,mode=flip;"
+        "crash:phase=phase2,epoch=4,mode=throw");
+    ses::core::SesModel victim(TinyOptions());
+    EXPECT_THROW(victim.Fit(ds, config), r::SimulatedCrash);
+  }
+  const int64_t corrupt_before = CounterValue("ses.ckpt.resume_corrupt");
+  ses::core::SesModel resumed(TinyOptions());
+  resumed.Fit(ds, config);
+  EXPECT_GE(CounterValue("ses.ckpt.resume_corrupt"), corrupt_before + 1);
+  EXPECT_EQ(resumed.Logits(ds).MaxAbsDiff(reference), 0.0f);
+  EXPECT_EQ(resumed.loss_history().size(),
+            static_cast<size_t>(config.epochs));
+}
+
 }  // namespace

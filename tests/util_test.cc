@@ -158,6 +158,20 @@ TEST(StringTest, SplitAndJoin) {
   EXPECT_EQ(u::Join({"x", "y", "z"}, "-"), "x-y-z");
 }
 
+TEST(StringTest, EndsWithHandlesStringsShorterThanTheSuffix) {
+  EXPECT_TRUE(u::EndsWith("m.jsonl", ".jsonl"));
+  EXPECT_TRUE(u::EndsWith(".json", ".json"));
+  EXPECT_TRUE(u::EndsWith("abc", ""));
+  // Five characters against a six-character suffix: no unsigned wrap.
+  EXPECT_FALSE(u::EndsWith("m.csv", ".jsonl"));
+  EXPECT_FALSE(u::EndsWith("a.txt", ".jsonl"));
+  EXPECT_FALSE(u::EndsWith("", ".prom"));
+  EXPECT_FALSE(u::EndsWith("m.csv", ".json"));
+  EXPECT_FALSE(u::EndsWith("x.jsonl.csv", ".jsonl"));
+  EXPECT_TRUE(u::StartsWith("--flag", "--"));
+  EXPECT_FALSE(u::StartsWith("-", "--"));
+}
+
 TEST(StringTest, FlagParser) {
   const char* argv[] = {"prog", "--full", "--scale=0.5", "--epochs=40",
                         "--name=test"};
