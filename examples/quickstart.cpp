@@ -21,9 +21,9 @@
 //         watch -n1 'curl -s localhost:9100/metrics | grep ses.health'
 //
 // Any of the flags above also turns on per-kernel accounting, so the trace
-// spans carry FLOP/byte/counter args and /metrics exposes the ses.kernel.*
-// table (GFLOP/s, arithmetic intensity, IPC) — see DESIGN.md "Kernel
-// observatory".
+// spans carry variant/FLOP/byte args and /metrics exposes the ses.kernel.*
+// table (calls, time, GFLOP/s, arithmetic intensity) — see DESIGN.md
+// "Kernel observatory".
 //
 // Fault tolerance:
 //   ./build/examples/quickstart --checkpoint-dir=ckpt --checkpoint-every=10

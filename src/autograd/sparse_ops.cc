@@ -4,7 +4,7 @@
 #include <cmath>
 
 #include "kernels/dispatch.h"
-#include "obs/perfcount.h"
+#include "obs/kernel_scope.h"
 #include "obs/trace.h"
 #include "tensor/ops.h"
 #include "util/logging.h"

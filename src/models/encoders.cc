@@ -1,7 +1,7 @@
 #include "models/encoders.h"
 
 #include "autograd/ops.h"
-#include "obs/perfcount.h"
+#include "obs/kernel_scope.h"
 #include "util/logging.h"
 
 namespace ses::models {

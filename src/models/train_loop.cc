@@ -45,7 +45,7 @@ TrainLoop::TrainLoop(std::string model, std::string phase,
       recovery_(std::move(recovery)),
       optimizer_(params_, config.lr, 0.9f, 0.999f, 1e-8f,
                  config.weight_decay),
-      guard_({config.max_bad_steps, config.rollback_lr_decay}) {
+      guard_(config.max_bad_steps) {
   SES_CHECK(param_names_.size() == params_.size());
   optimizer_.set_max_grad_norm(config.max_grad_norm);
 }

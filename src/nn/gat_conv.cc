@@ -2,7 +2,7 @@
 
 #include "autograd/ops.h"
 
-#include "obs/perfcount.h"
+#include "obs/kernel_scope.h"
 #include "obs/trace.h"
 #include "util/logging.h"
 

@@ -1,7 +1,7 @@
 #include "nn/gcn_conv.h"
 
 #include "graph/graph.h"
-#include "obs/perfcount.h"
+#include "obs/kernel_scope.h"
 #include "obs/trace.h"
 #include "util/logging.h"
 

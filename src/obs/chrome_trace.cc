@@ -58,8 +58,7 @@ void WriteChromeTrace(std::ostream& out) {
         << stamps;
     // Spans recorded inside a RequestScope carry the request's trace-id, so
     // an access-log line can be joined to its spans in the trace viewer.
-    // Kernel spans additionally carry their declared work and (when perf was
-    // live) this span's inclusive hardware-counter deltas.
+    // Kernel spans additionally carry their variant and declared work.
     const bool has_args = ev.trace_id != 0 || ev.IsKernel();
     if (has_args) {
       out << ",\"args\":{";
@@ -81,13 +80,6 @@ void WriteChromeTrace(std::ostream& out) {
         arg("bytes", ev.bytes);
         if (ev.dur_ns > 0)
           arg("gflops", ev.flops / static_cast<double>(ev.dur_ns));
-        if (ev.counters_valid) {
-          arg("cycles", ev.cycles);
-          arg("instructions", ev.instructions);
-          arg("cache_refs", ev.cache_refs);
-          arg("cache_misses", ev.cache_misses);
-          arg("branch_misses", ev.branch_misses);
-        }
       }
       out << "}";
     }

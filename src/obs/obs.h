@@ -19,11 +19,9 @@
 ///    (telemetry.h);
 ///  - FlushObservability / InstallCrashHandlers: artifacts survive crashes
 ///    and fault-injection kills (crash_flush.h);
-///  - KernelScope / perf counters: per-kernel GFLOP/s, IPC and cache
-///    behaviour as ses.kernel.*, hardware counters with clock-only fallback
-///    (perfcount.h);
-///  - CalibrateRoofline / PlaceOnRoofline: measured machine ceilings and
-///    per-kernel roofline efficiency (roofline.h);
+///  - KernelScope: clock-only per-kernel accounting — calls, wall time,
+///    declared GFLOP/s and arithmetic intensity as ses.kernel.* and kernel
+///    spans in the trace (kernel_scope.h);
 ///  - FlightRecorder: top-K slowest fully-attributed requests per rolling
 ///    window, served at /debug/slowest and auto-dumped when a request's
 ///    queue wait exceeds a budget (flight_recorder.h).
@@ -32,12 +30,11 @@
 #include "obs/crash_flush.h"
 #include "obs/flight_recorder.h"
 #include "obs/health.h"
+#include "obs/kernel_scope.h"
 #include "obs/metrics.h"
 #include "obs/metrics_server.h"
 #include "obs/model_health.h"
-#include "obs/perfcount.h"
 #include "obs/request.h"
-#include "obs/roofline.h"
 #include "obs/telemetry.h"
 #include "obs/trace.h"
 

@@ -27,19 +27,12 @@ struct TraceEvent {
   uint32_t tid = 0;   ///< small sequential thread id (util::ThreadId)
   uint16_t depth = 0; ///< nesting depth at the time the span was open
 
-  /// Kernel spans (recorded by obs::KernelScope) additionally carry the
-  /// caller-declared work estimate and this span's inclusive hardware-counter
-  /// deltas; the Chrome-trace exporter emits them as span args. flops stays
-  /// negative on plain spans.
+  /// Kernel spans (recorded by obs::KernelScope) additionally carry their
+  /// variant and the caller-declared work estimate; the Chrome-trace
+  /// exporter emits them as span args. flops stays negative on plain spans.
   const char* variant = nullptr;
   double flops = -1.0;
   double bytes = 0.0;
-  uint64_t cycles = 0;
-  uint64_t instructions = 0;
-  uint64_t cache_refs = 0;
-  uint64_t cache_misses = 0;
-  uint64_t branch_misses = 0;
-  bool counters_valid = false;  ///< false on the clock-only perf fallback
 
   bool IsKernel() const { return flops >= 0.0; }
 };
@@ -116,7 +109,7 @@ void RecordManualSpan(const char* label, uint64_t start_ns, uint64_t dur_ns,
                       uint64_t trace_id);
 
 namespace internal {
-/// KernelScope support (perfcount.cc): a raw span frame on the calling
+/// KernelScope support (kernel_scope.cc): a raw span frame on the calling
 /// thread's buffer. Push bumps the nesting depth and returns the request
 /// trace-id captured at open; Pop fills tid/depth/trace_id into `ev` and
 /// records it. Must be strictly paired per thread.

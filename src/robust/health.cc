@@ -23,7 +23,8 @@ obs::Counter& RollbacksCounter() {
 
 }  // namespace
 
-HealthMonitor::HealthMonitor(HealthOptions options) : options_(options) {}
+HealthMonitor::HealthMonitor(int64_t max_bad_steps)
+    : max_bad_steps_(max_bad_steps) {}
 
 HealthMonitor::Action HealthMonitor::Observe(double loss, double grad_norm) {
   if (std::isfinite(loss) && std::isfinite(grad_norm)) {
@@ -35,8 +36,8 @@ HealthMonitor::Action HealthMonitor::Observe(double loss, double grad_norm) {
   SES_LOG_WARN << "numerical guard: non-finite "
                << (std::isfinite(loss) ? "grad norm" : "loss")
                << " (streak " << consecutive_bad_ << "/"
-               << options_.max_bad_steps << "), skipping optimizer step";
-  if (consecutive_bad_ >= options_.max_bad_steps) return Action::kRollback;
+               << max_bad_steps_ << "), skipping optimizer step";
+  if (consecutive_bad_ >= max_bad_steps_) return Action::kRollback;
   return Action::kSkip;
 }
 

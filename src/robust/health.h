@@ -5,30 +5,22 @@
 
 namespace ses::robust {
 
-/// Policy knobs for HealthMonitor (mirrored from models::TrainConfig).
-struct HealthOptions {
-  /// Consecutive poisoned steps tolerated before requesting a rollback to
-  /// the last good checkpoint.
-  int64_t max_bad_steps = 3;
-  /// Multiplier applied to the learning rate on every rollback, so a
-  /// diverging run restarts from good parameters on a gentler trajectory.
-  float rollback_lr_decay = 0.5f;
-};
-
 /// Per-step numerical guard for training loops. Feed it the step's loss and
 /// global gradient norm; it classifies the step:
 ///   kProceed  — both finite, apply the optimizer step
 ///   kSkip     — NaN/Inf seen, zero the gradients and skip the update
-///   kRollback — max_bad_steps consecutive poisoned steps; restore the last
-///               good checkpoint with a lowered LR (callers without a
-///               checkpoint fall back to skipping)
+///   kRollback — `max_bad_steps` consecutive poisoned steps; restore the
+///               last good checkpoint (the caller lowers the LR; callers
+///               without a checkpoint fall back to skipping)
 /// Skips are counted in `ses.train.nan_skips`, acknowledged rollbacks in
 /// `ses.train.rollbacks`.
 class HealthMonitor {
  public:
   enum class Action { kProceed, kSkip, kRollback };
 
-  explicit HealthMonitor(HealthOptions options = {});
+  /// `max_bad_steps`: consecutive poisoned steps tolerated before a
+  /// rollback is requested.
+  explicit HealthMonitor(int64_t max_bad_steps);
 
   Action Observe(double loss, double grad_norm);
 
@@ -37,10 +29,9 @@ class HealthMonitor {
   void NoteRollback();
 
   int64_t consecutive_bad() const { return consecutive_bad_; }
-  const HealthOptions& options() const { return options_; }
 
  private:
-  HealthOptions options_;
+  int64_t max_bad_steps_;
   int64_t consecutive_bad_ = 0;
 };
 

@@ -1,7 +1,7 @@
 #include "tensor/sparse.h"
 
 #include "kernels/dispatch.h"
-#include "obs/perfcount.h"
+#include "obs/kernel_scope.h"
 #include "util/logging.h"
 
 namespace ses::tensor {

@@ -1,11 +1,9 @@
 // Tests for the kernel observatory: KernelScope work accounting (exact
 // declared FLOP counts for the annotated tensor and autograd kernels),
-// inclusive / exclusive attribution across nested and cross-thread scopes, the
-// clock-only perf fallback (SES_PERF_DISABLE), roofline placement math, and
-// kernel spans in the Chrome trace.
+// inclusive / exclusive attribution across nested and cross-thread scopes,
+// the clock-only series contract, and kernel spans in the Chrome trace.
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -149,9 +147,9 @@ TEST_F(KernelScopeTest, NestedScopesSplitInclusiveAndExclusiveTime) {
 }
 
 TEST_F(KernelScopeTest, ScopeOnAnotherThreadDoesNotDebitTheParent) {
-  // Counters and child attribution are per-thread: a scope opened by a
-  // worker (an OpenMP team member, a serving thread) must not subtract from
-  // a scope that happens to be open on this thread.
+  // Child attribution is per-thread: a scope opened by a worker (an OpenMP
+  // team member, a serving thread) must not subtract from a scope that
+  // happens to be open on this thread.
   {
     obs::KernelScope outer("xthread_outer", "v", 10.0, 0.0);
     std::thread worker([] {
@@ -172,45 +170,6 @@ TEST_F(KernelScopeTest, ScopeOnAnotherThreadDoesNotDebitTheParent) {
   EXPECT_EQ(inner->calls, 1u);
 }
 
-TEST_F(KernelScopeTest, CounterValidityMatchesPerfAvailability) {
-  t::Tensor a(4, 4), b(4, 4);
-  (void)t::MatMul(a, b);
-  const auto stats = obs::SnapshotKernelStats();
-  const obs::KernelStats* s = Find(stats, "matmul", MatMulVariant());
-  ASSERT_NE(s, nullptr);
-  EXPECT_EQ(s->counters.valid, obs::PerfCountersAvailable());
-  if (obs::PerfCountersAvailable()) {
-    EXPECT_GT(s->counters.instructions, 0u);
-    EXPECT_GT(s->counters.Ipc(), 0.0);
-  } else {
-    // Clock-only fallback: rates report 0 instead of garbage.
-    EXPECT_EQ(s->counters.Ipc(), 0.0);
-    EXPECT_EQ(s->counters.LlcMissRate(), 0.0);
-  }
-}
-
-TEST(PerfFallbackTest, SesPerfDisableForcesCleanFallback) {
-  // The probe runs once per thread; a fresh thread re-probes after the
-  // process-wide latch reset and must hit the SES_PERF_DISABLE branch.
-  ::setenv("SES_PERF_DISABLE", "1", 1);
-  obs::PerfResetForTest();
-  bool available = true;
-  bool valid = true;
-  std::string reason;
-  std::thread probe([&] {
-    const obs::PerfCounts counts = obs::ReadPerfCounts();
-    valid = counts.valid;
-    available = obs::PerfCountersAvailable();
-    reason = obs::PerfUnavailableReason();
-  });
-  probe.join();
-  ::unsetenv("SES_PERF_DISABLE");
-  obs::PerfResetForTest();
-  EXPECT_FALSE(available);
-  EXPECT_FALSE(valid);
-  EXPECT_NE(reason.find("SES_PERF_DISABLE"), std::string::npos) << reason;
-}
-
 /// Names of the Prometheus series exported for `kernel`'s KernelScopes.
 std::vector<std::string> KernelSeries(const std::string& kernel) {
   std::ostringstream prom;
@@ -224,109 +183,41 @@ std::vector<std::string> KernelSeries(const std::string& kernel) {
   return series;
 }
 
-bool HasSeries(const std::vector<std::string>& series,
-               const std::string& name) {
-  return std::find(series.begin(), series.end(), name) != series.end();
+bool IsClockSeries(const std::string& name) {
+  return name == "ses_kernel_calls" || name == "ses_kernel_time_ms" ||
+         name == "ses_kernel_gflops" || name == "ses_kernel_intensity";
 }
 
 TEST(PerfFallbackTest, DisabledCountersPublishNoRateSeries) {
-  // Under the clock-only fallback IPC and LLC miss rate are unknown, so a
-  // scope must not publish them (a 0 would read as a measurement). Its
-  // other series still appear.
-  ::setenv("SES_PERF_DISABLE", "1", 1);
-  obs::PerfResetForTest();
+  // No hardware counters are read, so per-cycle and cache-miss rates are
+  // unknown and a scope must not publish them (a 0 would read as a
+  // measurement). A scope on a worker thread, with no environment set-up,
+  // still publishes its clock series and nothing else.
   obs::EnableKernelProfiling(true);
   std::thread worker(
       [] { obs::KernelScope scope("perf_disabled_probe", "clock", 1.0, 4.0); });
   worker.join();
   obs::EnableKernelProfiling(false);
-  ::unsetenv("SES_PERF_DISABLE");
-  obs::PerfResetForTest();
 
   const std::vector<std::string> series = KernelSeries("perf_disabled_probe");
-  EXPECT_TRUE(HasSeries(series, "ses_kernel_calls"));
-  EXPECT_FALSE(HasSeries(series, "ses_kernel_ipc"));
-  EXPECT_FALSE(HasSeries(series, "ses_kernel_llc_miss_rate"));
+  EXPECT_NE(std::find(series.begin(), series.end(), "ses_kernel_calls"),
+            series.end());
+  for (const std::string& name : series)
+    EXPECT_TRUE(IsClockSeries(name)) << name;
 }
 
-TEST(PerfFallbackTest, UncalibratedRooflinePublishesNoEfficiencySeries) {
-  // Before CalibrateRoofline() a kernel's roofline efficiency is unknown, so
-  // the series must stay absent (not read 0) until the first placement
-  // against a calibrated model.
-  const obs::RooflineModel saved = obs::CurrentRoofline();
-  obs::SetRooflineForTest(obs::RooflineModel{});
-  obs::EnableKernelProfiling(true);
-  { obs::KernelScope scope("roofline_probe", "clock", 1.0, 4.0); }
-  std::vector<std::string> series = KernelSeries("roofline_probe");
-  EXPECT_TRUE(HasSeries(series, "ses_kernel_calls"));
-  EXPECT_FALSE(HasSeries(series, "ses_kernel_roofline_efficiency"));
-
-  obs::RooflineModel calibrated;
-  calibrated.peak_gflops = 100.0;
-  calibrated.peak_bw_gbs = 10.0;
-  calibrated.calibrated = true;
-  obs::SetRooflineForTest(calibrated);
-  { obs::KernelScope scope("roofline_probe", "clock", 1.0, 4.0); }
-  obs::EnableKernelProfiling(false);
-  obs::SetRooflineForTest(saved);
-  series = KernelSeries("roofline_probe");
-  EXPECT_TRUE(HasSeries(series, "ses_kernel_roofline_efficiency"));
-}
-
-TEST(PerfCountsTest, SubtractionSaturatesInsteadOfWrapping) {
-  obs::PerfCounts a, b;
-  a.cycles = 10;
-  a.instructions = 5;
-  a.valid = true;
-  b.cycles = 3;
-  b.instructions = 50;  // multiplex scaling can overshoot the parent
-  b.valid = true;
-  a -= b;
-  EXPECT_EQ(a.cycles, 7u);
-  EXPECT_EQ(a.instructions, 0u) << "must saturate, not wrap to ~2^64";
-  EXPECT_TRUE(a.valid);
-}
-
-// ---------------------------------------------------------------------------
-// Roofline model math (calibration-free, via SetRooflineForTest).
-
-TEST(RooflineTest, MemoryBoundPointSitsUnderTheBandwidthCeiling) {
-  obs::RooflineModel model;
-  model.peak_gflops = 100.0;
-  model.peak_bw_gbs = 10.0;
-  model.calibrated = true;
-  EXPECT_DOUBLE_EQ(model.RidgeIntensity(), 10.0);
-  // intensity 1 FLOP/byte -> attainable = min(100, 1 * 10) = 10 GFLOP/s.
-  const obs::RooflinePoint p =
-      obs::PlaceOnRoofline(/*flops=*/1e9, /*bytes=*/1e9, /*seconds=*/1.0,
-                           model);
-  EXPECT_DOUBLE_EQ(p.achieved_gflops, 1.0);
-  EXPECT_DOUBLE_EQ(p.intensity, 1.0);
-  EXPECT_DOUBLE_EQ(p.attainable_gflops, 10.0);
-  EXPECT_DOUBLE_EQ(p.efficiency, 0.1);
-  EXPECT_STREQ(p.bound, "memory");
-}
-
-TEST(RooflineTest, ComputeBoundPointSitsUnderTheFlopCeiling) {
-  obs::RooflineModel model;
-  model.peak_gflops = 100.0;
-  model.peak_bw_gbs = 10.0;
-  model.calibrated = true;
-  // intensity 50 -> memory ceiling 500 > peak 100: compute bound.
-  const obs::RooflinePoint p =
-      obs::PlaceOnRoofline(/*flops=*/50e9, /*bytes=*/1e9, /*seconds=*/1.0,
-                           model);
-  EXPECT_DOUBLE_EQ(p.attainable_gflops, 100.0);
-  EXPECT_DOUBLE_EQ(p.efficiency, 0.5);
-  EXPECT_STREQ(p.bound, "compute");
-}
-
-TEST(RooflineTest, UncalibratedModelYieldsAchievedRateOnly) {
-  const obs::RooflinePoint p =
-      obs::PlaceOnRoofline(1e9, 1e9, 1.0, obs::RooflineModel{});
-  EXPECT_DOUBLE_EQ(p.achieved_gflops, 1.0);
-  EXPECT_DOUBLE_EQ(p.efficiency, 0.0);
-  EXPECT_STREQ(p.bound, "unknown");
+TEST_F(KernelScopeTest, ProfiledScopePublishesExactlyTheFourClockSeries) {
+  // Accounting is clock-only: a profiled scope publishes its call count,
+  // wall time, declared GFLOP/s and intensity, and no series it could not
+  // measure (instructions per cycle, cache miss rates, ceiling efficiency).
+  { obs::KernelScope scope("clock_only_probe", "clock", 1.0, 4.0); }
+  std::vector<std::string> series = KernelSeries("clock_only_probe");
+  std::sort(series.begin(), series.end());
+  series.erase(std::unique(series.begin(), series.end()), series.end());
+  EXPECT_EQ(series,
+            (std::vector<std::string>{"ses_kernel_calls", "ses_kernel_gflops",
+                                      "ses_kernel_intensity",
+                                      "ses_kernel_time_ms"}));
 }
 
 // ---------------------------------------------------------------------------
@@ -374,6 +265,8 @@ TEST(ChromeTraceTest, KernelSpanCarriesVariantAndNestsInItsParent) {
   EXPECT_NE(kernel.find("\"args\":{\"variant\":\"fast\""), std::string::npos)
       << kernel;
   EXPECT_NE(kernel.find("\"flops\":10"), std::string::npos) << kernel;
+  EXPECT_EQ(kernel.find("\"cycles\""), std::string::npos) << kernel;
+  EXPECT_EQ(kernel.find("\"instructions\""), std::string::npos) << kernel;
   const int64_t root_ts = TraceFieldNs(root, "ts");
   const int64_t kernel_ts = TraceFieldNs(kernel, "ts");
   EXPECT_GT(TraceFieldNs(kernel, "dur"), 0) << kernel;

@@ -254,7 +254,7 @@ TEST(CheckpointManagerTest, CorruptLatestFallsBackToPreviousRotation) {
 // -------------------------------------------------------------------- health
 
 TEST(HealthMonitorTest, ClassifiesSteps) {
-  r::HealthMonitor health({/*max_bad_steps=*/3, /*rollback_lr_decay=*/0.5f});
+  r::HealthMonitor health(/*max_bad_steps=*/3);
   const int64_t skips_before = CounterValue("ses.train.nan_skips");
   EXPECT_EQ(health.Observe(1.0, 2.0), r::HealthMonitor::Action::kProceed);
   const double nan = std::numeric_limits<double>::quiet_NaN();
