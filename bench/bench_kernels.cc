@@ -209,8 +209,8 @@ int main(int argc, char** argv) try {
         obs::KernelScope kscope("spmm", d.spmm_variant, sweep_flops,
                                 sweep_bytes);
         d.spmm_csr(csr.rows, csr.row_ptr.data(), csr.col.data(),
-                   csr.perm.data(), edge_w.value().data(), dense.data(), feat,
-                   out_t.data(), /*bias=*/nullptr, /*relu=*/false);
+                   csr.perm_or_null(), edge_w.value().data(), dense.data(),
+                   feat, out_t.data(), /*bias=*/nullptr, /*relu=*/false);
       }
     }
   }

@@ -344,9 +344,12 @@ Variable Dropout(const Variable& a, float p, bool training, util::Rng* rng) {
   SES_CHECK(p < 1.0f);
   const t::Tensor& x = a.value();
   const float keep = 1.0f - p;
+  const float scale = 1.0f / keep;
   t::Tensor mask(x.rows(), x.cols());
+  // Branch-free: 0 or 1 times the scale is bitwise the branching form, and
+  // a coin flip's mispredictions cost more than the draw.
   for (int64_t i = 0; i < x.size(); ++i)
-    mask[i] = rng->Bernoulli(keep) ? 1.0f / keep : 0.0f;
+    mask[i] = static_cast<float>(rng->Bernoulli(keep)) * scale;
   t::Tensor y = t::Mul(x, mask);
   NodePtr pa = a.node();
   auto node = MakeOpNode(

@@ -29,24 +29,30 @@ void EdgeDot(int64_t n, const int64_t* src, const int64_t* dst,
   d.edge_dot(n, src, dst, x.data(), y.data(), f, out);
 }
 
-/// The gradient SpMM: plan's rows x f product of weights w and x, in a
-/// fresh buffer the caller adds to a gradient.
-t::Tensor GradSpmm(const kernels::SpmmPlan& plan, const float* w,
-                   const t::Tensor& x) {
+/// The gradient SpMM: writes plan's rows x f product of weights w and x
+/// into `out` (rows x f), overwriting it.
+void GradSpmmInto(const kernels::SpmmPlan& plan, const float* w,
+                  const t::Tensor& x, t::Tensor* out) {
   const int64_t f = x.cols();
   const double nnz = static_cast<double>(plan.csr.nnz());
-  t::Tensor out(plan.csr.rows, f);
   obs::KernelScope kscope(
       "spmm_grad", kernels::GetDispatch().spmm_variant, 2.0 * nnz * f,
       nnz * (20.0 + 4.0 * f) + 4.0 * static_cast<double>(plan.csr.rows) * f);
-  plan.Run(w, x.data(), f, out.data(), /*bias=*/nullptr, /*relu=*/false);
+  plan.Run(w, x.data(), f, out->data(), /*bias=*/nullptr, /*relu=*/false);
+}
+
+/// GradSpmmInto a fresh buffer the caller adds to a gradient.
+t::Tensor GradSpmm(const kernels::SpmmPlan& plan, const float* w,
+                   const t::Tensor& x) {
+  t::Tensor out(plan.csr.rows, x.cols());
+  GradSpmmInto(plan, w, x, &out);
   return out;
 }
 
 /// GradSpmm over a view of (src, dst) built for this call:
 ///   out[dst[e], :] += w[e] * x[src[e], :],  out is n x x.cols().
-/// The view is dropped on return: memoizing one per pair list raised Fit's
-/// peak RSS for no speed-up (DESIGN.md §14.3).
+/// For index arrays that exist only for the call (a feature matrix's
+/// column-grouped view); the view is dropped on return.
 t::Tensor GradSpmm(const int64_t* src, const int64_t* dst, int64_t e_count,
                    int64_t n, const float* w, const t::Tensor& x) {
   return GradSpmm(kernels::SpmmPlan{kernels::BuildCsrByDst(src, dst, e_count,
@@ -174,14 +180,17 @@ Variable SpMMBiasAct(const EdgeListPtr& edges, const Variable& edge_weight,
   return Variable(node);
 }
 
-Variable PairDot(const Variable& h, const EdgeListPtr& pairs) {
-  SES_TRACE_SPAN("fwd:PairDot");
+Variable PairCosineMask(const Variable& hp, const EdgeListPtr& pairs,
+                        const Variable& gain, const Variable& bias) {
+  SES_TRACE_SPAN("fwd:PairCosineMask");
   SES_CHECK(pairs != nullptr);
   SES_CHECK(pairs->dst.size() == pairs->src.size());
-  NodePtr ph = h.node();
+  NodePtr ph = hp.node(), pg = gain.node(), pb = bias.node();
+  SES_CHECK(pg->value.size() == 1 && pb->value.size() == 1);
   const t::Tensor& hv = ph->value;
   const int64_t e_count = pairs->size();
   const int64_t n = hv.rows();
+  const int64_t d = hv.cols();
   SES_CHECK(pairs->num_nodes == n);
   const int64_t* src = pairs->src.data();
   const int64_t* dst = pairs->dst.data();
@@ -190,22 +199,81 @@ Variable PairDot(const Variable& h, const EdgeListPtr& pairs) {
     in_range &= src[e] >= 0 && src[e] < n && dst[e] >= 0 && dst[e] < n;
   SES_CHECK(in_range);
 
+  // Row norms: float squares summed in double, as SumRows does.
+  std::vector<float> norm(static_cast<size_t>(n));
+  for (int64_t i = 0; i < n; ++i) {
+    const float* row = hv.RowPtr(i);
+    double acc = 0.0;
+    for (int64_t c = 0; c < d; ++c) acc += row[c] * row[c];
+    norm[static_cast<size_t>(i)] = std::sqrt(static_cast<float>(acc) + 1e-9f);
+  }
+  // out holds the dots, then the scores; cosine is kept for the backward.
   t::Tensor out(e_count, 1);
   EdgeDot(e_count, src, dst, hv, hv, out.data());
+  const float gain_v = pg->value[0];
+  const float bias_v = pb->value[0];
+  std::vector<float> cosine(static_cast<size_t>(e_count));
+  for (int64_t e = 0; e < e_count; ++e) {
+    const float c = out[e] * (1.0f / (norm[static_cast<size_t>(src[e])] *
+                                      norm[static_cast<size_t>(dst[e])]));
+    cosine[static_cast<size_t>(e)] = c;
+    out[e] = t::SigmoidOf(c * gain_v + bias_v);
+  }
+  if (!GradEnabled()) return Variable(MakeTapeFreeNode(std::move(out)));
+  t::Tensor y = out;
   auto node = MakeOpNode(
-      std::move(out), {ph},
-      [pairs, ph](const t::Tensor& g) {
-        if (!ph->requires_grad) return;
-        // dh = A_g·h + A_gᵀ·h, with A_g[dst[e], src[e]] = g[e]: each pair
-        // sends g[e] times one endpoint's row to the other endpoint.
+      std::move(out), {ph, pg, pb},
+      [pairs, ph, pg, pb, gain_v, norm = std::move(norm),
+       cosine = std::move(cosine), y = std::move(y)](const t::Tensor& g) {
         const EdgeList& p = *pairs;
+        const int64_t e_count = p.size();
+        const bool want_h = ph->requires_grad;
+        // Per pair: dz through the sigmoid, its share of dgain and db, and
+        // for hp the dot weight dz·gain/(‖hp_s‖‖hp_t‖) and dz·gain·cos,
+        // which the norms of both endpoints collect.
+        std::vector<float> dot_w(want_h ? static_cast<size_t>(e_count) : 0);
+        std::vector<double> radial(want_h ? static_cast<size_t>(p.num_nodes)
+                                          : 0);
+        double dgain = 0.0;
+        float db = 0.0f;
+        for (int64_t e = 0; e < e_count; ++e) {
+          const float c = cosine[static_cast<size_t>(e)];
+          const float dz = g[e] * (y[e] * (1.0f - y[e]));
+          dgain += static_cast<double>(dz) * c;
+          db += dz;
+          if (!want_h) continue;
+          const float dcos = dz * gain_v;
+          const size_t s = static_cast<size_t>(p.src[static_cast<size_t>(e)]);
+          const size_t t = static_cast<size_t>(p.dst[static_cast<size_t>(e)]);
+          dot_w[static_cast<size_t>(e)] = dcos * (1.0f / (norm[s] * norm[t]));
+          radial[s] += static_cast<double>(dcos) * c;
+          radial[t] += static_cast<double>(dcos) * c;
+        }
+        if (pg->requires_grad) pg->EnsureGrad()[0] += static_cast<float>(dgain);
+        if (pb->requires_grad) pb->EnsureGrad()[0] += db;
+        if (!want_h) return;
+        // dhp = A·hp + Aᵀ·hp with A[dst[e], src[e]] = dot_w[e]: each pair
+        // sends its weight times one endpoint's row to the other. The norm
+        // of row i moves cos by -cos/‖hp_i‖ and itself by hp_i/‖hp_i‖, so
+        // row i also gets -radial[i]/‖hp_i‖² · hp_i.
+        const t::Tensor& hv = ph->value;
+        const int64_t f = hv.cols();
         t::Tensor& dh = ph->EnsureGrad();
-        dh.AddInPlace(GradSpmm(p.src.data(), p.dst.data(), p.size(),
-                               p.num_nodes, g.data(), ph->value));
-        dh.AddInPlace(GradSpmm(p.dst.data(), p.src.data(), p.size(),
-                               p.num_nodes, g.data(), ph->value));
+        t::Tensor spmm(p.num_nodes, f);
+        GradSpmmInto(*p.plan(), dot_w.data(), hv, &spmm);
+        dh.AddInPlace(spmm);
+        GradSpmmInto(*p.transposed_plan(), dot_w.data(), hv, &spmm);
+        for (int64_t i = 0; i < p.num_nodes; ++i) {
+          const float nrm = norm[static_cast<size_t>(i)];
+          const float k =
+              static_cast<float>(-radial[static_cast<size_t>(i)]) / (nrm * nrm);
+          const float* h_row = hv.RowPtr(i);
+          const float* s_row = spmm.RowPtr(i);
+          float* d_row = dh.RowPtr(i);
+          for (int64_t c = 0; c < f; ++c) d_row[c] += s_row[c] + k * h_row[c];
+        }
       },
-      "bwd:PairDot");
+      "bwd:PairCosineMask");
   return Variable(node);
 }
 
@@ -323,11 +391,7 @@ Variable FeatureMaskAtNnz(const Variable& h, const Variable& w2,
   t::Tensor y(nnz, 1);
   EdgeDot(nnz, row.data(), col, ph->value, w2t, y.data());
   const t::Tensor& bv = pb->value;
-  for (int64_t e = 0; e < nnz; ++e) {
-    const float z = y[e] + bv[col[e]];
-    y[e] = z >= 0.0f ? 1.0f / (1.0f + std::exp(-z))
-                     : std::exp(z) / (1.0f + std::exp(z));
-  }
+  for (int64_t e = 0; e < nnz; ++e) y[e] = t::SigmoidOf(y[e] + bv[col[e]]);
   if (!GradEnabled()) return Variable(MakeTapeFreeNode(std::move(y)));
   t::Tensor y_copy = y;
   auto node = MakeOpNode(

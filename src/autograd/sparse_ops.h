@@ -18,7 +18,8 @@ namespace ses::autograd {
 /// as frozen: `plan()` memoizes the CSR-by-destination view against the
 /// current arrays, and every SpMM over this list runs the CSR kernel over
 /// it — taped and InferenceGuard forwards alike. The SpMM backward runs the
-/// same kernel over `transposed_plan()`.
+/// same kernel over `transposed_plan()`, and PairCosineMask's backward over
+/// both views of its pair list.
 struct EdgeList {
   std::vector<int64_t> src;
   std::vector<int64_t> dst;
@@ -65,15 +66,21 @@ Variable SpMM(const EdgeListPtr& edges, const Variable& edge_weight,
 Variable SpMMBiasAct(const EdgeListPtr& edges, const Variable& edge_weight,
                      const Variable& x, const Variable& bias, bool relu);
 
-/// Per-pair row dot product (SDDMM over an explicit pair list):
-///   out[e] = sum_c h[src[e], c] * h[dst[e], c]          (E x 1)
-/// Reads the N x d `h` directly and never materialises an E x d tensor.
-/// The forward is Dispatch::edge_dot; the backward, dh += A_g·h + A_gᵀ·h
-/// with the upstream gradient g as the pair weights, is two CSR SpMMs over
-/// views of the pair list built per call (DESIGN.md §14.3).
-/// `pairs->num_nodes` must equal h's row count, and every pair index must
-/// lie in [0, num_nodes); both are checked once per call.
-Variable PairDot(const Variable& h, const EdgeListPtr& pairs);
+/// The structure-mask score of every pair (Eqs. 4–5), in one op:
+///   out[e] = sigmoid(gain · cos(hp[src[e]], hp[dst[e]]) + bias)   (E x 1)
+/// with cos(a, b) = ⟨a, b⟩ / (‖a‖‖b‖) and ‖a‖ = sqrt(Σ a² + 1e-9), so an
+/// all-zero row scores sigmoid(bias). `gain` and `bias` are 1 x 1. It reads
+/// the N x d `hp` directly and never materialises an E x d tensor. The
+/// dots are Dispatch::edge_dot, and one loop over the pairs applies the
+/// rest. The backward is one loop over the pairs for the gain, bias, dot
+/// weights and norm gradients, then dhp += A·hp + Aᵀ·hp (A the dot weights
+/// on the pairs) as two CSR SpMMs over the pair list's memoized `plan()`
+/// and `transposed_plan()`, plus the norms' per-row hp/‖hp‖ term
+/// (DESIGN.md §14.3). `pairs->num_nodes` must equal hp's row count, and
+/// every pair index must lie in [0, num_nodes); both are checked once per
+/// call.
+Variable PairCosineMask(const Variable& hp, const EdgeListPtr& pairs,
+                        const Variable& gain, const Variable& bias);
 
 /// Numerically-stable softmax over incoming edges grouped by destination:
 ///   y_e = exp(s_e) / sum_{e': dst[e'] == dst[e]} exp(s_{e'})

@@ -36,15 +36,7 @@ ag::Variable MaskGenerator::StructureMask(
   // embedding geometry. Row normalization keeps the similarity bounded
   // regardless of encoder scale.
   ag::Variable hp = ag::MatMul(h, struct_proj_);  // N x hidden
-  ag::Variable norms =
-      ag::Sqrt(ag::AddScalar(ag::SumRows(ag::Mul(hp, hp)), 1e-9f));  // N x 1
-  ag::Variable dots = ag::PairDot(hp, pairs);  // E x 1
-  ag::Variable denom = ag::Mul(ag::GatherRows(norms, pairs->src),
-                               ag::GatherRows(norms, pairs->dst));
-  ag::Variable cosine = ag::Mul(dots, ag::Pow(denom, -1.0f));
-  ag::Variable scores = ag::ScaleBy(cosine, struct_dot_);
-  scores = ag::AddRowVector(scores, struct_b_);
-  return ag::Sigmoid(scores);
+  return ag::PairCosineMask(hp, pairs, struct_dot_, struct_b_);  // E x 1
 }
 
 }  // namespace ses::core

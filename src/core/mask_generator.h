@@ -26,11 +26,11 @@ namespace ses::core {
 /// and distinguish them from the features of nodes outside the
 /// neighborhood" — an inherently pairwise criterion). We realize it as
 ///   s_ij = sigmoid(gain * cos(W h_i, W h_j) + b)
-/// with one shared projection W: a purely additive form f(h_i) + g(h_j)
-/// cannot express pair similarity at all, and mixing additive terms in
-/// makes the optimum bistable across seeds (the additive part can satisfy
-/// the pair labels by scoring either cluster high). DESIGN.md §4 records
-/// this refinement. W and b are shared between M_s and M_sneg exactly as in
+/// (MatMul, then the fused PairCosineMask op) with one shared projection W:
+/// a purely additive form f(h_i) + g(h_j) cannot express pair similarity at
+/// all, and mixing additive terms in makes the optimum bistable across seeds
+/// (the additive part can satisfy the pair labels by scoring either cluster
+/// high). DESIGN.md §4 records this refinement. W and b are shared between M_s and M_sneg exactly as in
 /// the paper.
 class MaskGenerator : public nn::Module {
  public:

@@ -110,16 +110,17 @@ struct Dispatch {
   /// The one sparse aggregation kernel: CSR-by-destination SpMM with
   /// optional fused epilogue (bias may be null, relu optional). It
   /// overwrites `out`: each row starts from +0, not from out's contents
-  /// (callers pass zeroed buffers, so the result is the same). Entry e's
+  /// (PairCosineMask's backward runs two views into one buffer). Entry e's
   /// weight is w[perm[e]] when `perm` is non-null (adjacency CSR permuted
   /// from an edge list) and w[e] otherwise (value CSR, e.g. feature
-  /// matrices). Each output row is accumulated in registers, up to 64
-  /// columns per pass, one multiply-add per entry in CSR order (zero
-  /// weights skipped, so NaN rows behind a zeroed mask never propagate);
-  /// with entries kept in edge order (stable sort) that is edge order.
-  /// OpenMP over rows behind ShouldParallelize(2·nnz·f).
+  /// matrices, or an edge list already grouped by destination). Each
+  /// output row is accumulated in registers, up to 64 columns per pass,
+  /// one multiply-add per entry in CSR order (zero weights skipped, so NaN
+  /// rows behind a zeroed mask never propagate); with entries kept in edge
+  /// order (stable sort) that is edge order. OpenMP over rows behind
+  /// ShouldParallelize(2·nnz·f).
   void (*spmm_csr)(int64_t rows, const int64_t* row_ptr, const int64_t* col,
-                   const int64_t* perm, const float* w, const float* x,
+                   const int32_t* perm, const float* w, const float* x,
                    int64_t f, float* out, const float* bias, bool relu);
   /// out[e] += x[src[e], :] · y[dst[e], :] for every e in [0, n_edges)
   /// (SDDMM over an edge list; x and y have f columns). Each edge's dot is

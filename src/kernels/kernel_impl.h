@@ -249,7 +249,7 @@ void EdgeDotImpl(int64_t n_edges, const int64_t* src, const int64_t* dst,
 /// row cost more than the row's arithmetic (DESIGN §14.1). x, dst and bias
 /// point at the segment's first column; x has row stride f.
 template <class Ops, int kVecs>
-inline void SpmmCsrRowPass(const int64_t* col, const int64_t* perm,
+inline void SpmmCsrRowPass(const int64_t* col, const int32_t* perm,
                            const float* w, int64_t e_begin, int64_t e_end,
                            const float* x, int64_t f, float* dst,
                            const float* bias, bool relu,
@@ -286,7 +286,7 @@ inline void SpmmCsrRowPass(const int64_t* col, const int64_t* perm,
 
 template <class Ops, int kLastVecs>
 void SpmmCsrRows(int64_t rows, const int64_t* row_ptr, const int64_t* col,
-                 const int64_t* perm, const float* w, const float* x,
+                 const int32_t* perm, const float* w, const float* x,
                  int64_t f, float* out, const float* bias, bool relu,
                  const ColumnPasses<Ops, Ops::kSpmmVecs>& p, bool par) {
   constexpr int64_t W = ColumnPasses<Ops, Ops::kSpmmVecs>::kWidth;
@@ -320,7 +320,7 @@ void SpmmCsrRows(int64_t rows, const int64_t* row_ptr, const int64_t* col,
 
 template <class Ops>
 void SpmmCsrImpl(int64_t rows, const int64_t* row_ptr, const int64_t* col,
-                 const int64_t* perm, const float* w, const float* x,
+                 const int32_t* perm, const float* w, const float* x,
                  int64_t f, float* out, const float* bias, bool relu) {
   if (f == 0) return;
   const double nnz = static_cast<double>(row_ptr[rows]);

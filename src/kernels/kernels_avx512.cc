@@ -189,7 +189,7 @@ void GatherRows(const float* a, int64_t cols, const int64_t* index, int64_t n,
   GatherRowsImpl(a, cols, index, n, out);
 }
 void SpmmCsr(int64_t rows, const int64_t* row_ptr, const int64_t* col,
-             const int64_t* perm, const float* w, const float* x, int64_t f,
+             const int32_t* perm, const float* w, const float* x, int64_t f,
              float* out, const float* bias, bool relu) {
   SpmmCsrImpl<Ops>(rows, row_ptr, col, perm, w, x, f, out, bias, relu);
 }

@@ -24,18 +24,25 @@ namespace ses::kernels {
 /// keep their original edge order within each row (stable counting sort), so
 /// per-row accumulation order equals edge order. `perm` maps each entry back
 /// to its edge index for weight lookup (weights change every call; the
-/// structure does not).
+/// structure does not). It is empty when the edges were already grouped by
+/// destination: entry e is then edge e.
 struct CsrAdj {
   int64_t rows = 0;  ///< destination nodes
   std::vector<int64_t> row_ptr;  ///< size rows + 1
   std::vector<int64_t> col;      ///< source node per entry (edge order)
-  std::vector<int64_t> perm;     ///< entry -> original edge index
+  std::vector<int32_t> perm;     ///< entry -> original edge index, or empty
 
   int64_t nnz() const { return static_cast<int64_t>(col.size()); }
+  /// The `perm` argument of Dispatch::spmm_csr: null for the identity.
+  const int32_t* perm_or_null() const {
+    return perm.empty() ? nullptr : perm.data();
+  }
 };
 
 /// Builds the CSR-by-destination view with a stable counting sort: O(E + N),
-/// no comparisons, entry order within each row == edge order.
+/// no comparisons, entry order within each row == edge order. Edges whose
+/// destinations are already non-decreasing are copied, with no `perm`. At
+/// most INT32_MAX edges (checked).
 CsrAdj BuildCsrByDst(const int64_t* src, const int64_t* dst, int64_t e,
                      int64_t n);
 

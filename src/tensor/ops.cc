@@ -193,10 +193,7 @@ Tensor Sqrt(const Tensor& a) {
 }
 
 Tensor Sigmoid(const Tensor& a) {
-  return UnaryOp(a, [](float x) {
-    return x >= 0.0f ? 1.0f / (1.0f + std::exp(-x))
-                     : std::exp(x) / (1.0f + std::exp(x));
-  });
+  return UnaryOp(a, [](float x) { return SigmoidOf(x); });
 }
 
 Tensor Tanh(const Tensor& a) {

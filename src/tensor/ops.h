@@ -1,6 +1,7 @@
 #ifndef SES_TENSOR_OPS_H_
 #define SES_TENSOR_OPS_H_
 
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -52,7 +53,14 @@ Tensor Sign(const Tensor& a);
 Tensor Exp(const Tensor& a);
 Tensor Log(const Tensor& a);  ///< natural log; clamps input at 1e-12.
 Tensor Sqrt(const Tensor& a);
-Tensor Sigmoid(const Tensor& a);
+Tensor Sigmoid(const Tensor& a);  ///< SigmoidOf per element.
+/// The logistic sigmoid, split at 0 so neither side overflows, with one
+/// exp(-|z|) shared by both sides (a branch with an exp in each arm cost
+/// twice the time on negative inputs).
+inline float SigmoidOf(float z) {
+  const float e = std::exp(-std::fabs(z));
+  return z >= 0.0f ? 1.0f / (1.0f + e) : e / (1.0f + e);
+}
 Tensor Tanh(const Tensor& a);
 Tensor Relu(const Tensor& a);
 Tensor LeakyRelu(const Tensor& a, float slope);

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <tuple>
 
 #include "autograd/grad_check.h"
@@ -285,6 +286,24 @@ TEST(AutogradTest, DropoutPreservesScaleInExpectation) {
   EXPECT_NEAR(y.value().Mean(), 1.0f, 0.02f);
 }
 
+TEST(AutogradTest, DropoutMaskIsTheBranchingMaskBitwise) {
+  // The mask is the coin flip times 1/keep: the same draws, and the same
+  // bits as `Bernoulli(keep) ? 1/keep : 0`.
+  const float p = 0.3f;
+  const float keep = 1.0f - p;
+  ses::util::Rng rng(20), ref_rng(20);
+  auto ones = ag::Variable::Constant(t::Tensor::Ones(37, 29));
+  const t::Tensor y = ag::Dropout(ones, p, /*training=*/true, &rng).value();
+  int64_t dropped = 0;
+  for (int64_t i = 0; i < y.size(); ++i) {
+    const float want = ref_rng.Bernoulli(keep) ? 1.0f / keep : 0.0f;
+    dropped += want == 0.0f;
+    ASSERT_EQ(std::memcmp(y.data() + i, &want, sizeof(float)), 0) << "element " << i;
+  }
+  EXPECT_GT(dropped, 0);
+  EXPECT_EQ(rng.NextU64(), ref_rng.NextU64()) << "the streams diverged";
+}
+
 }  // namespace
 
 // --- ops added for the mask generator ---------------------------------------
@@ -361,7 +380,6 @@ TEST(AutogradExtraTest, CosineBoundedMinusOneToOne) {
 
 // --- fused pair scorer --------------------------------------------------------
 
-#include <cstring>
 #include <stdexcept>
 
 namespace {
@@ -381,35 +399,71 @@ bool BitwiseEqual(const t::Tensor& a, const t::Tensor& b) {
           std::memcmp(a.data(), b.data(), sizeof(float) * a.size()) == 0);
 }
 
-TEST(PairDotTest, GradientMatchesFiniteDifferences) {
+TEST(PairCosineMaskTest, GradientMatchesFiniteDifferences) {
+  // A self pair (2, 2), a duplicate pair (0, 1) and both orders of (1, 2).
   ses::util::Rng rng(46);
   auto h = Param(5, 4, &rng);
-  auto w = ag::Variable::Constant(t::Tensor::Randn(7, 1, &rng));
-  auto pairs = MakePairs(5, {0, 1, 2, 3, 4, 2, 1}, {1, 2, 3, 4, 0, 2, 1});
+  auto gain = ag::Variable::Parameter(t::Tensor::Full(1, 1, 1.5f));
+  auto bias = ag::Variable::Parameter(t::Tensor::Full(1, 1, -0.2f));
+  auto w = ag::Variable::Constant(t::Tensor::Randn(8, 1, &rng));
+  auto pairs =
+      MakePairs(5, {0, 1, 2, 3, 4, 2, 0, 2}, {1, 2, 3, 4, 0, 2, 1, 1});
   auto result = ag::CheckGradients(
-      [&] { return ag::MeanAll(ag::Mul(ag::PairDot(h, pairs), w)); }, {h});
+      [&] {
+        return ag::MeanAll(ag::Mul(ag::PairCosineMask(h, pairs, gain, bias), w));
+      },
+      {h, gain, bias});
   EXPECT_TRUE(result.ok) << "rel err " << result.max_rel_error;
 }
 
-TEST(PairDotTest, OutOfRangeIndexThrows) {
+TEST(PairCosineMaskTest, OutOfRangeIndexThrows) {
   auto h = ag::Variable::Constant(t::Tensor(3, 2));
-  EXPECT_THROW(ag::PairDot(h, MakePairs(3, {0, 3}, {1, 1})), std::logic_error);
-  EXPECT_THROW(ag::PairDot(h, MakePairs(3, {0, 1}, {1, -1})),
+  auto gain = ag::Variable::Constant(t::Tensor::Ones(1, 1));
+  auto bias = ag::Variable::Constant(t::Tensor(1, 1));
+  EXPECT_THROW(ag::PairCosineMask(h, MakePairs(3, {0, 3}, {1, 1}), gain, bias),
                std::logic_error);
-  EXPECT_THROW(ag::PairDot(h, MakePairs(3, {0, 1}, {1})), std::logic_error);
+  EXPECT_THROW(
+      ag::PairCosineMask(h, MakePairs(3, {0, 1}, {1, -1}), gain, bias),
+      std::logic_error);
+  EXPECT_THROW(ag::PairCosineMask(h, MakePairs(3, {0, 1}, {1}), gain, bias),
+               std::logic_error);
+  EXPECT_THROW(ag::PairCosineMask(h, MakePairs(3, {0}, {1}), gain,
+                                  ag::Variable::Constant(t::Tensor(1, 2))),
+               std::logic_error);
 }
 
-TEST(PairDotTest, InferenceGuardRecordsNoTape) {
+TEST(PairCosineMaskTest, InferenceGuardRecordsNoTape) {
   ses::util::Rng rng(47);
   auto h = Param(6, 4, &rng);
+  auto gain = ag::Variable::Parameter(t::Tensor::Full(1, 1, 2.0f));
+  auto bias = ag::Variable::Parameter(t::Tensor::Zeros(1, 1));
   auto pairs = MakePairs(6, {0, 1, 5}, {2, 1, 3});
-  const t::Tensor taped = ag::PairDot(h, pairs).value();
+  const t::Tensor taped = ag::PairCosineMask(h, pairs, gain, bias).value();
   ag::InferenceGuard no_grad;
   const uint64_t before = ag::TapeNodesCreated();
-  auto y = ag::PairDot(h, pairs);
+  auto y = ag::PairCosineMask(h, pairs, gain, bias);
   EXPECT_EQ(ag::TapeNodesCreated(), before);
   EXPECT_FALSE(y.requires_grad());
   EXPECT_TRUE(BitwiseEqual(y.value(), taped));
+}
+
+TEST(PairCosineMaskTest, BackwardBuildsEachViewOnce) {
+  // The backward's two SpMMs run over the pair list's memoized views: a
+  // second backward reuses them and leaves the same gradient again.
+  ses::util::Rng rng(48);
+  auto h = Param(6, 5, &rng);
+  auto gain = ag::Variable::Parameter(t::Tensor::Full(1, 1, 2.0f));
+  auto bias = ag::Variable::Parameter(t::Tensor::Zeros(1, 1));
+  auto pairs = MakePairs(6, {0, 0, 1, 3, 5}, {2, 4, 1, 0, 3});
+  ag::Backward(ag::SumAll(ag::PairCosineMask(h, pairs, gain, bias)));
+  const t::Tensor first = h.grad();
+  const auto plan = pairs->plan();
+  const auto transposed = pairs->transposed_plan();
+  h.ZeroGrad();
+  ag::Backward(ag::SumAll(ag::PairCosineMask(h, pairs, gain, bias)));
+  EXPECT_EQ(pairs->plan().get(), plan.get());
+  EXPECT_EQ(pairs->transposed_plan().get(), transposed.get());
+  EXPECT_TRUE(BitwiseEqual(h.grad(), first));
 }
 
 // ---------------------------------------------------------------------------

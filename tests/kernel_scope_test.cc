@@ -94,7 +94,7 @@ TEST_F(KernelScopeTest, SpmmDeclaresTwoFlopsPerNnzPerFeature) {
   EXPECT_DOUBLE_EQ(s->flops, 40.0);
 }
 
-TEST_F(KernelScopeTest, PairDotDeclaresTwoFlopsPerPairPerFeature) {
+TEST_F(KernelScopeTest, PairCosineMaskDeclaresTwoFlopsPerPairPerFeature) {
   // E = 4 pairs of width d = 6 on edge_dot: one call, 2 * 4 * 6 = 48 FLOPs.
   auto pairs = std::make_shared<autograd::EdgeList>();
   pairs->src = {0, 1, 2, 2};
@@ -102,7 +102,9 @@ TEST_F(KernelScopeTest, PairDotDeclaresTwoFlopsPerPairPerFeature) {
   pairs->num_nodes = 3;
   t::Tensor h(3, 6);
   for (int64_t i = 0; i < h.size(); ++i) h[i] = 1.0f;
-  (void)autograd::PairDot(autograd::Variable::Constant(h), pairs);
+  (void)autograd::PairCosineMask(autograd::Variable::Constant(h), pairs,
+                                 autograd::Variable::Constant(t::Tensor(1, 1)),
+                                 autograd::Variable::Constant(t::Tensor(1, 1)));
   const auto stats = obs::SnapshotKernelStats();
   const obs::KernelStats* s = Find(stats, "edge_dot", CsrSpmmVariant());
   ASSERT_NE(s, nullptr);

@@ -14,10 +14,13 @@
 //    against transpose-then-MatMul, the per-edge dot against a column-order
 //    loop, and the SpMM gradients (dx over the transposed CSR) against an
 //    edge-order scatter,
-//  - the sparse autograd ops on those kernels (PairDot, SparseMaskedLinear,
-//    FeatureMaskAtNnz): bitwise against reference loops at every tier, and
-//    finite-difference gradients on messy patterns,
-//  - per-graph plan memoization, forward and transposed.
+//  - the sparse autograd ops on those kernels: PairCosineMask against the
+//    autograd chain it replaced, SparseMaskedLinear and FeatureMaskAtNnz
+//    bitwise against reference loops, all at every tier, and
+//    finite-difference gradients on messy pair lists and patterns,
+//  - per-graph plan memoization, forward and transposed, and views of
+//    already-grouped edges without a permutation.
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -408,7 +411,7 @@ void RunSpmm(k::SimdTier tier, const k::CsrAdj& csr, const float* w,
              const float* x, int64_t f, float* out, const float* bias,
              bool relu) {
   k::DispatchFor(tier).spmm_csr(csr.rows, csr.row_ptr.data(), csr.col.data(),
-                                csr.perm.data(), w, x, f, out, bias, relu);
+                                csr.perm_or_null(), w, x, f, out, bias, relu);
 }
 
 class SpmmParityTest : public ::testing::Test {
@@ -691,10 +694,10 @@ TEST(SpmmGradTest, NumericGradientsOnAMessyGraphWithZeroWeights) {
 }
 
 // ---------------------------------------------------------------------------
-// The sparse autograd ops on the dispatched kernels: PairDot (edge_dot
-// forward, two CSR SpMMs backward), SparseMaskedLinear (CSR SpMM forward and
-// dW, edge_dot dmask) and FeatureMaskAtNnz (edge_dot forward, CSR SpMM
-// gradients).
+// The sparse autograd ops on the dispatched kernels: PairCosineMask
+// (edge_dot forward, two CSR SpMMs over the pair list's views backward),
+// SparseMaskedLinear (CSR SpMM forward and dW, edge_dot dmask) and
+// FeatureMaskAtNnz (edge_dot forward, CSR SpMM gradients).
 
 /// a + b·c with the tier's rounding: a separate multiply and add at the
 /// scalar tier, one std::fmaf at SIMD tiers.
@@ -728,57 +731,77 @@ std::shared_ptr<const t::SparseMatrix> MakeMessyPattern(int64_t rows,
   return m;
 }
 
-TEST(SparseOpTest, PairDotMatchesEdgeOrderReferenceAtEveryTier) {
-  // Forward: each pair's dot is the tier's edge_dot, the column-order float
-  // dot at scalar tier. Backward: the pairs grouped by dst, then by src,
-  // each group summed from +0 in pair order with zero weights skipped and
-  // added to the fresh gradient in that order.
+/// The structure-mask chain PairCosineMask replaced, in plain autograd ops:
+/// row norms, dots of the gathered rows, the cosine, gain, bias, sigmoid.
+ag::Variable ChainCosineMask(const ag::Variable& hp, const ag::EdgeList& pairs,
+                             const ag::Variable& gain,
+                             const ag::Variable& bias) {
+  const ag::Variable norms =
+      ag::Sqrt(ag::AddScalar(ag::SumRows(ag::Mul(hp, hp)), 1e-9f));
+  const ag::Variable dots = ag::SumRows(ag::Mul(
+      ag::GatherRows(hp, pairs.src), ag::GatherRows(hp, pairs.dst)));
+  const ag::Variable denom = ag::Mul(ag::GatherRows(norms, pairs.src),
+                                     ag::GatherRows(norms, pairs.dst));
+  const ag::Variable cosine = ag::Mul(dots, ag::Pow(denom, -1.0f));
+  return ag::Sigmoid(ag::AddRowVector(ag::ScaleBy(cosine, gain), bias));
+}
+
+/// Worst |a - b| over the rows of a tensor, each relative to the row's
+/// largest magnitude in b, or to 1e-4 of b's largest when that is more
+/// (rows that cancel to about zero).
+double MaxRelDiff(const t::Tensor& a, const t::Tensor& b) {
+  double floor = 1e-30;
+  for (int64_t i = 0; i < b.size(); ++i)
+    floor = std::max(floor, 1e-4 * std::fabs(b[i]));
+  double worst = 0.0;
+  for (int64_t r = 0; r < b.rows(); ++r) {
+    double scale = floor;
+    for (int64_t c = 0; c < b.cols(); ++c)
+      scale = std::max(scale, static_cast<double>(std::fabs(b.At(r, c))));
+    worst = std::max(
+        worst, MaxAbsDiff(a.RowPtr(r), b.RowPtr(r), b.cols()) / scale);
+  }
+  return worst;
+}
+
+TEST(SparseOpTest, PairCosineMaskMatchesTheChainAtEveryTier) {
+  // A pair list with duplicates, a self pair and an isolated node; node 4's
+  // row is all zeros (its pairs score sigmoid(bias)). The upstream gradient
+  // holds two zero weights.
   const GradGraph gg = MakeGradGraph(/*nodes=*/31, /*edges=*/180, 53);
   const ag::EdgeList& pl = *gg.edges;
   const int64_t n = pl.num_nodes;
-  const int64_t e_count = pl.size();
-  const t::Tensor& upstream = gg.w;  // holds two zero weights
+  ASSERT_GT(std::count(pl.src.begin(), pl.src.end(), 4) +
+                std::count(pl.dst.begin(), pl.dst.end(), 4),
+            0);
   util::Rng rng(59);
   for (const int64_t f : kWidths) {
-    const t::Tensor hv = t::Tensor::Randn(n, f, &rng);
+    t::Tensor hv = t::Tensor::Randn(n, f, &rng);
+    for (int64_t c = 0; c < f; ++c) hv.At(4, c) = 0.0f;
     for (const k::SimdTier tier : SupportedTiers()) {
       const ScopedKernelVariant pin(k::TierName(tier));
+      const std::string at =
+          std::string(k::TierName(tier)) + " f=" + std::to_string(f);
       auto h = ag::Variable::Parameter(hv);
-      const ag::Variable out = ag::PairDot(h, gg.edges);
-      t::Tensor want_out(e_count, 1);
-      if (tier == k::SimdTier::kScalar) {
-        for (int64_t e = 0; e < e_count; ++e) {
-          float acc = 0.0f;
-          for (int64_t c = 0; c < f; ++c)
-            acc += hv.At(pl.src[e], c) * hv.At(pl.dst[e], c);
-          want_out[e] += acc;
-        }
-      } else {
-        k::DispatchFor(tier).edge_dot(e_count, pl.src.data(), pl.dst.data(),
-                                      hv.data(), hv.data(), f,
-                                      want_out.data());
-      }
-      EXPECT_TRUE(BitwiseEqual(out.value().data(), want_out.data(), e_count))
-          << k::TierName(tier) << " forward f=" << f;
+      auto gain = ag::Variable::Parameter(t::Tensor::Full(1, 1, 2.5f));
+      auto bias = ag::Variable::Parameter(t::Tensor::Full(1, 1, -0.3f));
+      auto h_ref = ag::Variable::Parameter(hv);
+      auto gain_ref = ag::Variable::Parameter(gain.value());
+      auto bias_ref = ag::Variable::Parameter(bias.value());
+      const ag::Variable out = ag::PairCosineMask(h, gg.edges, gain, bias);
+      const ag::Variable ref = ChainCosineMask(h_ref, pl, gain_ref, bias_ref);
+      ASSERT_TRUE(out.value().SameShape(ref.value())) << at;
+      EXPECT_LE(MaxAbsDiff(out.value().data(), ref.value().data(), pl.size()),
+                1e-6)
+          << at;
 
-      ag::Backward(out, upstream);
-      t::Tensor by_dst = t::Tensor::Zeros(n, f);
-      t::Tensor by_src = t::Tensor::Zeros(n, f);
-      for (int64_t e = 0; e < e_count; ++e) {
-        const float ge = upstream[e];
-        if (ge == 0.0f) continue;
-        float* to_dst = by_dst.RowPtr(pl.dst[e]);
-        float* to_src = by_src.RowPtr(pl.src[e]);
-        for (int64_t c = 0; c < f; ++c) {
-          to_dst[c] = MulAdd(tier, to_dst[c], ge, hv.At(pl.src[e], c));
-          to_src[c] = MulAdd(tier, to_src[c], ge, hv.At(pl.dst[e], c));
-        }
-      }
-      t::Tensor want_dh = t::Tensor::Zeros(n, f);
-      want_dh.AddInPlace(by_dst);
-      want_dh.AddInPlace(by_src);
-      EXPECT_TRUE(BitwiseEqual(h.grad().data(), want_dh.data(), n * f))
-          << k::TierName(tier) << " backward f=" << f;
+      ag::Backward(out, gg.w);
+      ag::Backward(ref, gg.w);
+      EXPECT_LE(MaxRelDiff(h.grad(), h_ref.grad()), 1e-5) << at << " dh";
+      EXPECT_LE(MaxRelDiff(gain.grad(), gain_ref.grad()), 1e-5) << at;
+      EXPECT_LE(MaxRelDiff(bias.grad(), bias_ref.grad()), 1e-5) << at;
+      for (int64_t c = 0; c < f; ++c)
+        EXPECT_EQ(h.grad().At(n - 1, c), 0.0f) << at << " isolated node";
     }
   }
 }
@@ -861,8 +884,8 @@ TEST(SparseOpTest, FeatureMaskAtNnzForwardMatchesDotPlusBiasAtEveryTier) {
 }
 
 TEST(SparseOpTest, GradientsMatchFiniteDifferencesAtEveryTier) {
-  // A pair list with an isolated node, duplicates and a self pair; a
-  // pattern with an empty row, an unused column and stored zeros; a mask
+  // A pair list with an isolated node, duplicates, a self pair and an
+  // all-zero row; a pattern with an empty row, an unused column and stored zeros; a mask
   // with zeros.
   const GradGraph gg = MakeGradGraph(/*nodes=*/9, /*edges=*/24, 89);
   const auto pattern = MakeMessyPattern(/*rows=*/6, /*cols=*/7, 97);
@@ -873,16 +896,23 @@ TEST(SparseOpTest, GradientsMatchFiniteDifferencesAtEveryTier) {
     const ScopedKernelVariant pin(k::TierName(tier));
     const char* name = k::TierName(tier);
 
-    auto h = ag::Variable::Parameter(t::Tensor::Randn(n, 5, &rng));
+    // Row 0 of the scored rows is a constant all-zero row: its pairs score
+    // sigmoid(bias) whatever the other rows hold.
+    auto h = ag::Variable::Parameter(t::Tensor::Randn(n - 1, 5, &rng));
+    const auto zero_row = ag::Variable::Constant(t::Tensor::Zeros(1, 5));
+    auto gain = ag::Variable::Parameter(t::Tensor::Full(1, 1, 2.0f));
+    auto bias = ag::Variable::Parameter(t::Tensor::Full(1, 1, 0.1f));
     const auto pair_w = ag::Variable::Constant(gg.w);
-    const auto pair_dot = ag::CheckGradients(
+    const auto pair_mask = ag::CheckGradients(
         [&] {
-          return ag::MeanAll(ag::Sigmoid(ag::Mul(ag::PairDot(h, gg.edges),
-                                                 pair_w)));
+          return ag::MeanAll(ag::Mul(
+              ag::PairCosineMask(ag::ConcatRows(zero_row, h), gg.edges, gain,
+                                 bias),
+              pair_w));
         },
-        {h});
-    EXPECT_TRUE(pair_dot.ok) << name << " PairDot rel err "
-                             << pair_dot.max_rel_error;
+        {h, gain, bias});
+    EXPECT_TRUE(pair_mask.ok) << name << " PairCosineMask rel err "
+                              << pair_mask.max_rel_error;
 
     t::Tensor mask_v = t::Tensor::Uniform(pattern->nnz(), 1, 0.2f, 1.0f, &rng);
     mask_v[0] = 0.0f;
@@ -923,22 +953,27 @@ TEST(SparseOpTest, GradientsMatchFiniteDifferencesAtEveryTier) {
   }
 }
 
-TEST(SparseOpTest, PairDotTakesAnEmptyPairListAndChecksNumNodes) {
+TEST(SparseOpTest, PairCosineMaskTakesAnEmptyPairListAndChecksNumNodes) {
   util::Rng rng(103);
   auto h = ag::Variable::Parameter(t::Tensor::Randn(4, 3, &rng));
+  auto gain = ag::Variable::Parameter(t::Tensor::Full(1, 1, 2.0f));
+  auto bias = ag::Variable::Parameter(t::Tensor::Zeros(1, 1));
   auto empty = std::make_shared<ag::EdgeList>();
   empty->num_nodes = 4;
-  const ag::Variable out = ag::PairDot(h, empty);
+  const ag::Variable out = ag::PairCosineMask(h, empty, gain, bias);
   EXPECT_EQ(out.value().rows(), 0);
   ag::Backward(out, t::Tensor(0, 1));
   const t::Tensor zeros = t::Tensor::Zeros(4, 3);
   EXPECT_TRUE(BitwiseEqual(h.grad().data(), zeros.data(), 12));
+  EXPECT_EQ(gain.grad()[0], 0.0f);
+  EXPECT_EQ(bias.grad()[0], 0.0f);
 
   auto mismatched = std::make_shared<ag::EdgeList>();
   mismatched->src = {0, 1};
   mismatched->dst = {1, 2};
   mismatched->num_nodes = 5;
-  EXPECT_THROW(ag::PairDot(h, mismatched), std::logic_error);
+  EXPECT_THROW(ag::PairCosineMask(h, mismatched, gain, bias),
+               std::logic_error);
 }
 
 // ---------------------------------------------------------------------------
@@ -976,7 +1011,7 @@ TEST(SpmmPlanTest, TransposedPlanMemoizesAndRebuildsOnResize) {
   EXPECT_EQ(p1->csr.rows, 3);
   EXPECT_EQ(p1->csr.row_ptr, (std::vector<int64_t>{0, 1, 2, 5}));
   EXPECT_EQ(p1->csr.col, (std::vector<int64_t>{1, 2, 0, 1, 2}));
-  EXPECT_EQ(p1->csr.perm, (std::vector<int64_t>{1, 3, 0, 2, 4}));
+  EXPECT_EQ(p1->csr.perm, (std::vector<int32_t>{1, 3, 0, 2, 4}));
   edges->src.push_back(3);
   edges->dst.push_back(0);
   edges->num_nodes = 4;
@@ -984,6 +1019,61 @@ TEST(SpmmPlanTest, TransposedPlanMemoizesAndRebuildsOnResize) {
   EXPECT_NE(p3.get(), p1.get()) << "a resized edge list must rebuild";
   EXPECT_EQ(p3->csr.nnz(), 6);
   EXPECT_EQ(p3->csr.rows, 4);
+}
+
+TEST(SpmmPlanTest, GroupedEdgesNeedNoPermAndMatchTheIdentityPermAtEveryTier) {
+  // The messy graph (empty rows, a hub, a duplicate, a self loop) stably
+  // sorted by dst: its view is the same CSR as the unsorted list's, with no
+  // permutation, and runs bitwise like the same view with an explicit
+  // identity permutation.
+  const TestGraph messy = MakeMessyGraph(/*nodes=*/53, /*edges=*/400, 7);
+  const int64_t e = static_cast<int64_t>(messy.src.size());
+  std::vector<int64_t> order(static_cast<size_t>(e));
+  for (int64_t i = 0; i < e; ++i) order[static_cast<size_t>(i)] = i;
+  std::stable_sort(order.begin(), order.end(), [&](int64_t a, int64_t b) {
+    return messy.dst[static_cast<size_t>(a)] < messy.dst[static_cast<size_t>(b)];
+  });
+  TestGraph g;
+  g.nodes = messy.nodes;
+  for (const int64_t i : order) {
+    g.src.push_back(messy.src[static_cast<size_t>(i)]);
+    g.dst.push_back(messy.dst[static_cast<size_t>(i)]);
+  }
+  const k::CsrAdj unsorted =
+      k::BuildCsrByDst(messy.src.data(), messy.dst.data(), e, messy.nodes);
+  const k::CsrAdj grouped =
+      k::BuildCsrByDst(g.src.data(), g.dst.data(), e, g.nodes);
+  EXPECT_FALSE(unsorted.perm.empty());
+  EXPECT_TRUE(grouped.perm.empty());
+  EXPECT_EQ(grouped.perm_or_null(), nullptr);
+  EXPECT_EQ(grouped.row_ptr, unsorted.row_ptr);
+  EXPECT_EQ(grouped.col, unsorted.col);
+  k::CsrAdj identity = grouped;
+  for (int32_t i = 0; i < static_cast<int32_t>(e); ++i)
+    identity.perm.push_back(i);
+  EXPECT_THROW(k::BuildCsrByDst(g.src.data(), g.dst.data(), e, g.nodes - 1),
+               std::logic_error)
+      << "the range check runs on grouped input too";
+
+  util::Rng rng(23);
+  t::Tensor w = t::Tensor::Randn(e, 1, &rng);
+  w[5] = 0.0f;
+  for (const int64_t f : kWidths) {
+    const t::Tensor x = t::Tensor::Randn(g.nodes, f, &rng);
+    const t::Tensor bias = t::Tensor::Randn(1, f, &rng);
+    for (const k::SimdTier tier : SupportedTiers()) {
+      for (const bool epilogue : {false, true}) {
+        const float* b = epilogue ? bias.data() : nullptr;
+        t::Tensor got = t::Tensor::Zeros(g.nodes, f);
+        t::Tensor want = t::Tensor::Zeros(g.nodes, f);
+        RunSpmm(tier, grouped, w.data(), x.data(), f, got.data(), b, epilogue);
+        RunSpmm(tier, identity, w.data(), x.data(), f, want.data(), b,
+                epilogue);
+        EXPECT_TRUE(BitwiseEqual(got.data(), want.data(), g.nodes * f))
+            << k::TierName(tier) << " f=" << f << " epilogue=" << epilogue;
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

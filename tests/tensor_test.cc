@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <vector>
 
 #include "tensor/ops.h"
 #include "tensor/sparse.h"
@@ -159,6 +160,31 @@ INSTANTIATE_TEST_SUITE_P(Shapes, MatMulShapeTest,
                                            std::make_tuple(16, 33, 7),
                                            std::make_tuple(64, 64, 64),
                                            std::make_tuple(7, 19, 17)));
+
+TEST(TensorOpsTest, SigmoidIsTheTwoExpFormulaBitwise) {
+  // One exp(-|z|) for both sides gives the bits of the branching form with
+  // an exp in each arm, at zeros and at tiny and huge magnitudes; NaN stays
+  // NaN (its sign bit may differ).
+  std::vector<float> z = {0.0f, -0.0f, 1e-30f, -1e-30f, 88.0f, -88.0f,
+                          -104.0f, 1e30f, -1e30f, std::nanf("")};
+  ses::util::Rng rng(3);
+  for (int i = 0; i < 2000; ++i)
+    z.push_back(static_cast<float>(rng.Normal(0.0, 8.0)));
+  t::Tensor x(static_cast<int64_t>(z.size()), 1);
+  for (size_t i = 0; i < z.size(); ++i) x[static_cast<int64_t>(i)] = z[i];
+  const t::Tensor y = t::Sigmoid(x);
+  for (size_t i = 0; i < z.size(); ++i) {
+    const float v = z[i];
+    const float want = v >= 0.0f ? 1.0f / (1.0f + std::exp(-v))
+                                 : std::exp(v) / (1.0f + std::exp(v));
+    if (std::isnan(want)) {
+      EXPECT_TRUE(std::isnan(y[static_cast<int64_t>(i)]));
+      continue;
+    }
+    EXPECT_EQ(std::memcmp(y.data() + i, &want, sizeof(float)), 0)
+        << "z=" << v;
+  }
+}
 
 TEST(TensorOpsTest, SoftmaxRowsSumToOne) {
   ses::util::Rng rng(9);
