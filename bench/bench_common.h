@@ -1,8 +1,6 @@
 #ifndef SES_BENCH_BENCH_COMMON_H_
 #define SES_BENCH_BENCH_COMMON_H_
 
-#include <cstdio>
-#include <fstream>
 #include <memory>
 #include <string>
 
@@ -20,148 +18,6 @@
 #include "util/table.h"
 
 namespace ses::bench {
-
-/// Observability wiring shared by the bench mains. Recognized flags:
-///   --trace-out=PATH      record spans, write a Chrome trace-event JSON
-///   --metrics-out=PATH    record spans, print a per-op aggregate table and
-///                         write span aggregates + metrics (CSV, or JSONL for
-///                         a .jsonl/.json path, or Prometheus exposition for
-///                         a .prom path)
-///   --telemetry-out=PATH  stream one JSONL record per training epoch (also
-///                         enables the ModelHealthMonitor so records carry
-///                         per-layer gradient norms / update ratios)
-///   --access-log=PATH     one JSONL line per inference request, trace-id
-///                         joinable against the Chrome trace (implies
-///                         tracing)
-///   --metrics-port=N      serve live /metrics (Prometheus), /healthz and
-///                         /spans on localhost:N for the whole run (0 picks
-///                         an ephemeral port)
-/// With none of the flags given, tracing stays disabled and the instrumented
-/// code paths cost nothing. Any artifact flag also enables kernel profiling
-/// (KernelScope -> ses.kernel.* series) and installs crash handlers, so a
-/// fault-injection kill or fatal signal still writes the artifacts.
-class ObsSession {
- public:
-  explicit ObsSession(const util::FlagParser& flags)
-      : trace_path_(flags.GetString("trace-out", "")),
-        metrics_path_(flags.GetString("metrics-out", "")) {
-    const std::string telemetry_path = flags.GetString("telemetry-out", "");
-    const std::string access_log_path = flags.GetString("access-log", "");
-    const int64_t metrics_port = flags.GetInt("metrics-port", -1);
-    const bool any_artifact = !trace_path_.empty() || !metrics_path_.empty() ||
-                              !access_log_path.empty();
-    if (any_artifact) {
-      obs::EnableTracing(true);
-      obs::EnableKernelProfiling(true);
-    } else if (metrics_port >= 0) {
-      // A live /metrics endpoint without span artifacts still wants the
-      // ses.kernel.* series populated.
-      obs::EnableKernelProfiling(true);
-    }
-    if (!telemetry_path.empty()) {
-      obs::Telemetry::Get().OpenJsonl(telemetry_path);
-      obs::ModelHealthMonitor::Get().SetEnabled(true);
-    }
-    if (!access_log_path.empty()) obs::AccessLog::Get().Open(access_log_path);
-    if (metrics_port >= 0) {
-      server_ = std::make_unique<obs::MetricsServer>();
-      if (server_->Start(static_cast<uint16_t>(metrics_port))) {
-        std::printf("metrics server on http://localhost:%u/metrics\n",
-                    static_cast<unsigned>(server_->port()));
-        // Announce the port immediately even when stdout is a pipe or file
-        // (CI polls the log for it while the benchmark is still running).
-        std::fflush(stdout);
-      } else {
-        server_.reset();
-      }
-    }
-    if (any_artifact) {
-      obs::SetCrashArtifacts(trace_path_, metrics_path_);
-      obs::InstallCrashHandlers();
-    }
-  }
-
-  ~ObsSession() { Finish(); }
-  ObsSession(const ObsSession&) = delete;
-  ObsSession& operator=(const ObsSession&) = delete;
-
-  /// Port of the embedded metrics server; 0 when --metrics-port was absent.
-  uint16_t metrics_port() const { return server_ ? server_->port() : 0; }
-
-  /// Writes/prints everything the flags asked for. Idempotent; also invoked
-  /// by the destructor so early returns still flush.
-  void Finish() {
-    if (finished_) return;
-    finished_ = true;
-    if (server_) {
-      server_->Stop();
-      server_.reset();
-    }
-    if (!trace_path_.empty() && obs::WriteChromeTrace(trace_path_))
-      std::printf("trace written to %s (open in chrome://tracing)\n",
-                  trace_path_.c_str());
-    if (!metrics_path_.empty()) {
-      PrintSpanAggregates();
-      WriteSpanAggregates(metrics_path_);
-    }
-    obs::AccessLog::Get().Close();
-    obs::Telemetry::Get().Close();
-    obs::ModelHealthMonitor::Get().SetEnabled(false);
-    // Everything is on disk; the crash path has nothing left to save.
-    obs::SetCrashArtifacts("", "");
-  }
-
- private:
-  void PrintSpanAggregates() const {
-    util::Table table("Per-op time breakdown (aggregated spans)");
-    table.SetHeader({"Op", "Count", "Total ms", "Mean us"});
-    for (const obs::LabelStats& s : obs::AggregateSpanStats()) {
-      char total[32], mean[32];
-      std::snprintf(total, sizeof(total), "%.3f", s.TotalMillis());
-      std::snprintf(mean, sizeof(mean), "%.2f", s.MeanNs() / 1e3);
-      table.AddRow({s.label, std::to_string(s.count), total, mean});
-    }
-    table.Print();
-  }
-
-  /// Span aggregates as CSV rows (or JSONL objects for .jsonl/.json paths),
-  /// followed by any registered counters/gauges/histograms. A .prom path
-  /// writes the registry alone, in Prometheus exposition format.
-  static void WriteSpanAggregates(const std::string& path) {
-    const bool jsonl =
-        util::EndsWith(path, ".jsonl") || util::EndsWith(path, ".json");
-    const bool prom = util::EndsWith(path, ".prom");
-    std::ofstream out(path);
-    if (!out) {
-      std::fprintf(stderr, "cannot open metrics output %s\n", path.c_str());
-      return;
-    }
-    if (prom) {
-      obs::MetricsRegistry::Get().WritePrometheus(out);
-      std::printf("metrics written to %s\n", path.c_str());
-      return;
-    }
-    if (jsonl) {
-      for (const obs::LabelStats& s : obs::AggregateSpanStats())
-        out << "{\"kind\":\"span\",\"label\":\"" << s.label
-            << "\",\"count\":" << s.count << ",\"total_ms\":" << s.TotalMillis()
-            << ",\"mean_us\":" << s.MeanNs() / 1e3 << "}\n";
-      obs::MetricsRegistry::Get().WriteJsonl(out);
-    } else {
-      out << "label,count,total_ms,mean_us,min_us,max_us\n";
-      for (const obs::LabelStats& s : obs::AggregateSpanStats())
-        out << s.label << "," << s.count << "," << s.TotalMillis() << ","
-            << s.MeanNs() / 1e3 << "," << s.min_ns / 1e3 << ","
-            << s.max_ns / 1e3 << "\n";
-    }
-    std::printf("per-op metrics written to %s\n", path.c_str());
-  }
-
-  std::string trace_path_;
-  std::string metrics_path_;
-  std::unique_ptr<obs::MetricsServer> server_;
-  bool finished_ = false;
-};
 
 /// Resource profile for a benchmark run. The default ("fast") profile scales
 /// the real-world stand-ins and epoch counts to the 2-core CPU budget this

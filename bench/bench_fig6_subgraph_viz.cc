@@ -39,6 +39,7 @@ std::vector<float> LocalScores(const data::Dataset& ds,
 
 int main(int argc, char** argv) try {
   util::FlagParser flags(argc, argv);
+  obs::Session obs_session(flags);
   bench::Profile profile = bench::Profile::FromFlags(flags);
   std::printf("[Fig 6] %s\n", profile.Describe().c_str());
 

@@ -12,6 +12,7 @@ using namespace ses;
 
 int main(int argc, char** argv) try {
   util::FlagParser flags(argc, argv);
+  obs::Session obs_session(flags);
   bench::Profile profile = bench::Profile::FromFlags(flags);
   std::printf("[Fig 7] %s\n", profile.Describe().c_str());
 

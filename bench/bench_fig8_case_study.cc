@@ -46,6 +46,7 @@ std::string RankNeighbors(const data::Dataset& ds, int64_t center,
 
 int main(int argc, char** argv) try {
   util::FlagParser flags(argc, argv);
+  obs::Session obs_session(flags);
   bench::Profile profile = bench::Profile::FromFlags(flags);
   std::printf("[Fig 8] %s\n", profile.Describe().c_str());
 

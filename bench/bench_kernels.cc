@@ -16,7 +16,7 @@
 // `kernels` stage.
 //
 // Flags: --out=PATH, --reps=N (per-kernel repetitions), --smoke (tiny
-// shapes for CI), plus the usual ObsSession flags (--trace-out,
+// shapes for CI), plus the obs::Session flags (--trace-out,
 // --metrics-port, ...).
 #include <algorithm>
 #include <cstdio>
@@ -141,7 +141,7 @@ void WriteJson(const std::string& path,
 
 int main(int argc, char** argv) try {
   util::FlagParser flags(argc, argv);
-  bench::ObsSession obs_session(flags);
+  obs::Session obs_session(flags);
   const bool smoke = flags.GetBool("smoke", false);
   const int64_t reps = flags.GetInt("reps", smoke ? 2 : 12);
   const std::string out_path =

@@ -205,7 +205,7 @@ struct SweepPoint {
 int main(int argc, char** argv) try {
   util::FlagParser flags(argc, argv);
   bench::Profile profile = bench::Profile::FromFlags(flags);
-  bench::ObsSession obs_session(flags);
+  obs::Session obs_session(flags);
   const bool smoke = flags.GetBool("smoke", false);
   const int64_t clients = flags.GetInt("clients", smoke ? 2 : 4);
   const double point_seconds =

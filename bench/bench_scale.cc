@@ -97,7 +97,7 @@ std::vector<int64_t> QueryStream(int64_t n, int64_t count, util::Rng* rng) {
 
 int main(int argc, char** argv) try {
   util::FlagParser flags(argc, argv);
-  bench::ObsSession obs_session(flags);
+  obs::Session obs_session(flags);
   const bool smoke = flags.GetBool("smoke", false);
   const bool digest_only = flags.GetBool("digest", false);
   const std::string out_path = flags.GetString("out", "BENCH_scale.json");

@@ -23,7 +23,7 @@
 // knob for the ASan CI run (2 threads, tiny query counts).
 //
 // Latency percentiles come from labeled registry histograms
-// (ses.infer.latency_us{op=...}). Combined with the ObsSession flags
+// (ses.infer.latency_us{op=...}). Combined with the obs::Session flags
 // (--metrics-port, --access-log, --trace-out) a run is fully scrapable and
 // joinable while it executes.
 #include <algorithm>
@@ -75,7 +75,7 @@ tensor::Tensor TapedLogits(const core::SesModel& model,
 int main(int argc, char** argv) try {
   util::FlagParser flags(argc, argv);
   bench::Profile profile = bench::Profile::FromFlags(flags);
-  bench::ObsSession obs_session(flags);
+  obs::Session obs_session(flags);
   const bool smoke = flags.GetBool("smoke", false);
   const int64_t threads =
       flags.GetInt("threads", smoke ? 2 : 4);

@@ -106,6 +106,7 @@ double RunPostHocEpl(const data::Dataset& ds, const std::string& backbone,
 
 int main(int argc, char** argv) try {
   util::FlagParser flags(argc, argv);
+  obs::Session obs_session(flags);
   bench::Profile profile = bench::Profile::FromFlags(flags);
   std::printf("[Table 10] %s\n", profile.Describe().c_str());
 

@@ -53,6 +53,7 @@ bool Applicable(const std::string& model, const std::string& dataset) {
 
 int main(int argc, char** argv) try {
   util::FlagParser flags(argc, argv);
+  obs::Session obs_session(flags);
   bench::Profile profile = bench::Profile::FromFlags(flags);
   std::printf("[Table 3] %s\n", profile.Describe().c_str());
 

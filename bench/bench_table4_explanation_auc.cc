@@ -42,6 +42,7 @@ const std::map<std::string, std::map<std::string, double>> kPaper = {
 
 int main(int argc, char** argv) try {
   util::FlagParser flags(argc, argv);
+  obs::Session obs_session(flags);
   bench::Profile profile = bench::Profile::FromFlags(flags);
   std::printf("[Table 4] %s\n", profile.Describe().c_str());
 

@@ -22,7 +22,7 @@ using namespace ses;
 int main(int argc, char** argv) try {
   util::FlagParser flags(argc, argv);
   bench::Profile profile = bench::Profile::FromFlags(flags);
-  bench::ObsSession obs_session(flags);
+  obs::Session obs_session(flags);
   std::printf("[Table 6] %s\n", profile.Describe().c_str());
 
   auto ds = data::MakeRealWorldByName("Cora", profile.real_scale, 1);

@@ -11,7 +11,7 @@ using namespace ses;
 int main(int argc, char** argv) try {
   util::FlagParser flags(argc, argv);
   bench::Profile profile = bench::Profile::FromFlags(flags);
-  bench::ObsSession obs_session(flags);
+  obs::Session obs_session(flags);
   std::printf("[Table 7] %s\n", profile.Describe().c_str());
 
   const char* datasets[] = {"Cora", "CiteSeer", "PolBlogs", "CS"};

@@ -14,6 +14,7 @@ using namespace ses;
 
 int main(int argc, char** argv) try {
   util::FlagParser flags(argc, argv);
+  obs::Session obs_session(flags);
   bench::Profile profile = bench::Profile::FromFlags(flags);
   std::printf("[Table 9 / Fig 5] %s\n", profile.Describe().c_str());
 

@@ -5,25 +5,18 @@
 //   cmake -B build -G Ninja && cmake --build build
 //   ./build/examples/quickstart
 //
-// Observability (both optional; tracing is off and free by default):
-//   ./build/examples/quickstart --trace-out=trace.json
-//       writes a Chrome trace-event file with one span per autograd op,
-//       layer, and training phase — open it in chrome://tracing
-//   ./build/examples/quickstart --telemetry-out=epochs.jsonl
-//       streams one JSON record (loss, grad-norm, wall-time) per epoch
-//   ./build/examples/quickstart --metrics-out=metrics.jsonl
-//       dumps the process-wide metrics registry (op counts, robustness
-//       counters) on exit
-//   ./build/examples/quickstart --metrics-port=9100
-//       serves live Prometheus metrics on http://localhost:9100/metrics for
-//       the whole run (plus /healthz and /spans); pass 0 for an ephemeral
-//       port — watch training health gauges update with
-//         watch -n1 'curl -s localhost:9100/metrics | grep ses.health'
-//
-// Any of the flags above also turns on per-kernel accounting, so the trace
-// spans carry variant/FLOP/byte args and /metrics exposes the ses.kernel.*
-// table (calls, time, GFLOP/s, arithmetic intensity) — see DESIGN.md
-// "Kernel observatory".
+// Observability: the five obs::Session flags every bench binary takes too
+// (obs/session.h). All optional; tracing is off and free by default.
+//   --trace-out=trace.json        Chrome trace, one span per autograd op,
+//                                 layer and training phase
+//   --metrics-out=metrics.prom    on exit, or on a crash, the Prometheus
+//                                 exposition /metrics serves: registry,
+//                                 ses_kernel_* and per-span ses_span_*
+//   --telemetry-out=epochs.jsonl  one JSON record per epoch
+//   --access-log=access.jsonl     one JSON line per inference request
+//   --metrics-port=9100           live /metrics, /healthz, /debug/slowest
+//                                 (0 picks an ephemeral port), e.g.
+//       watch -n1 'curl -s localhost:9100/metrics | grep ses_health'
 //
 // Fault tolerance:
 //   ./build/examples/quickstart --checkpoint-dir=ckpt --checkpoint-every=10
@@ -34,7 +27,6 @@
 //   SES_FAULT_SPEC (env) injects NaNs / crashes / checkpoint corruption —
 //   see DESIGN.md "Fault tolerance".
 #include <cstdio>
-#include <memory>
 
 #include "core/ses_model.h"
 #include "data/real_world.h"
@@ -47,47 +39,7 @@ using namespace ses;
 
 int main(int argc, char** argv) try {
   util::FlagParser flags(argc, argv);
-  const std::string trace_out = flags.GetString("trace-out", "");
-  const std::string telemetry_out = flags.GetString("telemetry-out", "");
-  const std::string metrics_out = flags.GetString("metrics-out", "");
-  const int64_t metrics_port = flags.GetInt("metrics-port", -1);
-  if (!trace_out.empty()) obs::EnableTracing(true);
-  if (!trace_out.empty() || !telemetry_out.empty() || !metrics_out.empty() ||
-      metrics_port >= 0)
-    obs::EnableKernelProfiling(true);
-  if (!telemetry_out.empty()) {
-    obs::Telemetry::Get().OpenJsonl(telemetry_out);
-    // Per-epoch records carry model-health fields (per-layer gradient norms,
-    // weight-update ratios, dead-ReLU fraction, attention entropy).
-    obs::ModelHealthMonitor::Get().SetEnabled(true);
-  }
-  std::unique_ptr<obs::MetricsServer> metrics_server;
-  if (metrics_port >= 0) {
-    metrics_server = std::make_unique<obs::MetricsServer>();
-    // A live scrape target needs the health gauges populated too.
-    obs::ModelHealthMonitor::Get().SetEnabled(true);
-    if (metrics_server->Start(static_cast<uint16_t>(metrics_port))) {
-      std::printf("metrics server on http://localhost:%u/metrics\n",
-                  static_cast<unsigned>(metrics_server->port()));
-      // Flush so a watcher polling redirected output sees the port now.
-      std::fflush(stdout);
-    } else {
-      metrics_server.reset();
-    }
-  }
-  if (!trace_out.empty() || !metrics_out.empty()) {
-    // A crashed run (SES_FAULT_SPEC, fatal signal) must still leave its
-    // artifacts on disk. Register the robustness counters up front
-    // (GetCounter is idempotent) so even an early-crash snapshot carries
-    // them instead of coming out empty.
-    auto& registry = obs::MetricsRegistry::Get();
-    for (const char* counter :
-         {"ses.ckpt.writes", "ses.ckpt.resume_ok", "ses.ckpt.resume_corrupt",
-          "ses.train.nan_skips", "ses.train.rollbacks"})
-      registry.GetCounter(counter);
-    obs::SetCrashArtifacts(trace_out, metrics_out);
-    obs::InstallCrashHandlers();
-  }
+  obs::Session obs_session(flags);
 
   // 1. A dataset: a quarter-scale Cora-like citation network (graph +
   //    sparse bag-of-words features + labels + 60/20/20 split).
@@ -159,12 +111,7 @@ int main(int argc, char** argv) try {
   }
 
   // 6. Observability artifacts, when asked for on the command line.
-  if (!trace_out.empty() && obs::WriteChromeTrace(trace_out))
-    std::printf("chrome trace written to %s (open in chrome://tracing)\n",
-                trace_out.c_str());
-  if (!metrics_out.empty() &&
-      obs::MetricsRegistry::Get().WriteSnapshot(metrics_out))
-    std::printf("metrics snapshot written to %s\n", metrics_out.c_str());
+  obs_session.Finish();
   // 7. Robustness counters (nonzero when checkpointing is on or faults were
   //    injected via SES_FAULT_SPEC).
   auto& reg = obs::MetricsRegistry::Get();
@@ -176,10 +123,6 @@ int main(int argc, char** argv) try {
       static_cast<long long>(reg.GetCounter("ses.ckpt.resume_corrupt").Value()),
       static_cast<long long>(reg.GetCounter("ses.train.nan_skips").Value()),
       static_cast<long long>(reg.GetCounter("ses.train.rollbacks").Value()));
-  if (metrics_server) metrics_server->Stop();
-  obs::Telemetry::Get().Close();
-  obs::ModelHealthMonitor::Get().SetEnabled(false);
-  obs::SetCrashArtifacts("", "");
   return 0;
 } catch (const util::FlagError& e) {
   return util::FlagUsageError(argv[0], e);

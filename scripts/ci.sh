@@ -10,7 +10,8 @@
 #   scripts/ci.sh tsan      # TSan build (OpenMP off) + tier1 ctest + batch-
 #                           # scheduler smoke under contention
 #   scripts/ci.sh faults    # fault-injection matrix (NaN skip, crash/resume,
-#                           # checkpoint corruption, artifact flush) on ASan
+#                           # checkpoint corruption, artifact flush) on ASan;
+#                           # --metrics-out files read back as exposition
 #   scripts/ci.sh overload  # overload-resilience matrix: ASan overload sweep
 #                           # (queue bound, deadlines) with the
 #                           # no-hung-futures gate, serving fault injection
@@ -285,12 +286,11 @@ stage_faults() {
 
   echo "=== [faults] NaN-loss injection: training must skip the step and finish ==="
   SES_FAULT_SPEC="nan_loss:phase=phase1,step=3" \
-    "${quickstart}" "${qs_args[@]}" --metrics-out="${fault_dir}/nan-metrics.jsonl" \
+    "${quickstart}" "${qs_args[@]}" --metrics-out="${fault_dir}/nan-metrics.prom" \
     | tee "${fault_dir}/nan.log"
   grep -q "nan_skips=0" "${fault_dir}/nan.log" && {
     echo "FAIL: NaN injection did not register a skipped step"; exit 1; }
-  grep -q '"ses.train.nan_skips"' "${fault_dir}/nan-metrics.jsonl" || {
-    echo "FAIL: nan_skips counter missing from metrics snapshot"; exit 1; }
+  check_exposition "${fault_dir}/nan-metrics.prom" nan_skips
 
   echo "=== [faults] crash at phase-1 epoch 8, then resume from checkpoint ==="
   set +e
@@ -324,7 +324,7 @@ stage_faults() {
   set +e
   SES_FAULT_SPEC="crash:phase=phase1,epoch=8" \
     "${quickstart}" "${qs_args[@]}" --trace-out="${fault_dir}/crash-trace.json" \
-    --metrics-out="${fault_dir}/crash-metrics.jsonl"
+    --metrics-out="${fault_dir}/crash-metrics.prom"
   status=$?
   set -e
   [[ "${status}" -eq 42 ]] || {
@@ -335,9 +335,43 @@ with open(sys.argv[1]) as f:
     trace = json.load(f)
 assert trace["traceEvents"], "crash-flushed trace has no spans"
 PY
-  [[ -s "${fault_dir}/crash-metrics.jsonl" ]] || {
-    echo "FAIL: crash did not flush the metrics snapshot"; exit 1; }
-  echo "crashed run left a parseable trace and a metrics snapshot"
+  check_exposition "${fault_dir}/crash-metrics.prom" crash
+  echo "crashed run left a parseable trace and a metrics exposition"
+}
+
+# check_exposition FILE nan_skips|crash — reads a --metrics-out file as
+# Prometheus exposition text (every line a `# TYPE` header or a sample whose
+# value parses). A NaN run must count ses_train_nan_skips >= 1; a crashed
+# run must carry the series a clean exit writes: the robustness counters,
+# the ses_span_* aggregates and the ses_kernel_* table.
+check_exposition() {
+  python3 - "$1" "$2" <<'PY'
+import sys
+
+path, mode = sys.argv[1], sys.argv[2]
+samples = {}
+with open(path) as f:
+    for line in f:
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        if line.startswith("#"):
+            assert line.startswith("# TYPE "), f"{path}: bad comment {line!r}"
+            continue
+        series, value = line.rsplit(" ", 1)
+        samples[series] = float(value)
+assert samples, f"{path}: no samples"
+names = {s.split("{", 1)[0] for s in samples}
+for need in ("ses_train_nan_skips", "ses_train_rollbacks", "ses_ckpt_writes"):
+    assert need in names, f"{path}: {need} missing"
+if mode == "nan_skips":
+    assert samples["ses_train_nan_skips"] >= 1, \
+        f"{path}: ses_train_nan_skips = {samples['ses_train_nan_skips']}"
+else:
+    for need in ("ses_span_count", "ses_span_total_ms", "ses_kernel_calls"):
+        assert need in names, f"{path}: {need} missing"
+print(f"{path}: {len(samples)} exposition samples, {len(names)} names")
+PY
 }
 
 # ---------------------------------------------------------------------------

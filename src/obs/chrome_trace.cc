@@ -5,38 +5,9 @@
 
 #include "obs/trace.h"
 #include "util/logging.h"
+#include "util/string_util.h"
 
 namespace ses::obs {
-
-namespace {
-
-/// Escapes the few characters JSON forbids in strings. Labels are code
-/// literals, so this rarely fires, but the exporter must never emit a file
-/// chrome://tracing refuses to parse.
-void WriteJsonString(std::ostream& out, const char* s) {
-  out << '"';
-  for (; *s != '\0'; ++s) {
-    const char c = *s;
-    switch (c) {
-      case '"': out << "\\\""; break;
-      case '\\': out << "\\\\"; break;
-      case '\n': out << "\\n"; break;
-      case '\t': out << "\\t"; break;
-      case '\r': out << "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out << buf;
-        } else {
-          out << c;
-        }
-    }
-  }
-  out << '"';
-}
-
-}  // namespace
 
 void WriteChromeTrace(std::ostream& out) {
   const std::vector<TraceEvent> events = SnapshotEvents();
@@ -45,8 +16,7 @@ void WriteChromeTrace(std::ostream& out) {
   for (const TraceEvent& ev : events) {
     if (!first) out << ",";
     first = false;
-    out << "\n{\"name\":";
-    WriteJsonString(out, ev.label);
+    out << "\n{\"name\":" << util::JsonQuote(ev.label);
     // Chrome expects microseconds; three decimals keep the nanosecond
     // stamps (a stream's default six significant digits would round them
     // to 10 us one second into the run).
@@ -73,8 +43,7 @@ void WriteChromeTrace(std::ostream& out) {
         if (ev.variant != nullptr && ev.variant[0] != '\0') {
           if (!first_arg) out << ",";
           first_arg = false;
-          out << "\"variant\":";
-          WriteJsonString(out, ev.variant);
+          out << "\"variant\":" << util::JsonQuote(ev.variant);
         }
         arg("flops", ev.flops);
         arg("bytes", ev.bytes);

@@ -7,6 +7,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/logging.h"
+#include "util/string_util.h"
 
 namespace ses::obs {
 
@@ -23,8 +24,8 @@ double TraceUs(RequestRecord::Clock::time_point t) {
 }
 
 void AppendRecordJson(std::ostringstream* out, const RequestRecord& r) {
-  *out << "{\"trace_id\":" << r.trace_id << ",\"op\":\"" << r.op
-       << "\",\"reason\":\"" << r.outcome() << "\",\"error\":"
+  *out << "{\"trace_id\":" << r.trace_id << ",\"op\":" << util::JsonQuote(r.op)
+       << ",\"reason\":\"" << r.outcome() << "\",\"error\":"
        << (r.error ? "true" : "false") << ",\"e2e_us\":" << r.e2e_us();
   const char* sep = ",\"stages_us\":{";
   for (int s = 0; s < RequestRecord::kNumStages; ++s) {

@@ -41,8 +41,8 @@ namespace internal {
 extern std::atomic<bool> g_kernel_profiling_enabled;
 }  // namespace internal
 
-/// Turns kernel profiling on/off at runtime. Default: off. ObsSession turns
-/// it on alongside tracing whenever any observability artifact is requested.
+/// Turns kernel profiling on/off at runtime. Default: off. obs::Session turns
+/// it on whenever any observability flag is given.
 void EnableKernelProfiling(bool on);
 inline bool KernelProfilingEnabled() {
   return internal::g_kernel_profiling_enabled.load(std::memory_order_relaxed);

@@ -1,12 +1,10 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
-#include <fstream>
 #include <mutex>
 
 #include "obs/request.h"
 #include "util/logging.h"
-#include "util/string_util.h"
 
 namespace ses::obs {
 
@@ -19,31 +17,6 @@ void AtomicAdd(std::atomic<double>* target, double delta) {
   while (!target->compare_exchange_weak(cur, cur + delta,
                                         std::memory_order_relaxed)) {
   }
-}
-
-/// Registry keys may carry canonical label suffixes (`name{k="v"}`) whose
-/// quotes and backslashes must be escaped inside JSON strings.
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
-
-template <typename Map>
-std::vector<std::string> SortedKeys(const Map& map) {
-  std::vector<std::string> keys;
-  keys.reserve(map.size());
-  for (const auto& [key, value] : map) keys.push_back(key);
-  std::sort(keys.begin(), keys.end());
-  return keys;
 }
 
 }  // namespace
@@ -265,63 +238,6 @@ Histogram& MetricsRegistry::GetHistogram(const std::string& name,
                                          const LabelSet& labels,
                                          std::vector<double> edges) {
   return GetHistogram(LabeledName(name, labels), std::move(edges));
-}
-
-void MetricsRegistry::WriteCsv(std::ostream& out) const {
-  std::shared_lock lock(mutex_);
-  out << "kind,name,field,value\n";
-  for (const auto& name : SortedKeys(counters_))
-    out << "counter," << name << ",value," << counters_.at(name)->Value()
-        << "\n";
-  for (const auto& name : SortedKeys(gauges_))
-    out << "gauge," << name << ",value," << gauges_.at(name)->Value() << "\n";
-  for (const auto& name : SortedKeys(histograms_)) {
-    const Histogram& h = *histograms_.at(name);
-    out << "histogram," << name << ",count," << h.Count() << "\n";
-    out << "histogram," << name << ",sum," << h.Sum() << "\n";
-    for (size_t i = 0; i < h.edges().size(); ++i)
-      out << "histogram," << name << ",le_" << h.edges()[i] << ","
-          << h.BucketCount(i) << "\n";
-    out << "histogram," << name << ",le_inf,"
-        << h.BucketCount(h.edges().size()) << "\n";
-  }
-}
-
-void MetricsRegistry::WriteJsonl(std::ostream& out) const {
-  std::shared_lock lock(mutex_);
-  for (const auto& name : SortedKeys(counters_))
-    out << "{\"kind\":\"counter\",\"name\":\"" << JsonEscape(name)
-        << "\",\"value\":" << counters_.at(name)->Value() << "}\n";
-  for (const auto& name : SortedKeys(gauges_))
-    out << "{\"kind\":\"gauge\",\"name\":\"" << JsonEscape(name)
-        << "\",\"value\":" << gauges_.at(name)->Value() << "}\n";
-  for (const auto& name : SortedKeys(histograms_)) {
-    const Histogram& h = *histograms_.at(name);
-    out << "{\"kind\":\"histogram\",\"name\":\"" << JsonEscape(name)
-        << "\",\"count\":" << h.Count() << ",\"sum\":" << h.Sum()
-        << ",\"edges\":[";
-    for (size_t i = 0; i < h.edges().size(); ++i)
-      out << (i ? "," : "") << h.edges()[i];
-    out << "],\"buckets\":[";
-    for (size_t i = 0; i <= h.edges().size(); ++i)
-      out << (i ? "," : "") << h.BucketCount(i);
-    out << "]}\n";
-  }
-}
-
-bool MetricsRegistry::WriteSnapshot(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) {
-    SES_LOG_ERROR << "cannot open metrics output file " << path;
-    return false;
-  }
-  if (util::EndsWith(path, ".jsonl") || util::EndsWith(path, ".json"))
-    WriteJsonl(out);
-  else if (util::EndsWith(path, ".prom"))
-    WritePrometheus(out);
-  else
-    WriteCsv(out);
-  return true;
 }
 
 void MetricsRegistry::ResetForTest() {

@@ -163,19 +163,10 @@ class MetricsRegistry {
   static std::string LabeledName(const std::string& name,
                                  const LabelSet& labels);
 
-  /// One `kind,name,field,value` row per scalar (histograms expand to one row
-  /// per bucket), names sorted for deterministic output.
-  void WriteCsv(std::ostream& out) const;
-  /// One JSON object per metric, names sorted.
-  void WriteJsonl(std::ostream& out) const;
   /// Prometheus text exposition format 0.0.4 (implemented in prometheus.cc):
   /// `# TYPE` headers per family, sanitized names, escaped label values,
   /// cumulative `_bucket{le=...}` series plus `_sum`/`_count` per histogram.
   void WritePrometheus(std::ostream& out) const;
-  /// Path convenience wrappers; ".jsonl"/".json" suffix selects JSONL,
-  /// ".prom" Prometheus exposition, anything else CSV. Returns false (and
-  /// logs) on open failure.
-  bool WriteSnapshot(const std::string& path) const;
 
   /// Drops every registered metric (test support; invalidates references).
   void ResetForTest();
@@ -188,6 +179,12 @@ class MetricsRegistry {
   std::unordered_map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::unordered_map<std::string, std::unique_ptr<Histogram>> histograms_;
 };
+
+/// The one metrics format: what `/metrics` serves and `--metrics-out`
+/// writes. The registry's Prometheus exposition, then the span aggregates
+/// (AggregateSpanStats) as gauge families
+/// ses_span_{count,total_ms,min_us,max_us}{label="..."} (prometheus.cc).
+void WriteMetricsExposition(std::ostream& out);
 
 }  // namespace ses::obs
 

@@ -11,8 +11,8 @@
 #include "obs/health.h"
 #include "obs/metrics.h"
 #include "obs/request.h"
-#include "obs/trace.h"
 #include "util/logging.h"
+#include "util/string_util.h"
 
 namespace ses::obs {
 
@@ -21,16 +21,6 @@ namespace {
 /// Process epoch for /healthz uptime (static-init time of the obs library).
 const std::chrono::steady_clock::time_point g_process_epoch =
     std::chrono::steady_clock::now();
-
-std::string JsonEscapeString(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
 
 /// Writes all of `data`, retrying on partial writes and EINTR. A multi-MB
 /// /metrics body (thousands of labeled series) does not fit one send() on a
@@ -55,7 +45,7 @@ bool MetricsServer::RenderEndpoint(const std::string& path, std::string* body,
                                    std::string* content_type) {
   if (path == "/metrics") {
     std::ostringstream out;
-    MetricsRegistry::Get().WritePrometheus(out);
+    WriteMetricsExposition(out);
     *body = out.str();
     *content_type = "text/plain; version=0.0.4; charset=utf-8";
     return true;
@@ -81,7 +71,7 @@ bool MetricsServer::RenderEndpoint(const std::string& path, std::string* body,
       first = false;
       // Component JSON comes pre-rendered from the provider; only the name
       // needs escaping.
-      out << "\"" << JsonEscapeString(name) << "\":" << json;
+      out << util::JsonQuote(name) << ":" << json;
     }
     out << "}}\n";
     *body = out.str();
@@ -91,23 +81,6 @@ bool MetricsServer::RenderEndpoint(const std::string& path, std::string* body,
   if (path == "/debug/slowest") {
     *body = FlightRecorder::Get().SnapshotJson();
     *body += '\n';
-    *content_type = "application/json";
-    return true;
-  }
-  if (path == "/spans") {
-    std::ostringstream out;
-    out << "[";
-    bool first = true;
-    for (const LabelStats& s : AggregateSpanStats()) {
-      if (!first) out << ",";
-      first = false;
-      out << "{\"label\":\"" << JsonEscapeString(s.label)
-          << "\",\"count\":" << s.count << ",\"total_ms\":" << s.TotalMillis()
-          << ",\"mean_ns\":" << s.MeanNs() << ",\"min_ns\":" << s.min_ns
-          << ",\"max_ns\":" << s.max_ns << "}";
-    }
-    out << "]\n";
-    *body = out.str();
     *content_type = "application/json";
     return true;
   }
@@ -196,7 +169,7 @@ void MetricsServer::HandleConnection(int client_fd) {
     content_type = "text/plain";
   } else if (!RenderEndpoint(path, &body, &content_type)) {
     status = "404 Not Found";
-    body = "not found; try /metrics, /healthz, /spans or /debug/slowest\n";
+    body = "not found; try /metrics, /healthz or /debug/slowest\n";
     content_type = "text/plain";
   }
 

@@ -13,13 +13,13 @@ namespace ses::obs {
 /// surface for live scraping — no external dependencies, one blocking accept
 /// thread, one request per connection (`Connection: close`). Endpoints:
 ///
-///   GET /metrics        Prometheus text exposition of the MetricsRegistry
+///   GET /metrics        Prometheus text exposition of the MetricsRegistry,
+///                       span aggregates included (WriteMetricsExposition)
 ///   GET /healthz        JSON: status, uptime, requests started, health
 ///                       components (copy-then-serialize: the
 ///                       component snapshot is fully materialized before any
 ///                       byte is rendered, so unregistering mid-scrape is
 ///                       safe)
-///   GET /spans          JSON: per-label span aggregates (AggregateSpanStats)
 ///   GET /debug/slowest  JSON: the flight recorder's top-K slowest requests
 ///                       with their six critical-path stage timestamps
 ///
@@ -49,7 +49,7 @@ class MetricsServer {
     return served_.load(std::memory_order_relaxed);
   }
 
-  /// Builds the response body for `path` ("/metrics", "/healthz", "/spans",
+  /// Builds the response body for `path` ("/metrics", "/healthz",
   /// "/debug/slowest"). Returns false for unknown paths. Exposed so tests can
   /// validate payloads without a socket round-trip.
   static bool RenderEndpoint(const std::string& path, std::string* body,

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace ses::obs {
 
@@ -197,6 +198,31 @@ void MetricsRegistry::WritePrometheus(std::ostream& out) const {
   for (const auto& [name, fam] : families) {
     out << "# TYPE " << name << ' ' << fam.type << '\n';
     for (const std::string& line : fam.lines) out << line << '\n';
+  }
+}
+
+void WriteMetricsExposition(std::ostream& out) {
+  MetricsRegistry::Get().WritePrometheus(out);
+  // Rendered here rather than registered as gauges: a scrape, and the crash
+  // flush, then take no registry write lock.
+  const std::vector<LabelStats> spans = AggregateSpanStats();
+  if (spans.empty()) return;
+  const struct {
+    const char* name;
+    double (*value)(const LabelStats&);
+  } kSeries[] = {
+      {"ses_span_count",
+       [](const LabelStats& s) { return static_cast<double>(s.count); }},
+      {"ses_span_total_ms",
+       [](const LabelStats& s) { return s.TotalMillis(); }},
+      {"ses_span_min_us", [](const LabelStats& s) { return s.min_ns / 1e3; }},
+      {"ses_span_max_us", [](const LabelStats& s) { return s.max_ns / 1e3; }},
+  };
+  for (const auto& series : kSeries) {
+    out << "# TYPE " << series.name << " gauge\n";
+    for (const LabelStats& s : spans)
+      out << MetricsRegistry::LabeledName(series.name, {{"label", s.label}})
+          << ' ' << FormatPrometheusValue(series.value(s)) << '\n';
   }
 }
 

@@ -8,6 +8,7 @@
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "util/logging.h"
+#include "util/string_util.h"
 
 namespace ses::obs {
 
@@ -76,8 +77,8 @@ void AccessLog::RecordSlow(const RequestRecord& record) {
 
 std::string AccessLog::ToJson(const RequestRecord& record) {
   std::ostringstream out;
-  out << "{\"trace_id\":" << record.trace_id << ",\"op\":\"" << record.op
-      << "\",\"latency_us\":"
+  out << "{\"trace_id\":" << record.trace_id
+      << ",\"op\":" << util::JsonQuote(record.op) << ",\"latency_us\":"
       << record.OffsetUs(RequestRecord::kForwardEnd)
       << ",\"cache_hit\":" << (record.cache_hit ? "true" : "false")
       << ",\"error\":" << (record.error ? "true" : "false")

@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "util/logging.h"
+#include "util/string_util.h"
 
 namespace ses::obs {
 
@@ -52,8 +53,7 @@ void AppendNumber(std::ostringstream& out, double v) {
 }
 
 /// Per-parameter health maps serialize as a JSON object keyed by parameter
-/// name; names come from nn::Module registration and contain no JSON
-/// metacharacters, but escape the two that would break parsing anyway.
+/// name.
 void AppendNamedValues(
     std::ostringstream& out,
     const std::vector<std::pair<std::string, double>>& values) {
@@ -62,12 +62,7 @@ void AppendNamedValues(
   for (const auto& [name, v] : values) {
     if (!first) out << ",";
     first = false;
-    out << "\"";
-    for (const char c : name) {
-      if (c == '"' || c == '\\') out << '\\';
-      out << c;
-    }
-    out << "\":";
+    out << util::JsonQuote(name) << ":";
     AppendNumber(out, v);
   }
   out << "}";
@@ -77,8 +72,9 @@ void AppendNamedValues(
 
 std::string EpochRecordToJson(const EpochRecord& record) {
   std::ostringstream out;
-  out << "{\"model\":\"" << record.model << "\",\"phase\":\"" << record.phase
-      << "\",\"epoch\":" << record.epoch << ",\"loss\":";
+  out << "{\"model\":" << util::JsonQuote(record.model)
+      << ",\"phase\":" << util::JsonQuote(record.phase)
+      << ",\"epoch\":" << record.epoch << ",\"loss\":";
   AppendNumber(out, record.loss);
   out << ",\"grad_norm\":";
   AppendNumber(out, record.grad_norm);

@@ -63,14 +63,19 @@ class ThreadBuffer {
     size_.fetch_add(1, std::memory_order_release);
   }
 
-  void AppendTo(std::vector<TraceEvent>* out) const {
-    size_t remaining = size_.load(std::memory_order_acquire);
-    for (const Chunk* c = head_; c != nullptr && remaining > 0;
-         c = c->next.load(std::memory_order_acquire)) {
-      const size_t take = std::min(remaining, kChunkCap);
-      out->insert(out->end(), c->events, c->events + take);
-      remaining -= take;
+  /// Calls fn(event) on the published events from index `first` on, oldest
+  /// first; returns the published size it read up to.
+  template <class Fn>
+  size_t VisitFrom(size_t first, Fn&& fn) const {
+    const size_t size = size_.load(std::memory_order_acquire);
+    size_t base = 0;
+    for (const Chunk* c = head_; c != nullptr && base < size;
+         c = c->next.load(std::memory_order_acquire), base += kChunkCap) {
+      const size_t end = std::min(size, base + kChunkCap);
+      for (size_t i = std::max(first, base); i < end; ++i)
+        fn(c->events[i - base]);
     }
+    return size;
   }
 
   /// Drops every published event. Only safe when the owning thread is not
@@ -86,9 +91,12 @@ class ThreadBuffer {
     tail_ = head_;
     pos_ = 0;
     size_.store(0, std::memory_order_release);
+    folded = 0;
   }
 
   int depth = 0;
+  /// Events already in SpanTotals() (guarded by g_registry_mutex).
+  size_t folded = 0;
 
  private:
   Chunk* head_;
@@ -98,9 +106,41 @@ class ThreadBuffer {
 };
 
 std::mutex g_registry_mutex;
+// True on the thread that holds g_registry_mutex. A fatal-signal flush that
+// interrupts that thread must not wait for the lock its own thread holds.
+thread_local bool t_holds_registry = false;
+
+/// g_registry_mutex, marked as held by the calling thread.
+class RegistryLock {
+ public:
+  RegistryLock() : lock_(g_registry_mutex) { t_holds_registry = true; }
+  ~RegistryLock() { t_holds_registry = false; }
+  RegistryLock(const RegistryLock&) = delete;
+  RegistryLock& operator=(const RegistryLock&) = delete;
+
+ private:
+  std::lock_guard<std::mutex> lock_;
+};
+
 std::vector<ThreadBuffer*>& Registry() {
   static std::vector<ThreadBuffer*>* r = new std::vector<ThreadBuffer*>();
   return *r;
+}
+
+/// Running totals of every folded event, keyed by label pointer, so each
+/// AggregateSpanStats call (one per /metrics scrape) folds only the events
+/// recorded since the last one. Guarded by g_registry_mutex.
+std::unordered_map<const char*, LabelStats>& SpanTotals() {
+  static auto* totals = new std::unordered_map<const char*, LabelStats>();
+  return *totals;
+}
+
+void AddToStats(LabelStats* s, uint64_t count, uint64_t total_ns,
+                uint64_t min_ns, uint64_t max_ns) {
+  s->min_ns = s->count == 0 ? min_ns : std::min(s->min_ns, min_ns);
+  s->max_ns = std::max(s->max_ns, max_ns);
+  s->count += count;
+  s->total_ns += total_ns;
 }
 
 /// Buffers are registered once and intentionally never freed: snapshots may
@@ -109,7 +149,7 @@ std::vector<ThreadBuffer*>& Registry() {
 ThreadBuffer* LocalBuffer() {
   thread_local ThreadBuffer* buffer = [] {
     auto* b = new ThreadBuffer();
-    std::lock_guard<std::mutex> lock(g_registry_mutex);
+    RegistryLock lock;
     Registry().push_back(b);
     return b;
   }();
@@ -123,8 +163,9 @@ void EnableTracing(bool on) {
 }
 
 void ResetTracing() {
-  std::lock_guard<std::mutex> lock(g_registry_mutex);
+  RegistryLock lock;
   for (ThreadBuffer* b : Registry()) b->Reset();
+  SpanTotals().clear();
 }
 
 void ScopedSpan::Begin(const char* label) {
@@ -152,29 +193,37 @@ void ScopedSpan::End() {
 }
 
 std::vector<TraceEvent> SnapshotEvents() {
-  std::lock_guard<std::mutex> lock(g_registry_mutex);
   std::vector<TraceEvent> out;
-  for (const ThreadBuffer* b : Registry()) b->AppendTo(&out);
+  if (t_holds_registry) return out;  // a crash flush interrupted the holder
+  RegistryLock lock;
+  for (const ThreadBuffer* b : Registry())
+    b->VisitFrom(0, [&out](const TraceEvent& ev) { out.push_back(ev); });
   return out;
 }
 
 std::vector<LabelStats> AggregateSpanStats() {
+  if (t_holds_registry) return {};  // a crash flush interrupted the holder
+  // The same text from two translation units can sit at two addresses, so
+  // the per-pointer totals merge by content.
   std::unordered_map<std::string, LabelStats> by_label;
-  for (const TraceEvent& ev : SnapshotEvents()) {
-    LabelStats& s = by_label[ev.label];
-    if (s.count == 0) {
-      s.label = ev.label;
-      s.min_ns = ev.dur_ns;
-      s.max_ns = ev.dur_ns;
+  {
+    RegistryLock lock;
+    auto& totals = SpanTotals();
+    for (ThreadBuffer* b : Registry())
+      b->folded = b->VisitFrom(b->folded, [&totals](const TraceEvent& ev) {
+        AddToStats(&totals[ev.label], 1, ev.dur_ns, ev.dur_ns, ev.dur_ns);
+      });
+    for (const auto& [label, part] : totals) {
+      LabelStats& s = by_label[label];
+      AddToStats(&s, part.count, part.total_ns, part.min_ns, part.max_ns);
     }
-    ++s.count;
-    s.total_ns += ev.dur_ns;
-    s.min_ns = std::min(s.min_ns, ev.dur_ns);
-    s.max_ns = std::max(s.max_ns, ev.dur_ns);
   }
   std::vector<LabelStats> out;
   out.reserve(by_label.size());
-  for (auto& [label, stats] : by_label) out.push_back(std::move(stats));
+  for (auto& [label, stats] : by_label) {
+    stats.label = label;
+    out.push_back(std::move(stats));
+  }
   std::sort(out.begin(), out.end(),
             [](const LabelStats& a, const LabelStats& b) {
               return a.total_ns != b.total_ns ? a.total_ns > b.total_ns

@@ -89,10 +89,16 @@ class ScopedSpan {
 /// Merged copy of every completed span across all threads, in no particular
 /// global order (per-thread order is preserved). Safe to call while other
 /// threads keep recording: it reads each buffer up to its published size.
+/// Returns nothing when a fatal-signal handler calls it on a thread it
+/// interrupted while that thread held the trace registry's lock (waiting
+/// would deadlock).
 std::vector<TraceEvent> SnapshotEvents();
 
-/// Per-label aggregates computed from the current snapshot, sorted by
-/// descending total time.
+/// Per-label aggregates of every span recorded since the last ResetTracing,
+/// sorted by descending total time. Keeps running totals, so each call folds
+/// only the events recorded since the previous one: a periodic /metrics
+/// scrape costs what was recorded in between, not the run length. Returns
+/// nothing in the same crash case as SnapshotEvents.
 std::vector<LabelStats> AggregateSpanStats();
 
 /// Current nesting depth of the calling thread (test support).

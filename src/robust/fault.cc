@@ -6,7 +6,7 @@
 #include <filesystem>
 #include <fstream>
 
-#include "obs/crash_flush.h"
+#include "obs/session.h"
 #include "util/logging.h"
 #include "util/string_util.h"
 

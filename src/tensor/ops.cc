@@ -27,22 +27,6 @@ Tensor UnaryOp(const Tensor& a, F f) {
   return out;
 }
 
-template <typename F>
-Tensor BinaryOp(const Tensor& a, const Tensor& b, F f) {
-  SES_CHECK(a.SameShape(b));
-  const int64_t n = a.size();
-  KernelScope scope("elementwise", "binary", static_cast<double>(n),
-                    12.0 * static_cast<double>(n));
-  Tensor out(a.rows(), a.cols());
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* dst = out.data();
-#pragma omp parallel for schedule(static) \
-    if (kernels::ShouldParallelize(static_cast<double>(n)))
-  for (int64_t i = 0; i < n; ++i) dst[i] = f(pa[i], pb[i]);
-  return out;
-}
-
 /// Dispatched element-wise binary op: one table call over the whole buffer,
 /// chunked+OpenMP inside the kernel. The scope's variant label carries the
 /// active SIMD tier into metrics/bench.
@@ -144,10 +128,6 @@ Tensor Mul(const Tensor& a, const Tensor& b) {
   return DispatchedBinary(a, b, d.vec_mul, d.binary_variant);
 }
 
-Tensor Div(const Tensor& a, const Tensor& b) {
-  return BinaryOp(a, b, [](float x, float y) { return x / y; });
-}
-
 Tensor AddRowVector(const Tensor& a, const Tensor& bias) {
   SES_CHECK(bias.size() == a.cols());
   Tensor out(a.rows(), a.cols());
@@ -170,14 +150,6 @@ Tensor AddScalar(const Tensor& a, float s) {
 
 Tensor Neg(const Tensor& a) {
   return UnaryOp(a, [](float x) { return -x; });
-}
-
-Tensor Abs(const Tensor& a) {
-  return UnaryOp(a, [](float x) { return std::fabs(x); });
-}
-
-Tensor Sign(const Tensor& a) {
-  return UnaryOp(a, [](float x) { return x > 0.0f ? 1.0f : (x < 0.0f ? -1.0f : 0.0f); });
 }
 
 Tensor Exp(const Tensor& a) {
@@ -271,12 +243,6 @@ Tensor SumCols(const Tensor& a) {
     const float* src = a.RowPtr(r);
     for (int64_t c = 0; c < a.cols(); ++c) dst[c] += src[c];
   }
-  return out;
-}
-
-Tensor MeanRows(const Tensor& a) {
-  Tensor out = SumRows(a);
-  out.ScaleInPlace(1.0f / static_cast<float>(a.cols()));
   return out;
 }
 

@@ -39,7 +39,6 @@ Tensor Transpose(const Tensor& a);
 Tensor Add(const Tensor& a, const Tensor& b);
 Tensor Sub(const Tensor& a, const Tensor& b);
 Tensor Mul(const Tensor& a, const Tensor& b);
-Tensor Div(const Tensor& a, const Tensor& b);
 
 /// out[r, c] = a[r, c] + bias[c]; `bias` is 1 x C or C x 1.
 Tensor AddRowVector(const Tensor& a, const Tensor& bias);
@@ -48,8 +47,6 @@ Tensor AddRowVector(const Tensor& a, const Tensor& bias);
 Tensor Scale(const Tensor& a, float s);
 Tensor AddScalar(const Tensor& a, float s);
 Tensor Neg(const Tensor& a);
-Tensor Abs(const Tensor& a);
-Tensor Sign(const Tensor& a);
 Tensor Exp(const Tensor& a);
 Tensor Log(const Tensor& a);  ///< natural log; clamps input at 1e-12.
 Tensor Sqrt(const Tensor& a);
@@ -73,7 +70,6 @@ Tensor LogSoftmaxRows(const Tensor& a);
 /// Reductions.
 Tensor SumRows(const Tensor& a);  ///< N x C -> N x 1
 Tensor SumCols(const Tensor& a);  ///< N x C -> 1 x C
-Tensor MeanRows(const Tensor& a);
 
 /// Index of the max entry in each row.
 std::vector<int64_t> ArgmaxRows(const Tensor& a);

@@ -3,6 +3,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace ses::util {
@@ -16,8 +17,10 @@ std::string Join(const std::vector<std::string>& pieces, const std::string& sep)
 /// True if `s` starts with `prefix`.
 bool StartsWith(const std::string& s, const std::string& prefix);
 
-/// True if `s` ends with `suffix`.
-bool EndsWith(const std::string& s, const std::string& suffix);
+/// `s` as a quoted JSON string literal: `"` and `\` escaped, \b \f \n \r
+/// \t by name and every other control character as \u00XX. Bytes >= 0x80
+/// pass through, so UTF-8 stays UTF-8. Every JSON sink quotes through this.
+std::string JsonQuote(std::string_view s);
 
 /// A malformed command-line flag value.
 class FlagError : public std::invalid_argument {

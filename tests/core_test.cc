@@ -6,10 +6,6 @@
 #include <string>
 #include <vector>
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 #include "autograd/grad_check.h"
 #include "core/mask_generator.h"
 #include "core/pairs.h"
@@ -22,6 +18,7 @@
 #include "obs/model_health.h"
 #include "obs/telemetry.h"
 #include "obs/trace.h"
+#include "omp_team.h"
 
 namespace ag = ses::autograd;
 namespace c = ses::core;
@@ -239,6 +236,7 @@ TEST(SesModelTest, MaskXentAblationChangesMasks) {
 }
 
 TEST(SesModelTest, DeterministicGivenSeed) {
+  const ses::test::ScopedOmpTeam team(4);
   auto ds = SmallDataset();
   ses::models::TrainConfig cfg;
   cfg.epochs = 10;
@@ -268,15 +266,13 @@ TEST(SesModelTest, FitIsBitwiseIdenticalAtOneAndFourThreads) {
   cfg.seed = 3;
   c::SesOptions opt;
   opt.epl_epochs = 1;
-  const int threads = omp_get_max_threads();
   t::Tensor logits[2];
   for (const int n : {1, 4}) {
-    omp_set_num_threads(n);
+    const ses::test::ScopedOmpTeam team(n);
     c::SesModel model(opt);
     model.Fit(ds, cfg);
     logits[n == 4] = model.Logits(ds);
   }
-  omp_set_num_threads(threads);
   ASSERT_TRUE(logits[0].SameShape(logits[1]));
   EXPECT_EQ(std::memcmp(logits[0].data(), logits[1].data(),
                         logits[0].size() * sizeof(float)),

@@ -10,6 +10,7 @@
 #include "graph/graph.h"
 #include "graph/khop.h"
 #include "graph/sampling.h"
+#include "omp_team.h"
 
 namespace g = ses::graph;
 
@@ -111,6 +112,7 @@ TEST(EgoNetTest, LocalIdsConsistent) {
 class KHopTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(KHopTest, PathGraphBallSizes) {
+  const ses::test::ScopedOmpTeam team(4);
   const int k = GetParam();
   g::Graph graph = MakePath(11);
   g::KHopAdjacency khop(graph, k);
@@ -121,6 +123,7 @@ TEST_P(KHopTest, PathGraphBallSizes) {
 }
 
 TEST_P(KHopTest, ContainsOneHopNeighbors) {
+  const ses::test::ScopedOmpTeam team(4);
   const int k = GetParam();
   ses::util::Rng rng(4);
   g::Graph graph = ses::data::MakeBarabasiAlbert(60, 3, &rng);
@@ -131,6 +134,7 @@ TEST_P(KHopTest, ContainsOneHopNeighbors) {
 }
 
 TEST_P(KHopTest, NeverContainsSelf) {
+  const ses::test::ScopedOmpTeam team(4);
   const int k = GetParam();
   ses::util::Rng rng(5);
   g::Graph graph = ses::data::MakeBarabasiAlbert(40, 2, &rng);
@@ -140,6 +144,7 @@ TEST_P(KHopTest, NeverContainsSelf) {
 }
 
 TEST_P(KHopTest, PairEdgesAlignWithNeighborLists) {
+  const ses::test::ScopedOmpTeam team(4);
   const int k = GetParam();
   ses::util::Rng rng(6);
   g::Graph graph = ses::data::MakeBarabasiAlbert(50, 2, &rng);
@@ -159,6 +164,7 @@ TEST_P(KHopTest, PairEdgesAlignWithNeighborLists) {
 INSTANTIATE_TEST_SUITE_P(Hops, KHopTest, ::testing::Values(1, 2, 3));
 
 TEST(KHopTest, MonotoneInK) {
+  const ses::test::ScopedOmpTeam team(4);
   ses::util::Rng rng(7);
   g::Graph graph = ses::data::MakeBarabasiAlbert(60, 2, &rng);
   g::KHopAdjacency k1(graph, 1), k2(graph, 2), k3(graph, 3);
@@ -167,6 +173,7 @@ TEST(KHopTest, MonotoneInK) {
 }
 
 TEST(KHopTest, MaxNeighborsCapRespected) {
+  const ses::test::ScopedOmpTeam team(4);
   ses::util::Rng rng(8);
   g::Graph graph = ses::data::MakeBarabasiAlbert(100, 5, &rng);
   g::KHopAdjacency capped(graph, 2, /*max_neighbors=*/10);
@@ -219,6 +226,7 @@ g::Graph MakeHubWithRing() {
 }
 
 TEST(KHopTest, CappedBallIsTheClosestFirstPrefixOfTheFullBall) {
+  const ses::test::ScopedOmpTeam team(4);
   ses::util::Rng rng(10);
   const g::Graph graphs[] = {ses::data::MakeBarabasiAlbert(300, 4, &rng),
                              MakeHubWithRing()};

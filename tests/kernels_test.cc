@@ -41,6 +41,7 @@
 #include "tensor/ops.h"
 #include "tensor/sparse.h"
 #include "util/rng.h"
+#include "omp_team.h"
 
 namespace {
 
@@ -261,6 +262,7 @@ TEST(KernelParityTest, ReluMapsNaNAndNegativeZeroToPositiveZero) {
 }
 
 TEST(KernelParityTest, MatMulVariantsMatchScalarWithinTolerance) {
+  const ses::test::ScopedOmpTeam team(4);
   const k::Dispatch& ref = k::DispatchFor(k::SimdTier::kScalar);
   util::Rng rng(12);
   const int64_t m = 7, kk = 33;
@@ -293,6 +295,7 @@ void RowAxpyMatMul(const k::Dispatch& d, const float* a, const float* b,
 }
 
 TEST(KernelParityTest, MatMulIsBitwiseEqualToTheRowAxpyLoopAtEveryTier) {
+  const ses::test::ScopedOmpTeam team(4);
   // m = 1..9 covers every remainder of the row tile; k = 32, 33 a full and
   // a ragged reduction. Zero A entries alternate +0 and -0, whole zero A
   // columns sit in front of B rows of NaN/Inf that must not leak, and C
@@ -333,6 +336,7 @@ TEST(KernelParityTest, MatMulIsBitwiseEqualToTheRowAxpyLoopAtEveryTier) {
 }
 
 TEST(KernelParityTest, TransposedMatMulsEqualTransposeThenMatMulAtEveryTier) {
+  const ses::test::ScopedOmpTeam team(4);
   // Ragged shapes (m % 4 != 0, widths off every lane count) and a zero-heavy
   // operand: the packed transposes must reach the tier's own MatMul kernel
   // with nothing reordered, so the results agree bit for bit.
@@ -365,6 +369,7 @@ TEST(KernelParityTest, TransposedMatMulsEqualTransposeThenMatMulAtEveryTier) {
 }
 
 TEST(KernelParityTest, EdgeDotMatchesColumnOrderDotAtEveryTier) {
+  const ses::test::ScopedOmpTeam team(4);
   // out[e] += x[src[e]] · y[dst[e]]: bitwise the column-order float loop at
   // scalar tier, within the reduction tolerance at SIMD tiers; out starts
   // nonzero because the kernel accumulates. x and y have different row
@@ -458,10 +463,12 @@ class SpmmParityTest : public ::testing::Test {
 };
 
 TEST_F(SpmmParityTest, AllVariantsMatchReferenceAcrossWidths) {
+  const ses::test::ScopedOmpTeam team(4);
   RunSweep(/*with_epilogue=*/false);
 }
 
 TEST_F(SpmmParityTest, FusedEpilogueMatchesReferenceAcrossWidths) {
+  const ses::test::ScopedOmpTeam team(4);
   RunSweep(/*with_epilogue=*/true);
 }
 
@@ -624,6 +631,7 @@ GradGraph MakeGradGraph(int64_t nodes, int64_t edges, uint64_t seed) {
 }
 
 TEST(SpmmGradTest, BackwardMatchesEdgeOrderReferenceAtEveryTier) {
+  const ses::test::ScopedOmpTeam team(4);
   // dx row s is the sum over the edges leaving s, in edge order, from +0,
   // with the tier's rounding (separate multiply and add at scalar, fmaf at
   // SIMD tiers), zero weights skipped; it is then added to the fresh
@@ -765,6 +773,7 @@ double MaxRelDiff(const t::Tensor& a, const t::Tensor& b) {
 }
 
 TEST(SparseOpTest, PairCosineMaskMatchesTheChainAtEveryTier) {
+  const ses::test::ScopedOmpTeam team(4);
   // A pair list with duplicates, a self pair and an isolated node; node 4's
   // row is all zeros (its pairs score sigmoid(bias)). The upstream gradient
   // holds two zero weights.
@@ -1022,6 +1031,7 @@ TEST(SpmmPlanTest, TransposedPlanMemoizesAndRebuildsOnResize) {
 }
 
 TEST(SpmmPlanTest, GroupedEdgesNeedNoPermAndMatchTheIdentityPermAtEveryTier) {
+  const ses::test::ScopedOmpTeam team(4);
   // The messy graph (empty rows, a hub, a duplicate, a self loop) stably
   // sorted by dst: its view is the same CSR as the unsorted list's, with no
   // permutation, and runs bitwise like the same view with an explicit

@@ -6,6 +6,7 @@
 #include "metrics/metrics.h"
 #include "tensor/tensor.h"
 #include "util/rng.h"
+#include "omp_team.h"
 
 namespace m = ses::metrics;
 namespace t = ses::tensor;
@@ -74,6 +75,7 @@ TEST(ExplanationAucTest, RandomScoresNearChance) {
 }
 
 TEST(SilhouetteTest, WellSeparatedClustersScoreHigh) {
+  const ses::test::ScopedOmpTeam team(4);
   ses::util::Rng rng(3);
   t::Tensor emb(60, 2);
   std::vector<int64_t> labels(60);
@@ -87,6 +89,7 @@ TEST(SilhouetteTest, WellSeparatedClustersScoreHigh) {
 }
 
 TEST(SilhouetteTest, RandomLabelsScoreNearZero) {
+  const ses::test::ScopedOmpTeam team(4);
   ses::util::Rng rng(4);
   t::Tensor emb = t::Tensor::Randn(80, 4, &rng);
   std::vector<int64_t> labels(80);

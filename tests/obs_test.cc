@@ -1,6 +1,7 @@
 // Tests for the ses_obs observability layer: span recording/aggregation,
 // disabled-mode zero-cost guarantees, Chrome-trace well-formedness, metrics
 // registry semantics, and telemetry serialization.
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <fstream>
@@ -100,6 +101,8 @@ class JsonChecker {
     if (Peek() != '"') return false;
     ++pos_;
     while (pos_ < s_.size() && s_[pos_] != '"') {
+      // JSON strings may not hold raw control characters.
+      if (static_cast<unsigned char>(s_[pos_]) < 0x20) return false;
       if (s_[pos_] == '\\') ++pos_;
       ++pos_;
     }
@@ -209,6 +212,46 @@ TEST_F(ObsTest, AggregationCountsAndTotals) {
   }
   EXPECT_EQ(outer_count, 3u);
   EXPECT_EQ(inner_count, 6u);
+}
+
+TEST_F(ObsTest, RepeatedAggregationMatchesOneFoldOfEverySpan) {
+  obs::EnableTracing(true);
+  const auto record = [](int n) {
+    for (int i = 0; i < n; ++i) {
+      SES_TRACE_SPAN("agg_fold");
+    }
+  };
+  const auto fold_stats = [] {
+    for (const auto& s : obs::AggregateSpanStats())
+      if (s.label == "agg_fold") return s;
+    return obs::LabelStats{};
+  };
+  record(3000);
+  EXPECT_EQ(fold_stats().count, 3000u);
+  // The next calls fold only new events: these cross the first 4096-event
+  // chunk of this thread's buffer and open a second thread's buffer.
+  record(3000);
+  std::thread([&record] { record(500); }).join();
+  const obs::LabelStats folded = fold_stats();
+
+  obs::LabelStats direct;
+  for (const obs::TraceEvent& ev : obs::SnapshotEvents()) {
+    direct.min_ns = direct.count == 0 ? ev.dur_ns
+                                      : std::min(direct.min_ns, ev.dur_ns);
+    direct.max_ns = std::max(direct.max_ns, ev.dur_ns);
+    ++direct.count;
+    direct.total_ns += ev.dur_ns;
+  }
+  EXPECT_EQ(folded.count, 6500u);
+  EXPECT_EQ(folded.count, direct.count);
+  EXPECT_EQ(folded.total_ns, direct.total_ns);
+  EXPECT_EQ(folded.min_ns, direct.min_ns);
+  EXPECT_EQ(folded.max_ns, direct.max_ns);
+
+  obs::ResetTracing();
+  EXPECT_TRUE(obs::AggregateSpanStats().empty());
+  record(2);
+  EXPECT_EQ(fold_stats().count, 2u);
 }
 
 TEST_F(ObsTest, DisabledSpanRecordsNothing) {
@@ -349,24 +392,29 @@ TEST(MetricsTest, SnapshotsAreWellFormed) {
   registry.GetGauge("test/snapshot_gauge").Set(2.5);
   registry.GetHistogram("test/snapshot_hist", {1.0, 10.0}).Observe(3.0);
 
-  std::ostringstream jsonl;
-  registry.WriteJsonl(jsonl);
-  std::istringstream lines(jsonl.str());
+  std::ostringstream out;
+  obs::WriteMetricsExposition(out);
+  const std::string text = out.str();
+  // Every line is a `# TYPE` header or `name[{labels}] value`.
+  std::istringstream lines(text);
   std::string line;
-  int parsed = 0;
+  int samples = 0;
   while (std::getline(lines, line)) {
     if (line.empty()) continue;
-    EXPECT_TRUE(JsonChecker(line).Valid()) << line;
-    ++parsed;
+    if (line[0] == '#') {
+      EXPECT_EQ(line.rfind("# TYPE ", 0), 0u) << line;
+      continue;
+    }
+    const std::string value = line.substr(line.rfind(' ') + 1);
+    char* end = nullptr;
+    std::strtod(value.c_str(), &end);
+    EXPECT_TRUE(*end == '\0' || value == "+Inf" || value == "NaN") << line;
+    ++samples;
   }
-  EXPECT_GE(parsed, 3);
-
-  std::ostringstream csv;
-  registry.WriteCsv(csv);
-  EXPECT_NE(csv.str().find("counter,test/snapshot_counter,value,7"),
-            std::string::npos);
-  EXPECT_NE(csv.str().find("gauge,test/snapshot_gauge,value,2.5"),
-            std::string::npos);
+  EXPECT_GE(samples, 3);
+  EXPECT_NE(text.find("\ntest_snapshot_counter 7\n"), std::string::npos);
+  EXPECT_NE(text.find("\ntest_snapshot_gauge 2.5\n"), std::string::npos);
+  EXPECT_NE(text.find("\ntest_snapshot_hist_count 1\n"), std::string::npos);
 }
 
 // --------------------------------------------------------------- telemetry
@@ -384,6 +432,19 @@ TEST(TelemetryTest, EpochRecordSerializesAsJson) {
   EXPECT_TRUE(JsonChecker(json).Valid()) << json;
   EXPECT_NE(json.find("\"phase\":\"phase1\""), std::string::npos);
   EXPECT_NE(json.find("\"epoch\":12"), std::string::npos);
+}
+
+TEST(TelemetryTest, EpochRecordEscapesModelAndPhase) {
+  obs::EpochRecord record;
+  record.model = "SES \"quoted\"\nname\\";
+  record.phase = "phase\t1\x01";
+  const std::string json = obs::EpochRecordToJson(record);
+  EXPECT_TRUE(JsonChecker(json).Valid()) << json;
+  EXPECT_NE(json.find("\"model\":\"SES \\\"quoted\\\"\\nname\\\\\""),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"phase\":\"phase\\t1\\u0001\""), std::string::npos)
+      << json;
 }
 
 TEST(TelemetryTest, NonFiniteNumbersSerializeAsNull) {

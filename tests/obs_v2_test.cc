@@ -18,6 +18,7 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -242,8 +243,16 @@ TEST(MetricsServerTest, ServesMetricsHealthzAndSpansOnEphemeralPort) {
   EXPECT_NE(health.find("\"t.server\":{\"up\":true}"), std::string::npos);
   obs::UnregisterHealthProvider("t.server");
 
-  const std::string spans = HttpGet(server.port(), "GET /spans HTTP/1.0\r\n\r\n");
-  EXPECT_NE(spans.find("application/json"), std::string::npos);
+  // Span aggregates are labeled series on /metrics; /spans is gone.
+  obs::EnableTracing(true);
+  { SES_TRACE_SPAN("t.server.span"); }
+  obs::EnableTracing(false);
+  EXPECT_NE(HttpGet(server.port(), "GET /metrics HTTP/1.0\r\n\r\n")
+                .find("ses_span_count{label=\"t.server.span\"} 1"),
+            std::string::npos);
+  EXPECT_NE(HttpGet(server.port(), "GET /spans HTTP/1.0\r\n\r\n")
+                .find("404 Not Found"),
+            std::string::npos);
 
   EXPECT_NE(HttpGet(server.port(), "GET /nope HTTP/1.0\r\n\r\n")
                 .find("404 Not Found"),
@@ -954,8 +963,8 @@ TEST(MetricsRegistryTest, ScrapeWhileRegisteringIsSafe) {
     while (!stop.load()) {
       std::ostringstream out;
       registry.WritePrometheus(out);
-      std::ostringstream jsonl;
-      registry.WriteJsonl(jsonl);
+      std::ostringstream exposition;
+      obs::WriteMetricsExposition(exposition);
     }
   });
   std::vector<std::thread> writers;
@@ -980,6 +989,133 @@ TEST(MetricsRegistryTest, ScrapeWhileRegisteringIsSafe) {
   std::ostringstream out;
   registry.WritePrometheus(out);
   EXPECT_NE(out.str().find("ses_test_hammer"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// obs::Session: one flag rule and one artifact writer for every main.
+
+/// A FlagParser over "--flag=value" arguments.
+util::FlagParser Flags(std::vector<std::string> args) {
+  args.insert(args.begin(), "main");
+  std::vector<char*> argv;
+  for (std::string& arg : args) argv.push_back(arg.data());
+  return util::FlagParser(static_cast<int>(argv.size()), argv.data());
+}
+
+/// Reads `text` as Prometheus exposition: every line is a `# TYPE` header
+/// or a sample whose value parses. Returns the series, `name,k=v,...`.
+std::set<std::string> ExpositionSeries(const std::string& text) {
+  std::set<std::string> series;
+  std::istringstream lines(text);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.empty()) continue;
+    if (line[0] == '#') {
+      EXPECT_EQ(line.rfind("# TYPE ", 0), 0u) << line;
+      continue;
+    }
+    const PromSample sample = ParseSample(line);  // throws on a bad value
+    std::string key = sample.name;
+    for (const auto& [k, v] : sample.labels) key += "," + k + "=" + v;
+    series.insert(key);
+  }
+  return series;
+}
+
+/// What both exit-path runs do: one span, one skipped NaN step.
+void SessionWork() {
+  { SES_TRACE_SPAN("t.session.work"); }
+  MetricsRegistry::Get().GetCounter("ses.train.nan_skips").Add(1);
+}
+
+TEST(ObsSessionTest, MetricsOutWritesRegistryAndSpanSeriesWhateverTheSuffix) {
+  ResetObsState();
+  const std::string path = ::testing::TempDir() + "/session_ops.csv";
+  MetricsRegistry::Get().GetCounter("ses.test.session_hits").Add(4);
+  {
+    obs::Session session(Flags({"--metrics-out=" + path}));
+    EXPECT_TRUE(obs::TracingEnabled());
+    SessionWork();
+  }
+  EXPECT_FALSE(obs::TracingEnabled()) << "Finish turns tracing back off";
+  const std::set<std::string> series = ExpositionSeries(ReadFile(path));
+  for (const char* name :
+       {"ses_test_session_hits", "ses_train_nan_skips", "ses_ckpt_writes",
+        "ses_span_count,label=t.session.work",
+        "ses_span_total_ms,label=t.session.work",
+        "ses_span_min_us,label=t.session.work",
+        "ses_span_max_us,label=t.session.work"})
+    EXPECT_EQ(series.count(name), 1u) << name;
+  std::remove(path.c_str());
+}
+
+TEST(ObsSessionTest, CrashFlushWritesTheSeriesACleanExitWrites) {
+  ResetObsState();
+  const std::string clean_path = ::testing::TempDir() + "/session_clean.prom";
+  const std::string crash_path = ::testing::TempDir() + "/session_crash.prom";
+  {
+    obs::Session session(Flags({"--metrics-out=" + clean_path}));
+    SessionWork();
+    session.Finish();
+  }
+  std::string crashed;
+  {
+    obs::Session session(Flags({"--metrics-out=" + crash_path}));  // re-arms
+    SessionWork();
+    // What FaultPlan::MaybeCrash, the signal handlers and atexit call.
+    obs::FlushObservability();
+    crashed = ReadFile(crash_path);  // before Finish could write it
+  }
+  const std::set<std::string> clean = ExpositionSeries(ReadFile(clean_path));
+  const std::set<std::string> crash = ExpositionSeries(crashed);
+  EXPECT_EQ(clean, crash);
+  EXPECT_EQ(crash.count("ses_train_nan_skips"), 1u);
+  EXPECT_EQ(crash.count("ses_span_count,label=t.session.work"), 1u);
+  EXPECT_NE(crashed.find("\nses_train_nan_skips 2\n"), std::string::npos)
+      << crashed;
+  std::remove(clean_path.c_str());
+  std::remove(crash_path.c_str());
+}
+
+TEST(ObsSessionTest, EachFlagTurnsOnWhatTheOneRuleSays) {
+  ResetObsState();
+  obs::EnableKernelProfiling(false);
+  const std::string dir = ::testing::TempDir();
+  struct Case {
+    std::string flag;
+    bool tracing, health;
+  };
+  const Case cases[] = {{"--trace-out=" + dir + "/s.json", true, false},
+                        {"--metrics-out=" + dir + "/s.prom", true, false},
+                        {"--access-log=" + dir + "/s.jsonl", true, false},
+                        {"--telemetry-out=" + dir + "/e.jsonl", false, true},
+                        {"--metrics-port=0", false, true},
+                        {"--unrelated=1", false, false}};
+  for (const Case& c : cases) {
+    {
+      obs::Session session(Flags({c.flag}));
+      const bool any = c.flag != "--unrelated=1";
+      EXPECT_EQ(obs::TracingEnabled(), c.tracing) << c.flag;
+      EXPECT_EQ(obs::ModelHealthMonitor::Get().enabled(), c.health) << c.flag;
+      EXPECT_EQ(obs::KernelProfilingEnabled(), any) << c.flag;
+      EXPECT_EQ(session.metrics_port() != 0, c.flag == "--metrics-port=0");
+    }
+    EXPECT_FALSE(obs::TracingEnabled());
+    EXPECT_FALSE(obs::ModelHealthMonitor::Get().enabled());
+    EXPECT_FALSE(obs::KernelProfilingEnabled());
+  }
+  for (const char* name : {"s.json", "s.prom", "s.jsonl", "e.jsonl"})
+    std::remove((dir + "/" + name).c_str());
+}
+
+TEST(ObsSessionTest, MetricsPortServesTheRobustnessCountersFromTheStart) {
+  ResetObsState();
+  obs::Session session(Flags({"--metrics-port=0"}));
+  ASSERT_NE(session.metrics_port(), 0);
+  const std::string metrics =
+      HttpGet(session.metrics_port(), "GET /metrics HTTP/1.0\r\n\r\n");
+  for (const char* line : {"\nses_train_nan_skips 0\n", "\nses_ckpt_writes 0\n",
+                           "\nses_train_rollbacks 0\n"})
+    EXPECT_NE(metrics.find(line), std::string::npos) << line;
 }
 
 }  // namespace

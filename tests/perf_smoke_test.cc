@@ -10,6 +10,7 @@
 #include "obs/metrics.h"
 #include "tensor/workspace.h"
 #include "util/rng.h"
+#include "omp_team.h"
 
 namespace ag = ses::autograd;
 namespace c = ses::core;
@@ -58,6 +59,7 @@ t::Tensor TapedLogits(const c::SesModel& model, const ses::data::Dataset& ds) {
 class PerfSmokeTest : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(PerfSmokeTest, SessionLogitsBitwiseMatchTapePath) {
+  const ses::test::ScopedOmpTeam team(4);
   auto ds = TinyDataset(GetParam());
   auto model = TrainTinyModel(ds);
   const t::Tensor taped = TapedLogits(model, ds);

@@ -16,6 +16,7 @@
 #include "robust/health.h"
 #include "robust/serialize.h"
 #include "util/crc32.h"
+#include "omp_team.h"
 
 namespace ag = ses::autograd;
 namespace r = ses::robust;
@@ -415,6 +416,7 @@ t::Tensor UninterruptedLogits(const ses::data::Dataset& ds) {
 }
 
 TEST(ResumeTest, KillMidPhase1ResumesBitwiseIdentically) {
+  const ses::test::ScopedOmpTeam team(4);
   auto ds = TinyDataset();
   const t::Tensor reference = UninterruptedLogits(ds);
 
@@ -434,6 +436,7 @@ TEST(ResumeTest, KillMidPhase1ResumesBitwiseIdentically) {
 }
 
 TEST(ResumeTest, KillMidPhase2ResumesBitwiseIdentically) {
+  const ses::test::ScopedOmpTeam team(4);
   auto ds = TinyDataset();
   const t::Tensor reference = UninterruptedLogits(ds);
 
@@ -450,6 +453,7 @@ TEST(ResumeTest, KillMidPhase2ResumesBitwiseIdentically) {
 }
 
 TEST(ResumeTest, CheckpointingItselfDoesNotPerturbTraining) {
+  const ses::test::ScopedOmpTeam team(4);
   // A run that writes checkpoints but never crashes must also match the
   // checkpoint-free reference bitwise.
   auto ds = TinyDataset();

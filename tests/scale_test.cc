@@ -27,6 +27,7 @@
 #include "obs/metrics.h"
 #include "serve/shard_router.h"
 #include "util/rng.h"
+#include "omp_team.h"
 
 namespace {
 
@@ -248,11 +249,16 @@ TEST(ShardedSessionTest, BitwiseParityOnBaShapesGcn) {
 }
 
 TEST(ShardedSessionTest, BitwiseParityOnScaleGraphAllBackbones) {
+  const ses::test::ScopedOmpTeam team(4);
   const d::Dataset ds = SmallScaleGraph();
   for (const std::string backbone : {"GCN", "GAT", "GIN", "SAGE"})
     CheckEncoderParity(ds, backbone, 4);
 }
 
+// The HaloExchange tests and RoutedPredictionsMatchDirectCalls run their
+// shard builds and routed reads on worker and builder threads, which a
+// ScopedOmpTeam does not reach: ctest gives them OMP_NUM_THREADS=4
+// (tests/CMakeLists.txt).
 TEST(ShardedSessionTest, HaloExchangeTracksFeatureUpdates) {
   const d::Dataset base = SmallScaleGraph(1500);
   d::Dataset ds = base;
@@ -330,6 +336,7 @@ TEST(ShardedSessionTest, HaloExchangeIsSafeAgainstConcurrentRouterReads) {
 }
 
 TEST(ShardedSessionTest, SesModelParityIncludingExplanations) {
+  const ses::test::ScopedOmpTeam team(4);
   d::Dataset ds = SmallBaShapes();
   c::SesOptions opt;
   opt.backbone = "GCN";
@@ -357,6 +364,7 @@ TEST(ShardedSessionTest, SesModelParityIncludingExplanations) {
 }
 
 TEST(ShardedSessionTest, ParityHoldsWhenShardsPickAnotherSpmmVariant) {
+  const ses::test::ScopedOmpTeam team(4);
   // Tree-Cycle's four shards are a few hundred edges each, the size where
   // an earlier plan switched shards to an edge-order kernel. The CSR kernel
   // keeps edge order per row at every size, so the outputs agree bit for

@@ -8,6 +8,7 @@
 #include "tensor/sparse.h"
 #include "tensor/tensor.h"
 #include "util/rng.h"
+#include "omp_team.h"
 
 namespace t = ses::tensor;
 
@@ -89,6 +90,7 @@ class MatMulShapeTest
     : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
 
 TEST_P(MatMulShapeTest, TransposedVariantsAgree) {
+  const ses::test::ScopedOmpTeam team(4);
   auto [m, k, n] = GetParam();
   ses::util::Rng rng(m * 100 + k * 10 + n);
   t::Tensor a = t::Tensor::Randn(m, k, &rng);
@@ -104,6 +106,7 @@ TEST_P(MatMulShapeTest, TransposedVariantsAgree) {
 }
 
 TEST_P(MatMulShapeTest, IdentityIsNeutral) {
+  const ses::test::ScopedOmpTeam team(4);
   auto [m, k, n] = GetParam();
   (void)n;
   ses::util::Rng rng(7);
@@ -113,6 +116,7 @@ TEST_P(MatMulShapeTest, IdentityIsNeutral) {
 }
 
 TEST_P(MatMulShapeTest, TransposedVariantsAreBitwiseTransposeThenMatMul) {
+  const ses::test::ScopedOmpTeam team(4);
   // The transposed products pack the transposed operand and run MatMul's
   // kernel, so at the active tier they equal MatMul of the explicit
   // transpose exactly, zero-skips included.

@@ -158,18 +158,21 @@ TEST(StringTest, SplitAndJoin) {
   EXPECT_EQ(u::Join({"x", "y", "z"}, "-"), "x-y-z");
 }
 
-TEST(StringTest, EndsWithHandlesStringsShorterThanTheSuffix) {
-  EXPECT_TRUE(u::EndsWith("m.jsonl", ".jsonl"));
-  EXPECT_TRUE(u::EndsWith(".json", ".json"));
-  EXPECT_TRUE(u::EndsWith("abc", ""));
-  // Five characters against a six-character suffix: no unsigned wrap.
-  EXPECT_FALSE(u::EndsWith("m.csv", ".jsonl"));
-  EXPECT_FALSE(u::EndsWith("a.txt", ".jsonl"));
-  EXPECT_FALSE(u::EndsWith("", ".prom"));
-  EXPECT_FALSE(u::EndsWith("m.csv", ".json"));
-  EXPECT_FALSE(u::EndsWith("x.jsonl.csv", ".jsonl"));
+TEST(StringTest, StartsWithHandlesStringsShorterThanThePrefix) {
   EXPECT_TRUE(u::StartsWith("--flag", "--"));
+  EXPECT_TRUE(u::StartsWith("abc", ""));
   EXPECT_FALSE(u::StartsWith("-", "--"));
+  EXPECT_FALSE(u::StartsWith("", "--"));
+}
+
+TEST(StringTest, JsonQuoteEscapesQuotesBackslashesAndControlCharacters) {
+  EXPECT_EQ(u::JsonQuote(""), "\"\"");
+  EXPECT_EQ(u::JsonQuote("plain.label"), "\"plain.label\"");
+  EXPECT_EQ(u::JsonQuote("a\"b\\c"), "\"a\\\"b\\\\c\"");
+  EXPECT_EQ(u::JsonQuote("\b\f\n\r\t"), "\"\\b\\f\\n\\r\\t\"");
+  EXPECT_EQ(u::JsonQuote(std::string("\x01\x1f\0", 3)),
+            "\"\\u0001\\u001f\\u0000\"");
+  EXPECT_EQ(u::JsonQuote("caf\xc3\xa9"), "\"caf\xc3\xa9\"");  // UTF-8 as is
 }
 
 TEST(StringTest, FlagParser) {

@@ -8,6 +8,7 @@
 #include "tensor/tensor.h"
 #include "viz/graph_export.h"
 #include "viz/tsne.h"
+#include "omp_team.h"
 
 namespace v = ses::viz;
 namespace t = ses::tensor;
@@ -44,6 +45,7 @@ TEST(TsneTest, PreservesClusterStructure) {
 }
 
 TEST(TsneTest, DeterministicForSeed) {
+  const ses::test::ScopedOmpTeam team(4);
   ses::util::Rng rng(3);
   t::Tensor data = t::Tensor::Randn(30, 5, &rng);
   v::TsneOptions opt;
