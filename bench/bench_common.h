@@ -1,5 +1,5 @@
-#ifndef SES_BENCH_BENCH_COMMON_H_
-#define SES_BENCH_BENCH_COMMON_H_
+#ifndef SES_BENCHMARK_COMMON_H_
+#define SES_BENCHMARK_COMMON_H_
 
 #include <memory>
 #include <string>
@@ -98,4 +98,4 @@ inline std::string ArtifactDir() { return "bench_artifacts"; }
 
 }  // namespace ses::bench
 
-#endif  // SES_BENCH_BENCH_COMMON_H_
+#endif  // SES_BENCHMARK_COMMON_H_

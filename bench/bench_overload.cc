@@ -18,18 +18,20 @@
 //     RetryAfter hint, up to RetryPolicy::max_attempts;
 //   - after the schedule ends, every future is resolved with a bounded wait
 //     and tallied by status code. `unresolved_futures` counts futures that
-//     never resolved — the no-hung-futures invariant; the gate requires 0.
+//     never resolved — the no-hung-futures invariant; the run requires 0.
 //
 // Goodput = kOk completions / pacing wall time. The headline number is
 //   goodput_retention_10x = goodput(10x) / goodput(1x)
 // — a serving stack without admission control and deadlines collapses here
 // (workers burn their time on work that is already dead); with them it
-// should stay near 1. scripts/bench_check.sh gates the committed
-// BENCH_overload.json on retention and on unresolved_futures == 0.
+// should stay near 1.
 //
-// Results go to --out (default BENCH_overload.json). --smoke shrinks the
-// sweep for the sanitizer CI runs (structural gates only — retention on a
-// sanitizer build is not meaningful).
+// Results go to --out (default BENCH_overload.json). The exit status is
+// non-zero when any future is left unresolved, when a point's typed
+// resolutions do not sum to its submissions, or, on the full sweep, when
+// retention falls below 0.70. --smoke shrinks the sweep for the sanitizer
+// CI runs and checks the resolution invariants only: retention measured on
+// a sanitizer build is not meaningful.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -55,6 +57,8 @@ using namespace ses;
 using Clock = std::chrono::steady_clock;
 
 namespace {
+
+constexpr double kMinRetention = 0.70;
 
 /// Per-bucket histogram snapshot, so a sweep point can report quantiles of
 /// the requests it contributed (the registry histogram accumulates across
@@ -120,6 +124,10 @@ struct Tally {
   int64_t shutdown = 0;
   int64_t internal = 0;
   int64_t unresolved = 0;  ///< futures that never resolved (must be 0)
+
+  int64_t Resolved() const {
+    return ok + shed + expired + shutdown + internal;
+  }
 
   void Merge(const Tally& other) {
     submitted += other.submitted;
@@ -461,7 +469,25 @@ int main(int argc, char** argv) try {
       << "  \"unresolved_futures\": " << total_unresolved << "\n"
       << "}\n";
   std::printf("results written to %s\n", out_path.c_str());
-  return 0;
+
+  bool ok = total_unresolved == 0;
+  for (const auto& p : points) {
+    if (p.tally.Resolved() == p.tally.submitted) continue;
+    std::fprintf(stderr, "%.1fx point: %lld typed resolutions for %lld "
+                 "submissions\n", p.offered_x,
+                 static_cast<long long>(p.tally.Resolved()),
+                 static_cast<long long>(p.tally.submitted));
+    ok = false;
+  }
+  if (total_unresolved != 0)
+    std::fprintf(stderr, "%lld futures left unresolved\n",
+                 static_cast<long long>(total_unresolved));
+  if (!smoke && retention < kMinRetention) {
+    std::fprintf(stderr, "goodput retention %.1f%% is below the %.0f%% "
+                 "floor\n", retention * 100.0, kMinRetention * 100.0);
+    ok = false;
+  }
+  return ok ? 0 : 1;
 } catch (const util::FlagError& e) {
   return util::FlagUsageError(argv[0], e);
 }

@@ -12,13 +12,15 @@
 //   - parity_ok: whether sharded logits are bitwise-identical to the
 //     whole-graph session's on a node sample — the §16 parity contract.
 //
-// Results go to --out (default BENCH_scale.json) and are gated by
-// scripts/bench_check.sh (structural checks always; the committed baseline
-// must carry a >= 1M-node point). Modes:
+// Results go to --out (default BENCH_scale.json). The exit status is
+// non-zero unless every point has parity_ok, an edge-cut fraction in
+// [0, 1] and a balance >= 1. The timings are recorded, not gated: the warm
+// predict is a memoized lookup, and perfbench `train` times the same
+// training path in parent/change pairs. Modes:
 //
 //   --nodes=10000,100000,1000000   base-node counts to sweep
 //   --shards=8 --seed=42 --hidden=32 --epochs=2 --warm-queries=2000
-//   --smoke    one small point, tiny budgets (sanitizer CI; perf not gated)
+//   --smoke    one small point, tiny budgets (sanitizer CI)
 //   --digest   determinism mode: generate each point twice, compare
 //              DatasetDigest, print both digests, exit non-zero on mismatch.
 //              No training, no sessions — this is the CI double-run.
@@ -237,9 +239,17 @@ int main(int argc, char** argv) try {
 
   int64_t max_nodes = 0;
   bool all_parity = true;
+  bool partitions_ok = true;
   for (const auto& p : points) {
     max_nodes = std::max(max_nodes, p.nodes);
     all_parity = all_parity && p.parity_ok;
+    if (p.edge_cut_fraction < 0.0 || p.edge_cut_fraction > 1.0 ||
+        p.balance < 1.0) {
+      std::fprintf(stderr, "%lld-node point: edge cut %g or balance %g out "
+                   "of range\n", static_cast<long long>(p.nodes),
+                   p.edge_cut_fraction, p.balance);
+      partitions_ok = false;
+    }
   }
 
   std::ofstream out(out_path);
@@ -290,7 +300,7 @@ int main(int argc, char** argv) try {
       << "  \"all_parity_ok\": " << (all_parity ? "true" : "false") << "\n"
       << "}\n";
   std::printf("results written to %s\n", out_path.c_str());
-  return all_parity ? 0 : 1;
+  return all_parity && partitions_ok ? 0 : 1;
 } catch (const util::FlagError& e) {
   return util::FlagUsageError(argv[0], e);
 }

@@ -16,9 +16,6 @@ namespace {
 
 constexpr char kMagic[8] = {'S', 'E', 'S', 'C', 'K', 'P', 'T', '1'};
 constexpr uint32_t kVersion = 1;
-/// Caps element counts read from untrusted bytes so a corrupted length field
-/// fails fast instead of triggering a giant allocation.
-constexpr uint64_t kMaxElements = 1ull << 32;
 
 [[noreturn]] void Fail(const std::string& what) {
   throw std::runtime_error("checkpoint: " + what);
@@ -102,9 +99,14 @@ double Deserializer::ReadF64() {
   return v;
 }
 
-std::string Deserializer::ReadString() {
+uint64_t Deserializer::ReadCount(size_t min_element_bytes, const char* what) {
   const uint64_t n = ReadU64();
-  if (n > remaining()) Fail("string length exceeds payload");
+  if (n > remaining() / min_element_bytes) Fail(std::string(what) + " corrupt");
+  return n;
+}
+
+std::string Deserializer::ReadString() {
+  const uint64_t n = ReadCount(1, "string length");
   std::string s(buf_.substr(pos_, n));
   pos_ += n;
   return s;
@@ -114,7 +116,8 @@ tensor::Tensor Deserializer::ReadTensor() {
   const int64_t rows = ReadI64();
   const int64_t cols = ReadI64();
   if (rows < 0 || cols < 0 ||
-      static_cast<uint64_t>(rows) * static_cast<uint64_t>(cols) > kMaxElements)
+      (cols > 0 &&
+       static_cast<uint64_t>(rows) > remaining() / sizeof(float) / cols))
     Fail("tensor shape corrupt");
   tensor::Tensor t(rows, cols);
   ReadRaw(t.data(), sizeof(float) * static_cast<size_t>(t.size()));
@@ -122,8 +125,8 @@ tensor::Tensor Deserializer::ReadTensor() {
 }
 
 std::vector<tensor::Tensor> Deserializer::ReadTensorVec() {
-  const uint64_t n = ReadU64();
-  if (n > kMaxElements) Fail("tensor count corrupt");
+  // A tensor encodes at least its two i64 dimensions.
+  const uint64_t n = ReadCount(2 * sizeof(int64_t), "tensor count");
   std::vector<tensor::Tensor> v;
   v.reserve(n);
   for (uint64_t i = 0; i < n; ++i) v.push_back(ReadTensor());
@@ -131,16 +134,14 @@ std::vector<tensor::Tensor> Deserializer::ReadTensorVec() {
 }
 
 std::vector<int64_t> Deserializer::ReadI64Vec() {
-  const uint64_t n = ReadU64();
-  if (n * sizeof(int64_t) > remaining()) Fail("int list length corrupt");
+  const uint64_t n = ReadCount(sizeof(int64_t), "int list length");
   std::vector<int64_t> v(n);
   ReadRaw(v.data(), sizeof(int64_t) * n);
   return v;
 }
 
 std::vector<double> Deserializer::ReadF64Vec() {
-  const uint64_t n = ReadU64();
-  if (n * sizeof(double) > remaining()) Fail("double list length corrupt");
+  const uint64_t n = ReadCount(sizeof(double), "double list length");
   std::vector<double> v(n);
   ReadRaw(v.data(), sizeof(double) * n);
   return v;

@@ -41,7 +41,9 @@ class Serializer {
 
 /// Matching reader. Every Read* throws std::runtime_error on buffer
 /// underflow or malformed lengths, so a truncated payload can never be
-/// silently accepted.
+/// silently accepted. A length or shape is checked against the bytes left
+/// before anything is allocated, so a hostile count cannot ask for more
+/// memory than the payload itself holds.
 class Deserializer {
  public:
   explicit Deserializer(std::string_view buf) : buf_(buf) {}
@@ -64,6 +66,9 @@ class Deserializer {
 
  private:
   void ReadRaw(void* p, size_t n);
+  /// Reads an element count and rejects it unless `remaining()` can hold
+  /// that many elements of at least `min_element_bytes` each.
+  uint64_t ReadCount(size_t min_element_bytes, const char* what);
   std::string_view buf_;
   size_t pos_ = 0;
 };

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <limits>
 #include <stdexcept>
 
@@ -11,11 +10,8 @@
 #include "data/synthetic.h"
 #include "nn/optim.h"
 #include "obs/metrics.h"
-#include "robust/checkpoint.h"
 #include "robust/fault.h"
 #include "robust/health.h"
-#include "robust/serialize.h"
-#include "util/crc32.h"
 #include "omp_team.h"
 
 namespace ag = ses::autograd;
@@ -44,213 +40,6 @@ struct ScopedFaultSpec {
   }
   ~ScopedFaultSpec() { ::unsetenv("SES_FAULT_SPEC"); }
 };
-
-t::Tensor MakeTensor(int64_t rows, int64_t cols, float start) {
-  t::Tensor out(rows, cols);
-  for (int64_t i = 0; i < out.size(); ++i)
-    out[i] = start + 0.25f * static_cast<float>(i);
-  return out;
-}
-
-r::TrainingCheckpoint MakeCheckpoint() {
-  r::TrainingCheckpoint c;
-  c.model = "SES (GCN)";
-  c.phase = "phase1";
-  c.next_epoch = 17;
-  c.params = {MakeTensor(2, 3, 1.0f), MakeTensor(4, 1, -2.0f)};
-  c.optim.step_count = 17;
-  c.optim.m = {MakeTensor(2, 3, 0.1f), MakeTensor(4, 1, 0.2f)};
-  c.optim.v = {MakeTensor(2, 3, 0.3f), MakeTensor(4, 1, 0.4f)};
-  ses::util::Rng rng(99);
-  rng.Normal();  // populate the Box-Muller cache
-  c.rng = rng.State();
-  c.best_val = 0.8125;
-  c.lr = 0.003f;
-  c.tensors["mask"] = MakeTensor(3, 2, 5.0f);
-  c.tensor_lists["best"] = {MakeTensor(1, 4, 9.0f)};
-  c.int_lists["pairs"] = {3, 1, 4, 1, 5};
-  c.double_lists["history"] = {0.0, 1.5, -2.25};
-  c.scalars["alpha"] = 0.5;
-  return c;
-}
-
-void ExpectBitwiseEqual(const r::TrainingCheckpoint& a,
-                        const r::TrainingCheckpoint& b) {
-  EXPECT_EQ(a.model, b.model);
-  EXPECT_EQ(a.phase, b.phase);
-  EXPECT_EQ(a.next_epoch, b.next_epoch);
-  ASSERT_EQ(a.params.size(), b.params.size());
-  for (size_t i = 0; i < a.params.size(); ++i)
-    EXPECT_EQ(a.params[i].MaxAbsDiff(b.params[i]), 0.0f);
-  EXPECT_EQ(a.optim.step_count, b.optim.step_count);
-  ASSERT_EQ(a.optim.m.size(), b.optim.m.size());
-  for (size_t i = 0; i < a.optim.m.size(); ++i) {
-    EXPECT_EQ(a.optim.m[i].MaxAbsDiff(b.optim.m[i]), 0.0f);
-    EXPECT_EQ(a.optim.v[i].MaxAbsDiff(b.optim.v[i]), 0.0f);
-  }
-  EXPECT_TRUE(a.rng == b.rng);
-  EXPECT_EQ(a.best_val, b.best_val);
-  EXPECT_EQ(a.lr, b.lr);
-  ASSERT_EQ(a.tensors.size(), b.tensors.size());
-  for (const auto& [name, value] : a.tensors)
-    EXPECT_EQ(value.MaxAbsDiff(b.tensors.at(name)), 0.0f);
-  ASSERT_EQ(a.tensor_lists.size(), b.tensor_lists.size());
-  for (const auto& [name, list] : a.tensor_lists) {
-    const auto& other = b.tensor_lists.at(name);
-    ASSERT_EQ(list.size(), other.size());
-    for (size_t i = 0; i < list.size(); ++i)
-      EXPECT_EQ(list[i].MaxAbsDiff(other[i]), 0.0f);
-  }
-  EXPECT_EQ(a.int_lists, b.int_lists);
-  EXPECT_EQ(a.double_lists, b.double_lists);
-  EXPECT_EQ(a.scalars, b.scalars);
-}
-
-// --------------------------------------------------------------------- CRC32
-
-TEST(Crc32Test, KnownAnswer) {
-  // The CRC-32/IEEE check value.
-  EXPECT_EQ(ses::util::Crc32("123456789"), 0xCBF43926u);
-}
-
-TEST(Crc32Test, DetectsSingleBitFlip) {
-  std::string data(64, 'a');
-  const uint32_t clean = ses::util::Crc32(data);
-  data[20] = static_cast<char>(data[20] ^ 0x01);
-  EXPECT_NE(ses::util::Crc32(data), clean);
-}
-
-// ---------------------------------------------------------------- serializer
-
-TEST(SerializeTest, ScalarAndCompositeRoundtrip) {
-  r::Serializer s;
-  s.WriteU32(7);
-  s.WriteI64(-123456789012345);
-  s.WriteF32(1.5f);
-  s.WriteF64(-2.25);
-  s.WriteBool(true);
-  s.WriteString("hello checkpoint");
-  s.WriteTensor(MakeTensor(2, 5, 3.0f));
-  s.WriteI64Vec({1, -2, 3});
-  s.WriteF64Vec({0.5, -0.5});
-
-  r::Deserializer d(s.buffer());
-  EXPECT_EQ(d.ReadU32(), 7u);
-  EXPECT_EQ(d.ReadI64(), -123456789012345);
-  EXPECT_EQ(d.ReadF32(), 1.5f);
-  EXPECT_EQ(d.ReadF64(), -2.25);
-  EXPECT_TRUE(d.ReadBool());
-  EXPECT_EQ(d.ReadString(), "hello checkpoint");
-  EXPECT_EQ(d.ReadTensor().MaxAbsDiff(MakeTensor(2, 5, 3.0f)), 0.0f);
-  EXPECT_EQ(d.ReadI64Vec(), (std::vector<int64_t>{1, -2, 3}));
-  EXPECT_EQ(d.ReadF64Vec(), (std::vector<double>{0.5, -0.5}));
-  EXPECT_TRUE(d.AtEnd());
-}
-
-TEST(SerializeTest, ThrowsOnTruncatedPayload) {
-  r::Serializer s;
-  s.WriteTensor(MakeTensor(4, 4, 0.0f));
-  const std::string full = s.buffer();
-  r::Deserializer d(std::string_view(full).substr(0, full.size() / 2));
-  EXPECT_THROW(d.ReadTensor(), std::runtime_error);
-}
-
-TEST(SerializeTest, ContainerRoundtripAndRejection) {
-  const std::string dir = ScratchDir("container");
-  const std::string path = dir + "/file.ses";
-  r::WriteFileAtomic(path, "some payload bytes");
-  EXPECT_EQ(r::ReadValidatedFile(path), "some payload bytes");
-  EXPECT_FALSE(fs::exists(path + ".tmp"));
-
-  // Flipping one payload byte must trip the CRC.
-  r::CorruptFile(path, "flip");
-  EXPECT_THROW(r::ReadValidatedFile(path), std::runtime_error);
-
-  // Truncation must trip the size check.
-  r::WriteFileAtomic(path, "some payload bytes");
-  r::CorruptFile(path, "truncate");
-  EXPECT_THROW(r::ReadValidatedFile(path), std::runtime_error);
-
-  // A non-checkpoint file must be rejected on magic.
-  std::ofstream(path, std::ios::binary) << "definitely not a checkpoint file";
-  EXPECT_THROW(r::ReadValidatedFile(path), std::runtime_error);
-
-  EXPECT_THROW(r::ReadValidatedFile(dir + "/missing.ses"), std::runtime_error);
-}
-
-// ---------------------------------------------------------------- checkpoint
-
-TEST(CheckpointTest, RoundtripIsBitwise) {
-  const r::TrainingCheckpoint original = MakeCheckpoint();
-  const r::TrainingCheckpoint loaded =
-      r::TrainingCheckpoint::Deserialize(original.Serialize());
-  ExpectBitwiseEqual(original, loaded);
-}
-
-TEST(CheckpointTest, DeserializeRejectsTrailingBytes) {
-  std::string payload = MakeCheckpoint().Serialize();
-  payload += "extra";
-  EXPECT_THROW(r::TrainingCheckpoint::Deserialize(payload),
-               std::runtime_error);
-}
-
-TEST(CheckpointManagerTest, RotationKeepsNewest) {
-  const std::string dir = ScratchDir("rotation");
-  r::CheckpointManager mgr(dir, /*keep_last=*/3);
-  r::TrainingCheckpoint c = MakeCheckpoint();
-  for (int64_t e = 1; e <= 5; ++e) {
-    c.next_epoch = e;
-    mgr.Write(c);
-  }
-  int64_t files = 0;
-  for ([[maybe_unused]] const auto& entry : fs::directory_iterator(dir))
-    ++files;
-  EXPECT_EQ(files, 3);
-  auto latest = mgr.LoadLatest();
-  ASSERT_TRUE(latest.has_value());
-  EXPECT_EQ(latest->next_epoch, 5);
-}
-
-TEST(CheckpointManagerTest, SequenceSurvivesReopen) {
-  const std::string dir = ScratchDir("reopen");
-  r::TrainingCheckpoint c = MakeCheckpoint();
-  {
-    r::CheckpointManager mgr(dir, 3);
-    c.next_epoch = 1;
-    mgr.Write(c);
-  }
-  // A new manager (fresh process after a crash) must continue the sequence,
-  // not overwrite the existing rotation.
-  r::CheckpointManager mgr(dir, 3);
-  c.next_epoch = 2;
-  mgr.Write(c);
-  auto latest = mgr.LoadLatest();
-  ASSERT_TRUE(latest.has_value());
-  EXPECT_EQ(latest->next_epoch, 2);
-}
-
-TEST(CheckpointManagerTest, CorruptLatestFallsBackToPreviousRotation) {
-  const std::string dir = ScratchDir("fallback");
-  r::CheckpointManager mgr(dir, 3);
-  r::TrainingCheckpoint c = MakeCheckpoint();
-  c.next_epoch = 1;
-  mgr.Write(c);
-  c.next_epoch = 2;
-  const std::string newest = mgr.Write(c);
-  EXPECT_EQ(mgr.LatestPath(), newest);
-
-  const int64_t corrupt_before = CounterValue("ses.ckpt.resume_corrupt");
-  r::CorruptFile(newest, "flip");
-  auto loaded = mgr.LoadLatest();
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->next_epoch, 1);  // previous rotation
-  EXPECT_GE(CounterValue("ses.ckpt.resume_corrupt"), corrupt_before + 1);
-
-  // Both rotations damaged => no resume.
-  for (const auto& entry : fs::directory_iterator(dir))
-    r::CorruptFile(entry.path().string(), "truncate");
-  EXPECT_FALSE(mgr.LoadLatest().has_value());
-}
 
 // -------------------------------------------------------------------- health
 

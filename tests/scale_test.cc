@@ -213,6 +213,18 @@ TEST(PartitionerTest, InvariantsOnScaleGraph) {
   CheckPartitionInvariants(SmallScaleGraph(), 6);
 }
 
+// The 10k point of bench_scale: 10,000 base nodes, seed 42, 8 shards. The
+// partitioner is deterministic and cut 0.652723 of the edges when this test
+// was written, so a rise past 0.05 above that is a partition-quality
+// regression, not noise.
+TEST(PartitionerTest, EdgeCutOfTheBenchScale10kPointDoesNotRise) {
+  g::PartitionOptions opt;
+  opt.num_shards = 8;
+  const g::Partition part =
+      g::Partitioner(opt).Run(SmallScaleGraph(10000, 42).graph);
+  EXPECT_LE(part.edge_cut_fraction(), 0.652723 + 0.05);
+}
+
 TEST(PartitionerTest, ExportsQualityMetrics) {
   const d::Dataset ds = SmallScaleGraph(2000);
   g::PartitionOptions opt;
