@@ -10,10 +10,13 @@
 // BENCH_kernels.json).
 //
 // The exit status enforces two floors measured within this one run, so the
-// host state that moves every kernel of a run together cancels out:
-//   - every SIMD tier's SpMM runs at >= 1.5x the scalar tier's GFLOP/s
+// host state that moves every kernel of a run together cancels out. Each
+// floor compares the median per-call wall time of two workloads of equal
+// FLOPs, timed call by call and interleaved rep by rep, so a stall of a few
+// ms moves one call rather than the figure:
+//   - every SIMD tier's SpMM runs at >= 1.5x the scalar tier's speed
 //     (skipped, with a log line, on a host without a SIMD tier);
-//   - `matmul|bt` and `matmul|at` each reach >= 0.5x the GFLOP/s of
+//   - `matmul|bt` and `matmul|at` each reach >= 0.5x the speed of
 //     `matmul|dense_<active tier>`: both pack the transposed operand and run
 //     the dense kernel, so anything much slower is a structural regression
 //     (the old unpacked `bt` read 0.06x).
@@ -27,6 +30,7 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "autograd/sparse_ops.h"
@@ -35,6 +39,7 @@
 #include "kernels/spmm.h"
 #include "tensor/ops.h"
 #include "util/rng.h"
+#include "util/timer.h"
 
 using namespace ses;
 namespace ag = ses::autograd;
@@ -68,12 +73,20 @@ ag::EdgeListPtr RandomEdges(int64_t num_nodes, int64_t per_node,
 constexpr double kMinSpmmSimdSpeedup = 1.5;
 constexpr double kMinTransposedMatmulRatio = 0.5;
 
-/// GFLOP/s of the "kernel|variant" entry `name` (0 when absent).
-double GflopsOf(const std::vector<obs::KernelStats>& stats,
-                const std::string& name) {
-  for (const obs::KernelStats& s : stats)
-    if (s.kernel + "|" + s.variant == name) return s.Gflops();
-  return 0.0;
+/// Wall time of one call of `fn`, in seconds.
+template <typename Fn>
+double TimeCall(Fn&& fn) {
+  util::Timer timer;
+  fn();
+  return timer.ElapsedSeconds();
+}
+
+/// Median of per-call times (the mean of the middle two for an even count).
+double Median(std::vector<double> times) {
+  std::sort(times.begin(), times.end());
+  const size_t mid = times.size() / 2;
+  return times.size() % 2 == 1 ? times[mid]
+                               : 0.5 * (times[mid - 1] + times[mid]);
 }
 
 void WriteJson(const std::string& path,
@@ -147,9 +160,18 @@ int main(int argc, char** argv) try {
 
   // Per-tier SpMM sweep: the CSR kernel at every tier the host supports,
   // like-for-like over the same graph and operands. Each spmm|csr_<tier>
-  // entry holds exactly `reps` sweep calls and nothing else, so
-  // spmm_simd_speedup compares one workload across tiers. Unsupported tiers
-  // are logged, not silently skipped.
+  // entry holds exactly `reps` sweep calls and nothing else. Unsupported
+  // tiers are logged, not silently skipped.
+  std::vector<const kernels::Dispatch*> tiers;
+  for (int tier_i = 0; tier_i < kernels::kNumSimdTiers; ++tier_i) {
+    const auto tier = static_cast<kernels::SimdTier>(tier_i);
+    if (kernels::TierSupported(tier))
+      tiers.push_back(&kernels::DispatchFor(tier));
+    else
+      std::printf("spmm sweep: tier %s unsupported on this host, skipped\n",
+                  kernels::TierName(tier));
+  }
+  std::vector<std::vector<double>> spmm_call_s(tiers.size());
   {
     const kernels::CsrAdj& csr = edges->plan()->csr;
     const int64_t e_count = edges->size();
@@ -157,29 +179,27 @@ int main(int argc, char** argv) try {
     const double sweep_bytes =
         static_cast<double>(e_count) * (20.0 + 4.0 * feat) +
         4.0 * static_cast<double>(sp_rows) * feat;
-    for (int tier_i = 0; tier_i < kernels::kNumSimdTiers; ++tier_i) {
-      const auto tier = static_cast<kernels::SimdTier>(tier_i);
-      if (!kernels::TierSupported(tier)) {
-        std::printf("spmm sweep: tier %s unsupported on this host, skipped\n",
-                    kernels::TierName(tier));
-        continue;
-      }
-      const kernels::Dispatch& d = kernels::DispatchFor(tier);
-      for (int64_t r = 0; r < reps; ++r) {
+    for (int64_t r = 0; r < reps; ++r) {
+      for (size_t i = 0; i < tiers.size(); ++i) {
+        const kernels::Dispatch& d = *tiers[i];
         t::Tensor out_t = t::Tensor::Zeros(sp_rows, feat);
-        obs::KernelScope kscope("spmm", d.spmm_variant, sweep_flops,
-                                sweep_bytes);
-        d.spmm_csr(csr.rows, csr.row_ptr.data(), csr.col.data(),
-                   csr.perm_or_null(), edge_w.data(), dense.data(),
-                   feat, out_t.data(), /*bias=*/nullptr, /*relu=*/false);
+        spmm_call_s[i].push_back(TimeCall([&] {
+          obs::KernelScope kscope("spmm", d.spmm_variant, sweep_flops,
+                                  sweep_bytes);
+          d.spmm_csr(csr.rows, csr.row_ptr.data(), csr.col.data(),
+                     csr.perm_or_null(), edge_w.data(), dense.data(), feat,
+                     out_t.data(), /*bias=*/nullptr, /*relu=*/false);
+        }));
       }
     }
   }
 
+  // dense, bt and at each multiply two mm x mm operands: equal FLOPs.
+  std::vector<double> dense_s, bt_s, at_s;
   for (int64_t r = 0; r < reps; ++r) {
-    (void)t::MatMul(a, b);                   // matmul|dense_<tier>
-    (void)t::MatMulTransposedB(a, b);        // matmul|bt
-    (void)t::MatMulTransposedA(a, b);        // matmul|at
+    dense_s.push_back(TimeCall([&] { (void)t::MatMul(a, b); }));
+    bt_s.push_back(TimeCall([&] { (void)t::MatMulTransposedB(a, b); }));
+    at_s.push_back(TimeCall([&] { (void)t::MatMulTransposedA(a, b); }));
     (void)t::Add(ew_a, ew_b);                // elementwise|binary_<tier>
     (void)t::Relu(ew_a);                     // elementwise|unary_<tier>
     (void)t::GatherRows(dense, gather_idx);  // row_gather|copy
@@ -198,27 +218,29 @@ int main(int argc, char** argv) try {
                 s.inclusive_ns / 1e6, s.Gflops(), s.Intensity());
   }
 
-  // Each SIMD tier's SpMM over the scalar tier's; the JSON records the best.
+  // Each SIMD tier's SpMM over the scalar tier's (tiers[0]); the JSON
+  // records the best.
   bool ok = true;
   double spmm_simd_speedup = 0.0;
-  const double scalar_gflops = GflopsOf(stats, "spmm|csr_scalar");
-  for (const obs::KernelStats& s : stats) {
-    if (s.kernel != "spmm" || s.variant == "csr_scalar") continue;
-    const double speedup = s.Gflops() / scalar_gflops;
-    std::printf("spmm|%s: %.2fx the GFLOP/s of spmm|csr_scalar (floor "
-                "%.1fx)\n", s.variant.c_str(), speedup, kMinSpmmSimdSpeedup);
+  const double scalar_s = Median(spmm_call_s[0]);
+  for (size_t i = 1; i < tiers.size(); ++i) {
+    const double speedup = scalar_s / Median(spmm_call_s[i]);
+    std::printf("spmm|%s: %.2fx the speed of spmm|csr_scalar, median per "
+                "call (floor %.1fx)\n",
+                tiers[i]->spmm_variant, speedup, kMinSpmmSimdSpeedup);
     ok = ok && speedup >= kMinSpmmSimdSpeedup;
     spmm_simd_speedup = std::max(spmm_simd_speedup, speedup);
   }
-  if (spmm_simd_speedup == 0.0)
+  if (tiers.size() == 1)
     std::printf("spmm: no SIMD tier on this host, speedup floor skipped\n");
   const std::string dense_name =
       std::string("matmul|dense_") + kernels::TierName(kernels::ActiveTier());
-  const double dense_gflops = GflopsOf(stats, dense_name);
-  for (const char* name : {"matmul|bt", "matmul|at"}) {
-    const double ratio = GflopsOf(stats, name) / dense_gflops;
-    std::printf("%s: %.2fx the GFLOP/s of %s (floor %.1fx)\n", name, ratio,
-                dense_name.c_str(), kMinTransposedMatmulRatio);
+  const double dense_s_median = Median(dense_s);
+  for (const auto& [name, call_s] :
+       {std::pair{"matmul|bt", &bt_s}, std::pair{"matmul|at", &at_s}}) {
+    const double ratio = dense_s_median / Median(*call_s);
+    std::printf("%s: %.2fx the speed of %s, median per call (floor %.1fx)\n",
+                name, ratio, dense_name.c_str(), kMinTransposedMatmulRatio);
     ok = ok && ratio >= kMinTransposedMatmulRatio;
   }
   WriteJson(out_path, stats, spmm_simd_speedup);

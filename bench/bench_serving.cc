@@ -5,9 +5,8 @@
 //      InferenceSession fast path (tape-free forward over cached per-graph
 //      artifacts, and the warm memoized predict), with a bitwise logit check;
 //   2. multi-thread: N workers issuing a mixed 80/20 predict/explain query
-//      stream against one shared session, each worker inside a tensor
-//      workspace::Scope, reporting queries/sec, p50/p99 latency, the pool hit
-//      rate, and the session cache stats;
+//      stream against one shared session, reporting queries/sec, p50/p99
+//      latency, and the session cache stats;
 //   3. scheduler: the serve::BatchScheduler front end vs. the direct path,
 //      after a bitwise logit check through the scheduled path. Closed-loop
 //      mode (submit -> Get, one in flight per client) shows what the flush
@@ -39,7 +38,6 @@
 #include "core/inference_session.h"
 #include "obs/flight_recorder.h"
 #include "serve/batch_scheduler.h"
-#include "tensor/workspace.h"
 #include "util/logging.h"
 #include "util/rng.h"
 #include "util/timer.h"
@@ -108,10 +106,10 @@ int main(int argc, char** argv) try {
               static_cast<long long>(queries_per_thread));
 
   // Register every metric family up front — the labeled latency histograms
-  // and the ses.pool.* counters — so a live /metrics scrape taken at any
-  // point of the run, including during training, already sees the full
-  // serving exposition. The report below reads its percentiles back out of
-  // the histograms instead of keeping private sorted-vector percentile code.
+  // included — so a live /metrics scrape taken at any point of the run,
+  // including during training, already sees the full serving exposition.
+  // The report below reads its percentiles back out of the histograms
+  // instead of keeping private sorted-vector percentile code.
   auto& registry = obs::MetricsRegistry::Get();
   const auto& edges_us = obs::Histogram::DefaultLatencyEdgesUs();
   obs::Histogram& all_hist =
@@ -141,7 +139,6 @@ int main(int argc, char** argv) try {
       registry.GetHistogram("ses.sched.stage.forward_us", edges_us);
   obs::Histogram& stage_resolve_hist =
       registry.GetHistogram("ses.sched.stage.resolve_us", edges_us);
-  tensor::workspace::SyncMetricsRegistry();
 
   if (!flight_dump.empty())
     obs::FlightRecorder::Get().ArmAutoDump(flight_dump,
@@ -167,15 +164,10 @@ int main(int argc, char** argv) try {
   SES_CHECK(max_abs_diff == 0.0f &&
             "fast-path logits must be bitwise identical to the tape path");
 
-  tensor::workspace::Scope pool_scope;
   util::Timer timer;
   for (int64_t i = 0; i < warm_iters; ++i) TapedLogits(model, ds, edges);
   const double tape_ms = timer.ElapsedSeconds() * 1e3 / warm_iters;
 
-  session.ForwardLogits();  // warm the pool buckets for this thread
-  // Pool stats from here on cover the steady-state fast path only (the tape
-  // loop above also drew from the pool and would inflate the hit count).
-  tensor::workspace::ResetStats();
   timer.Reset();
   for (int64_t i = 0; i < warm_iters; ++i) session.ForwardLogits();
   const double forward_ms = timer.ElapsedSeconds() * 1e3 / warm_iters;
@@ -195,17 +187,12 @@ int main(int argc, char** argv) try {
       max_abs_diff);
 
   // --- Phase 2: multi-thread mixed serving loop ----------------------------
-  // Refresh the warm-phase pool counters in the registry before the workers
-  // start hammering the histograms.
-  tensor::workspace::SyncMetricsRegistry();
-
   std::atomic<int64_t> predicts{0}, explains{0};
   timer.Reset();
   std::vector<std::thread> workers;
   workers.reserve(static_cast<size_t>(threads));
   for (int64_t w = 0; w < threads; ++w) {
     workers.emplace_back([&, w] {
-      tensor::workspace::Scope scope;
       util::Rng rng(static_cast<uint64_t>(1000 + w));
       for (int64_t q = 0; q < queries_per_thread; ++q) {
         const int64_t node =
@@ -237,19 +224,12 @@ int main(int argc, char** argv) try {
   const double p50 = all_hist.P50() / 1e3;  // histogram is in us, report ms
   const double p99 = all_hist.P99() / 1e3;
 
-  const auto pool = tensor::workspace::GlobalStats();
-  const double pool_hit_rate =
-      pool.hits + pool.misses > 0
-          ? static_cast<double>(pool.hits) /
-                static_cast<double>(pool.hits + pool.misses)
-          : 0.0;
   const auto cache = session.stats();
-  tensor::workspace::SyncMetricsRegistry();
   std::printf(
-      "%lld queries in %.2fs: %.0f qps, p50 %.4f ms, p99 %.4f ms | pool hit "
-      "rate %.1f%% | session cache %lld hits / %lld misses\n",
+      "%lld queries in %.2fs: %.0f qps, p50 %.4f ms, p99 %.4f ms | session "
+      "cache %lld hits / %lld misses\n",
       static_cast<long long>(total_queries), wall_s, qps, p50, p99,
-      pool_hit_rate * 100.0, static_cast<long long>(cache.cache_hits),
+      static_cast<long long>(cache.cache_hits),
       static_cast<long long>(cache.cache_misses));
 
   // --- Phase 3: batch scheduler vs. direct path ----------------------------
@@ -324,7 +304,6 @@ int main(int argc, char** argv) try {
     std::vector<std::thread> clients;
     for (int64_t w = 0; w < sched_clients; ++w) {
       clients.emplace_back([&, w] {
-        tensor::workspace::Scope scope;
         util::Rng rng(static_cast<uint64_t>(3000 + w));
         int64_t local = 0;
         for (int64_t q = 0; q < open_queries; ++q) {
@@ -445,12 +424,6 @@ int main(int argc, char** argv) try {
       << "    \"p95_ms\": " << p95 << ",\n"
       << "    \"p99_ms\": " << p99 << ",\n"
       << "    \"p999_ms\": " << p999 << "\n"
-      << "  },\n"
-      << "  \"pool\": {\n"
-      << "    \"hits\": " << pool.hits << ",\n"
-      << "    \"misses\": " << pool.misses << ",\n"
-      << "    \"hit_rate\": " << pool_hit_rate << ",\n"
-      << "    \"bytes_served\": " << pool.bytes_served << "\n"
       << "  },\n"
       << "  \"scheduler\": {\n"
       << "    \"clients\": " << sched_clients << ",\n"

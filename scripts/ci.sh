@@ -146,9 +146,9 @@ stage_asan() {
   echo "=== [asan] tier1 ctest ==="
   ctest --test-dir build-asan --output-on-failure -j "${JOBS}" -L tier1
 
-  # Serving smoke (under ASan: the tape-free fast path, workspace pool, the
-  # multi-threaded query loop, the batch scheduler AND the embedded metrics
-  # server must be memory-clean). The benchmark runs in the background with
+  # Serving smoke (under ASan: the tape-free fast path, the multi-threaded
+  # query loop, the batch scheduler AND the embedded metrics server must be
+  # memory-clean). The benchmark runs in the background with
   # the full observability surface on; the live /metrics endpoint is scraped
   # mid-run. Deliberately NOT --smoke: the run must last long enough (~15 s
   # of training under ASan; every metric family registers before training
@@ -177,7 +177,7 @@ stage_asan() {
 import os, sys, time, urllib.request
 
 port, pid = sys.argv[1], int(sys.argv[2])
-need = ["ses_pool_", "ses_infer_", "ses_sched_queue_wait_us_bucket",
+need = ["ses_infer_", "ses_sched_queue_wait_us_bucket",
         "ses_sched_", "ses_kernel_"]
 body = ""
 deadline = time.monotonic() + 120
@@ -460,17 +460,11 @@ stage_kernels_dispatch() {
 
   # bench_kernels exits non-zero when, within its one run, SIMD SpMM falls
   # below 1.5x the scalar tier or a transposed matmul below 0.5x the dense
-  # one. A steal burst of a few ms can halve one kernel's figure in a run of
-  # 12 calls of ~0.5 ms, so a failing run is measured again, up to three
-  # runs in all; a structural regression fails all three.
+  # one. Both floors compare median per-call times, so a stall of a few ms
+  # moves one call, not the verdict.
   echo "=== [kernels-dispatch] bench_kernels within-run floors ==="
-  local attempt
-  for attempt in 1 2 3; do
-    ./build/bench/bench_kernels --out=ci_artifacts/BENCH_kernels_release.json \
-      | tee "ci_artifacts/kernels-release-${attempt}.log" && return 0
-  done
-  echo "FAIL: bench_kernels missed a kernel floor in three runs" >&2
-  exit 1
+  ./build/bench/bench_kernels --out=ci_artifacts/BENCH_kernels_release.json \
+    | tee "ci_artifacts/kernels-release.log"
 }
 
 # ---------------------------------------------------------------------------

@@ -551,31 +551,6 @@ Variable L1Loss(const Variable& pred, const tensor::Tensor& target) {
   return Variable(node);
 }
 
-Variable MseLoss(const Variable& pred, const tensor::Tensor& target) {
-  SES_OP_FWD("MseLoss");
-  NodePtr pa = pred.node();
-  SES_CHECK(pa->value.SameShape(target));
-  const int64_t n = pa->value.size();
-  double acc = 0.0;
-  for (int64_t i = 0; i < n; ++i) {
-    const double d = pa->value[i] - target[i];
-    acc += d * d;
-  }
-  t::Tensor y(1, 1);
-  y[0] = static_cast<float>(acc / static_cast<double>(n));
-  auto node = MakeOpNode(
-      std::move(y), {pa},
-      [pa, target](const t::Tensor& g) {
-        if (!pa->requires_grad) return;
-        t::Tensor& dst = pa->EnsureGrad();
-        const float gv = 2.0f * g[0] / static_cast<float>(pa->value.size());
-        for (int64_t i = 0; i < pa->value.size(); ++i)
-          dst[i] += gv * (pa->value[i] - target[i]);
-      },
-      "bwd:MseLoss");
-  return Variable(node);
-}
-
 Variable RowDistance(const Variable& a, const Variable& b, float eps) {
   Variable diff = Sub(a, b);
   Variable sq = Mul(diff, diff);

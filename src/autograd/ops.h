@@ -69,9 +69,6 @@ Variable NllLoss(const Variable& log_probs, const std::vector<int64_t>& labels,
 /// stacked 1/0 labels).
 Variable L1Loss(const Variable& pred, const tensor::Tensor& target);
 
-/// Mean (pred - target)^2.
-Variable MseLoss(const Variable& pred, const tensor::Tensor& target);
-
 /// Row-wise Euclidean distance between a and b: N x 1.
 Variable RowDistance(const Variable& a, const Variable& b, float eps = 1e-9f);
 

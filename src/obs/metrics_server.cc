@@ -2,6 +2,7 @@
 
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <cstring>
@@ -21,6 +22,12 @@ namespace {
 /// Process epoch for /healthz uptime (static-init time of the obs library).
 const std::chrono::steady_clock::time_point g_process_epoch =
     std::chrono::steady_clock::now();
+
+/// Longest a single recv or send on a client socket may block. The serve
+/// thread handles one connection at a time, so without it a client that
+/// connects and sends nothing (or stops reading) would wedge every later
+/// scrape and Stop() with them.
+constexpr timeval kClientIoTimeout{2, 0};
 
 /// Writes all of `data`, retrying on partial writes and EINTR. A multi-MB
 /// /metrics body (thousands of labeled series) does not fit one send() on a
@@ -140,6 +147,10 @@ void MetricsServer::Serve() {
       if (!running_.load(std::memory_order_relaxed)) break;
       continue;  // transient accept failure (e.g. ECONNABORTED)
     }
+    ::setsockopt(client_fd, SOL_SOCKET, SO_RCVTIMEO, &kClientIoTimeout,
+                 sizeof(kClientIoTimeout));
+    ::setsockopt(client_fd, SOL_SOCKET, SO_SNDTIMEO, &kClientIoTimeout,
+                 sizeof(kClientIoTimeout));
     HandleConnection(client_fd);
     ::close(client_fd);
   }

@@ -23,9 +23,12 @@ namespace ses::obs {
 ///   GET /debug/slowest  JSON: the flight recorder's top-K slowest requests
 ///                       with their six critical-path stage timestamps
 ///
-/// anything else answers 404. Intended for a scrape every few seconds, not
-/// for high request rates; each response snapshots the registry under its
-/// shared lock, so scrapes never block metric updates.
+/// anything else answers 404, and a method other than GET 405. Intended for a
+/// scrape every few seconds, not for high request rates; each response
+/// snapshots the registry under its shared lock, so scrapes never block
+/// metric updates. Every recv and send on a client socket times out after
+/// 2 s, so an idle or stalled client delays later scrapes and Stop() by at
+/// most that long.
 class MetricsServer {
  public:
   MetricsServer() = default;
@@ -37,7 +40,8 @@ class MetricsServer {
   /// thread. Returns false and logs on bind/listen failure.
   bool Start(uint16_t port);
 
-  /// Unblocks the accept loop and joins the serve thread. Idempotent.
+  /// Unblocks the accept loop and joins the serve thread (after at most the
+  /// 2 s client timeout if a connection is in progress). Idempotent.
   void Stop();
 
   bool running() const { return running_.load(std::memory_order_relaxed); }

@@ -8,8 +8,8 @@ namespace ses::obs {
 /// Helpers behind MetricsRegistry::WritePrometheus, exposed for tests.
 
 /// Maps an arbitrary metric or label name onto the Prometheus charset: every
-/// character outside [a-zA-Z0-9_:] becomes '_' ("ses.pool.hits" ->
-/// "ses_pool_hits"), and a leading digit gains a '_' prefix. Label names
+/// character outside [a-zA-Z0-9_:] becomes '_' ("ses.sched.batches" ->
+/// "ses_sched_batches"), and a leading digit gains a '_' prefix. Label names
 /// additionally may not contain ':'; pass `label = true` for those.
 std::string SanitizePrometheusName(const std::string& name, bool label = false);
 

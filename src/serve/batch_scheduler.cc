@@ -9,7 +9,6 @@
 #include "obs/request.h"
 #include "obs/trace.h"
 #include "tensor/ops.h"
-#include "tensor/workspace.h"
 #include "util/logging.h"
 
 namespace ses::serve {
@@ -294,9 +293,6 @@ void BatchScheduler::SealFormingLocked(int64_t* reason_counter) {
 }
 
 void BatchScheduler::WorkerLoop() {
-  // Workers live as long as the scheduler: one workspace scope per worker
-  // keeps every batched forward drawing tensors from the thread's pool.
-  tensor::workspace::Scope pool;
   std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {
     if (!ready_.empty()) {

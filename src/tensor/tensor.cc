@@ -4,18 +4,13 @@
 #include <cmath>
 #include <sstream>
 
-#include "tensor/workspace.h"
 #include "util/logging.h"
 
 namespace ses::tensor {
 
-Tensor::Tensor(int64_t rows, int64_t cols)
-    : rows_(rows), cols_(cols), data_(workspace::Acquire(rows * cols)) {
+Tensor::Tensor(int64_t rows, int64_t cols) : rows_(rows), cols_(cols) {
   SES_CHECK(rows >= 0 && cols >= 0);
-}
-
-Tensor::~Tensor() {
-  if (!data_.empty()) workspace::Release(std::move(data_));
+  data_.assign(static_cast<size_t>(rows * cols), 0.0f);
 }
 
 Tensor::Tensor(std::initializer_list<std::initializer_list<float>> values) {

@@ -23,17 +23,8 @@ class Tensor {
   /// Empty 0 x 0 tensor.
   Tensor() : rows_(0), cols_(0) {}
 
-  /// Uninitialized (zero-filled) rows x cols tensor. Inside a
-  /// workspace::Scope the backing buffer is drawn from the calling thread's
-  /// workspace pool (and parked back on destruction), so repeated
-  /// identically-shaped allocations in a serving loop stop hitting malloc.
+  /// Zero-filled rows x cols tensor.
   Tensor(int64_t rows, int64_t cols);
-
-  ~Tensor();
-  Tensor(const Tensor&) = default;
-  Tensor(Tensor&&) = default;
-  Tensor& operator=(const Tensor&) = default;
-  Tensor& operator=(Tensor&&) = default;
 
   /// Builds from a nested initializer list (rows of equal length).
   Tensor(std::initializer_list<std::initializer_list<float>> values);

@@ -6,6 +6,7 @@
 // shared-lock registry paths with real data races on the line.
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -16,6 +17,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <future>
 #include <map>
 #include <memory>
 #include <set>
@@ -203,16 +205,28 @@ TEST(HistogramTest, QuantilesInterpolateInsideBuckets) {
 // ---------------------------------------------------------------------------
 // Embedded metrics server, exercised through a real socket.
 
-std::string HttpGet(uint16_t port, const std::string& request) {
+/// Connects a loopback client to `port`. Every recv on the socket gives up
+/// after 5 s, so a wedged server fails the test instead of hanging it.
+int ConnectLoopback(uint16_t port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   EXPECT_GE(fd, 0);
+  const timeval recv_timeout{5, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &recv_timeout,
+               sizeof(recv_timeout));
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
   addr.sin_port = htons(port);
   EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0)
       << std::strerror(errno);
-  EXPECT_GT(::send(fd, request.data(), request.size(), 0), 0);
+  return fd;
+}
+
+/// Sends `request` and reads until the server closes the connection (or the
+/// 5 s receive timeout expires, leaving the response short).
+std::string HttpGet(uint16_t port, const std::string& request) {
+  const int fd = ConnectLoopback(port);
+  EXPECT_GT(::send(fd, request.data(), request.size(), MSG_NOSIGNAL), 0);
   std::string response;
   char buf[4096];
   for (ssize_t n; (n = ::recv(fd, buf, sizeof(buf), 0)) > 0;)
@@ -307,6 +321,91 @@ TEST(MetricsServerTest, LargeScrapeBodySurvivesPartialSends) {
   EXPECT_EQ(server.port(), 0);
   // A stopped server can be restarted.
   ASSERT_TRUE(server.Start(0));
+  server.Stop();
+}
+
+TEST(MetricsServerTest, IdleClientWedgesNeitherScrapesNorStop) {
+  ResetObsState();
+  obs::MetricsServer server;
+  ASSERT_TRUE(server.Start(0));
+
+  // A client that connects and never sends a byte holds the serve thread
+  // until its receive timeout; the next scrape must still be answered.
+  int idle = ConnectLoopback(server.port());
+  const auto start = std::chrono::steady_clock::now();
+  const std::string metrics =
+      HttpGet(server.port(), "GET /metrics HTTP/1.0\r\n\r\n");
+  const double waited_s = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - start)
+                              .count();
+  EXPECT_NE(metrics.find("HTTP/1.0 200 OK"), std::string::npos)
+      << "a scrape went unanswered behind an idle client";
+  EXPECT_LT(waited_s, 5.0);
+  ::close(idle);
+
+  // Stop() while the serve thread sits on another idle client. It runs on a
+  // helper thread: if it does not return within 5 s the test closes the idle
+  // client, which frees a wedged server, and fails instead of hanging.
+  idle = ConnectLoopback(server.port());
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  std::promise<void> stopped;
+  std::future<void> stop_done = stopped.get_future();
+  std::thread stopper([&] {
+    server.Stop();
+    stopped.set_value();
+  });
+  const bool returned = stop_done.wait_for(std::chrono::seconds(5)) ==
+                        std::future_status::ready;
+  ::close(idle);
+  stopper.join();
+  EXPECT_TRUE(returned) << "Stop() hung behind an idle client";
+}
+
+TEST(MetricsServerTest, MalformedRequestLinesGetAWellFormedReply) {
+  ResetObsState();
+  obs::MetricsServer server;
+  ASSERT_TRUE(server.Start(0));
+
+  std::vector<std::string> requests = {
+      "\r\n",
+      "GET\r\n",
+      "GET /" + std::string(2043, 'a'),  // 2 KB, no newline
+      std::string("GET /met\0rics HTTP/1.0\r\n\r\n", 26),
+      std::string("\0\0\0\r\n", 5),
+      "get /metrics HTTP/1.0\r\n\r\n",
+      "GET ?verbose=1 HTTP/1.0\r\n\r\n",
+      "GET /metrics?verbose=1&x HTTP/1.0\r\n\r\n",
+  };
+  // Seeded noise over the bytes the request-line parser cares about.
+  const std::string alphabet("GET /?metrics\r\n\t\0\xff", 18);
+  util::Rng rng(33);
+  for (int i = 0; i < 24; ++i) {
+    std::string request(1 + rng.UniformInt(300), ' ');
+    for (char& c : request) c = alphabet[rng.UniformInt(alphabet.size())];
+    requests.push_back(std::move(request));
+  }
+
+  for (size_t i = 0; i < requests.size(); ++i) {
+    SCOPED_TRACE("request " + std::to_string(i));
+    const std::string response = HttpGet(server.port(), requests[i]);
+    ASSERT_GE(response.size(), 12u) << "no reply";
+    const std::string status = response.substr(0, 12);
+    EXPECT_TRUE(status == "HTTP/1.0 200" || status == "HTTP/1.0 404" ||
+                status == "HTTP/1.0 405")
+        << status;
+    const size_t header_end = response.find("\r\n\r\n");
+    ASSERT_NE(header_end, std::string::npos);
+    const size_t cl = response.find("Content-Length: ");
+    ASSERT_LT(cl, header_end);
+    const size_t declared =
+        std::stoul(response.substr(cl + std::strlen("Content-Length: ")));
+    EXPECT_EQ(response.size() - header_end - 4, declared);
+  }
+
+  const std::string health =
+      HttpGet(server.port(), "GET /healthz HTTP/1.0\r\n\r\n");
+  EXPECT_NE(health.find("HTTP/1.0 200 OK"), std::string::npos);
+  EXPECT_NE(health.find("\"status\":\"ok\""), std::string::npos);
   server.Stop();
 }
 

@@ -1,5 +1,5 @@
-// Smoke tests for the inference fast path: tape-free forwards, the tensor
-// workspace pool, and the InferenceSession artifact/logits caches.
+// Smoke tests for the inference fast path: tape-free forwards and the
+// InferenceSession artifact/logits caches.
 #include <gtest/gtest.h>
 
 #include "autograd/variable.h"
@@ -7,15 +7,12 @@
 #include "core/ses_model.h"
 #include "data/synthetic.h"
 #include "nn/feature_input.h"
-#include "obs/metrics.h"
-#include "tensor/workspace.h"
 #include "util/rng.h"
 #include "omp_team.h"
 
 namespace ag = ses::autograd;
 namespace c = ses::core;
 namespace t = ses::tensor;
-namespace ws = ses::tensor::workspace;
 
 namespace {
 
@@ -37,7 +34,7 @@ c::SesModel TrainTinyModel(const ses::data::Dataset& ds) {
   return model;
 }
 
-/// The pre-pool tape path: a full taped eval forward, mirroring what
+/// The tape path: a full taped eval forward, mirroring what
 /// SesModel::Logits did before InferenceGuard existed.
 t::Tensor TapedLogits(const c::SesModel& model, const ses::data::Dataset& ds) {
   ses::util::Rng rng(0);
@@ -65,7 +62,6 @@ TEST_P(PerfSmokeTest, SessionLogitsBitwiseMatchTapePath) {
   const t::Tensor taped = TapedLogits(model, ds);
 
   c::InferenceSession session(&model, &ds);
-  ws::Scope pool;
   // Cold query builds artifacts, warm query replays the memo — both must be
   // bitwise identical to the tape-building path.
   EXPECT_EQ(session.Logits().MaxAbsDiff(taped), 0.0f);
@@ -100,32 +96,6 @@ TEST(InferenceGuardTest, GuardedEvalForwardAllocatesNoTapeNodes) {
   const uint64_t before_eval = ag::TapeNodesCreated();
   model.Logits(ds);
   EXPECT_EQ(ag::TapeNodesCreated(), before_eval);
-}
-
-TEST(WorkspacePoolTest, WarmServingLoopHitsPool) {
-  auto ds = TinyDataset("BAShapes");
-  auto model = TrainTinyModel(ds);
-  c::InferenceSession session(&model, &ds);
-
-  ws::Scope pool;
-  session.ForwardLogits();  // first pass populates every bucket
-  ws::ResetStats();
-  for (int i = 0; i < 10; ++i) session.ForwardLogits();
-  const ws::Stats stats = ws::GlobalStats();
-  ASSERT_GT(stats.hits + stats.misses, 0);
-  const double hit_rate = static_cast<double>(stats.hits) /
-                          static_cast<double>(stats.hits + stats.misses);
-  EXPECT_GE(hit_rate, 0.9) << "hits=" << stats.hits
-                           << " misses=" << stats.misses;
-  EXPECT_GT(ws::ThreadBytesHeld(), 0);
-
-  // Stats flow into the obs registry under the ses.pool.* names.
-  auto& registry = ses::obs::MetricsRegistry::Get();
-  registry.ResetForTest();
-  ws::SyncMetricsRegistry();
-  EXPECT_GT(registry.GetCounter("ses.pool.hits").Value(), 0);
-  ws::Trim();
-  EXPECT_EQ(ws::ThreadBytesHeld(), 0);
 }
 
 }  // namespace
