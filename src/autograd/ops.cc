@@ -1,5 +1,6 @@
 #include "autograd/ops.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "obs/trace.h"
@@ -9,7 +10,7 @@
 /// Per-op instrumentation: SES_OP_FWD opens a span over the op's forward
 /// computation; the matching "bwd:" literal passed to MakeOpNode labels the
 /// span Backward() opens around the backward closure. Composite ops (Neg,
-/// MeanAll, TripletLoss, ...) are covered by the primitives they expand into.
+/// MeanAll, ...) are covered by the primitives they expand into.
 #define SES_OP_FWD(name) SES_TRACE_SPAN("fwd:" name)
 
 namespace ses::autograd {
@@ -551,20 +552,143 @@ Variable L1Loss(const Variable& pred, const tensor::Tensor& target) {
   return Variable(node);
 }
 
-Variable RowDistance(const Variable& a, const Variable& b, float eps) {
-  Variable diff = Sub(a, b);
-  Variable sq = Mul(diff, diff);
-  Variable sums = SumRows(sq);
-  return Sqrt(AddScalar(sums, eps));
+Variable TripletLoss(const Variable& z, const TripletsPtr& triplets,
+                     float margin) {
+  SES_OP_FWD("TripletLoss");
+  SES_CHECK(triplets != nullptr);
+  const Triplets& tr = *triplets;
+  const int64_t count = tr.size();
+  SES_CHECK(count > 0);
+  SES_CHECK(tr.positive.size() == tr.anchor.size() &&
+            tr.negative.size() == tr.anchor.size());
+  NodePtr pz = z.node();
+  const t::Tensor& zv = pz->value;
+  const int64_t n = zv.rows();
+  const int64_t c = zv.cols();
+  const int64_t* ia = tr.anchor.data();
+  const int64_t* ip = tr.positive.data();
+  const int64_t* in = tr.negative.data();
+  bool in_range = true;
+  for (int64_t j = 0; j < count; ++j)
+    in_range &= ia[j] >= 0 && ia[j] < n && ip[j] >= 0 && ip[j] < n &&
+                in[j] >= 0 && in[j] < n;
+  SES_CHECK(in_range);
+
+  // Float differences squared and summed in double, as Sub, Mul and
+  // SumRows did; dist keeps d_ap, d_an of each triplet for the backward.
+  std::vector<float> dist(2 * static_cast<size_t>(count));
+  for (int64_t j = 0; j < count; ++j) {
+    const float* a = zv.RowPtr(ia[j]);
+    const float* p = zv.RowPtr(ip[j]);
+    const float* q = zv.RowPtr(in[j]);
+    double ss_p = 0.0, ss_n = 0.0;
+    for (int64_t k = 0; k < c; ++k) {
+      const float dp = a[k] - p[k];
+      const float dn = a[k] - q[k];
+      ss_p += dp * dp;
+      ss_n += dn * dn;
+    }
+    const size_t sj = static_cast<size_t>(j);
+    dist[2 * sj] = std::sqrt(static_cast<float>(ss_p) + 1e-9f);
+    dist[2 * sj + 1] = std::sqrt(static_cast<float>(ss_n) + 1e-9f);
+  }
+  // The hinges in a pass of their own: their branch then stalls no row.
+  double total = 0.0;
+  for (size_t j = 0; j < dist.size(); j += 2) {
+    const float hinge = (dist[j] - dist[j + 1]) + margin;
+    if (hinge > 0.0f) total += hinge;
+  }
+  const float inv = 1.0f / static_cast<float>(count);
+  t::Tensor y(1, 1);
+  y[0] = static_cast<float>(total) * inv;
+  if (!GradEnabled()) return Variable(MakeTapeFreeNode(std::move(y)));
+  auto node = MakeOpNode(
+      std::move(y), {pz},
+      [pz, triplets, margin, inv, dist = std::move(dist)](const t::Tensor& g) {
+        if (!pz->requires_grad) return;
+        const Triplets& tr = *triplets;
+        const t::Tensor& zv = pz->value;
+        const int64_t c = zv.cols();
+        t::Tensor& dz = pz->EnsureGrad();
+        // An active hinge passes g/T to d_ap and -g/T to d_an; through
+        // d = sqrt(s + eps) and s = Σ diff², diff gets 2·(±g/T)·0.5/d, with
+        // Sqrt's guard on d. Then +diff to the anchor, -diff to the other.
+        const float gt = g[0] * inv;
+        for (int64_t j = 0; j < tr.size(); ++j) {
+          const size_t sj = static_cast<size_t>(j);
+          const float d_ap = dist[2 * sj];
+          const float d_an = dist[2 * sj + 1];
+          if (!((d_ap - d_an) + margin > 0.0f)) continue;
+          const float w_ap = 2.0f * (gt * (0.5f / std::max(d_ap, 1e-12f)));
+          const float w_an = 2.0f * (-gt * (0.5f / std::max(d_an, 1e-12f)));
+          const float* a = zv.RowPtr(tr.anchor[sj]);
+          const float* p = zv.RowPtr(tr.positive[sj]);
+          const float* q = zv.RowPtr(tr.negative[sj]);
+          float* da = dz.RowPtr(tr.anchor[sj]);
+          float* dp = dz.RowPtr(tr.positive[sj]);
+          float* dq = dz.RowPtr(tr.negative[sj]);
+          for (int64_t k = 0; k < c; ++k) {
+            const float gp = w_ap * (a[k] - p[k]);
+            const float gn = w_an * (a[k] - q[k]);
+            da[k] += gp + gn;
+            dp[k] -= gp;
+            dq[k] -= gn;
+          }
+        }
+      },
+      "bwd:TripletLoss");
+  return Variable(node);
 }
 
-Variable TripletLoss(const Variable& anchor, const Variable& positive,
-                     const Variable& negative, float margin) {
-  SES_TRACE_SPAN("loss/TripletLoss");
-  Variable d_ap = RowDistance(anchor, positive);
-  Variable d_an = RowDistance(anchor, negative);
-  Variable hinge = Relu(AddScalar(Sub(d_ap, d_an), margin));
-  return MeanAll(hinge);
+Variable MaskRegularizer(const Variable& m, float size_weight,
+                         float entropy_weight) {
+  SES_OP_FWD("MaskRegularizer");
+  NodePtr pm = m.node();
+  const t::Tensor& mv = pm->value;
+  const int64_t e_count = mv.size();
+  SES_CHECK(e_count > 0);
+  // slope[e] is d/dm of -m log m - (1-m) log(1-m) as the Log chain takes
+  // it: log(1-m) + r(1-m) - log m - r(m), r(x) = x / max(x, 1e-12), which
+  // is 1 except under the clamp.
+  const bool entropy = entropy_weight != 0.0f;
+  std::vector<float> slope(entropy ? static_cast<size_t>(e_count) : 0);
+  double size_sum = 0.0;
+  double entropy_sum = 0.0;
+  for (int64_t e = 0; e < e_count; ++e) {
+    const float x = mv[e];
+    size_sum += x;
+    if (!entropy) continue;
+    const float x_c = std::max(x, 1e-12f);
+    const float o = 1.0f - x;
+    const float o_c = std::max(o, 1e-12f);
+    const float log_x = std::log(x_c);
+    const float log_o = std::log(o_c);
+    entropy_sum += -(x * log_x + o * log_o);
+    slope[static_cast<size_t>(e)] = (log_o + o / o_c) - (log_x + x / x_c);
+  }
+  const float inv = 1.0f / static_cast<float>(e_count);
+  t::Tensor y(1, 1);
+  y[0] = static_cast<float>(size_sum) * inv * size_weight +
+         static_cast<float>(entropy_sum) * inv * entropy_weight;
+  if (!GradEnabled()) return Variable(MakeTapeFreeNode(std::move(y)));
+  auto node = MakeOpNode(
+      std::move(y), {pm},
+      [pm, inv, size_weight, entropy_weight,
+       slope = std::move(slope)](const t::Tensor& g) {
+        if (!pm->requires_grad) return;
+        const float g_size = g[0] * size_weight * inv;
+        const float g_entropy = g[0] * entropy_weight * inv;
+        float* dm = pm->EnsureGrad().data();
+        const int64_t n = pm->value.size();
+        if (slope.empty()) {
+          for (int64_t e = 0; e < n; ++e) dm[e] += g_size;
+        } else {
+          for (int64_t e = 0; e < n; ++e)
+            dm[e] += g_size + g_entropy * slope[static_cast<size_t>(e)];
+        }
+      },
+      "bwd:MaskRegularizer");
+  return Variable(node);
 }
 
 }  // namespace ses::autograd

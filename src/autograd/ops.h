@@ -2,6 +2,7 @@
 #define SES_AUTOGRAD_OPS_H_
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "autograd/variable.h"
@@ -69,13 +70,40 @@ Variable NllLoss(const Variable& log_probs, const std::vector<int64_t>& labels,
 /// stacked 1/0 labels).
 Variable L1Loss(const Variable& pred, const tensor::Tensor& target);
 
-/// Row-wise Euclidean distance between a and b: N x 1.
-Variable RowDistance(const Variable& a, const Variable& b, float eps = 1e-9f);
+/// Row indices of a triplet batch: triplet j is (anchor[j], positive[j],
+/// negative[j]), three rows of one matrix. Fill it once and share it frozen:
+/// TripletLoss holds it by shared_ptr, so the tape never copies the lists.
+struct Triplets {
+  std::vector<int64_t> anchor;
+  std::vector<int64_t> positive;
+  std::vector<int64_t> negative;
 
-/// Triplet margin loss (Eq. 12): mean over rows of
-/// max(||a-p||_2 - ||a-n||_2 + margin, 0).
-Variable TripletLoss(const Variable& anchor, const Variable& positive,
-                     const Variable& negative, float margin);
+  int64_t size() const { return static_cast<int64_t>(anchor.size()); }
+};
+
+using TripletsPtr = std::shared_ptr<const Triplets>;
+
+/// Triplet margin loss (Eq. 12) over the rows of z, in one op:
+///   mean_j max(d(z_a, z_p) - d(z_a, z_n) + margin, 0)
+/// with d(x, y) = sqrt(Σ (x - y)² + 1e-9), squares summed in double. The
+/// forward reads the three rows of each triplet once, and keeps both
+/// distances; the backward skips inactive hinges (hinge <= 0) and scatters
+/// each active triplet's ±(z_a - z_p)/d_ap and ∓(z_a - z_n)/d_an, times
+/// g/T, straight into dz, in triplet order. No T x C tensor exists in
+/// either pass. Every index must lie in [0, z.rows()) and the three lists
+/// must have one length; an empty list is an error, as in NllLoss.
+/// DESIGN.md §14.6.
+Variable TripletLoss(const Variable& z, const TripletsPtr& triplets,
+                     float margin);
+
+/// The mask regularizers over mask scores m in [0, 1] (E x 1):
+///   size_weight · mean(m) + entropy_weight · mean(-m log m - (1-m) log(1-m))
+/// with each log's argument clamped at 1e-12, as Log does. One op: the
+/// forward keeps the per-entry slope of the entropy term, so the backward
+/// is one multiply-add pass. An entropy weight of 0 takes no logs.
+/// DESIGN.md §14.6.
+Variable MaskRegularizer(const Variable& m, float size_weight,
+                         float entropy_weight);
 
 }  // namespace ses::autograd
 

@@ -26,16 +26,19 @@ ag::Variable MaskGenerator::FeatureMask(
   return ag::FeatureMaskAtNnz(hidden, feature_w_, feature_b_, pattern);
 }
 
-ag::Variable MaskGenerator::StructureMask(
-    const ag::Variable& h, const ag::EdgeListPtr& pairs) const {
-  // Similarity of the (projected) endpoint embeddings, through a learned
+ag::Variable MaskGenerator::Project(const ag::Variable& h) const {
+  return ag::MatMul(h, struct_proj_);  // N x hidden
+}
+
+ag::Variable MaskGenerator::ScorePairs(const ag::Variable& hp,
+                                       const ag::EdgeListPtr& pairs) const {
+  // Similarity of the projected endpoint embeddings, through a learned
   // gain and bias. A per-node additive term f(i) + g(j) is deliberately
   // absent: it admits two symmetric optima under the pair labels (score by
   // "which cluster is popular" in either direction) and flips between them
   // across seeds, whereas the cosine is anchored by the classifier's
   // embedding geometry. Row normalization keeps the similarity bounded
   // regardless of encoder scale.
-  ag::Variable hp = ag::MatMul(h, struct_proj_);  // N x hidden
   return ag::PairCosineMask(hp, pairs, struct_dot_, struct_b_);  // E x 1
 }
 

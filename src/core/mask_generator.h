@@ -26,7 +26,8 @@ namespace ses::core {
 /// and distinguish them from the features of nodes outside the
 /// neighborhood" — an inherently pairwise criterion). We realize it as
 ///   s_ij = sigmoid(gain * cos(W h_i, W h_j) + b)
-/// (MatMul, then the fused PairCosineMask op) with one shared projection W:
+/// (Project, then ScorePairs: the fused PairCosineMask op) with one shared
+/// projection W:
 /// a purely additive form f(h_i) + g(h_j) cannot express pair similarity at
 /// all, and mixing additive terms in makes the optimum bistable across seeds
 /// (the additive part can satisfy the pair labels by scoring either cluster
@@ -41,11 +42,15 @@ class MaskGenerator : public nn::Module {
       const autograd::Variable& h,
       const std::shared_ptr<const tensor::SparseMatrix>& pattern) const;
 
-  /// Structure-mask scores for an arbitrary pair list (k-hop pairs give M_s,
-  /// negative pairs give M_sneg, the 1-hop adjacency gives the phase-2 edge
-  /// mask): E x 1.
-  autograd::Variable StructureMask(const autograd::Variable& h,
-                                   const autograd::EdgeListPtr& pairs) const;
+  /// The structure head's shared projection W h (N x hidden). Project once
+  /// per forward and score every pair list from the result.
+  autograd::Variable Project(const autograd::Variable& h) const;
+
+  /// Structure-mask scores of a pair list over projected rows `hp` (k-hop
+  /// pairs give M_s, negative pairs give M_sneg, the 1-hop adjacency gives
+  /// the phase-2 edge mask): E x 1.
+  autograd::Variable ScorePairs(const autograd::Variable& hp,
+                                const autograd::EdgeListPtr& pairs) const;
 
  private:
   nn::Linear feature_hidden_;       ///< hidden -> hidden (ReLU)

@@ -1,9 +1,7 @@
 #ifndef SES_CORE_PAIRS_H_
 #define SES_CORE_PAIRS_H_
 
-#include <cstdint>
-#include <vector>
-
+#include "autograd/ops.h"
 #include "graph/khop.h"
 #include "graph/sampling.h"
 #include "tensor/tensor.h"
@@ -12,14 +10,9 @@
 namespace ses::core {
 
 /// Flattened anchor/positive/negative triplets produced by Algorithm 1. Row
-/// j of the phase-2 triplet batch is (anchor[j], positive[j], negative[j]).
-struct PosNegPairs {
-  std::vector<int64_t> anchor;
-  std::vector<int64_t> positive;
-  std::vector<int64_t> negative;
-
-  int64_t size() const { return static_cast<int64_t>(anchor.size()); }
-};
+/// j of the phase-2 triplet batch is (anchor[j], positive[j], negative[j]);
+/// phase 2 shares the lists with the triplet loss by shared_ptr.
+using PosNegPairs = autograd::Triplets;
 
 /// Algorithm 1 — Construction of Positive-Negative Pairs.
 ///

@@ -64,7 +64,8 @@ std::vector<std::array<double, 3>> UnflattenHistory(
 /// public EnhancedPredictiveLearning entry point (the +{epl} ablation)
 /// passes neither.
 void Phase2LoopImpl(models::Encoder* encoder, const data::Dataset& ds,
-                    const FrozenMasks& masks, const PosNegPairs& pairs,
+                    const FrozenMasks& masks,
+                    const std::shared_ptr<const PosNegPairs>& pairs,
                     const SesOptions& options,
                     const models::TrainConfig& config, util::Rng* rng,
                     const std::string& model, models::Recovery recovery = {},
@@ -106,12 +107,10 @@ void Phase2LoopImpl(models::Encoder* encoder, const data::Dataset& ds,
                                 /*training=*/true, rng);
     models::ObserveForwardHealth(*encoder, out, *adj_edges);
     ag::Variable loss;
-    if (options.use_triplet && pairs.size() > 0) {
-      // Eq. 11: gather anchor / positive / negative rows of Ẑ.
-      ag::Variable a = ag::GatherRows(out.logits, pairs.anchor);
-      ag::Variable p = ag::GatherRows(out.logits, pairs.positive);
-      ag::Variable n = ag::GatherRows(out.logits, pairs.negative);
-      ag::Variable l_triplet = ag::TripletLoss(a, p, n, options.margin);
+    if (options.use_triplet && pairs->size() > 0) {
+      // Eqs. 11-12 over the anchor / positive / negative rows of Ẑ.
+      ag::Variable l_triplet =
+          ag::TripletLoss(out.logits, pairs, options.margin);
       if (options.use_xent_phase2) {
         ag::Variable l_xent = ag::NllLoss(ag::LogSoftmaxRows(out.logits),
                                           ds.labels, ds.train_idx);
@@ -277,28 +276,18 @@ void SesModel::Fit(const data::Dataset& ds, const models::TrainConfig& config) {
       ag::Variable l_xent = ag::NllLoss(ag::LogSoftmaxRows(out.logits),
                                         ds.labels, ds.train_idx);
 
-      // Masks from H (Eqs. 3-5).
-      ag::Variable m_s = mask_generator_->StructureMask(out.hidden,
-                                                        khop_pairs);
-      ag::Variable m_sneg =
-          mask_generator_->StructureMask(out.hidden, neg_pairs);
+      // Masks from H (Eqs. 3-5), both pair lists scored from one projection.
+      ag::Variable hp = mask_generator_->Project(out.hidden);
+      ag::Variable m_s = mask_generator_->ScorePairs(hp, khop_pairs);
+      ag::Variable m_sneg = mask_generator_->ScorePairs(hp, neg_pairs);
       ag::Variable stacked = ag::ConcatRows(m_s, m_sneg);
       ag::Variable l_sub =
           ag::Scale(ag::L1Loss(ag::GatherRows(stacked, sub_keep), sub_target),
                     options_.lambda_sub);
-      if (options_.lambda_size > 0.0f)
-        l_sub =
-            ag::Add(l_sub, ag::Scale(ag::MeanAll(m_s), options_.lambda_size));
-      if (options_.lambda_entropy > 0.0f) {
-        // Bernoulli element entropy -m log m - (1-m) log(1-m), pushing mask
-        // entries toward the {0, 1} poles.
-        ag::Variable one_minus = ag::AddScalar(ag::Neg(m_s), 1.0f);
-        ag::Variable entropy =
-            ag::Neg(ag::Add(ag::Mul(m_s, ag::Log(m_s)),
-                            ag::Mul(one_minus, ag::Log(one_minus))));
-        l_sub = ag::Add(
-            l_sub, ag::Scale(ag::MeanAll(entropy), options_.lambda_entropy));
-      }
+      // Mask size, and the Bernoulli element entropy that pushes mask
+      // entries toward the {0, 1} poles.
+      l_sub = ag::Add(l_sub, ag::MaskRegularizer(m_s, options_.lambda_size,
+                                                 options_.lambda_entropy));
 
       ag::Variable m_f;
       if (options_.use_feature_mask) {
@@ -363,11 +352,11 @@ void SesModel::Fit(const data::Dataset& ds, const models::TrainConfig& config) {
     if (options_.use_feature_mask)
       masks_.feature_nnz =
           mask_generator_->FeatureMask(out.hidden, ds.features).value();
+    const ag::Variable hp = mask_generator_->Project(out.hidden);
     masks_.structure_khop =
-        mask_generator_->StructureMask(out.hidden, khop_pairs).value();
+        mask_generator_->ScorePairs(hp, khop_pairs).value();
     // Mask over the 1-hop support (self-loop entries fixed at 1).
-    ag::Variable adj_mask =
-        mask_generator_->StructureMask(out.hidden, adj_edges_);
+    ag::Variable adj_mask = mask_generator_->ScorePairs(hp, adj_edges_);
     masks_.structure_adj = adj_mask.value();
     for (int64_t e = 0; e < adj_edges_->size(); ++e)
       if (adj_edges_->src[static_cast<size_t>(e)] ==
@@ -378,21 +367,21 @@ void SesModel::Fit(const data::Dataset& ds, const models::TrainConfig& config) {
 
   // ---------------------------------------------------------------- phase 2
   timer.Reset();
-  PosNegPairs pairs;
+  auto pairs = std::make_shared<PosNegPairs>();
   if (resume_phase2) {
     const robust::TrainingCheckpoint& c = *resumed;
     masks_.feature_nnz = c.tensors.at("masks.feature_nnz");
     masks_.structure_khop = c.tensors.at("masks.structure_khop");
     masks_.structure_adj = c.tensors.at("masks.structure_adj");
-    pairs.anchor = c.int_lists.at("pairs.anchor");
-    pairs.positive = c.int_lists.at("pairs.positive");
-    pairs.negative = c.int_lists.at("pairs.negative");
+    pairs->anchor = c.int_lists.at("pairs.anchor");
+    pairs->positive = c.int_lists.at("pairs.positive");
+    pairs->negative = c.int_lists.at("pairs.negative");
     restore_history(c);
     SES_LOG_INFO << name() << " skipping phase 1 (phase-2 checkpoint found in "
                  << config.checkpoint_dir << ")";
   } else {
-    pairs = ConstructPairs(*khop_, masks_.structure_khop, negatives,
-                           options_.sample_ratio, &rng);
+    *pairs = ConstructPairs(*khop_, masks_.structure_khop, negatives,
+                            options_.sample_ratio, &rng);
   }
   // Phase-2 checkpoints carry what a resumed run cannot recompute: the
   // frozen masks, the pair lists and the phase-1 history.
@@ -400,9 +389,9 @@ void SesModel::Fit(const data::Dataset& ds, const models::TrainConfig& config) {
     c->tensors["masks.feature_nnz"] = masks_.feature_nnz;
     c->tensors["masks.structure_khop"] = masks_.structure_khop;
     c->tensors["masks.structure_adj"] = masks_.structure_adj;
-    c->int_lists["pairs.anchor"] = pairs.anchor;
-    c->int_lists["pairs.positive"] = pairs.positive;
-    c->int_lists["pairs.negative"] = pairs.negative;
+    c->int_lists["pairs.anchor"] = pairs->anchor;
+    c->int_lists["pairs.positive"] = pairs->positive;
+    c->int_lists["pairs.negative"] = pairs->negative;
     save_history(c);
   };
   Phase2LoopImpl(encoder_.get(), ds, masks_, pairs, options_, config, &rng,
@@ -416,7 +405,8 @@ void SesModel::EnhancedPredictiveLearning(
     const FrozenMasks& masks, const PosNegPairs& pairs,
     const SesOptions& options, const models::TrainConfig& config,
     util::Rng* rng) {
-  Phase2LoopImpl(encoder, ds, masks, pairs, options, config, rng, "SES");
+  Phase2LoopImpl(encoder, ds, masks, std::make_shared<const PosNegPairs>(pairs),
+                 options, config, rng, "SES");
 }
 
 models::Encoder::Output SesModel::EvalForward(const data::Dataset& ds) const {

@@ -69,17 +69,12 @@ void GnnExplainer::Run(const data::Dataset& ds,
       ag::Variable logp = SubgraphLogProbs(*encoder_, sub_edges, edge_mask,
                                            feat_mask, sub_features);
       ag::Variable loss = ag::NllLoss(logp, target_labels, center);
-      loss = ag::Add(loss, ag::Scale(ag::MeanAll(edge_mask),
-                                     options_.lambda_size));
+      // Mask sizes, and the element entropy that pushes the edge mask
+      // toward binary decisions.
+      loss = ag::Add(loss, ag::MaskRegularizer(edge_mask, options_.lambda_size,
+                                               options_.lambda_entropy));
       loss = ag::Add(loss, ag::Scale(ag::MeanAll(feat_mask),
                                      options_.lambda_feat_size));
-      // Element entropy pushes the edge mask toward binary decisions.
-      ag::Variable one_minus = ag::AddScalar(ag::Neg(edge_mask), 1.0f);
-      ag::Variable ent = ag::Neg(
-          ag::Add(ag::Mul(edge_mask, ag::Log(edge_mask)),
-                  ag::Mul(one_minus, ag::Log(one_minus))));
-      loss = ag::Add(loss, ag::Scale(ag::MeanAll(ent),
-                                     options_.lambda_entropy));
       ag::Backward(loss);
       optimizer.Step();
     }

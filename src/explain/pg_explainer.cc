@@ -64,14 +64,8 @@ std::vector<float> PgExplainer::ExplainEdges(const data::Dataset& ds,
                                  &r1);
     ag::Variable loss = ag::NllLoss(ag::LogSoftmaxRows(out.logits),
                                     original_pred, all);
-    loss = ag::Add(loss,
-                   ag::Scale(ag::MeanAll(mask), options_.lambda_size));
-    ag::Variable one_minus = ag::AddScalar(ag::Neg(mask), 1.0f);
-    ag::Variable ent =
-        ag::Neg(ag::Add(ag::Mul(mask, ag::Log(mask)),
-                        ag::Mul(one_minus, ag::Log(one_minus))));
-    loss = ag::Add(loss, ag::Scale(ag::MeanAll(ent),
-                                   options_.lambda_entropy));
+    loss = ag::Add(loss, ag::MaskRegularizer(mask, options_.lambda_size,
+                                             options_.lambda_entropy));
     ag::Backward(loss);
     optimizer.Step();
   }

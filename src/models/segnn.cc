@@ -38,7 +38,7 @@ void SegnnModel::Fit(const data::Dataset& ds, const TrainConfig& config) {
     // together, different-label pushed apart (triplet form).
     const int64_t batch = std::min<int64_t>(
         256, static_cast<int64_t>(ds.train_idx.size()));
-    std::vector<int64_t> anchors, positives, negatives;
+    auto triplets = std::make_shared<ag::Triplets>();
     for (int64_t b = 0; b < batch; ++b) {
       const int64_t a = ds.train_idx[static_cast<size_t>(
           rng.UniformInt(ds.train_idx.size()))];
@@ -55,16 +55,13 @@ void SegnnModel::Fit(const data::Dataset& ds, const TrainConfig& config) {
         }
       }
       if (p >= 0 && n >= 0) {
-        anchors.push_back(a);
-        positives.push_back(p);
-        negatives.push_back(n);
+        triplets->anchor.push_back(a);
+        triplets->positive.push_back(p);
+        triplets->negative.push_back(n);
       }
     }
-    if (!anchors.empty()) {
-      ag::Variable trip = ag::TripletLoss(
-          ag::GatherRows(out.hidden, anchors),
-          ag::GatherRows(out.hidden, positives),
-          ag::GatherRows(out.hidden, negatives), 1.0f);
+    if (triplets->size() > 0) {
+      ag::Variable trip = ag::TripletLoss(out.hidden, triplets, 1.0f);
       loss = ag::Add(loss, ag::Scale(trip, 0.5f));
     }
     ag::Backward(loss);

@@ -29,6 +29,14 @@ const std::chrono::steady_clock::time_point g_process_epoch =
 /// scrape and Stop() with them.
 constexpr timeval kClientIoTimeout{2, 0};
 
+/// When reading a request, or draining one after the reply, gives up: one
+/// timeout from now, so a client that trickles bytes cannot hold the serve
+/// thread much longer than an idle one.
+std::chrono::steady_clock::time_point ClientDeadline() {
+  return std::chrono::steady_clock::now() +
+         std::chrono::seconds(kClientIoTimeout.tv_sec);
+}
+
 /// Writes all of `data`, retrying on partial writes and EINTR. A multi-MB
 /// /metrics body (thousands of labeled series) does not fit one send() on a
 /// default socket buffer, and a signal (profiling timers, crash-handler
@@ -157,14 +165,22 @@ void MetricsServer::Serve() {
 }
 
 void MetricsServer::HandleConnection(int client_fd) {
-  // Only the request line matters; read one chunk and parse "GET <path> ...".
+  // Only the request line matters: read until its '\n', a full buffer, the
+  // client's EOF or the deadline, then parse "GET <path> ...".
   char buf[2048];
-  ssize_t n;
-  do {
-    n = ::recv(client_fd, buf, sizeof(buf) - 1, 0);
-  } while (n < 0 && errno == EINTR);
-  if (n <= 0) return;
-  buf[n] = '\0';
+  size_t len = 0;
+  const auto request_deadline = ClientDeadline();
+  while (len < sizeof(buf) - 1 &&
+         std::chrono::steady_clock::now() < request_deadline) {
+    const ssize_t n = ::recv(client_fd, buf + len, sizeof(buf) - 1 - len, 0);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) break;  // EOF, error or the receive timeout
+    const char* chunk = buf + len;
+    len += static_cast<size_t>(n);
+    if (std::memchr(chunk, '\n', static_cast<size_t>(n)) != nullptr) break;
+  }
+  if (len == 0) return;
+  buf[len] = '\0';
   std::string method, path;
   {
     std::istringstream line(buf);
@@ -192,6 +208,16 @@ void MetricsServer::HandleConnection(int client_fd) {
   const std::string out = response.str();
   SendAll(client_fd, out.data(), out.size());
   served_.fetch_add(1, std::memory_order_relaxed);
+
+  // End the reply, then read whatever the client still sends until it
+  // closes: closing a socket with unread bytes sends a RST, and a RST can
+  // cost the client the reply.
+  ::shutdown(client_fd, SHUT_WR);
+  const auto drain_deadline = ClientDeadline();
+  while (std::chrono::steady_clock::now() < drain_deadline) {
+    const ssize_t n = ::recv(client_fd, buf, sizeof(buf), 0);
+    if (n == 0 || (n < 0 && errno != EINTR)) break;
+  }
 }
 
 }  // namespace ses::obs

@@ -26,9 +26,12 @@ namespace ses::obs {
 /// anything else answers 404, and a method other than GET 405. Intended for a
 /// scrape every few seconds, not for high request rates; each response
 /// snapshots the registry under its shared lock, so scrapes never block
-/// metric updates. Every recv and send on a client socket times out after
-/// 2 s, so an idle or stalled client delays later scrapes and Stop() by at
-/// most that long.
+/// metric updates. The server reads a request until the end of its request
+/// line; after the reply it half-closes the socket and reads what the client
+/// still sends until the client closes, so a long request gets no RST. Every
+/// recv and send on a client socket times out after 2 s, and reading the
+/// request and draining it each stop 2 s after they start, so an idle or
+/// stalled client delays later scrapes and Stop() by a few seconds at most.
 class MetricsServer {
  public:
   MetricsServer() = default;
@@ -40,8 +43,8 @@ class MetricsServer {
   /// thread. Returns false and logs on bind/listen failure.
   bool Start(uint16_t port);
 
-  /// Unblocks the accept loop and joins the serve thread (after at most the
-  /// 2 s client timeout if a connection is in progress). Idempotent.
+  /// Unblocks the accept loop and joins the serve thread (once the
+  /// connection in progress, if any, is done or timed out). Idempotent.
   void Stop();
 
   bool running() const { return running_.load(std::memory_order_relaxed); }

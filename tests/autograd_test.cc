@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <memory>
 #include <tuple>
 
 #include "autograd/grad_check.h"
@@ -119,12 +120,15 @@ TEST(AutogradTest, ReductionGradients) {
 }
 
 TEST(AutogradTest, TripletLossGradient) {
+  // Node 0 is an anchor twice and a negative once; node 5 plays all roles.
   ses::util::Rng rng(8);
-  auto a = Param(6, 4, &rng);
-  auto p = Param(6, 4, &rng);
-  auto n = Param(6, 4, &rng);
+  auto z = Param(8, 4, &rng);
+  auto triplets = std::make_shared<ag::Triplets>();
+  triplets->anchor = {0, 1, 2, 0, 5, 7};
+  triplets->positive = {3, 4, 5, 6, 1, 2};
+  triplets->negative = {6, 7, 0, 4, 5, 1};
   auto result = ag::CheckGradients(
-      [&] { return ag::TripletLoss(a, p, n, 1.0f); }, {a, p, n});
+      [&] { return ag::TripletLoss(z, triplets, 1.0f); }, {z});
   EXPECT_TRUE(result.ok) << "rel err " << result.max_rel_error;
 }
 
@@ -514,6 +518,146 @@ TEST(BackwardPathTest, PowGradientAndValuesAtTheExponentsInUse) {
     EXPECT_EQ(inv[i], 1.0f / a.value()[i]);
     EXPECT_EQ(rsqrt[i], 1.0f / std::sqrt(a.value()[i]));
   }
+}
+
+}  // namespace
+
+// --- fused loss ops -----------------------------------------------------------
+
+#include "loss_chains.h"
+
+namespace {
+
+std::shared_ptr<const ag::Triplets> MakeTriplets(
+    std::vector<int64_t> anchor, std::vector<int64_t> positive,
+    std::vector<int64_t> negative) {
+  auto triplets = std::make_shared<ag::Triplets>();
+  triplets->anchor = std::move(anchor);
+  triplets->positive = std::move(positive);
+  triplets->negative = std::move(negative);
+  return triplets;
+}
+
+TEST(TripletLossTest, MatchesTheChain) {
+  // Anchor 0 three times, a duplicate triplet (0, 1, 2), node 4 as both
+  // positive and negative of anchor 3 (equal distances: at margin 0 the
+  // hinge is exactly 0), anchor == positive for node 6 (a zero distance),
+  // and, at the two lower margins, inactive hinges.
+  ses::util::Rng rng(60);
+  const t::Tensor zv = t::Tensor::Randn(7, 5, &rng);
+  const auto triplets = MakeTriplets({0, 0, 3, 2, 5, 0, 6, 1},
+                                     {1, 1, 4, 4, 6, 2, 6, 2},
+                                     {2, 2, 4, 0, 1, 4, 0, 3});
+  for (const float margin : {0.0f, 0.5f, 4.0f}) {
+    SCOPED_TRACE("margin " + std::to_string(margin));
+    auto z = ag::Variable::Parameter(zv);
+    auto z_ref = ag::Variable::Parameter(zv);
+    const ag::Variable out = ag::TripletLoss(z, triplets, margin);
+    const ag::Variable ref = ses::test::ChainTripletLoss(z_ref, *triplets,
+                                                         margin);
+    EXPECT_NEAR(out.value()[0], ref.value()[0], 1e-6);
+    ag::Backward(out);
+    ag::Backward(ref);
+    EXPECT_LE(ses::test::MaxDiffOverScale(z.grad(), z_ref.grad()), 1e-5);
+
+    // The cases the triplets are meant to cover do occur.
+    const ag::Variable zc = ag::Variable::Constant(zv);
+    const ag::Variable a = ag::GatherRows(zc, triplets->anchor);
+    const t::Tensor hinge =
+        ag::AddScalar(
+            ag::Sub(ses::test::ChainRowDistance(
+                        a, ag::GatherRows(zc, triplets->positive)),
+                    ses::test::ChainRowDistance(
+                        a, ag::GatherRows(zc, triplets->negative))),
+            margin)
+            .value();
+    int active = 0, zero = 0;
+    for (int64_t j = 0; j < hinge.size(); ++j) {
+      active += hinge[j] > 0.0f;
+      zero += hinge[j] == 0.0f;
+    }
+    EXPECT_GT(active, 0);
+    if (margin == 0.0f) {
+      EXPECT_EQ(zero, 1);
+    }
+    if (margin < 1.0f) {
+      EXPECT_LT(active, hinge.size());
+    }
+  }
+}
+
+TEST(TripletLossTest, OutOfRangeIndexThrows) {
+  auto z = ag::Variable::Constant(t::Tensor(4, 2));
+  EXPECT_THROW(ag::TripletLoss(z, MakeTriplets({0, 4}, {1, 1}, {2, 2}), 1.0f),
+               std::logic_error);
+  EXPECT_THROW(
+      ag::TripletLoss(z, MakeTriplets({0, 1}, {1, -1}, {2, 2}), 1.0f),
+      std::logic_error);
+  EXPECT_THROW(ag::TripletLoss(z, MakeTriplets({0, 1}, {1, 1}, {2, 9}), 1.0f),
+               std::logic_error);
+  EXPECT_THROW(ag::TripletLoss(z, MakeTriplets({0, 1}, {1}, {2, 2}), 1.0f),
+               std::logic_error);
+  EXPECT_THROW(ag::TripletLoss(z, nullptr, 1.0f), std::logic_error);
+}
+
+TEST(TripletLossTest, EmptyListThrows) {
+  // A mean over no triplets is undefined; callers skip the loss instead.
+  auto z = ag::Variable::Parameter(t::Tensor::Ones(3, 2));
+  EXPECT_THROW(ag::TripletLoss(z, MakeTriplets({}, {}, {}), 1.0f),
+               std::logic_error);
+}
+
+TEST(FusedLossTest, InferenceGuardRecordsNoTape) {
+  ses::util::Rng rng(61);
+  auto z = Param(5, 3, &rng);
+  auto m = ag::Variable::Parameter(t::Tensor::Uniform(6, 1, 0.1f, 0.9f, &rng));
+  const auto triplets = MakeTriplets({0, 1, 2}, {3, 4, 0}, {4, 2, 1});
+  const t::Tensor taped_loss = ag::TripletLoss(z, triplets, 1.0f).value();
+  const t::Tensor taped_reg = ag::MaskRegularizer(m, 0.1f, 0.05f).value();
+  ag::InferenceGuard no_grad;
+  const uint64_t before = ag::TapeNodesCreated();
+  auto loss = ag::TripletLoss(z, triplets, 1.0f);
+  auto reg = ag::MaskRegularizer(m, 0.1f, 0.05f);
+  EXPECT_EQ(ag::TapeNodesCreated(), before);
+  EXPECT_FALSE(loss.requires_grad());
+  EXPECT_FALSE(reg.requires_grad());
+  EXPECT_TRUE(BitwiseEqual(loss.value(), taped_loss));
+  EXPECT_TRUE(BitwiseEqual(reg.value(), taped_reg));
+}
+
+TEST(MaskRegularizerTest, MatchesTheChain) {
+  // Scores at both poles, under the log clamp and about 1/2, then random.
+  ses::util::Rng rng(62);
+  t::Tensor mv = t::Tensor::Uniform(40, 1, 0.0f, 1.0f, &rng);
+  mv[0] = 0.0f;
+  mv[1] = 1.0f;
+  mv[2] = 1e-13f;
+  mv[3] = 1.0f - 1e-7f;
+  mv[4] = 0.5f;
+  for (const auto& [size_w, entropy_w] :
+       {std::pair{0.1f, 0.05f}, std::pair{0.3f, 0.0f},
+        std::pair{0.0f, 0.2f}}) {
+    SCOPED_TRACE("weights " + std::to_string(size_w) + " " +
+                 std::to_string(entropy_w));
+    auto m = ag::Variable::Parameter(mv);
+    auto m_ref = ag::Variable::Parameter(mv);
+    const ag::Variable out = ag::MaskRegularizer(m, size_w, entropy_w);
+    const ag::Variable ref =
+        ses::test::ChainMaskRegularizer(m_ref, size_w, entropy_w);
+    EXPECT_NEAR(out.value()[0], ref.value()[0], 1e-6);
+    ag::Backward(out);
+    ag::Backward(ref);
+    EXPECT_LE(ses::test::MaxDiffOverScale(m.grad(), m_ref.grad()), 1e-5);
+  }
+}
+
+TEST(MaskRegularizerTest, GradientMatchesFiniteDifferences) {
+  ses::util::Rng rng(63);
+  auto logits = Param(12, 1, &rng);
+  auto result = ag::CheckGradients(
+      [&] { return ag::MaskRegularizer(ag::Sigmoid(logits), 0.3f, 0.2f); },
+      {logits});
+  EXPECT_TRUE(result.ok) << "rel err " << result.max_rel_error;
 }
 
 }  // namespace

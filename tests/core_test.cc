@@ -2,6 +2,8 @@
 #include <cmath>
 #include <cstring>
 
+#include <functional>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -18,6 +20,7 @@
 #include "obs/model_health.h"
 #include "obs/telemetry.h"
 #include "obs/trace.h"
+#include "loss_chains.h"
 #include "omp_team.h"
 
 namespace ag = ses::autograd;
@@ -51,7 +54,7 @@ TEST(MaskGeneratorTest, StructureMaskShapeAndRange) {
   g::KHopAdjacency khop(ds.graph, 2);
   c::MaskGenerator gen(16, ds.num_features(), &rng);
   auto h = ag::Variable::Constant(t::Tensor::Randn(ds.num_nodes(), 16, &rng));
-  auto mask = gen.StructureMask(h, khop.PairEdges());
+  auto mask = gen.ScorePairs(gen.Project(h), khop.PairEdges());
   EXPECT_EQ(mask.rows(), khop.num_pairs());
   EXPECT_GT(mask.value().Min(), 0.0f);
   EXPECT_LT(mask.value().Max(), 1.0f);
@@ -73,7 +76,7 @@ TEST(MaskGeneratorTest, GradientsFlowToAllParameters) {
   auto result = ag::CheckGradients(
       [&] {
         auto fm = gen.FeatureMask(h, sp);
-        auto sm = gen.StructureMask(h, khop.PairEdges());
+        auto sm = gen.ScorePairs(gen.Project(h), khop.PairEdges());
         return ag::Add(ag::MeanAll(ag::Mul(fm, fm)),
                        ag::MeanAll(ag::Mul(sm, sm)));
       },
@@ -378,6 +381,97 @@ TEST(SesModelTest, EdgeScoresAlignWithGraph) {
     EXPECT_GE(s, 0.0f);
     EXPECT_LE(s, 1.0f);
   }
+}
+
+// The fused loss ops in the trainers' losses: the gradients one epoch's
+// loss sends to the parameters match the chains the ops replaced. The
+// trained logits cannot show a wrong gradient here: phase 2 keeps the best
+// validating encoder, and on these inputs that is often phase 1's.
+
+/// Each parameter's gradient after backpropagating `loss()` from zero.
+std::vector<t::Tensor> ParameterGrads(
+    const std::vector<ag::Variable>& params,
+    const std::function<ag::Variable()>& loss) {
+  for (ag::Variable p : params) p.ZeroGrad();
+  ag::Backward(loss());
+  std::vector<t::Tensor> grads;
+  for (const ag::Variable& p : params) grads.push_back(p.grad());
+  return grads;
+}
+
+TEST(FusedLossGradTest, Phase2EncoderGradientsMatchTheTripletChain) {
+  auto ds = SmallDataset();
+  g::KHopAdjacency khop(ds.graph, 2);
+  ses::util::Rng rng(11);
+  const auto negatives = g::SampleNegativeSets(khop, {}, &rng);
+  const t::Tensor mask =
+      t::Tensor::Uniform(khop.num_pairs(), 1, 0.0f, 1.0f, &rng);
+  const auto pairs = std::make_shared<const c::PosNegPairs>(
+      c::ConstructPairs(khop, mask, negatives, 0.5, &rng));
+  ASSERT_GT(pairs->size(), 100);
+  auto encoder = ses::models::MakeEncoder("GCN", ds.num_features(), 16,
+                                          ds.num_classes, &rng);
+  const auto adj = ds.graph.DirectedEdges(/*add_self_loops=*/true);
+  const ses::nn::FeatureInput input = ses::models::MakeInput(ds);
+  const c::SesOptions options;
+  // One phase-2 epoch's loss (Eq. 13), dropout drawn the same both times.
+  auto epoch_loss = [&](bool fused) {
+    ses::util::Rng epoch_rng(12);
+    auto out = encoder->Forward(input, adj, {}, 0.5f, /*training=*/true,
+                                &epoch_rng);
+    const ag::Variable triplet =
+        fused ? ag::TripletLoss(out.logits, pairs, options.margin)
+              : ses::test::ChainTripletLoss(out.logits, *pairs,
+                                            options.margin);
+    const ag::Variable xent = ag::NllLoss(ag::LogSoftmaxRows(out.logits),
+                                          ds.labels, ds.train_idx);
+    return ag::Add(ag::Scale(triplet, options.beta),
+                   ag::Scale(xent, 1.0f - options.beta));
+  };
+  const auto params = encoder->Parameters();
+  const auto fused = ParameterGrads(params, [&] { return epoch_loss(true); });
+  const auto chain = ParameterGrads(params, [&] { return epoch_loss(false); });
+  const auto names = encoder->ParameterNames();
+  for (size_t i = 0; i < params.size(); ++i)
+    EXPECT_LE(ses::test::MaxDiffOverScale(fused[i], chain[i]), 1e-5)
+        << names[i];
+}
+
+TEST(FusedLossGradTest, Phase1GradientsMatchTheRegularizerChain) {
+  auto ds = SmallDataset();
+  g::KHopAdjacency khop(ds.graph, 2);
+  ses::util::Rng rng(13);
+  auto encoder = ses::models::MakeEncoder("GCN", ds.num_features(), 16,
+                                          ds.num_classes, &rng);
+  c::MaskGenerator gen(16, ds.num_features(), &rng);
+  const auto adj = ds.graph.DirectedEdges(/*add_self_loops=*/true);
+  const auto khop_pairs = khop.PairEdges();
+  const ses::nn::FeatureInput input = ses::models::MakeInput(ds);
+  const c::SesOptions options;
+  // The plain pass, M_s from it, and the cross-entropy plus the mask terms.
+  auto epoch_loss = [&](bool fused) {
+    ses::util::Rng epoch_rng(14);
+    auto out = encoder->Forward(input, adj, {}, 0.5f, /*training=*/true,
+                                &epoch_rng);
+    const ag::Variable m_s =
+        gen.ScorePairs(gen.Project(out.hidden), khop_pairs);
+    const ag::Variable reg =
+        fused ? ag::MaskRegularizer(m_s, options.lambda_size,
+                                    options.lambda_entropy)
+              : ses::test::ChainMaskRegularizer(m_s, options.lambda_size,
+                                                options.lambda_entropy);
+    const ag::Variable xent = ag::NllLoss(ag::LogSoftmaxRows(out.logits),
+                                          ds.labels, ds.train_idx);
+    return ag::Add(ag::Scale(reg, options.alpha),
+                   ag::Scale(xent, 1.0f - options.alpha));
+  };
+  std::vector<ag::Variable> params = encoder->Parameters();
+  for (const ag::Variable& p : gen.Parameters()) params.push_back(p);
+  const auto fused = ParameterGrads(params, [&] { return epoch_loss(true); });
+  const auto chain = ParameterGrads(params, [&] { return epoch_loss(false); });
+  for (size_t i = 0; i < params.size(); ++i)
+    EXPECT_LE(ses::test::MaxDiffOverScale(fused[i], chain[i]), 1e-5)
+        << "parameter " << i;
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -222,15 +223,28 @@ int ConnectLoopback(uint16_t port) {
   return fd;
 }
 
+/// Reads until the server closes the connection; `*last` gets the final
+/// recv result (0 on a clean EOF) and `*last_errno` its errno.
+std::string ReadUntilClosed(int fd, ssize_t* last, int* last_errno) {
+  std::string response;
+  char buf[4096];
+  for (;;) {
+    *last = ::recv(fd, buf, sizeof(buf), 0);
+    *last_errno = errno;
+    if (*last <= 0) break;
+    response.append(buf, static_cast<size_t>(*last));
+  }
+  return response;
+}
+
 /// Sends `request` and reads until the server closes the connection (or the
 /// 5 s receive timeout expires, leaving the response short).
 std::string HttpGet(uint16_t port, const std::string& request) {
   const int fd = ConnectLoopback(port);
   EXPECT_GT(::send(fd, request.data(), request.size(), MSG_NOSIGNAL), 0);
-  std::string response;
-  char buf[4096];
-  for (ssize_t n; (n = ::recv(fd, buf, sizeof(buf), 0)) > 0;)
-    response.append(buf, static_cast<size_t>(n));
+  ssize_t last = 0;
+  int last_errno = 0;
+  std::string response = ReadUntilClosed(fd, &last, &last_errno);
   ::close(fd);
   return response;
 }
@@ -407,6 +421,54 @@ TEST(MetricsServerTest, MalformedRequestLinesGetAWellFormedReply) {
   EXPECT_NE(health.find("HTTP/1.0 200 OK"), std::string::npos);
   EXPECT_NE(health.find("\"status\":\"ok\""), std::string::npos);
   server.Stop();
+}
+
+TEST(MetricsServerTest, RequestSplitAcrossTwoSendsIsReadWhole) {
+  ResetObsState();
+  obs::MetricsServer server;
+  ASSERT_TRUE(server.Start(0));
+  const int fd = ConnectLoopback(server.port());
+  const std::string head = "GET /met";
+  const std::string tail = "rics HTTP/1.0\r\n\r\n";
+  ASSERT_EQ(::send(fd, head.data(), head.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(head.size()));
+  // Long enough for the server to read the first segment on its own.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  ASSERT_EQ(::send(fd, tail.data(), tail.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(tail.size()));
+  ssize_t last = 0;
+  int last_errno = 0;
+  const std::string response = ReadUntilClosed(fd, &last, &last_errno);
+  ::close(fd);
+  server.Stop();
+  EXPECT_EQ(response.substr(0, 15), "HTTP/1.0 200 OK") << response;
+  EXPECT_NE(response.find("version=0.0.4"), std::string::npos);
+}
+
+TEST(MetricsServerTest, LongRequestLineGetsItsReplyAndACleanEof) {
+  ResetObsState();
+  obs::MetricsServer server;
+  ASSERT_TRUE(server.Start(0));
+  // The request line alone is twice the server's read buffer.
+  const std::string request =
+      "GET /metrics?pad=" + std::string(4096, 'x') + " HTTP/1.0\r\n\r\n";
+  const int fd = ConnectLoopback(server.port());
+  ASSERT_EQ(::send(fd, request.data(), request.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(request.size()));
+  ssize_t last = 0;
+  int last_errno = 0;
+  const std::string response = ReadUntilClosed(fd, &last, &last_errno);
+  ::close(fd);
+  server.Stop();
+  EXPECT_EQ(response.substr(0, 15), "HTTP/1.0 200 OK");
+  EXPECT_EQ(last, 0) << "the reply did not end in a clean EOF: "
+                     << std::strerror(last_errno);
+  const size_t header_end = response.find("\r\n\r\n");
+  ASSERT_NE(header_end, std::string::npos);
+  const size_t cl = response.find("Content-Length: ");
+  ASSERT_LT(cl, header_end);
+  EXPECT_EQ(response.size() - header_end - 4,
+            std::stoul(response.substr(cl + std::strlen("Content-Length: "))));
 }
 
 // ---------------------------------------------------------------------------
